@@ -1430,8 +1430,9 @@ fn durability() {
     }
     println!(
         "recovery loads the cache warm from the snapshot and replays only the WAL tail:\n\
-         it wins when cached bases are expensive to recompute (chain) and loses when\n\
-         recomputation is cheaper than parsing the snapshot (easy random workloads);\n\
+         it wins when cached bases are expensive to recompute (chain) and breaks even\n\
+         when recomputing them costs about what parsing the snapshot does (easy random\n\
+         workloads);\n\
          bit-identity with the live process is proptest-asserted in tests/durability.rs"
     );
     let _ = std::fs::remove_dir_all(&dir);

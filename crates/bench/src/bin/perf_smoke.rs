@@ -11,6 +11,11 @@
 //! drift means the engine is doing different work, which either is a bug
 //! or deserves a reviewed re-bless.
 //!
+//! A separate row times `Dependency::parse_with` over 256 dependency
+//! texts on a 32-atom schema against its own baseline field
+//! (`parse_ns`) with the same 3x limit, so a return to a resolver that
+//! enumerates resolutions fails here.
+//!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
 //! no-op recorder must not be measurably slower than the plain path.
@@ -22,8 +27,8 @@ use std::sync::Arc;
 
 use nalist::obs::{noop, Counter, MetricsRecorder};
 use nalist_bench::{
-    fmt_nanos, incremental_edit_workload, median_nanos, nested_workload, run_closures,
-    run_closures_observed,
+    fmt_nanos, incremental_edit_workload, median_nanos, nested_workload, parse_workload,
+    run_closures, run_closures_observed, run_parses,
 };
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/perf_baseline.json");
@@ -93,6 +98,18 @@ fn main() {
         fmt_nanos(edit_ns),
         fmt_nanos(total_ns)
     );
+    // notation parsing: every text resolves, so the row times resolution
+    // and not an early error
+    let pw = parse_workload(7, 32, 256);
+    assert_eq!(run_parses(&pw), pw.texts.len(), "printer output must parse");
+    let parse_ns = median_nanos(7, || {
+        std::hint::black_box(run_parses(&pw));
+    });
+    println!(
+        "notation parsing: {} dependency texts in {}",
+        pw.texts.len(),
+        fmt_nanos(parse_ns)
+    );
 
     // machine-independent work counters, one instrumented pass each
     let closure_rec = MetricsRecorder::new();
@@ -123,7 +140,7 @@ fn main() {
 
     if std::env::var_os("UPDATE_PERF_BASELINE").is_some() {
         let mut json = format!(
-            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns}"
+            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns}"
         );
         for (name, value) in WORK_COUNTERS.iter().zip(work) {
             json.push_str(&format!(",\n  \"{name}\": {value}"));
@@ -157,6 +174,22 @@ fn main() {
     if ratio > MAX_RATIO {
         eprintln!(
             "PERF REGRESSION: pinned workload is {ratio:.2}x the checked-in baseline \
+             (limit {MAX_RATIO:.1}x). If intentional, re-bless with UPDATE_PERF_BASELINE=1."
+        );
+        failed = true;
+    }
+    let parse_baseline = parse_field(&text, "parse_ns").unwrap_or_else(|| {
+        eprintln!("no \"parse_ns\" field in {BASELINE_PATH}");
+        std::process::exit(2);
+    });
+    let parse_ratio = parse_ns as f64 / parse_baseline.max(1) as f64;
+    println!(
+        "baseline parsing {} → ratio {parse_ratio:.2} (limit {MAX_RATIO:.1})",
+        fmt_nanos(parse_baseline)
+    );
+    if parse_ratio > MAX_RATIO {
+        eprintln!(
+            "PERF REGRESSION: notation parsing is {parse_ratio:.2}x the checked-in baseline \
              (limit {MAX_RATIO:.1}x). If intentional, re-bless with UPDATE_PERF_BASELINE=1."
         );
         failed = true;

@@ -142,6 +142,36 @@ pub fn incremental_edit_workload(
     }
 }
 
+/// Dependency texts in the paper's abbreviated notation over one schema:
+/// the input of the notation-parsing row of `perf_smoke`.
+pub struct ParseWorkload {
+    /// The ambient attribute the texts resolve against.
+    pub attr: NestedAttr,
+    /// `X -> Y` / `X ->> Y` lines as the printer renders them.
+    pub texts: Vec<String>,
+}
+
+/// Builds a [`ParseWorkload`] of `count` random dependencies over an
+/// `atoms`-atom schema, deterministic in `seed`.
+pub fn parse_workload(seed: u64, atoms: usize, count: usize) -> ParseWorkload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+    let alg = Algebra::new(&attr);
+    let texts = (0..count)
+        .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5).render(&alg))
+        .collect();
+    ParseWorkload { attr, texts }
+}
+
+/// Parses every text of `w` once (the unit of work of the parsing row)
+/// and returns how many resolved.
+pub fn run_parses(w: &ParseWorkload) -> usize {
+    w.texts
+        .iter()
+        .filter(|t| Dependency::parse_with(&w.attr, t, ParseLimits::default()).is_ok())
+        .count()
+}
+
 /// An adversarial workload for the worst-case pass count of
 /// Algorithm 5.1: a flat FD chain `A0 → A1, …, A{n-2} → A{n-1}` listed in
 /// *reverse* order, so each REPEAT-UNTIL pass can absorb only one more

@@ -620,7 +620,13 @@ fn run_observed(
     budget: &Budget,
     obs: &ObsOptions,
 ) -> Result<String, CliError> {
-    let metrics = Arc::new(MetricsRecorder::new());
+    // One-shot commands keep every span (`--trace` prints the whole
+    // tree); the daemon's buffer is capped so it cannot grow with uptime.
+    let metrics = Arc::new(if args.first().is_some_and(|c| c == "serve") {
+        MetricsRecorder::with_span_cap(nalist::serve::server::SPAN_CAP)
+    } else {
+        MetricsRecorder::new()
+    });
     let rec: Arc<dyn Recorder> = metrics.clone();
     let token = rec.enter(site::CLI_COMMAND, args.len() as u64);
     // Long-lived commands flush an in-progress snapshot every 500 ms so
@@ -1760,11 +1766,13 @@ fn run_serve(
 ) -> Result<String, CliError> {
     // `GET /metrics` needs a snapshot-capable recorder: reuse the
     // command's own when `--metrics`/`--trace` provided a live one,
-    // else give the server a private recorder.
+    // else give the server a private recorder. Both cap their spans.
     let server_rec: Arc<dyn Recorder> = if rec.try_snapshot().is_some() {
         Arc::clone(rec)
     } else {
-        Arc::new(MetricsRecorder::new())
+        Arc::new(MetricsRecorder::with_span_cap(
+            nalist::serve::server::SPAN_CAP,
+        ))
     };
     if let Some(leader) = &opts.follow {
         let fcfg = nalist::serve::FollowerConfig {
@@ -2481,6 +2489,37 @@ mod tests {
         let e = run(&args(&["lint", "L(A, B)", "bad.deps"]), &f).unwrap_err();
         assert_eq!(e.code, 1);
         assert!(e.message.contains("error[L007]"), "{}", e.message);
+    }
+
+    /// C(64, 32) = 1832624140942590534 resolutions: the L007 hint names
+    /// the first one without enumerating the rest.
+    #[test]
+    fn lint_reports_an_astronomical_ambiguity_promptly() {
+        let schema = format!("W({})", vec!["A"; 64].join(", "));
+        let mut f = files();
+        let side = format!("W({})", vec!["A"; 32].join(", "));
+        f.0.insert("wide.deps".into(), format!("{side} -> λ\n"));
+        let started = std::time::Instant::now();
+        let e = run(&args(&["lint", &schema, "wide.deps"]), &f).unwrap_err();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(e.code, 1);
+        assert!(e.message.contains("error[L007]"), "{}", e.message);
+        assert!(
+            e.message
+                .contains("1832624140942590534 distinct resolutions"),
+            "{}",
+            e.message
+        );
+        let first = format!(
+            "W({}, {})",
+            vec!["A"; 32].join(", "),
+            vec!["λ"; 32].join(", ")
+        );
+        assert!(e.message.contains(&first), "{}", e.message);
     }
 
     #[test]

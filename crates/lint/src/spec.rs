@@ -242,8 +242,8 @@ fn resolution_diagnostic(
         (ParseError::Ambiguous { count, .. }, _) => (
             side.span,
             format!("`{side_text}` is ambiguous in {n}: {count} distinct resolutions"),
-            nalist_types::display::resolutions(&side.node, n)
-                .first()
+            nalist_types::display::first_resolution(&side.node, n)
+                .1
                 .map(|r| format!("disambiguate by writing the subattribute in full, e.g. `{r}`")),
         ),
         (_, Some((name, span))) => (

@@ -8,6 +8,8 @@
 //! * `lNNN_near.deps` — a near-miss that must NOT raise `LNNN`
 //!   (`lNNN_near.schema` overrides the schema when present).
 //!
+//! `l007_ambiguous.*` additionally pins the ambiguity message and hint.
+//!
 //! Regenerate the goldens with `UPDATE_GOLDENS=1 cargo test -p nalist-lint
 //! --test fixtures` after an intentional output change, then review the
 //! diff like any other code change.
@@ -185,6 +187,33 @@ fn l008_not_minimal_cover() {
 #[test]
 fn l009_4nf_violation() {
     check_rule("L009");
+}
+
+/// The paper's own ambiguous abbreviation (§3.3): `L(A)` in `L(A, A)`.
+/// The message carries the resolution count and the hint spells out the
+/// first resolution (the match-first one, `L(A, λ)`).
+#[test]
+fn l007_ambiguous_abbreviation() {
+    let schema = read("l007_ambiguous.schema");
+    let deps_file = "l007_ambiguous.deps";
+    let deps = read(deps_file);
+    let report = lint_spec(&schema, &deps).unwrap();
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["L007"]);
+    let d = &report.diagnostics[0];
+    assert_eq!(
+        d.message,
+        "`L(A)` is ambiguous in L(A, A): 2 distinct resolutions"
+    );
+    assert_eq!(
+        d.suggestion.as_deref(),
+        Some("disambiguate by writing the subattribute in full, e.g. `L(A, λ)`")
+    );
+    let human = lint_to_human(&schema, &deps, deps_file).unwrap();
+    assert_golden("l007_ambiguous.human", &human);
+    let json = lint_to_json(&schema, &deps, deps_file).unwrap();
+    assert_golden("l007_ambiguous.json", &json);
+    round_trip(&json, &report, deps_file);
 }
 
 /// Caret lines in the human goldens sit directly under the diagnosed

@@ -69,10 +69,10 @@ pub mod site {
     pub const CHECK_VERIFY: &str = "check::verify";
     /// One tenant construction in the service layer (enter payload:
     /// initial |Σ|; exit payload: 1 = created, 0 = recovered from a
-    /// snapshot). Requests deliberately get **no** span: a long-lived
-    /// server would grow the span buffer without bound. The request
-    /// path reports through counters and the `request_ns` histogram
-    /// instead.
+    /// snapshot). Requests get no span of their own: the request path
+    /// reports through counters and the `request_ns` histogram, and
+    /// the daemon caps its span buffer
+    /// ([`MetricsRecorder::with_span_cap`]).
     pub const SERVE_TENANT: &str = "serve::tenant";
 }
 
@@ -156,11 +156,14 @@ pub enum Counter {
     /// Full snapshot bootstraps a follower performed (initial catch-up
     /// plus every re-snapshot the compaction handshake forced).
     SnapshotBootstraps,
+    /// Spans a capped recorder ([`MetricsRecorder::with_span_cap`]) did
+    /// not keep because its buffer was full.
+    SpansDropped,
 }
 
 impl Counter {
     /// Every counter, in declaration (and serialization) order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::DepsFired,
         Counter::WorklistSteps,
         Counter::AtomsAllocated,
@@ -190,6 +193,7 @@ impl Counter {
         Counter::ReplRecordsApplied,
         Counter::ReplLag,
         Counter::SnapshotBootstraps,
+        Counter::SpansDropped,
     ];
 
     /// Stable snake_case name used in `--metrics` JSON and the perf
@@ -225,6 +229,7 @@ impl Counter {
             Counter::ReplRecordsApplied => "repl_records_applied",
             Counter::ReplLag => "repl_lag",
             Counter::SnapshotBootstraps => "snapshot_bootstraps",
+            Counter::SpansDropped => "spans_dropped",
         }
     }
 }
@@ -285,6 +290,8 @@ pub struct SpanToken(usize);
 
 impl SpanToken {
     const NOOP: SpanToken = SpanToken(usize::MAX);
+    /// A span a capped recorder counted but did not keep.
+    const DROPPED: SpanToken = SpanToken(usize::MAX - 1);
 }
 
 /// The observability sink. Implementations must be cheap and must never
@@ -587,12 +594,15 @@ fn thread_ix() -> u32 {
 
 /// The real recorder: lock-free counters and histograms, a mutex-guarded
 /// span buffer (spans are coarse by convention, so the lock is cold).
+/// The buffer is unbounded unless the recorder was built with
+/// [`MetricsRecorder::with_span_cap`].
 #[derive(Debug)]
 pub struct MetricsRecorder {
     origin: Instant,
     counters: [AtomicU64; Counter::ALL.len()],
     hists: [HistCore; Hist::ALL.len()],
     spans: Mutex<Vec<SpanRecord>>,
+    span_cap: usize,
 }
 
 impl Default for MetricsRecorder {
@@ -602,14 +612,26 @@ impl Default for MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    /// A fresh recorder; the creation instant anchors all span offsets.
+    /// A fresh recorder with an unbounded span buffer; the creation
+    /// instant anchors all span offsets.
     #[must_use]
     pub fn new() -> Self {
+        MetricsRecorder::with_span_cap(usize::MAX)
+    }
+
+    /// A fresh recorder that keeps the first `cap` spans and counts every
+    /// later one in [`Counter::SpansDropped`] instead — for long-lived
+    /// processes, whose span buffer must not grow with their uptime.
+    /// Dropped spans still nest: the spans kept around them report the
+    /// same depths as on an uncapped recorder.
+    #[must_use]
+    pub fn with_span_cap(cap: usize) -> Self {
         MetricsRecorder {
             origin: Instant::now(),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| HistCore::new()),
             spans: Mutex::new(Vec::new()),
+            span_cap: cap,
         }
     }
 
@@ -730,15 +752,23 @@ impl Recorder for MetricsRecorder {
         };
         let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         let ix = spans.len();
+        if ix >= self.span_cap {
+            drop(spans);
+            self.add(Counter::SpansDropped, 1);
+            return SpanToken::DROPPED;
+        }
         spans.push(record);
         SpanToken(ix)
     }
 
     fn exit(&self, token: SpanToken, payload: u64) {
-        if token.0 == usize::MAX {
+        if token.0 == SpanToken::NOOP.0 {
             return;
         }
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        if token.0 == SpanToken::DROPPED.0 {
+            return;
+        }
         let end = self.now_ns();
         let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(s) = spans.get_mut(token.0) {
@@ -836,6 +866,36 @@ mod tests {
         assert_eq!(snap.spans[0].payload_out, 0);
         // rebalance the thread-local depth for later tests on this thread
         DEPTH.with(|d| d.set(0));
+    }
+
+    #[test]
+    fn capped_recorder_counts_dropped_spans_and_keeps_depths() {
+        let r = MetricsRecorder::with_span_cap(2);
+        let outer = r.enter(site::CLI_COMMAND, 0);
+        let first = r.enter(site::WORKLIST, 1);
+        r.exit(first, 0);
+        let dropped = r.enter(site::WORKLIST, 2);
+        let nested = r.enter(site::CHASE, 3);
+        r.exit(nested, 0);
+        r.exit(dropped, 0);
+        r.exit(outer, 1);
+        let snap = r.snapshot();
+        let kept: Vec<_> = snap
+            .spans
+            .iter()
+            .map(|s| (s.site, s.depth, s.payload_in, s.payload_out))
+            .collect();
+        assert_eq!(
+            kept,
+            [(site::CLI_COMMAND, 0, 0, 1), (site::WORKLIST, 1, 1, 0)]
+        );
+        assert_eq!(r.counter(Counter::SpansDropped), 2);
+        // every exit ran, so the thread-local depth is balanced again
+        assert_eq!(DEPTH.with(std::cell::Cell::get), 0);
+        let later = r.enter(site::CHASE, 4);
+        r.exit(later, 0);
+        assert_eq!(r.counter(Counter::SpansDropped), 3);
+        assert_eq!(DEPTH.with(std::cell::Cell::get), 0);
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   *before* they are applied ([`tenant`]), so a `SIGTERM`ed daemon
 //!   always leaves a recoverable `snapshot + WAL` pair;
 //! * **observability** — the server reports through [`nalist_obs`]
-//!   counters and histograms only (no per-request spans: a daemon's
-//!   span buffer must stay bounded), and `GET /metrics` serves the
-//!   same schema-versioned JSON document `--metrics` writes.
+//!   counters and histograms; the spans the reasoner opens per request
+//!   land in a buffer capped at [`server::SPAN_CAP`] (later ones only
+//!   count in `spans_dropped`), so the daemon's memory and its
+//!   `GET /metrics` document — the same schema-versioned JSON
+//!   `--metrics` writes — stay bounded.
 //!
 //! [`loadgen`] is the matching open-loop traffic generator: Poisson
 //! arrivals, zipf-skewed query pools, mixed edit/query traffic — the

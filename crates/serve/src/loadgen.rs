@@ -6,7 +6,9 @@
 //! latency numbers (the coordinated-omission trap). Each connection
 //! thread owns a slice of the offered rate with exponential
 //! inter-arrival gaps; when the server falls behind, the generator
-//! reports the achieved rate honestly instead of stretching the gaps.
+//! reports the achieved rate honestly instead of stretching the gaps,
+//! and times each request from its scheduled arrival, so the wait a
+//! slow reply imposes on the next request counts in its latency.
 //!
 //! The workload is the service's intended shape: zipf-skewed query
 //! pools per tenant (a few hot LHSs rewarded by the basis cache, a
@@ -736,11 +738,14 @@ fn conn_worker(
             body = Some(format!("{{\"query\": {}}}", json_escape(&pool.deps[k])));
         }
         let method = "POST";
-        let t0 = Instant::now();
+        // Latency runs from the scheduled arrival, not the actual send:
+        // a request queued behind a slow reply on this connection counts
+        // that wait.
+        let due = start + next_at;
         part.sent += 1;
         match client.roundtrip(method, &target, body.as_deref()) {
             Ok((status, _)) => {
-                part.latencies_us.push(t0.elapsed().as_micros() as u64);
+                part.latencies_us.push(due.elapsed().as_micros() as u64);
                 match status {
                     200 | 201 => part.ok += 1,
                     429 => part.status_429 += 1,

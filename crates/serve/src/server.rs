@@ -36,6 +36,14 @@ use crate::http::{read_request, RecvError, Response};
 use crate::replica::ReplStatus;
 use crate::tenant::Registry;
 
+/// Spans the daemon's recorder keeps
+/// ([`nalist_obs::MetricsRecorder::with_span_cap`]): the reasoner opens
+/// spans on every request (a cache lookup per query, worklist and batch
+/// spans on misses), so an uncapped buffer would grow with uptime and
+/// with it every `GET /metrics` document. Later spans are counted in
+/// `spans_dropped`.
+pub const SPAN_CAP: usize = 4096;
+
 /// Server configuration; [`ServerConfig::default`] is a sane local
 /// setup (ephemeral port, 4 workers, queue of 64).
 #[derive(Debug, Clone)]

@@ -161,3 +161,84 @@ fn full_api_walkthrough() {
 
     srv.shutdown();
 }
+
+/// A 32-name side over a 64-component record has C(64, 32) =
+/// 1832624140942590534 resolutions. `/reload` lints the posted file under
+/// the tenant write lock, so its ambiguity diagnostic — hint included —
+/// must come from the counting DP, not from enumerating resolutions: the
+/// request answers 400 with the L007 report promptly and applies nothing.
+#[test]
+fn reload_reports_an_astronomical_ambiguity_promptly() {
+    let (srv, addr) = boot();
+    let schema = format!("W({})", vec!["A"; 64].join(", "));
+    let create = format!(r#"{{"schema": "{schema}", "deps": []}}"#);
+    let (status, body) = request(addr, "POST", "/v1/w/create", Some(&create));
+    assert_eq!(status, 201, "{body}");
+
+    let side = format!("W({})", vec!["A"; 32].join(", "));
+    let reload = format!(r#"{{"deps": "{side} -> λ\n"}}"#);
+    let started = std::time::Instant::now();
+    let (status, body) = request(addr, "POST", "/v1/w/reload", Some(&reload));
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"L007\""), "{body}");
+    assert!(
+        body.contains("1832624140942590534 distinct resolutions"),
+        "{body}"
+    );
+    let first = format!(
+        "W({}, {})",
+        vec!["A"; 32].join(", "),
+        vec!["λ"; 32].join(", ")
+    );
+    assert!(body.contains(&first), "{body}");
+
+    let (status, body) = request(addr, "GET", "/v1/w/sigma", None);
+    assert_eq!(status, 200);
+    assert!(body.contains("\"sigma\": []"), "{body}");
+    srv.shutdown();
+}
+
+/// A capped recorder keeps its first spans and counts the rest: the
+/// `/metrics` document keeps its `"spans": [` array, bounded by the cap,
+/// and reports what it left out in `spans_dropped`.
+#[test]
+fn capped_span_buffer_bounds_the_metrics_document() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let rec = Arc::new(MetricsRecorder::with_span_cap(4));
+    let srv = nalist_serve::server::start(&cfg, rec).expect("start");
+    let addr = srv.local_addr();
+    let create = r#"{"schema": "L(A, B, C)", "deps": ["L(A) -> L(B)"]}"#;
+    let (status, body) = request(addr, "POST", "/v1/t/create", Some(create));
+    assert_eq!(status, 201, "{body}");
+    for _ in 0..10 {
+        let (status, _) = request(
+            addr,
+            "POST",
+            "/v1/t/query",
+            Some(r#"{"query": "L(A) -> L(B)"}"#),
+        );
+        assert_eq!(status, 200);
+    }
+    let (status, body) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    assert!(body.contains("\"spans\": ["), "{body}");
+    let doc = parse_json(&body).expect("metrics is valid JSON");
+    let spans = doc.get("spans").and_then(|s| s.as_arr()).expect("spans");
+    assert_eq!(spans.len(), 4);
+    let dropped = doc
+        .get("counters")
+        .and_then(|c| c.get("spans_dropped"))
+        .and_then(|v| v.as_usize())
+        .expect("spans_dropped counter");
+    // at least one cache lookup per query went uncollected
+    assert!(dropped >= 10, "{dropped}");
+    srv.shutdown();
+}

@@ -50,7 +50,8 @@ impl fmt::Display for NestedAttr {
 /// An *abbreviated* nested attribute: record components are a subsequence
 /// of the components of the context attribute, `λ` stands for an omitted
 /// bottom. Produced by the parser and by [`to_loose`]; resolved against a
-/// context attribute by [`resolutions`]/[`count_resolutions`].
+/// context attribute by [`first_resolution`], with [`count_resolutions`]
+/// and [`resolutions`] as the reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Loose {
     /// `λ` — resolves to the bottom `λ_N` of the context.
@@ -116,60 +117,201 @@ pub fn to_loose(x: &NestedAttr, n: &NestedAttr) -> Loose {
 /// Counts the subattributes of `n` whose abbreviated form matches `d`
 /// (saturating at `u64::MAX`).
 pub fn count_resolutions(d: &Loose, n: &NestedAttr) -> u64 {
+    count_into(d, n, &mut Tape::default()).0
+}
+
+/// Resolves `d` against `n` with one counting pass and one walk down the
+/// assignment DP. Returns the saturating [`count_resolutions`] and, when
+/// it is non-zero, the first element of [`resolutions`] — the resolution
+/// itself when the count is 1 — without building any other.
+///
+/// The walk prefers matching over skipping at every cell, which is the
+/// order [`resolutions`] enumerates in. When the count is 1 the choice is
+/// forced anyway: `f[i][j] = skip + here = 1` leaves exactly one of the
+/// two with a completion.
+///
+/// ```
+/// use nalist_types::display::{first_resolution, Loose};
+/// use nalist_types::parser::parse_attr;
+///
+/// let n = parse_attr("L(A, A)").unwrap();
+/// let d = Loose::Record("L".into(), vec![Loose::Flat("A".into())]);
+/// let (count, first) = first_resolution(&d, &n);
+/// assert_eq!(count, 2);
+/// assert_eq!(first.unwrap().to_string(), "L(A, λ)");
+/// ```
+pub fn first_resolution(d: &Loose, n: &NestedAttr) -> (u64, Option<NestedAttr>) {
+    let mut tape = Tape::default();
+    let (count, at) = count_into(d, n, &mut tape);
+    let first = (count > 0).then(|| first_on_path(d, n, &tape.paths, at));
+    (count, first)
+}
+
+/// Path offset of a pair that records no path (λ, a flat name, a
+/// mismatch).
+const LEAF: usize = usize::MAX;
+
+/// Working memory of the counting pass.
+#[derive(Default)]
+struct Tape {
+    /// The assignment tables of the record pairs being counted, as a
+    /// stack: a pair pushes its table, its components push theirs above
+    /// it, and each pops its own before returning.
+    tables: Vec<Cell>,
+    /// The first path of every record pair counted with a resolution:
+    /// for each loose component, the context position it matches and
+    /// the offset of that pair's own path.
+    paths: Vec<usize>,
+}
+
+/// One cell `(i, j)` of a record pair's assignment table.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// `f[i][j]`: the ways to match `ds[i..]` against `ns[j..]`.
+    ways: u64,
+    /// The resolutions of `(ds[i], ns[j])`, counted only when
+    /// `f[i+1][j+1] > 0` (zero otherwise).
+    count: u64,
+    /// Where that pair's first path is recorded.
+    path: usize,
+}
+
+/// A record pair's assignment table of `m` loose over `k` context
+/// components. Only the band `0 ≤ j − i ≤ k − m` can be non-zero, so it
+/// is stored row-major over `i ≤ m`, `s = j − i < w = k − m + 1`.
+struct Table<'t> {
+    cells: &'t [Cell],
+    w: usize,
+}
+
+impl Table<'_> {
+    fn cell(&self, i: usize, j: usize) -> Option<&Cell> {
+        let s = j.checked_sub(i).filter(|&s| s < self.w)?;
+        self.cells.get(i * self.w + s)
+    }
+
+    /// `f[i][j]`, zero outside the band.
+    fn ways(&self, i: usize, j: usize) -> u64 {
+        self.cell(i, j).map_or(0, |c| c.ways)
+    }
+}
+
+/// The counting pass. Evaluates every `(loose, context)` pair once and
+/// returns its saturating resolution count plus the offset of its first
+/// path in `tape.paths` ([`LEAF`] when it records none; a list pair
+/// shares its content's path).
+fn count_into(d: &Loose, n: &NestedAttr, tape: &mut Tape) -> (u64, usize) {
     match (d, n) {
-        (Loose::Lambda, _) => 1, // resolves to bottom(n)
-        (Loose::Flat(a), NestedAttr::Flat(b)) => u64::from(a == b),
-        (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k => count_assignments(ds, ncs),
-        (Loose::List(l, di), NestedAttr::List(k, ni)) if l == k => count_resolutions(di, ni),
-        _ => 0,
+        (Loose::Lambda, _) => (1, LEAF), // resolves to bottom(n)
+        (Loose::Flat(a), NestedAttr::Flat(b)) => (u64::from(a == b), LEAF),
+        (Loose::Record(l, ds), NestedAttr::Record(k, ns)) if l == k && ds.len() <= ns.len() => {
+            let (at, w) = push_table(ds, ns, tape);
+            let table = Table {
+                cells: &tape.tables[at..],
+                w,
+            };
+            let count = table.ways(0, 0);
+            let path = tape.paths.len();
+            if count > 0 {
+                // the first path: match wherever the match has a completion
+                // (a cell's count is zero where f[i+1][j+1] is)
+                let mut i = 0;
+                for j in 0..ns.len() {
+                    if let Some(cell) = table.cell(i, j).filter(|c| c.count > 0) {
+                        tape.paths.extend([j, cell.path]);
+                        i += 1;
+                    }
+                }
+            }
+            tape.tables.truncate(at);
+            (count, if count > 0 { path } else { LEAF })
+        }
+        (Loose::List(l, di), NestedAttr::List(k, ni)) if l == k => count_into(di, ni, tape),
+        _ => (0, LEAF),
     }
 }
 
-/// DP over subsequence assignments: the number of ways to resolve the
-/// component list `ds` against the context components `ns`, where skipped
-/// positions become bottoms.
-fn count_assignments(ds: &[Loose], ns: &[NestedAttr]) -> u64 {
-    assignment_table(ds, ns).map_or(0, |f| f[0][0])
-}
-
-/// The full DP table behind [`count_assignments`]: `f[i][j]` is the
-/// number of ways to match `ds[i..]` against `ns[j..]` (saturating).
-/// `None` when `ds` is longer than `ns` (no assignment can exist).
-/// [`assign`] uses the table to prune branches with no completions —
-/// without it the backtracking revisits exponentially many dead ends on
-/// wide records (e.g. the fully-explicit canonical rendering of a
-/// 200-component record, where every prefix of λs embeds everywhere).
-fn assignment_table(ds: &[Loose], ns: &[NestedAttr]) -> Option<Vec<Vec<u64>>> {
-    let m = ds.len();
-    let k = ns.len();
-    if m > k {
-        return None;
-    }
-    // f[i][j]: ways to match ds[i..] against ns[j..].
-    let mut f = vec![vec![0u64; k + 1]; m + 1];
-    for cell in f[m].iter_mut() {
-        *cell = 1; // remaining positions all become bottom
+/// Pushes the assignment table of `ds` over `ns` (`m ≤ k`) onto
+/// `tape.tables`; returns its offset and band width. The recurrence is
+/// `f[i][j] = f[i][j+1] + count(ds[i], ns[j]) · f[i+1][j+1]` with
+/// `f[m][j] = 1` (the remaining positions become bottoms), saturating.
+/// A component pair is counted only where `f[i+1][j+1] > 0`, and one
+/// without resolutions gives back the paths it recorded, so the paths
+/// kept are those of pairs that can lie on an assignment.
+fn push_table(ds: &[Loose], ns: &[NestedAttr], tape: &mut Tape) -> (usize, usize) {
+    let (m, w) = (ds.len(), ns.len() - ds.len() + 1);
+    let at = tape.tables.len();
+    tape.tables.resize(at + (m + 1) * w, Cell::default());
+    for s in 0..w {
+        tape.tables[at + m * w + s].ways = 1;
     }
     for i in (0..m).rev() {
-        for j in (0..k).rev() {
-            let skip = f[i][j + 1];
-            let here = count_resolutions(&ds[i], &ns[j]).saturating_mul(f[i + 1][j + 1]);
-            f[i][j] = skip.saturating_add(here);
+        for s in (0..w).rev() {
+            let ix = at + i * w + s;
+            let next = tape.tables[ix + w].ways;
+            if next > 0 {
+                let mark = tape.paths.len();
+                let (count, path) = count_into(&ds[i], &ns[i + s], tape);
+                if count == 0 {
+                    tape.paths.truncate(mark); // no assignment runs through it
+                }
+                tape.tables[ix].count = count;
+                tape.tables[ix].path = path;
+            }
+            let skip = if s + 1 < w {
+                tape.tables[ix + 1].ways
+            } else {
+                0
+            };
+            let here = tape.tables[ix].count.saturating_mul(next);
+            tape.tables[ix].ways = skip.saturating_add(here);
         }
     }
-    Some(f)
+    (at, w)
+}
+
+/// Builds the first resolution of a pair with a non-zero count from the
+/// paths the counting pass recorded.
+fn first_on_path(d: &Loose, n: &NestedAttr, paths: &[usize], at: usize) -> NestedAttr {
+    match (d, n) {
+        (Loose::Lambda, _) => n.bottom(),
+        (Loose::Flat(_), _) => n.clone(),
+        (Loose::Record(l, ds), NestedAttr::Record(_, ns)) => {
+            let mut matched = paths[at..at + 2 * ds.len()]
+                .chunks_exact(2)
+                .zip(ds)
+                .peekable();
+            let components = ns
+                .iter()
+                .enumerate()
+                .map(|(j, nj)| match matched.next_if(|(step, _)| step[0] == j) {
+                    Some((step, di)) => first_on_path(di, nj, paths, step[1]),
+                    None => nj.bottom(),
+                })
+                .collect();
+            NestedAttr::Record(l.clone(), components)
+        }
+        (Loose::List(l, di), NestedAttr::List(_, ni)) => {
+            NestedAttr::List(l.clone(), Box::new(first_on_path(di, ni, paths, at)))
+        }
+        _ => unreachable!("only pairs with a resolution are walked"),
+    }
 }
 
 /// All subattributes of `n` matching the loose form `d`, in deterministic
-/// order. Used by the parser; bounded callers only (the count can be
-/// exponential for adversarial inputs — use [`count_resolutions`] first).
+/// order. The reference enumeration behind [`first_resolution`]; bounded
+/// callers only (the count can be exponential for adversarial inputs —
+/// use [`count_resolutions`] first).
 pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
     match (d, n) {
         (Loose::Lambda, _) => vec![n.bottom()],
         (Loose::Flat(a), NestedAttr::Flat(b)) if a == b => vec![n.clone()],
-        (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k => {
-            let Some(ways) = assignment_table(ds, ncs) else {
-                return Vec::new();
+        (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k && ds.len() <= ncs.len() => {
+            let mut tape = Tape::default();
+            let (at, w) = push_table(ds, ncs, &mut tape);
+            let ways = Table {
+                cells: &tape.tables[at..],
+                w,
             };
             let mut out = Vec::new();
             assign(ds, ncs, 0, 0, &ways, &mut Vec::new(), &mut out);
@@ -185,16 +327,21 @@ pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
     }
 }
 
+/// Enumerates the assignments below cell `(i, j)`. The table prunes
+/// branches with no completions — without it the backtracking revisits
+/// exponentially many dead ends on wide records (e.g. the fully-explicit
+/// canonical rendering of a 200-component record, where every prefix of
+/// λs embeds everywhere).
 fn assign(
     ds: &[Loose],
     ns: &[NestedAttr],
     i: usize,
     j: usize,
-    ways: &[Vec<u64>],
+    ways: &Table<'_>,
     acc: &mut Vec<NestedAttr>,
     out: &mut Vec<Vec<NestedAttr>>,
 ) {
-    if ways[i][j] == 0 {
+    if ways.ways(i, j) == 0 {
         return; // nothing down this branch completes
     }
     if i == ds.len() {
@@ -203,12 +350,9 @@ fn assign(
         out.push(full);
         return;
     }
-    if j == ns.len() {
-        return;
-    }
     // match ds[i] at position j — only enumerate the (possibly large)
     // sub-resolution set when some completion actually uses it
-    if ways[i + 1][j + 1] > 0 {
+    if ways.ways(i + 1, j + 1) > 0 {
         for r in resolutions(&ds[i], &ns[j]) {
             acc.push(r);
             assign(ds, ns, i + 1, j + 1, ways, acc, out);

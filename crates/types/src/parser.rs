@@ -18,7 +18,7 @@
 //!   `(Sven, [(Lübzer, Deanos), (Kindl, Highflyers)])`.
 
 use crate::attr::NestedAttr;
-use crate::display::{count_resolutions, resolutions, Loose};
+use crate::display::{first_resolution, Loose};
 use crate::error::ParseError;
 use crate::span::Span;
 use crate::value::Value;
@@ -159,13 +159,10 @@ impl<'a> Cursor<'a> {
     fn ident_spanned(&mut self) -> Result<(&'a str, Span), ParseError> {
         self.skip_ws();
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || matches!(c, '_' | '\'' | '-' | '.') {
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let rest = self.rest();
+        self.pos += rest
+            .find(|c: char| !(c.is_alphanumeric() || matches!(c, '_' | '\'' | '-' | '.')))
+            .unwrap_or(rest.len());
         if self.pos == start {
             Err(self.unexpected("identifier"))
         } else {
@@ -203,9 +200,11 @@ pub struct SpannedLoose {
     pub idents: Vec<(String, Span)>,
 }
 
+/// Parses one loose term, pushing its identifiers onto `idents` when
+/// given (only diagnostics read them, so resolution paths pass `None`).
 fn parse_loose_spanned_inner(
     cur: &mut Cursor<'_>,
-    idents: &mut Vec<(String, Span)>,
+    mut idents: Option<&mut Vec<(String, Span)>>,
 ) -> Result<(Loose, Span), ParseError> {
     cur.skip_ws();
     let start = cur.pos;
@@ -217,7 +216,9 @@ fn parse_loose_spanned_inner(
     if is_lambda_name(name) {
         return Ok((Loose::Lambda, name_span));
     }
-    idents.push((name.to_owned(), name_span));
+    if let Some(ids) = idents.as_deref_mut() {
+        ids.push((name.to_owned(), name_span));
+    }
     cur.skip_ws();
     match cur.peek() {
         Some('(') => {
@@ -225,7 +226,7 @@ fn parse_loose_spanned_inner(
             cur.bump();
             let mut components = Vec::new();
             loop {
-                components.push(parse_loose_spanned_inner(cur, idents)?.0);
+                components.push(parse_loose_spanned_inner(cur, idents.as_deref_mut())?.0);
                 cur.skip_ws();
                 if cur.eat(',') {
                     continue;
@@ -262,7 +263,10 @@ pub fn parse_loose(src: &str) -> Result<Loose, ParseError> {
 
 /// [`parse_loose`] with explicit [`ParseLimits`].
 pub fn parse_loose_with(src: &str, limits: ParseLimits) -> Result<Loose, ParseError> {
-    parse_loose_spanned_with(src, limits).map(|s| s.node)
+    let mut cur = Cursor::with_limits(src, limits);
+    let (node, _) = parse_loose_spanned_inner(&mut cur, None)?;
+    cur.done()?;
+    Ok(node)
 }
 
 /// [`parse_loose`] with byte-span tracking for the whole term and every
@@ -287,7 +291,7 @@ pub fn parse_loose_spanned_with(
 ) -> Result<SpannedLoose, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let mut idents = Vec::new();
-    let (node, span) = parse_loose_spanned_inner(&mut cur, &mut idents)?;
+    let (node, span) = parse_loose_spanned_inner(&mut cur, Some(&mut idents))?;
     cur.done()?;
     Ok(SpannedLoose { node, span, idents })
 }
@@ -350,17 +354,16 @@ pub fn parse_subattr_of_with(
     resolve_loose(n, &d, src)
 }
 
-/// Resolves an already-parsed loose term against `n`.
+/// Resolves an already-parsed loose term against `n` (one pass; see
+/// [`first_resolution`]).
 pub fn resolve_loose(n: &NestedAttr, d: &Loose, src: &str) -> Result<NestedAttr, ParseError> {
-    match count_resolutions(d, n) {
-        0 => Err(ParseError::NoMatch {
+    match first_resolution(d, n) {
+        (1, Some(x)) => Ok(x),
+        (0, _) => Err(ParseError::NoMatch {
             input: src.to_owned(),
             context: n.to_string(),
         }),
-        1 => Ok(resolutions(d, n)
-            .pop()
-            .expect("count said one resolution exists")),
-        c => Err(ParseError::Ambiguous {
+        (c, _) => Err(ParseError::Ambiguous {
             input: src.to_owned(),
             context: n.to_string(),
             count: c as usize,
@@ -395,10 +398,14 @@ pub fn parse_dependency_of_with(
     src: &str,
     limits: ParseLimits,
 ) -> Result<(DepKind, NestedAttr, NestedAttr), ParseError> {
-    let d = parse_dependency_spanned_with(src, limits)?;
-    let x = resolve_loose(n, &d.lhs.node, src)?;
-    let y = resolve_loose(n, &d.rhs.node, src)?;
-    Ok((d.kind, x, y))
+    let mut cur = Cursor::with_limits(src, limits);
+    let (lhs, _) = parse_loose_spanned_inner(&mut cur, None)?;
+    let (kind, _) = parse_arrow(&mut cur)?;
+    let (rhs, _) = parse_loose_spanned_inner(&mut cur, None)?;
+    cur.done()?;
+    let x = resolve_loose(n, &lhs, src)?;
+    let y = resolve_loose(n, &rhs, src)?;
+    Ok((kind, x, y))
 }
 
 /// A parsed but *unresolved* dependency with full span information: the
@@ -449,26 +456,10 @@ pub fn parse_dependency_spanned_with(
 ) -> Result<SpannedDependency, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let mut lhs_idents = Vec::new();
-    let (lhs_node, lhs_span) = parse_loose_spanned_inner(&mut cur, &mut lhs_idents)?;
-    cur.skip_ws();
-    let arrow_start = cur.pos;
-    let kind = if cur.eat('→') {
-        DepKind::Fd
-    } else if cur.eat('↠') {
-        DepKind::Mvd
-    } else if cur.eat('-') {
-        cur.expect('>')?;
-        if cur.eat('>') {
-            DepKind::Mvd
-        } else {
-            DepKind::Fd
-        }
-    } else {
-        return Err(cur.unexpected("'->', '->>', '→' or '↠'"));
-    };
-    let arrow = Span::new(arrow_start, cur.pos);
+    let (lhs_node, lhs_span) = parse_loose_spanned_inner(&mut cur, Some(&mut lhs_idents))?;
+    let (kind, arrow) = parse_arrow(&mut cur)?;
     let mut rhs_idents = Vec::new();
-    let (rhs_node, rhs_span) = parse_loose_spanned_inner(&mut cur, &mut rhs_idents)?;
+    let (rhs_node, rhs_span) = parse_loose_spanned_inner(&mut cur, Some(&mut rhs_idents))?;
     cur.done()?;
     Ok(SpannedDependency {
         kind,
@@ -484,6 +475,27 @@ pub fn parse_dependency_spanned_with(
             idents: rhs_idents,
         },
     })
+}
+
+/// The arrow between a dependency's sides and its byte span.
+fn parse_arrow(cur: &mut Cursor<'_>) -> Result<(DepKind, Span), ParseError> {
+    cur.skip_ws();
+    let start = cur.pos;
+    let kind = if cur.eat('→') {
+        DepKind::Fd
+    } else if cur.eat('↠') {
+        DepKind::Mvd
+    } else if cur.eat('-') {
+        cur.expect('>')?;
+        if cur.eat('>') {
+            DepKind::Mvd
+        } else {
+            DepKind::Fd
+        }
+    } else {
+        return Err(cur.unexpected("'->', '->>', '→' or '↠'"));
+    };
+    Ok((kind, Span::new(start, cur.pos)))
 }
 
 fn parse_value_inner(cur: &mut Cursor<'_>) -> Result<Value, ParseError> {

@@ -8,6 +8,7 @@
 
 use nalist::deps::rules::{apply, Rule, ALL_RULES};
 use nalist::prelude::*;
+use nalist::types::display::Loose;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -490,4 +491,194 @@ proptest! {
             _ => prop_assert!(false, "observed and unobserved chase disagree on success"),
         }
     }
+}
+
+/// Names and labels for the resolver oracle, drawn from pools of two so
+/// that siblings repeat them and abbreviations turn ambiguous.
+const ORACLE_NAMES: [&str; 2] = ["A", "B"];
+const ORACLE_LABELS: [&str; 2] = ["L", "M"];
+
+fn pick(rng: &mut StdRng, pool: &[&str]) -> String {
+    pool[rng.gen_range(0..pool.len())].to_owned()
+}
+
+/// A random schema over the tiny name pools (repeated names and labels
+/// allowed, as Definition 3.2 allows them).
+fn repetitive_attr(rng: &mut StdRng, depth: u32) -> NestedAttr {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return NestedAttr::flat(pick(rng, &ORACLE_NAMES));
+    }
+    let label = pick(rng, &ORACLE_LABELS);
+    if rng.gen_bool(0.25) {
+        return NestedAttr::list(label, repetitive_attr(rng, depth - 1));
+    }
+    let k = rng.gen_range(1..=4);
+    let children = (0..k).map(|_| repetitive_attr(rng, depth - 1)).collect();
+    NestedAttr::record(label, children).expect("k ≥ 1")
+}
+
+/// A random loose term shaped mostly like `n`: λs, subsequences of record
+/// components, and now and then a name, label or extra component that
+/// does not fit.
+fn loose_near(rng: &mut StdRng, n: &NestedAttr) -> Loose {
+    match rng.gen_range(0..12) {
+        0 => return Loose::Lambda,
+        1 => return Loose::Flat(pick(rng, &ORACLE_NAMES)),
+        _ => {}
+    }
+    let label = |rng: &mut StdRng, l: &str| {
+        if rng.gen_bool(0.9) {
+            l.to_owned()
+        } else {
+            pick(rng, &ORACLE_LABELS)
+        }
+    };
+    match n {
+        NestedAttr::Null => Loose::Lambda,
+        NestedAttr::Flat(a) => Loose::Flat(a.clone()),
+        NestedAttr::List(l, inner) => Loose::List(label(rng, l), Box::new(loose_near(rng, inner))),
+        NestedAttr::Record(l, cs) => {
+            let mut kept = Vec::new();
+            for c in cs {
+                if rng.gen_bool(0.6) {
+                    kept.push(loose_near(rng, c));
+                }
+            }
+            if kept.is_empty() || rng.gen_bool(0.1) {
+                let c = &cs[rng.gen_range(0..cs.len())];
+                kept.push(loose_near(rng, c));
+            }
+            Loose::Record(label(rng, l), kept)
+        }
+    }
+}
+
+/// The outcome classes the resolver oracle must cover.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Resolved {
+    NoMatch,
+    Unique,
+    Ambiguous,
+    Saturated,
+}
+
+/// `resolve_loose` (one counting pass plus one DP walk) against the
+/// reference pair `count_resolutions` + `resolutions`; small counts are
+/// also enumerated in full, which checks the count independently.
+fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, TestCaseError> {
+    use nalist::types::display::{count_resolutions, first_resolution, resolutions};
+    let src = d.to_string();
+    let count = count_resolutions(d, n);
+    let got = nalist::types::parser::resolve_loose(n, d, &src);
+    let class = match count {
+        0 => {
+            prop_assert!(
+                matches!(got, Err(ParseError::NoMatch { .. })),
+                "{src} in {n}: {got:?}"
+            );
+            Resolved::NoMatch
+        }
+        1 => {
+            let all = resolutions(d, n);
+            prop_assert_eq!(all.len(), 1, "{} in {}", src, n);
+            prop_assert_eq!(&got, &Ok(all[0].clone()), "{} in {}", src, n);
+            Resolved::Unique
+        }
+        c => {
+            prop_assert!(
+                matches!(got, Err(ParseError::Ambiguous { count, .. }) if count == c as usize),
+                "{src} in {n}: count {c}, got {got:?}"
+            );
+            if c == u64::MAX {
+                Resolved::Saturated
+            } else {
+                Resolved::Ambiguous
+            }
+        }
+    };
+    if count <= 64 {
+        let all = resolutions(d, n);
+        prop_assert_eq!(all.len() as u64, count, "{} in {}", src, n);
+        prop_assert_eq!(first_resolution(d, n), (count, all.first().cloned()));
+    }
+    // the text path parses the printed term back to the same outcome
+    prop_assert_eq!(parse_subattr_of(n, &src), got, "{} in {}", src, n);
+    Ok(class)
+}
+
+/// A wide record of mostly `A`s and a loose side of `A`s, `B`s and λs:
+/// the count ranges from 0 through C(96, 48) ≫ `u64::MAX`.
+fn wide_lambda_case(rng: &mut StdRng) -> (NestedAttr, Loose) {
+    let k: usize = rng.gen_range(1..=96);
+    let children = (0..k)
+        .map(|_| NestedAttr::flat(if rng.gen_bool(0.95) { "A" } else { "B" }))
+        .collect();
+    let n = NestedAttr::record("W", children).expect("k ≥ 1");
+    let m = match rng.gen_range(0..4) {
+        0 => k,
+        1 => rng.gen_range(1..=k),
+        _ => rng.gen_range(k.div_ceil(3)..=k.div_ceil(2)),
+    };
+    let ds = (0..m)
+        .map(|_| match rng.gen_range(0..10) {
+            0 => Loose::Lambda,
+            1 => Loose::Flat("B".into()),
+            _ => Loose::Flat("A".into()),
+        })
+        .collect();
+    (n, Loose::Record("W".into(), ds))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The one-pass resolver yields exactly the reference outcome on
+    /// random loose terms (not only printer output) over schemas that
+    /// repeat names and labels.
+    #[test]
+    fn one_pass_resolver_matches_the_enumeration_oracle(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = repetitive_attr(&mut rng, 3);
+        for _ in 0..40 {
+            let d = loose_near(&mut rng, &n);
+            resolver_agrees_with_oracle(&n, &d)?;
+        }
+    }
+
+    /// The same oracle on wide λ records, where counts saturate.
+    #[test]
+    fn one_pass_resolver_matches_the_oracle_on_wide_records(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let (n, d) = wide_lambda_case(&mut rng);
+            resolver_agrees_with_oracle(&n, &d)?;
+        }
+    }
+}
+
+/// The oracle's generators reach every outcome class — unique, no
+/// match, ambiguous and saturated — so the properties above cannot pass
+/// vacuously.
+#[test]
+fn resolver_oracle_covers_every_outcome() {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut rng = StdRng::seed_from_u64(13);
+    for _ in 0..64 {
+        let n = repetitive_attr(&mut rng, 3);
+        for _ in 0..8 {
+            let d = loose_near(&mut rng, &n);
+            seen.insert(resolver_agrees_with_oracle(&n, &d).unwrap());
+        }
+        let (n, d) = wide_lambda_case(&mut rng);
+        seen.insert(resolver_agrees_with_oracle(&n, &d).unwrap());
+    }
+    assert_eq!(
+        seen.into_iter().collect::<Vec<_>>(),
+        [
+            Resolved::NoMatch,
+            Resolved::Unique,
+            Resolved::Ambiguous,
+            Resolved::Saturated
+        ]
+    );
 }
