@@ -14,7 +14,11 @@
 //! A separate row times `Dependency::parse_with` over 256 dependency
 //! texts on a 32-atom schema against its own baseline field
 //! (`parse_ns`) with the same 3x limit, so a return to a resolver that
-//! enumerates resolutions fails here.
+//! enumerates resolutions fails here. Another times
+//! `membership::recover` of a snapshot plus a 2000-record WAL tail
+//! toggling 32 texts on a 32-atom schema (`recover_ns`, same limit), so
+//! a replay that re-parses every record fails here; its
+//! `recovery_replayed_ops` counter is pinned with the others.
 //!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
@@ -25,10 +29,12 @@
 
 use std::sync::Arc;
 
-use nalist::obs::{noop, Counter, MetricsRecorder};
+use nalist::guard::Budget;
+use nalist::membership::recover;
+use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
 use nalist_bench::{
     fmt_nanos, incremental_edit_workload, median_nanos, nested_workload, parse_workload,
-    run_closures, run_closures_observed, run_parses,
+    recovery_workload, run_closures, run_closures_observed, run_parses,
 };
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/perf_baseline.json");
@@ -51,6 +57,7 @@ const WORK_COUNTERS: &[&str] = &[
     "edit_cache_misses",
     "edit_cache_evicted",
     "edit_cache_retained",
+    "recovery_replayed_ops",
 ];
 
 /// Extracts `"field": <digits>` from a hand-written JSON object — the
@@ -110,6 +117,25 @@ fn main() {
         pw.texts.len(),
         fmt_nanos(parse_ns)
     );
+    // WAL replay: most records repeat one of the 32 texts
+    let dir = std::env::temp_dir().join(format!("nalist-perf-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir for the replay row");
+    let rw = recovery_workload(&dir, 7, 32, 32, 2000);
+    let unlimited = Budget::unlimited();
+    let recover_ns = median_nanos(7, || {
+        let report = recover(
+            &rw.snapshot,
+            Some(&rw.wal),
+            &unlimited,
+            Arc::new(NoopRecorder),
+        )
+        .expect("the replay row recovers");
+        std::hint::black_box(report.replayed());
+    });
+    println!(
+        "WAL replay: 2000 records over 32 texts in {}",
+        fmt_nanos(recover_ns)
+    );
 
     // machine-independent work counters, one instrumented pass each
     let closure_rec = MetricsRecorder::new();
@@ -122,6 +148,10 @@ fn main() {
     for x in &ew.lhss {
         std::hint::black_box(inc.dependency_basis(x).basis.len());
     }
+    let recover_rec = Arc::new(MetricsRecorder::new());
+    recover(&rw.snapshot, Some(&rw.wal), &unlimited, recover_rec.clone())
+        .expect("the replay row recovers");
+    let _ = std::fs::remove_dir_all(&dir);
     let work = [
         closure_rec.counter(Counter::WorklistSteps),
         closure_rec.counter(Counter::DepsFired),
@@ -131,6 +161,7 @@ fn main() {
         edit_rec.counter(Counter::CacheMisses),
         edit_rec.counter(Counter::CacheEvicted),
         edit_rec.counter(Counter::CacheRetained),
+        recover_rec.counter(Counter::RecoveryReplayedOps),
     ];
     print!("work counters:");
     for (name, value) in WORK_COUNTERS.iter().zip(work) {
@@ -140,7 +171,7 @@ fn main() {
 
     if std::env::var_os("UPDATE_PERF_BASELINE").is_some() {
         let mut json = format!(
-            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns}"
+            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns}"
         );
         for (name, value) in WORK_COUNTERS.iter().zip(work) {
             json.push_str(&format!(",\n  \"{name}\": {value}"));
@@ -178,21 +209,26 @@ fn main() {
         );
         failed = true;
     }
-    let parse_baseline = parse_field(&text, "parse_ns").unwrap_or_else(|| {
-        eprintln!("no \"parse_ns\" field in {BASELINE_PATH}");
-        std::process::exit(2);
-    });
-    let parse_ratio = parse_ns as f64 / parse_baseline.max(1) as f64;
-    println!(
-        "baseline parsing {} → ratio {parse_ratio:.2} (limit {MAX_RATIO:.1})",
-        fmt_nanos(parse_baseline)
-    );
-    if parse_ratio > MAX_RATIO {
-        eprintln!(
-            "PERF REGRESSION: notation parsing is {parse_ratio:.2}x the checked-in baseline \
-             (limit {MAX_RATIO:.1}x). If intentional, re-bless with UPDATE_PERF_BASELINE=1."
+    for (field, what, ns) in [
+        ("parse_ns", "notation parsing", parse_ns),
+        ("recover_ns", "WAL replay", recover_ns),
+    ] {
+        let row_baseline = parse_field(&text, field).unwrap_or_else(|| {
+            eprintln!("no \"{field}\" field in {BASELINE_PATH}");
+            std::process::exit(2);
+        });
+        let row_ratio = ns as f64 / row_baseline.max(1) as f64;
+        println!(
+            "baseline {what} {} → ratio {row_ratio:.2} (limit {MAX_RATIO:.1})",
+            fmt_nanos(row_baseline)
         );
-        failed = true;
+        if row_ratio > MAX_RATIO {
+            eprintln!(
+                "PERF REGRESSION: {what} is {row_ratio:.2}x the checked-in baseline \
+                 (limit {MAX_RATIO:.1}x). If intentional, re-bless with UPDATE_PERF_BASELINE=1."
+            );
+            failed = true;
+        }
     }
     let noop_ratio = noop_ns as f64 / closure_ns.max(1) as f64;
     println!(

@@ -10,8 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use nalist::membership::{write_reasoner_snapshot, WalOp};
+use nalist::obs::NoopRecorder;
 use nalist::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,6 +174,73 @@ pub fn run_parses(w: &ParseWorkload) -> usize {
         .iter()
         .filter(|t| Dependency::parse_with(&w.attr, t, ParseLimits::default()).is_ok())
         .count()
+}
+
+/// A snapshot and a journaled WAL tail on disk: the input of the replay
+/// row of `perf_smoke` and of E-DUR's long-tail recovery rows.
+pub struct RecoveryWorkload {
+    /// The snapshot file.
+    pub snapshot: PathBuf,
+    /// The WAL file: a header record, then the edit records.
+    pub wal: PathBuf,
+}
+
+/// Writes a [`RecoveryWorkload`] into `dir`, deterministic in `seed`:
+/// the snapshot of a reasoner holding 8 random dependencies over an
+/// `atoms`-atom schema, and a WAL tail of `edits` records over `texts`
+/// distinct dependency texts, record `k` toggling text `k mod texts` —
+/// `+` while it is out of `Σ`, `-` while it is in. With `texts ==
+/// edits` every record adds a text never seen before.
+pub fn recovery_workload(
+    dir: &Path,
+    seed: u64,
+    atoms: usize,
+    texts: usize,
+    edits: usize,
+) -> RecoveryWorkload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+    let alg = Algebra::new(&attr);
+    let mut r = Reasoner::new(&attr);
+    let sigma_cfg = nalist::gen::SigmaConfig {
+        count: 8,
+        ..Default::default()
+    };
+    for d in nalist::gen::random_sigma(&mut rng, &alg, &sigma_cfg) {
+        r.add(d.decompile(&alg)).expect("generated Σ compiles");
+    }
+    let mut seen = HashSet::new();
+    let mut pool = Vec::with_capacity(texts);
+    while pool.len() < texts {
+        let text = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5).render(&alg);
+        if seen.insert(text.clone()) {
+            pool.push(text);
+        }
+    }
+    let budget = Budget::unlimited();
+    let snapshot = dir.join(format!("recovery-{seed}-{atoms}-{texts}-{edits}.snap"));
+    write_reasoner_snapshot(&snapshot, &r, &budget, &NoopRecorder).expect("snapshot writes");
+    let wal = snapshot.with_extension("wal");
+    let mut w = WalWriter::create(&wal, false).expect("WAL creates");
+    let mut append = |op: WalOp| {
+        w.append(&op.encode(), &budget, &NoopRecorder)
+            .expect("append");
+    };
+    append(WalOp::Header {
+        schema: attr.to_string(),
+    });
+    let mut present = vec![false; texts];
+    for k in 0..edits {
+        let i = k % texts;
+        let text = pool[i].clone();
+        append(if present[i] {
+            WalOp::Remove(text)
+        } else {
+            WalOp::Add(text)
+        });
+        present[i] = !present[i];
+    }
+    RecoveryWorkload { snapshot, wal }
 }
 
 /// An adversarial workload for the worst-case pass count of

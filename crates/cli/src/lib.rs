@@ -2114,7 +2114,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code, 2);
-        assert!(err.message.contains("mutually exclusive"), "{}", err.message);
+        assert!(
+            err.message.contains("mutually exclusive"),
+            "{}",
+            err.message
+        );
     }
 
     fn files() -> MemFiles {

@@ -592,7 +592,10 @@ impl Reasoner {
     /// [`BasisCache::retain`] with the eviction sweep mirrored into the
     /// recorder: a `cache::evict` span (enter payload: live entries
     /// before, exit payload: entries evicted) plus the
-    /// `cache_retained` / `cache_evicted` counters.
+    /// `cache_retained` / `cache_evicted` counters. An empty cache has
+    /// nothing to sweep and records nothing — no span, so replaying
+    /// thousands of edits into a cold reasoner cannot fill a capped
+    /// span buffer.
     fn observed_retain(&self, keep: impl FnMut(&CacheEntry) -> bool) {
         let rec = self.recorder.as_ref();
         if !rec.enabled() {
@@ -600,6 +603,9 @@ impl Reasoner {
             return;
         }
         let before = self.cache.stats().entries;
+        if before == 0 {
+            return;
+        }
         let token = rec.enter(nalist_obs::site::CACHE_EVICT, before);
         let (retained, evicted) = self.cache.retain(keep);
         rec.add(Counter::CacheRetained, retained);

@@ -46,8 +46,8 @@ pub use decide::{
     ReasonerError, RestoreError,
 };
 pub use persist::{
-    apply_wal_op, read_reasoner_snapshot, recover, restore_reasoner, snapshot_payload,
-    write_reasoner_snapshot, AppliedOp, PersistError, RecoveryReport, WalOp,
+    read_reasoner_snapshot, recover, replay_wal, restore_reasoner, snapshot_payload,
+    write_reasoner_snapshot, PersistError, RecoveryReport, ReplayCounts, WalOp,
 };
 pub use witness::{refute, refute_governed, Witness, WitnessError};
 pub use worklist::{

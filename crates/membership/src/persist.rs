@@ -18,9 +18,9 @@
 //!   replaying them reproduces the cache warmth a crash destroyed.
 //!
 //! [`recover`] composes the two: load the snapshot (surviving cache
-//! entries land warm, no recomputation), then replay the WAL tail
-//! through the ordinary incremental [`Reasoner::add`] /
-//! [`Reasoner::remove`] path — eviction decisions during replay are
+//! entries land warm, no recomputation), then [`replay_wal`] the log
+//! tail through the ordinary incremental [`Reasoner::add`] /
+//! [`Reasoner::remove_at`] path — eviction decisions during replay are
 //! the same code that made them live, which is what makes recovery
 //! bit-identical rather than merely equivalent.
 //!
@@ -30,11 +30,12 @@
 //! validation in [`Reasoner::restore_parts`] and surfaces as a typed
 //! error, never a panic or a wrong answer.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
 use nalist_algebra::{AtomSet, WidthClass};
-use nalist_deps::Dependency;
+use nalist_deps::{CompiledDep, Dependency};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Recorder};
 use nalist_store::{self as store, StoreError};
@@ -307,27 +308,44 @@ impl WalOp {
     /// Decodes a WAL record payload. `offset` is the record's file
     /// offset, used in corruption errors.
     pub fn decode(payload: &[u8], offset: u64) -> Result<WalOp, StoreError> {
-        let (&tag, rest) = payload.split_first().ok_or_else(|| StoreError::Corrupt {
-            offset,
-            detail: "empty WAL record".to_string(),
-        })?;
-        let text = std::str::from_utf8(rest)
-            .map_err(|e| StoreError::Corrupt {
-                offset,
-                detail: format!("invalid UTF-8 in WAL record: {e}"),
-            })?
-            .to_string();
-        match tag {
-            b'H' => Ok(WalOp::Header { schema: text }),
-            b'+' => Ok(WalOp::Add(text)),
-            b'-' => Ok(WalOp::Remove(text)),
-            b'?' => Ok(WalOp::Query(text)),
-            other => Err(StoreError::Corrupt {
-                offset,
-                detail: format!("unknown WAL op tag {other:#04x}"),
-            }),
-        }
+        let (tag, text) = split_record(payload, offset)?;
+        let text = text.to_string();
+        Ok(match tag {
+            Tag::Header => WalOp::Header { schema: text },
+            Tag::Add => WalOp::Add(text),
+            Tag::Remove => WalOp::Remove(text),
+            Tag::Query => WalOp::Query(text),
+        })
     }
+}
+
+/// A WAL record's kind, from its one-byte tag.
+#[derive(Clone, Copy)]
+enum Tag {
+    Header,
+    Add,
+    Remove,
+    Query,
+}
+
+/// Splits a WAL record payload into its kind and its text, borrowed
+/// from `payload`. `offset` is the record's file offset, used in
+/// corruption errors.
+fn split_record(payload: &[u8], offset: u64) -> Result<(Tag, &str), StoreError> {
+    let corrupt = |detail: String| StoreError::Corrupt { offset, detail };
+    let (&tag, rest) = payload
+        .split_first()
+        .ok_or_else(|| corrupt("empty WAL record".to_string()))?;
+    let text = std::str::from_utf8(rest)
+        .map_err(|e| corrupt(format!("invalid UTF-8 in WAL record: {e}")))?;
+    let tag = match tag {
+        b'H' => Tag::Header,
+        b'+' => Tag::Add,
+        b'-' => Tag::Remove,
+        b'?' => Tag::Query,
+        other => return Err(corrupt(format!("unknown WAL op tag {other:#04x}"))),
+    };
+    Ok((tag, text))
 }
 
 /// What [`recover`] replayed, alongside the recovered reasoner.
@@ -352,70 +370,108 @@ impl RecoveryReport {
     }
 }
 
-/// How [`apply_wal_op`] changed the reasoner — which
-/// [`RecoveryReport`] bucket the op belongs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppliedOp {
-    /// A `H` record: schema cross-checked, state untouched.
-    Header,
-    /// A `+` record applied through the incremental add path.
-    Add,
-    /// A `-` record applied through the incremental remove path.
-    Remove,
-    /// A `?` record re-run for cache warmth.
-    Query,
+/// What a [`replay_wal`] call applied, counted by record kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayCounts {
+    /// `H` records cross-checked against the reasoner's schema.
+    pub headers: u64,
+    /// `+` records applied through the incremental add path.
+    pub adds: u64,
+    /// `-` records applied through the incremental remove path.
+    pub removes: u64,
+    /// `?` records re-run for cache warmth.
+    pub queries: u64,
 }
 
-/// Applies one decoded WAL operation to `reasoner` through the
-/// ordinary incremental edit path — the single replay primitive behind
-/// both crash [`recover`]y and replication followers tailing a
-/// leader's log, so both reconstruct bit-identical state by
-/// construction. `index` only labels errors.
-pub fn apply_wal_op(
+/// Replays verified WAL records — `(file offset, payload)` pairs, as
+/// [`nalist_store::WalReplay::records`] and
+/// [`nalist_store::WalSegment::records`] borrow them from the log's
+/// bytes — into `reasoner` through the ordinary incremental edit path.
+/// This is the single replay primitive behind both crash [`recover`]y
+/// and replication followers tailing a leader's log, so both
+/// reconstruct bit-identical state by construction.
+///
+/// Each distinct dependency text is resolved once per call. `Sub(N)`
+/// is isomorphic to the downward-closed atom sets, so a dependency's
+/// compiled form determines its canonical tree
+/// (`d.compile(alg)?.decompile(alg) == d`): a `+` of a text seen
+/// before adds the decompiled memo entry, and a `-` removes the first
+/// `Σ` member with the same compiled form, exactly as
+/// [`Reasoner::remove`] does. `?` records are parsed every time, under
+/// `budget`'s limits.
+///
+/// Replay stops at the first record that fails to decode or apply;
+/// `counts` then holds what was applied before it. Record indices in
+/// [`PersistError::Replay`] are zero-based positions in `records`.
+pub fn replay_wal<'a>(
     reasoner: &mut Reasoner,
-    op: WalOp,
-    index: usize,
+    records: impl IntoIterator<Item = (u64, &'a [u8])>,
     budget: &Budget,
-) -> Result<AppliedOp, PersistError> {
-    let fail = |e: &ReasonerError| match e {
-        ReasonerError::Resource(r) => PersistError::Resource(*r),
-        other => PersistError::Replay {
-            index,
-            message: other.to_string(),
-        },
-    };
-    match op {
-        WalOp::Header { schema } => {
-            let schema_text = reasoner.attr().to_string();
-            if schema != schema_text {
-                return Err(PersistError::Invalid(format!(
-                    "WAL is for schema {schema:?} but the snapshot is {schema_text:?}"
-                )));
+    counts: &mut ReplayCounts,
+) -> Result<(), PersistError> {
+    // text after the tag → compiled dependency, shared by `+` and `-`
+    let mut memo: HashMap<&'a str, CompiledDep> = HashMap::new();
+    for (index, (offset, payload)) in records.into_iter().enumerate() {
+        let fail = |e: ReasonerError| match e {
+            ReasonerError::Resource(r) => PersistError::Resource(r),
+            other => PersistError::Replay {
+                index,
+                message: other.to_string(),
+            },
+        };
+        let (tag, text) = split_record(payload, offset)?;
+        match tag {
+            Tag::Header => {
+                let schema_text = reasoner.attr().to_string();
+                if text != schema_text {
+                    return Err(PersistError::Invalid(format!(
+                        "WAL is for schema {text:?} but the snapshot is {schema_text:?}"
+                    )));
+                }
+                counts.headers += 1;
             }
-            Ok(AppliedOp::Header)
-        }
-        WalOp::Add(text) => {
-            reasoner.add_str(&text).map_err(|e| fail(&e))?;
-            Ok(AppliedOp::Add)
-        }
-        WalOp::Remove(text) => {
-            reasoner.remove_str(&text).map_err(|e| fail(&e))?;
-            Ok(AppliedOp::Remove)
-        }
-        WalOp::Query(text) => {
-            reasoner
-                .implies_str_governed(&text, budget)
-                .map_err(|e| fail(&e))?;
-            Ok(AppliedOp::Query)
+            Tag::Add => {
+                if let Some(c) = memo.get(text) {
+                    let dep = c.decompile(reasoner.algebra());
+                    reasoner.add(dep).map_err(fail)?;
+                } else {
+                    reasoner.add_str(text).map_err(fail)?;
+                    let added = reasoner.compiled_sigma().last().expect("add appends to Σ");
+                    memo.insert(text, added.clone());
+                }
+                counts.adds += 1;
+            }
+            Tag::Remove => {
+                let c = match memo.entry(text) {
+                    Entry::Occupied(seen) => seen.into_mut(),
+                    Entry::Vacant(first) => {
+                        let dep = Dependency::parse(reasoner.attr(), text)
+                            .map_err(|e| fail(ReasonerError::Parse(e)))?;
+                        let c = dep
+                            .compile(reasoner.algebra())
+                            .map_err(|e| fail(ReasonerError::Type(e)))?;
+                        first.insert(c)
+                    }
+                };
+                if let Some(i) = reasoner.compiled_sigma().iter().position(|have| have == c) {
+                    reasoner.remove_at(i);
+                }
+                counts.removes += 1;
+            }
+            Tag::Query => {
+                reasoner.implies_str_governed(text, budget).map_err(fail)?;
+                counts.queries += 1;
+            }
         }
     }
+    Ok(())
 }
 
 /// Crash recovery: loads the snapshot at `snapshot` (cache entries land
-/// warm) and, when `wal` is given, replays its operations through the
-/// ordinary incremental edit path. A torn WAL tail is truncated and
-/// reported; mid-log corruption is a hard error (see
-/// [`nalist_store::wal`] for the policy).
+/// warm) and, when `wal` is given, replays its operations through
+/// [`replay_wal`]. A torn WAL tail is truncated and reported; mid-log
+/// corruption is a hard error (see [`nalist_store::wal`] for the
+/// policy).
 pub fn recover(
     snapshot: &Path,
     wal: Option<&Path>,
@@ -423,30 +479,23 @@ pub fn recover(
     rec: Arc<dyn Recorder>,
 ) -> Result<RecoveryReport, PersistError> {
     let mut reasoner = read_reasoner_snapshot(snapshot, budget, Arc::clone(&rec))?;
-    let mut report_counts = (0u64, 0u64, 0u64);
+    let mut counts = ReplayCounts::default();
     let mut truncated_at = None;
     if let Some(wal_path) = wal {
-        let replay = store::read_wal(wal_path)?;
-        truncated_at = replay.truncated_at;
-        // offsets are only needed for error messages; recompute as we walk
-        let mut offset = store::WAL_MAGIC.len() as u64;
-        for (index, record) in replay.records.iter().enumerate() {
-            let op = WalOp::decode(record, offset)?;
-            offset += 8 + record.len() as u64;
-            match apply_wal_op(&mut reasoner, op, index, budget)? {
-                AppliedOp::Header => {}
-                AppliedOp::Add => report_counts.0 += 1,
-                AppliedOp::Remove => report_counts.1 += 1,
-                AppliedOp::Query => report_counts.2 += 1,
-            }
-            rec.add(Counter::RecoveryReplayedOps, 1);
-        }
+        let log = store::read_wal(wal_path)?;
+        truncated_at = log.truncated_at;
+        let replayed = replay_wal(&mut reasoner, log.records(), budget, &mut counts);
+        rec.add(
+            Counter::RecoveryReplayedOps,
+            counts.headers + counts.adds + counts.removes + counts.queries,
+        );
+        replayed?;
     }
     Ok(RecoveryReport {
         reasoner,
-        adds: report_counts.0,
-        removes: report_counts.1,
-        queries: report_counts.2,
+        adds: counts.adds,
+        removes: counts.removes,
+        queries: counts.queries,
         truncated_at,
     })
 }

@@ -446,7 +446,9 @@ fn handle_wal(state: &ServiceState, t: &Tenant, req: &Request) -> Result<Respons
         }
         std::thread::sleep(Duration::from_millis(25));
     };
-    state.recorder().add(Counter::ReplRecordsShipped, ship.records);
+    state
+        .recorder()
+        .add(Counter::ReplRecordsShipped, ship.records);
     Ok(Response::octets(200, ship.bytes)
         .with_header("x-wal-id", ship.wal_id.to_string())
         .with_header("x-wal-start", from.to_string())
@@ -502,7 +504,10 @@ fn handle_reload(
             continue;
         }
         let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| {
-            ApiError::internal(format!("line {}: linted clean but does not parse: {e}", i + 1))
+            ApiError::internal(format!(
+                "line {}: linted clean but does not parse: {e}",
+                i + 1
+            ))
         })?;
         dep.compile(r.algebra()).map_err(|m| {
             ApiError::internal(format!(

@@ -13,7 +13,7 @@
 //!    bytes, which the follower re-verifies (every CRC, *strict* — a
 //!    torn or flipped shipment is a typed reject and a re-fetch, never
 //!    a partial apply) and replays through
-//!    [`nalist_membership::apply_wal_op`], the same primitive crash
+//!    [`nalist_membership::replay_wal`], the same primitive crash
 //!    recovery uses. Follower state is therefore bit-identical to the
 //!    leader's by construction, not by diffing.
 //!
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use nalist_guard::Budget;
-use nalist_membership::{apply_wal_op, restore_reasoner, WalOp};
+use nalist_membership::{replay_wal, restore_reasoner, ReplayCounts};
 use nalist_obs::{Counter, Recorder};
 use nalist_types::json::{escape, parse as parse_json};
 
@@ -618,16 +618,17 @@ fn tail_once(
             .reasoner
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        for (index, (record_offset, payload)) in seg.records.iter().enumerate() {
-            let op = match WalOp::decode(payload, *record_offset) {
-                Ok(op) => op,
-                // CRC-valid but undecodable or unreplayable records mean
-                // the streams diverged — resync from a fresh snapshot.
-                Err(_) => return TailStep::Resnapshot,
-            };
-            if apply_wal_op(&mut r, op, index, &Budget::unlimited()).is_err() {
-                return TailStep::Resnapshot;
-            }
+        let mut counts = ReplayCounts::default();
+        let replayed = replay_wal(
+            &mut r,
+            seg.records.iter().copied(),
+            &Budget::unlimited(),
+            &mut counts,
+        );
+        // CRC-valid but undecodable or unreplayable records mean the
+        // streams diverged — resync from a fresh snapshot.
+        if replayed.is_err() {
+            return TailStep::Resnapshot;
         }
         drop(r);
         rec.add(Counter::ReplRecordsApplied, records);
@@ -680,7 +681,10 @@ mod tests {
         });
         assert_eq!(status.lag(), (2, 60));
         let json = status.to_json();
-        assert!(json.contains("\"lag\": {\"records\": 2, \"bytes\": 60}"), "{json}");
+        assert!(
+            json.contains("\"lag\": {\"records\": 2, \"bytes\": 60}"),
+            "{json}"
+        );
         assert!(json.contains("\"ready\": false"), "{json}");
     }
 }

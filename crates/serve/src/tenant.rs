@@ -64,8 +64,7 @@ fn fresh_wal_id() -> u64 {
         .map_or(0, |d| d.as_nanos() as u64);
     let seq = NEXT_WAL_ID.fetch_add(1, Ordering::Relaxed);
     // Mix so ids stay distinct even with a coarse clock; never 0.
-    (nanos ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(std::process::id()) << 32))
-        .max(1)
+    (nanos ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(std::process::id()) << 32)).max(1)
 }
 
 /// What `GET /v1/{t}/wal?from=` ships: verified raw log bytes cut at a
@@ -157,18 +156,17 @@ impl Tenant {
         // `[from, to)` without the lock is safe: those bytes are
         // immutable once `end` covered them.
         let to = end.min(from.saturating_add(max_bytes));
-        let bytes = nalist_store::read_wal_range(&path, from, to)
+        let mut bytes = nalist_store::read_wal_range(&path, from, to)
             .map_err(|e| ApiError::internal(format!("cannot read WAL range: {e}")))?;
         let seg = nalist_store::parse_wal_segment(&bytes, from, true)
             .map_err(|e| ApiError::internal(format!("cannot parse own WAL: {e}")))?;
-        let cut = (seg.end - from) as usize;
-        let mut bytes = bytes;
-        bytes.truncate(cut);
+        let (seg_end, records) = (seg.end, seg.records.len() as u64);
+        bytes.truncate((seg_end - from) as usize);
         Ok(WalShipment {
             bytes,
-            end: seg.end,
+            end: seg_end,
             log_len: end,
-            records: seg.records.len() as u64,
+            records,
             wal_id: self.wal_id,
         })
     }
@@ -211,8 +209,9 @@ fn io_err(path: &Path, what: &str, e: &dyn std::fmt::Display) -> ApiError {
 
 impl Registry {
     /// Opens a registry. With a `wal_dir`, every `<name>.snap` found
-    /// there is recovered (replaying `<name>.wal` when present) and
-    /// the log is *compacted*: the recovered state becomes the new
+    /// there is recovered in name order (replaying `<name>.wal` when
+    /// present, and failing on the first tenant that does not recover)
+    /// and the log is *compacted*: the recovered state becomes the new
     /// snapshot and a fresh WAL is started, so a torn tail from a
     /// crash never accumulates.
     pub fn open(wal_dir: Option<PathBuf>, rec: Arc<dyn Recorder>) -> Result<Registry, ApiError> {
@@ -243,6 +242,9 @@ impl Registry {
                 }
             }
         }
+        // `read_dir` order is the filesystem's: sort, so which damaged
+        // tenant a failed start-up names does not depend on it
+        names.sort();
         let budget = Budget::unlimited();
         for name in names {
             let snap = dir.join(format!("{name}.snap"));
@@ -436,6 +438,73 @@ mod tests {
     use super::*;
     use nalist_obs::NoopRecorder;
 
+    fn wal_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("nalist-tenant-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn replaying_more_edits_than_the_span_cap_drops_no_span() {
+        use crate::server::SPAN_CAP;
+        use nalist_obs::{Counter, MetricsRecorder};
+        let dir = wal_dir("spans");
+        let budget = Budget::unlimited();
+        Registry::open(Some(dir.clone()), Arc::new(NoopRecorder))
+            .unwrap()
+            .create("t", "L(A, B)", &[], &budget)
+            .unwrap();
+        let (mut wal, _) = WalWriter::open(&dir.join("t.wal"), false).unwrap();
+        for i in 0..=SPAN_CAP {
+            let dep = "L(A) -> L(B)".to_string();
+            let op = if i % 2 == 0 {
+                WalOp::Add(dep)
+            } else {
+                WalOp::Remove(dep)
+            };
+            wal.append(&op.encode(), &budget, &NoopRecorder).unwrap();
+        }
+        drop(wal);
+        let rec = Arc::new(MetricsRecorder::with_span_cap(SPAN_CAP));
+        let reg = Registry::open(Some(dir.clone()), rec.clone()).unwrap();
+        let tenant = reg.get("t").unwrap();
+        assert_eq!(tenant.reasoner.read().unwrap().sigma().len(), 1);
+        // edits into a cold cache evict nothing and leave no span behind
+        assert_eq!(rec.counter(Counter::SpansDropped), 0);
+        let spans = rec.snapshot().spans;
+        assert!(
+            spans
+                .iter()
+                .all(|s| s.site != nalist_obs::site::CACHE_EVICT),
+            "{spans:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_names_the_first_damaged_tenant_in_name_order() {
+        let dir = wal_dir("damaged");
+        // created in reverse, so no creation order favours the answer
+        let names: Vec<String> = (0..8).rev().map(|i| format!("t{i}")).collect();
+        let reg = Registry::open(Some(dir.clone()), Arc::new(NoopRecorder)).unwrap();
+        for name in &names {
+            reg.create(name, "L(A, B)", &[], &Budget::unlimited())
+                .unwrap();
+        }
+        drop(reg);
+        for name in &names {
+            // a flipped payload byte in the header record: a checksum
+            // mismatch, which recovery refuses
+            let wal = dir.join(format!("{name}.wal"));
+            let mut bytes = std::fs::read(&wal).unwrap();
+            *bytes.last_mut().unwrap() ^= 1;
+            std::fs::write(&wal, bytes).unwrap();
+        }
+        let err = Registry::open(Some(dir.clone()), Arc::new(NoopRecorder)).unwrap_err();
+        assert!(err.message.contains("t0.snap"), "{}", err.message);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn tenant_names_are_validated() {
         assert!(valid_tenant_name("a"));
@@ -455,7 +524,8 @@ mod tests {
         let baseline_rec = Arc::new(MetricsRecorder::new());
         {
             let reg = Registry::open(None, baseline_rec.clone() as Arc<dyn Recorder>).unwrap();
-            reg.create("solo", schema, &[], &Budget::unlimited()).unwrap();
+            reg.create("solo", schema, &[], &Budget::unlimited())
+                .unwrap();
         }
         let one_build = baseline_rec.counter(Counter::AtomsAllocated);
         assert!(one_build > 0);
@@ -493,7 +563,12 @@ mod tests {
         let reg = Registry::open(None, rec).unwrap();
         let budget = Budget::unlimited();
         let bad = reg
-            .create("pub", "Pubcrawl(Person)", &["not a dependency".to_string()], &budget)
+            .create(
+                "pub",
+                "Pubcrawl(Person)",
+                &["not a dependency".to_string()],
+                &budget,
+            )
             .unwrap_err();
         assert_eq!(bad.status, 400);
         // the reservation was dropped on the error path; the name is free

@@ -238,7 +238,9 @@ fn capped_span_buffer_bounds_the_metrics_document() {
         .and_then(|c| c.get("spans_dropped"))
         .and_then(|v| v.as_usize())
         .expect("spans_dropped counter");
-    // at least one cache lookup per query went uncollected
-    assert!(dropped >= 10, "{dropped}");
+    // create leaves two spans (algebra build, tenant) and the first
+    // query fills the buffer; every later query's cache lookup went
+    // uncollected
+    assert!(dropped >= 9, "{dropped}");
     srv.shutdown();
 }

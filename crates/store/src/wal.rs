@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use nalist_guard::Budget;
 use nalist_obs::{Counter, Recorder};
 
-use crate::crc32::crc32;
+use crate::crc32;
 use crate::{site, StoreError};
 
 /// First eight bytes of every WAL file.
@@ -136,11 +136,10 @@ impl WalWriter {
                     payload.len()
                 ),
             })?;
+        let len = len.to_le_bytes();
         let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
-        record.extend_from_slice(&len.to_le_bytes());
-        let mut checked = len.to_le_bytes().to_vec();
-        checked.extend_from_slice(payload);
-        record.extend_from_slice(&crc32(&checked).to_le_bytes());
+        record.extend_from_slice(&len);
+        record.extend_from_slice(&record_crc(len, payload).to_le_bytes());
         record.extend_from_slice(payload);
         let at = self.end;
         self.file
@@ -172,14 +171,20 @@ impl WalWriter {
     }
 }
 
+/// CRC-32 of one record: over its length prefix, then its payload.
+fn record_crc(len: [u8; 4], payload: &[u8]) -> u32 {
+    !crc32::update(crc32::update(!0, &len), payload)
+}
+
 /// A verified slice of the log — complete records cut from an absolute
 /// byte offset, as shipped to a replication follower.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalSegment {
-    /// `(start_offset, payload)` per record, in append order. Offsets
-    /// are absolute file offsets, so `records.last().0 + 8 + len` is
-    /// the next offset to tail from.
-    pub records: Vec<(u64, Vec<u8>)>,
+pub struct WalSegment<'a> {
+    /// `(start_offset, payload)` per record, in append order, with the
+    /// payload borrowed from the parsed bytes. Offsets are absolute
+    /// file offsets, so `records.last().0 + 8 + len` is the next
+    /// offset to tail from.
+    pub records: Vec<(u64, &'a [u8])>,
     /// Absolute offset one past the last complete record in the
     /// segment — the follower's next `from`.
     pub end: u64,
@@ -221,7 +226,8 @@ pub fn read_wal_range(path: &Path, from: u64, to: u64) -> Result<Vec<u8>, StoreE
 
 /// Parses a byte slice cut from the log at absolute offset `base`
 /// (which must be a record boundary at or past the magic header) into
-/// its records, verifying every checksum.
+/// its records, verifying every checksum. Payloads are borrowed from
+/// `bytes`.
 ///
 /// With `allow_torn` the segment may end mid-record — the complete
 /// prefix is returned and [`WalSegment::end`] reports where it stops
@@ -234,37 +240,21 @@ pub fn parse_wal_segment(
     bytes: &[u8],
     base: u64,
     allow_torn: bool,
-) -> Result<WalSegment, StoreError> {
+) -> Result<WalSegment<'_>, StoreError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
+    let torn = loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            return Ok(WalSegment {
-                records,
-                end: base + pos as u64,
-            });
+            break None;
         }
-        let torn = |detail: String| {
-            if allow_torn {
-                Ok(WalSegment {
-                    records: records.clone(),
-                    end: base + pos as u64,
-                })
-            } else {
-                Err(StoreError::Corrupt {
-                    offset: base + pos as u64,
-                    detail,
-                })
-            }
-        };
         if remaining < RECORD_HEADER {
-            return torn(format!(
+            break Some(format!(
                 "segment ends {remaining} byte(s) into a record header"
             ));
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
+        let len_bytes = [bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]];
+        let len = u32::from_le_bytes(len_bytes) as usize;
         if len > MAX_RECORD_LEN {
             return Err(StoreError::Corrupt {
                 offset: base + pos as u64,
@@ -272,7 +262,7 @@ pub fn parse_wal_segment(
             });
         }
         if len > remaining - RECORD_HEADER {
-            return torn(format!(
+            break Some(format!(
                 "record declares {len} payload byte(s) but the segment ends first"
             ));
         }
@@ -283,16 +273,22 @@ pub fn parse_wal_segment(
             bytes[pos + 7],
         ]);
         let payload = &bytes[pos + RECORD_HEADER..pos + RECORD_HEADER + len];
-        let mut checked = bytes[pos..pos + 4].to_vec();
-        checked.extend_from_slice(payload);
-        if crc32(&checked) != stored_crc {
+        if record_crc(len_bytes, payload) != stored_crc {
             return Err(StoreError::Corrupt {
                 offset: base + pos as u64,
                 detail: "record checksum mismatch".to_string(),
             });
         }
-        records.push((base + pos as u64, payload.to_vec()));
+        records.push((base + pos as u64, payload));
         pos += RECORD_HEADER + len;
+    };
+    let end = base + pos as u64;
+    match torn {
+        Some(detail) if !allow_torn => Err(StoreError::Corrupt {
+            offset: end,
+            detail,
+        }),
+        _ => Ok(WalSegment { records, end }),
     }
 }
 
@@ -300,14 +296,27 @@ pub fn parse_wal_segment(
 /// record, plus where a torn tail (if any) was cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalReplay {
-    /// Record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
+    /// The log file's bytes; [`WalReplay::records`] borrows from them.
+    bytes: Vec<u8>,
+    /// `(start_offset, payload length)` per verified record.
+    records: Vec<(u64, usize)>,
     /// `Some(offset)` if the file ended mid-record: the crash artifact
     /// starts at `offset` and everything before it is intact.
     pub truncated_at: Option<u64>,
     /// File length up to and including the last complete record —
     /// where a repaired log would end.
     pub len: u64,
+}
+
+impl WalReplay {
+    /// `(start_offset, payload)` per record, in append order, with the
+    /// payload borrowed from the log's bytes.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = (u64, &[u8])> {
+        self.records.iter().map(|&(at, len)| {
+            let start = at as usize + RECORD_HEADER;
+            (at, &self.bytes[start..start + len])
+        })
+    }
 }
 
 /// Reads and verifies the log at `path` under the recovery policy in
@@ -317,86 +326,33 @@ pub struct WalReplay {
 /// A zero-length file is a valid empty log (created, never written).
 pub fn read_wal(path: &Path) -> Result<WalReplay, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, &e))?;
-    if bytes.is_empty() {
+    let magic = WAL_MAGIC.len();
+    if bytes.len() < magic && WAL_MAGIC.starts_with(&bytes) {
+        // empty, or the crash hit while the header itself was written
+        let truncated_at = (!bytes.is_empty()).then_some(0);
         return Ok(WalReplay {
+            bytes,
             records: Vec::new(),
-            truncated_at: None,
+            truncated_at,
             len: 0,
         });
     }
-    if bytes.len() < WAL_MAGIC.len() {
-        // the crash hit while the header itself was being written
-        if *WAL_MAGIC.get(..bytes.len()).unwrap_or(&[]) == bytes[..] {
-            return Ok(WalReplay {
-                records: Vec::new(),
-                truncated_at: Some(0),
-                len: 0,
-            });
-        }
+    if !bytes.starts_with(WAL_MAGIC) {
         return Err(StoreError::Corrupt {
             offset: 0,
             detail: "bad WAL magic".to_string(),
         });
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(StoreError::Corrupt {
-            offset: 0,
-            detail: "bad WAL magic".to_string(),
-        });
-    }
-    let mut records = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok(WalReplay {
-                records,
-                truncated_at: None,
-                len: pos as u64,
-            });
-        }
-        if remaining < RECORD_HEADER {
-            // partial length/checksum header: torn tail
-            return Ok(WalReplay {
-                records,
-                truncated_at: Some(pos as u64),
-                len: pos as u64,
-            });
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        if len > MAX_RECORD_LEN {
-            return Err(StoreError::Corrupt {
-                offset: pos as u64,
-                detail: format!("record declares an absurd length of {len} bytes"),
-            });
-        }
-        let stored_crc = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if len > remaining - RECORD_HEADER {
-            // declared payload extends past EOF: torn tail
-            return Ok(WalReplay {
-                records,
-                truncated_at: Some(pos as u64),
-                len: pos as u64,
-            });
-        }
-        let payload = &bytes[pos + RECORD_HEADER..pos + RECORD_HEADER + len];
-        let mut checked = bytes[pos..pos + 4].to_vec();
-        checked.extend_from_slice(payload);
-        if crc32(&checked) != stored_crc {
-            return Err(StoreError::Corrupt {
-                offset: pos as u64,
-                detail: "record checksum mismatch".to_string(),
-            });
-        }
-        records.push(payload.to_vec());
-        pos += RECORD_HEADER + len;
-    }
+    // file offsets index `bytes`, so `(offset, length)` locates a payload
+    let seg = parse_wal_segment(&bytes[magic..], magic as u64, true)?;
+    let records = seg.records.iter().map(|&(at, p)| (at, p.len())).collect();
+    let len = seg.end;
+    Ok(WalReplay {
+        records,
+        truncated_at: (len < bytes.len() as u64).then_some(len),
+        len,
+        bytes,
+    })
 }
 
 #[cfg(test)]
@@ -413,6 +369,10 @@ mod tests {
         nalist_obs::NoopRecorder
     }
 
+    fn payloads(replay: &WalReplay) -> Vec<&[u8]> {
+        replay.records().map(|(_, payload)| payload).collect()
+    }
+
     fn write_log(path: &Path, payloads: &[&[u8]]) {
         let mut w = WalWriter::create(path, false).unwrap();
         for p in payloads {
@@ -426,13 +386,8 @@ mod tests {
         write_log(&p, &[b"+ first", b"- second", b"", b"? third \x00\x80"]);
         let replay = read_wal(&p).unwrap();
         assert_eq!(
-            replay.records,
-            vec![
-                b"+ first".to_vec(),
-                b"- second".to_vec(),
-                Vec::new(),
-                b"? third \x00\x80".to_vec()
-            ]
+            payloads(&replay),
+            vec![b"+ first".as_slice(), b"- second", b"", b"? third \x00\x80"]
         );
         assert_eq!(replay.truncated_at, None);
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
@@ -443,7 +398,7 @@ mod tests {
         let p = tmp("empty");
         std::fs::write(&p, b"").unwrap();
         let replay = read_wal(&p).unwrap();
-        assert!(replay.records.is_empty());
+        assert!(payloads(&replay).is_empty());
         assert_eq!(replay.truncated_at, None);
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
@@ -458,7 +413,7 @@ mod tests {
         for cut in second_record_at + 1..clean.len() {
             std::fs::write(&p, &clean[..cut]).unwrap();
             let replay = read_wal(&p).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(replay.records, vec![b"alpha".to_vec()], "cut at {cut}");
+            assert_eq!(payloads(&replay), vec![b"alpha"], "cut at {cut}");
             assert_eq!(replay.truncated_at, Some(second_record_at as u64));
             assert_eq!(replay.len, second_record_at as u64);
         }
@@ -471,7 +426,7 @@ mod tests {
         for keep in 0..WAL_MAGIC.len() {
             std::fs::write(&p, &WAL_MAGIC[..keep]).unwrap();
             let replay = read_wal(&p).unwrap();
-            assert!(replay.records.is_empty());
+            assert!(payloads(&replay).is_empty());
             assert_eq!(replay.truncated_at, if keep == 0 { None } else { Some(0) });
         }
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
@@ -511,7 +466,7 @@ mod tests {
         dirty[8 + 2] ^= 0x01; // len("alpha") = 5 -> 65541, far past EOF
         std::fs::write(&p, &dirty).unwrap();
         let replay = read_wal(&p).unwrap();
-        assert!(replay.records.is_empty());
+        assert!(payloads(&replay).is_empty());
         assert_eq!(replay.truncated_at, Some(8));
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
@@ -547,10 +502,10 @@ mod tests {
         let p = tmp("open");
         write_log(&p, &[b"one"]);
         let (mut w, replay) = WalWriter::open(&p, false).unwrap();
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.records().len(), 1);
         w.append(b"two", &Budget::unlimited(), &noop()).unwrap();
         drop(w);
-        assert_eq!(read_wal(&p).unwrap().records.len(), 2);
+        assert_eq!(read_wal(&p).unwrap().records().len(), 2);
         // tear the tail; open must refuse
         let clean = std::fs::read(&p).unwrap();
         std::fs::write(&p, &clean[..clean.len() - 1]).unwrap();
@@ -576,7 +531,7 @@ mod tests {
         ));
         drop(w);
         let replay = read_wal(&p).unwrap();
-        assert_eq!(replay.records, vec![b"committed".to_vec()]);
+        assert_eq!(payloads(&replay), vec![b"committed"]);
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
 
@@ -598,7 +553,7 @@ mod tests {
             assert_eq!(seg.records.len(), payloads.len() - i);
             for (j, (at, payload)) in seg.records.iter().enumerate() {
                 assert_eq!(*at, offsets[i + j]);
-                assert_eq!(payload, payloads[i + j]);
+                assert_eq!(*payload, payloads[i + j]);
             }
         }
         // an empty tail range parses to an empty segment

@@ -16,15 +16,20 @@
 //!   answer;
 //! * the snapshot file format is **byte-stable**: a pinned workload
 //!   produces the exact golden bytes, re-blessed only by an explicit
-//!   `UPDATE_GOLDENS=1` run.
+//!   `UPDATE_GOLDENS=1` run;
+//! * WAL replay, which resolves each distinct record text once, matches
+//!   a record-by-record oracle on repeated texts, respelled removes,
+//!   bad records, torn tails and flipped bytes — and every parsed
+//!   dependency is the decompiled form of its own compilation, the
+//!   invariant replay's memo rests on.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nalist::gen::{random_edit_script, EditConfig, EditOp};
 use nalist::guard::{FailAction, FailPoint};
-use nalist::membership::{recover, WalOp};
-use nalist::obs::NoopRecorder;
+use nalist::membership::{read_reasoner_snapshot, recover, write_reasoner_snapshot, WalOp};
+use nalist::obs::{Counter, MetricsRecorder, NoopRecorder};
 use nalist::prelude::*;
 use nalist::store::{read_snapshot, read_wal, write_snapshot};
 use proptest::prelude::*;
@@ -122,7 +127,7 @@ proptest! {
                 let full = std::fs::metadata(&wal_path).unwrap().len();
                 let record_start = {
                     let replay = read_wal(&wal_path).unwrap();
-                    let last = replay.records.last().unwrap();
+                    let (_, last) = replay.records().last().unwrap();
                     full - 8 - last.len() as u64
                 };
                 let torn = rng.gen_range(record_start + 1..full);
@@ -260,17 +265,17 @@ proptest! {
                 prop_assert!(
                     replay.truncated_at.is_some(),
                     "flip at {at}: accepted undamaged? records {} of {}",
-                    replay.records.len(),
-                    original.records.len()
+                    replay.records().len(),
+                    original.records().len()
                 );
                 prop_assert!(
-                    replay.records.len() < original.records.len(),
+                    replay.records().len() < original.records().len(),
                     "flip at {at}: truncation must drop at least the damaged record"
                 );
-                for (i, rec) in replay.records.iter().enumerate() {
+                for (i, (rec, orig)) in replay.records().zip(original.records()).enumerate() {
                     prop_assert_eq!(
                         rec,
-                        &original.records[i],
+                        orig,
                         "flip at {at}: surviving record {i} altered"
                     );
                 }
@@ -334,4 +339,281 @@ fn snapshot_format_is_byte_stable() {
         "snapshot bytes drifted from the golden — if the format change is \
          intentional, bump SNAPSHOT_VERSION and re-bless with UPDATE_GOLDENS=1"
     );
+}
+
+/// Whether the canonical subattribute `t` holds no atom, so that its
+/// record may leave it out (§3.3) or it may be spelled `λ`.
+fn is_bottom(t: &NestedAttr) -> bool {
+    match t {
+        NestedAttr::Null => true,
+        NestedAttr::Record(_, cs) => cs.iter().all(is_bottom),
+        NestedAttr::Flat(_) | NestedAttr::List(..) => false,
+    }
+}
+
+/// A random spelling of the canonical subattribute `t`: each record
+/// either lists every component (bottoms as `λ` or written out) or
+/// leaves its bottoms out, and a record without atoms may be `λ`.
+fn respell(rng: &mut StdRng, t: &NestedAttr) -> String {
+    match t {
+        NestedAttr::Null => "λ".to_string(),
+        NestedAttr::Flat(a) => a.clone(),
+        NestedAttr::List(l, inner) => format!("{l}[{}]", respell(rng, inner)),
+        NestedAttr::Record(..) if is_bottom(t) && rng.gen_bool(0.5) => "λ".to_string(),
+        NestedAttr::Record(l, cs) => {
+            let abbreviated = !is_bottom(t) && rng.gen_bool(0.5);
+            let parts: Vec<String> = cs
+                .iter()
+                .filter(|c| !(abbreviated && is_bottom(c)))
+                .map(|c| respell(rng, c))
+                .collect();
+            format!("{l}({})", parts.join(", "))
+        }
+    }
+}
+
+/// A random spelling of `d`: [`respell`]ed sides and either arrow.
+fn spell(rng: &mut StdRng, alg: &Algebra, d: &CompiledDep) -> String {
+    let tree = d.decompile(alg);
+    let arrow = match (d.kind, rng.gen_bool(0.5)) {
+        (DepKind::Fd, true) => "->",
+        (DepKind::Fd, false) => "→",
+        (DepKind::Mvd, true) => "->>",
+        (DepKind::Mvd, false) => "↠",
+    };
+    let (lhs, rhs) = (respell(rng, &tree.lhs), respell(rng, &tree.rhs));
+    format!("{lhs} {arrow} {rhs}")
+}
+
+/// A small pool of dependencies, each in one to three spellings (the
+/// printer's abbreviation first), so scripts drawn from it repeat
+/// texts and may remove a dependency by another spelling than the one
+/// that added it.
+fn spelling_pool(rng: &mut StdRng, n: &NestedAttr, alg: &Algebra) -> Vec<Vec<String>> {
+    (0..rng.gen_range(1..=6))
+        .map(|_| {
+            let d = nalist::gen::random_dep(rng, alg, 0.4, 0.5);
+            let mut spellings = vec![d.decompile(alg).display_in(n)];
+            for _ in 0..rng.gen_range(0..=2) {
+                spellings.push(spell(rng, alg, &d));
+            }
+            spellings
+        })
+        .collect()
+}
+
+/// A random spelling of a random dependency of `pool`.
+fn pick(rng: &mut StdRng, pool: &[Vec<String>]) -> String {
+    let spellings = &pool[rng.gen_range(0..pool.len())];
+    spellings[rng.gen_range(0..spellings.len())].clone()
+}
+
+/// A record replay must stop at: unparsable text, a dependency over
+/// another schema, a header naming another schema, an unknown tag, or
+/// text that is not UTF-8.
+fn bad_record(rng: &mut StdRng) -> Vec<u8> {
+    let tag = [b'+', b'-', b'?'][rng.gen_range(0..3usize)];
+    match rng.gen_range(0..5) {
+        0 => [&[tag][..], b"L0(A0 ->"].concat(),
+        1 => [&[tag][..], b"Elsewhere(Z) -> Elsewhere(Z)"].concat(),
+        2 => WalOp::Header {
+            schema: "Elsewhere(Z)".to_string(),
+        }
+        .encode(),
+        3 => b"!L0 -> L0".to_vec(),
+        _ => vec![tag, 0xff, 0xfe],
+    }
+}
+
+/// One recovery's observable result: the state as snapshot bytes, the
+/// `(adds, removes, queries)` counts and the torn-tail offset — or the
+/// error's `Debug` form (variant, record index and message).
+type Outcome = Result<(Vec<u8>, (u64, u64, u64), Option<u64>), String>;
+
+/// The replay oracle: the record-by-record `add_str` / `remove_str` /
+/// `implies_str_governed` path on a reasoner restored from the same
+/// snapshot. Also returns how many records it applied — what
+/// `recovery_replayed_ops` must count.
+fn oracle_recover(snap: &Path, wal: &Path, budget: &Budget) -> (Outcome, u64) {
+    let mut applied = 0;
+    let outcome = (|| {
+        let mut r = read_reasoner_snapshot(snap, budget, Arc::new(NoopRecorder))?;
+        let log = read_wal(wal)?;
+        let mut counts = (0, 0, 0);
+        for (index, (offset, payload)) in log.records().enumerate() {
+            let fail = |e: ReasonerError| match e {
+                ReasonerError::Resource(r) => PersistError::Resource(r),
+                other => PersistError::Replay {
+                    index,
+                    message: other.to_string(),
+                },
+            };
+            match WalOp::decode(payload, offset)? {
+                WalOp::Header { schema } => {
+                    let have = r.attr().to_string();
+                    if schema != have {
+                        return Err(PersistError::Invalid(format!(
+                            "WAL is for schema {schema:?} but the snapshot is {have:?}"
+                        )));
+                    }
+                }
+                WalOp::Add(text) => {
+                    r.add_str(&text).map_err(fail)?;
+                    counts.0 += 1;
+                }
+                WalOp::Remove(text) => {
+                    r.remove_str(&text).map_err(fail)?;
+                    counts.1 += 1;
+                }
+                WalOp::Query(text) => {
+                    r.implies_str_governed(&text, budget).map_err(fail)?;
+                    counts.2 += 1;
+                }
+            }
+            applied += 1;
+        }
+        Ok((snapshot_payload(&r), counts, log.truncated_at))
+    })();
+    (outcome.map_err(|e: PersistError| format!("{e:?}")), applied)
+}
+
+/// Journals a random script (see [`spelling_pool`]) after a snapshot of
+/// a reasoner warmed from the same pool, damages the log one of four
+/// ways — not at all, a bad record at a random index, a torn tail, a
+/// flipped bit — and requires [`recover`] to match [`oracle_recover`]
+/// exactly. Returns which way the recovery ended.
+fn replay_matches_oracle(seed: u64) -> Result<&'static str, TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let atoms = rng.gen_range(1..=12);
+    let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+    let alg = Algebra::new(&n);
+    let pool = spelling_pool(&mut rng, &n, &alg);
+    let mut live = Reasoner::new(&n);
+    for _ in 0..rng.gen_range(0..=4) {
+        live.add_str(&pick(&mut rng, &pool))
+            .expect("pool texts parse");
+    }
+    for _ in 0..rng.gen_range(0..=3) {
+        live.implies_str(&pick(&mut rng, &pool))
+            .expect("pool texts parse");
+    }
+    let mut records = vec![WalOp::Header {
+        schema: n.to_string(),
+    }
+    .encode()];
+    for _ in 0..rng.gen_range(0..=48) {
+        let text = pick(&mut rng, &pool);
+        records.push(
+            match rng.gen_range(0..10) {
+                0..=3 => WalOp::Add(text),
+                4..=6 => WalOp::Remove(text),
+                _ => WalOp::Query(text),
+            }
+            .encode(),
+        );
+    }
+    let flavor = rng.gen_range(0..4u8);
+    if flavor == 1 {
+        let at = rng.gen_range(0..=records.len());
+        records.insert(at, bad_record(&mut rng));
+    }
+
+    let dir = temp_dir("oracle", seed);
+    let snap = dir.join("state.snap");
+    let wal = dir.join("ops.wal");
+    write_reasoner_snapshot(&snap, &live, &Budget::unlimited(), &NoopRecorder).unwrap();
+    let mut writer = WalWriter::create(&wal, false).unwrap();
+    for record in &records {
+        writer
+            .append(record, &Budget::unlimited(), &NoopRecorder)
+            .unwrap();
+    }
+    drop(writer);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    match flavor {
+        2 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        3 => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u8);
+        }
+        _ => {}
+    }
+    std::fs::write(&wal, &bytes).unwrap();
+
+    // queries may run out of fuel part-way; both sides get equal budgets
+    let fuel = rng.gen_bool(0.25).then(|| rng.gen_range(0..160u64));
+    let budget = || fuel.map_or_else(Budget::unlimited, |f| Budget::unlimited().with_fuel(f));
+    let (want, want_applied) = oracle_recover(&snap, &wal, &budget());
+    let rec = Arc::new(MetricsRecorder::new());
+    let got: Outcome = recover(&snap, Some(&wal), &budget(), rec.clone())
+        .map(|rep| {
+            let counts = (rep.adds, rep.removes, rep.queries);
+            (snapshot_payload(&rep.reasoner), counts, rep.truncated_at)
+        })
+        .map_err(|e| format!("{e:?}"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    prop_assert_eq!(&got, &want, "replay diverged from the oracle");
+    prop_assert_eq!(rec.counter(Counter::RecoveryReplayedOps), want_applied);
+    Ok(match &want {
+        Ok((_, _, Some(_))) => "torn",
+        Ok(_) => "clean",
+        Err(e) => match ["Invalid", "Replay", "Resource", "Store", "Type"]
+            .into_iter()
+            .find(|variant| e.starts_with(variant))
+        {
+            // the header replays first: fuel that ran out after it ran
+            // out in a query
+            Some("Resource") if want_applied == 0 => "Resource before replay",
+            Some(variant) => variant,
+            None => "unknown",
+        },
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Replay that resolves each distinct text once is indistinguishable
+    /// from applying the records one by one.
+    #[test]
+    fn replay_matches_the_record_by_record_oracle(seed in any::<u64>()) {
+        replay_matches_oracle(seed)?;
+    }
+
+    /// The replay memo's invariant: a parsed dependency is the
+    /// decompiled form of its own compilation, whatever spelling it was
+    /// parsed from, so a repeated text can be replayed from its
+    /// compiled form.
+    #[test]
+    fn parsed_dependencies_are_their_compiled_form(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(1..=16);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        for _ in 0..16 {
+            let want = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
+            let text = spell(&mut rng, &alg, &want);
+            let parsed = Dependency::parse(&n, &text);
+            prop_assert!(parsed.is_ok(), "{text} in {n}: {parsed:?}");
+            let d = parsed.unwrap();
+            let c = d.compile(&alg).unwrap();
+            prop_assert_eq!(&c, &want, "{} resolved to another dependency", text);
+            prop_assert_eq!(c.decompile(&alg), d, "{}", text);
+        }
+    }
+}
+
+/// The oracle's scripts reach every way a replay ends, so the property
+/// above cannot pass vacuously.
+#[test]
+fn replay_oracle_covers_every_outcome() {
+    let seen: std::collections::BTreeSet<_> = (0..96)
+        .map(|seed| replay_matches_oracle(seed).unwrap())
+        .collect();
+    for outcome in ["Invalid", "Replay", "Resource", "Store", "clean", "torn"] {
+        assert!(
+            seen.contains(outcome),
+            "no script ended {outcome}: {seen:?}"
+        );
+    }
 }
