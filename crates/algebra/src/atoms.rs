@@ -43,6 +43,15 @@ pub enum AlgebraError {
         /// The algebra's atom count.
         want: usize,
     },
+    /// A set bit lies at or above the capacity — an atom outside the
+    /// universe, which only words read from outside (a snapshot) can
+    /// carry.
+    AtomOutOfRange {
+        /// The offending bit's index.
+        atom: usize,
+        /// The capacity the words were read for.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for AlgebraError {
@@ -52,6 +61,9 @@ impl fmt::Display for AlgebraError {
                 f,
                 "atom set capacity {have} does not match the algebra's {want} atoms"
             ),
+            AlgebraError::AtomOutOfRange { atom, capacity } => {
+                write!(f, "bit {atom} is set in a set of capacity {capacity}")
+            }
         }
     }
 }
@@ -217,6 +229,7 @@ impl Algebra {
     }
 
     /// Per-atom data.
+    #[inline]
     pub fn atom(&self, id: AtomId) -> &AtomInfo {
         &self.atoms[id]
     }

@@ -21,6 +21,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::atoms::AlgebraError;
 use crate::kernels;
 
 const W2_ATOMS: usize = 128;
@@ -197,12 +198,55 @@ impl AtomSet {
         self.words()[i]
     }
 
-    /// The words the capacity actually uses, for the index-addressed
-    /// accessors, iteration and the structural impls. The kernels bypass
-    /// this and run over the class's full inline width (tail words are
-    /// kept zero by [`AtomSet::mask_tail`]).
+    /// Builds a set of capacity `len` from its width-exact words — the
+    /// inverse of [`AtomSet::words`]. Checked, because the words may come
+    /// from outside (a snapshot): a word count for another capacity is
+    /// [`AlgebraError::CapacityMismatch`], and a set bit at or above `len`
+    /// is [`AlgebraError::AtomOutOfRange`], so no kernel ever sees an atom
+    /// outside the universe. Always inlined: a cache hit that derives a
+    /// full basis converts one set per block, and a call per set costs
+    /// more than the conversion.
+    #[inline(always)]
+    pub fn from_words(len: usize, words: &[u64]) -> Result<AtomSet, AlgebraError> {
+        if words.len() != len.div_ceil(64) {
+            return Err(AlgebraError::CapacityMismatch {
+                have: 64 * words.len(),
+                want: len,
+            });
+        }
+        let tail = words.last().map_or(0, |&w| match len % 64 {
+            0 => 0,
+            used => w >> used << used,
+        });
+        if tail != 0 {
+            return Err(AlgebraError::AtomOutOfRange {
+                atom: 64 * (words.len() - 1) + 63 - tail.leading_zeros() as usize,
+                capacity: len,
+            });
+        }
+        fn inline<const N: usize>(words: &[u64]) -> [u64; N] {
+            let mut a = [0; N];
+            for (to, &from) in a.iter_mut().zip(words) {
+                *to = from;
+            }
+            a
+        }
+        let words = match WidthClass::for_capacity(len) {
+            WidthClass::W2 => Words::W2(inline(words)),
+            WidthClass::W4 => Words::W4(inline(words)),
+            WidthClass::W8 => Words::W8(inline(words)),
+            WidthClass::Heap => Words::Heap(words.to_vec()),
+        };
+        Ok(AtomSet { len, words })
+    }
+
+    /// The width-exact words of the set: `⌈capacity / 64⌉` of them, bit
+    /// `i` of word `k` standing for atom `64·k + i`. The index-addressed
+    /// accessors, iteration and the structural impls read these; the
+    /// kernels bypass them and run over the class's full inline width
+    /// (tail words are kept zero by `mask_tail`).
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         let n = self.len.div_ceil(64);
         match &self.words {
             Words::W2(a) => &a[..n],
@@ -596,6 +640,38 @@ mod tests {
             assert_eq!(f.count(), cap, "capacity {cap}");
             assert_eq!(f.iter().max(), cap.checked_sub(1));
         }
+    }
+
+    #[test]
+    fn words_round_trip_at_every_width() {
+        for cap in [0usize, 1, 63, 64, 65, 128, 129, 256, 257, 513] {
+            let s = AtomSet::from_indices(cap, (0..cap).step_by(7).chain(cap.checked_sub(1)));
+            assert_eq!(s.words().len(), cap.div_ceil(64), "capacity {cap}");
+            assert_eq!(AtomSet::from_words(cap, s.words()), Ok(s));
+        }
+    }
+
+    #[test]
+    fn from_words_rejects_foreign_words() {
+        assert_eq!(
+            AtomSet::from_words(65, &[0]),
+            Err(AlgebraError::CapacityMismatch { have: 64, want: 65 })
+        );
+        assert_eq!(
+            AtomSet::from_words(65, &[0, 0b110]),
+            Err(AlgebraError::AtomOutOfRange {
+                atom: 66,
+                capacity: 65
+            })
+        );
+        assert_eq!(
+            AtomSet::from_words(3, &[1 << 63]),
+            Err(AlgebraError::AtomOutOfRange {
+                atom: 63,
+                capacity: 3
+            })
+        );
+        assert!(AtomSet::from_words(64, &[u64::MAX]).is_ok());
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! a replay that re-parses every record fails here; its
 //! `recovery_replayed_ops` counter is pinned with the others.
 //!
+//! The cache row answers 2000 `read-cold`-shaped queries — fresh
+//! left-hand sides over a 32-atom schema whose 64 dependencies fire
+//! often — through `Reasoner::implies`, and pins the cache's entries and
+//! bytes plus the dependencies fired and worklist steps with the other
+//! counters. It also fails when an entry averages more than
+//! `MAX_ENTRY_BYTES`, so a return to materialised `DepB` lists or
+//! inline-width sets fails here.
+//!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
 //! no-op recorder must not be measurably slower than the plain path.
@@ -33,8 +41,8 @@ use nalist::guard::Budget;
 use nalist::membership::recover;
 use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
 use nalist_bench::{
-    fmt_nanos, incremental_edit_workload, median_nanos, nested_workload, parse_workload,
-    recovery_workload, run_closures, run_closures_observed, run_parses,
+    cold_query_workload, fmt_nanos, incremental_edit_workload, median_nanos, nested_workload,
+    parse_workload, recovery_workload, run_closures, run_closures_observed, run_parses,
 };
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/perf_baseline.json");
@@ -44,10 +52,14 @@ const MAX_RATIO: f64 = 3.0;
 /// point, so anything measurable here is a regression in the seam; the
 /// bound still leaves generous room for scheduler noise.
 const MAX_NOOP_RATIO: f64 = 1.5;
+/// Ceiling on the cache row's average packed entry: `X⁺`, about 28
+/// blocks and the fired ids of a 32-atom entry take some 400 bytes.
+const MAX_ENTRY_BYTES: u64 = 1024;
 
 /// The work counters pinned by the baseline, in file order. The
 /// `wide_*` pair comes from a 256-atom workload, so the w4
-/// width-specialized kernel path is pinned alongside the w2 one.
+/// width-specialized kernel path is pinned alongside the w2 one; the
+/// `cold_*` four from the cache row.
 const WORK_COUNTERS: &[&str] = &[
     "worklist_steps",
     "deps_fired",
@@ -58,6 +70,10 @@ const WORK_COUNTERS: &[&str] = &[
     "edit_cache_evicted",
     "edit_cache_retained",
     "recovery_replayed_ops",
+    "cold_cache_entries",
+    "cold_cache_bytes",
+    "cold_deps_fired",
+    "cold_worklist_steps",
 ];
 
 /// Extracts `"field": <digits>` from a hand-written JSON object — the
@@ -152,6 +168,21 @@ fn main() {
     recover(&rw.snapshot, Some(&rw.wal), &unlimited, recover_rec.clone())
         .expect("the replay row recovers");
     let _ = std::fs::remove_dir_all(&dir);
+    // the cache row: every query misses, fires dependencies and inserts
+    let cw = cold_query_workload(7, 32, 64, 2000);
+    let cold_rec = Arc::new(MetricsRecorder::new());
+    let cold = cw.reasoner.clone().with_recorder(cold_rec.clone());
+    for q in &cw.queries {
+        std::hint::black_box(cold.implies(q).expect("the cache row's queries compile"));
+    }
+    let cold_stats = cold.cache_stats();
+    println!(
+        "cache row: {} queries, {} entries in {} bytes ({} per entry)",
+        cw.queries.len(),
+        cold_stats.entries,
+        cold_stats.bytes,
+        cold_stats.bytes / cold_stats.entries.max(1)
+    );
     let work = [
         closure_rec.counter(Counter::WorklistSteps),
         closure_rec.counter(Counter::DepsFired),
@@ -162,6 +193,10 @@ fn main() {
         edit_rec.counter(Counter::CacheEvicted),
         edit_rec.counter(Counter::CacheRetained),
         recover_rec.counter(Counter::RecoveryReplayedOps),
+        cold_stats.entries,
+        cold_stats.bytes,
+        cold_rec.counter(Counter::DepsFired),
+        cold_rec.counter(Counter::WorklistSteps),
     ];
     print!("work counters:");
     for (name, value) in WORK_COUNTERS.iter().zip(work) {
@@ -241,6 +276,14 @@ fn main() {
         eprintln!(
             "OBSERVABILITY OVERHEAD: the disabled-recorder path is {noop_ratio:.2}x the \
              plain path (limit {MAX_NOOP_RATIO:.1}x); the no-op seam must cost nothing."
+        );
+        failed = true;
+    }
+    if cold_stats.bytes > MAX_ENTRY_BYTES * cold_stats.entries {
+        eprintln!(
+            "CACHE ENTRY SIZE: the cache row holds {} bytes in {} entries, more than \
+             {MAX_ENTRY_BYTES} bytes per entry; entries must stay packed.",
+            cold_stats.bytes, cold_stats.entries
         );
         failed = true;
     }

@@ -18,7 +18,7 @@ use nalist::membership::{write_reasoner_snapshot, WalOp};
 use nalist::obs::NoopRecorder;
 use nalist::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic closure workload: ambient algebra, `Σ`, and a list of
 /// query left-hand sides.
@@ -144,6 +144,69 @@ pub fn incremental_edit_workload(
         lhss,
         edit,
     }
+}
+
+/// A `read-cold`-shaped query stream: a reasoner whose `Σ` has sparse
+/// left-hand sides, so the closure of a fresh left-hand side fires many
+/// of its dependencies, and queries that never repeat a left-hand side,
+/// so every one of them misses the cache and inserts an entry. The input
+/// of the cache row of `perf_smoke`.
+pub struct ColdQueryWorkload {
+    /// Reasoner over the generated schema with `Σ` loaded, cache cold.
+    pub reasoner: Reasoner,
+    /// Queries with pairwise distinct left-hand sides.
+    pub queries: Vec<Dependency>,
+}
+
+/// A non-trivial random dependency with a non-empty left-hand side of
+/// density `lhs` and a right-hand side of density `rhs`.
+fn dep_with(rng: &mut StdRng, alg: &Algebra, lhs: f64, rhs: f64, fd_prob: f64) -> CompiledDep {
+    loop {
+        let l = nalist::gen::random_subattr(rng, alg, lhs);
+        if l.is_empty() {
+            continue;
+        }
+        let r = nalist::gen::random_subattr(rng, alg, rhs);
+        let d = if rng.gen_bool(fd_prob) {
+            CompiledDep::fd(l, r)
+        } else {
+            CompiledDep::mvd(l, r)
+        };
+        if !d.is_trivial(alg) {
+            return d;
+        }
+    }
+}
+
+/// Builds a [`ColdQueryWorkload`] over an `atoms`-atom schema,
+/// deterministic in `seed`: `sigma_count` dependencies with left-hand
+/// side density 0.05, right-hand side density 0.3 and FD share 0.1, and
+/// `count` queries with both sides at density 0.3 and FD share 0.5.
+pub fn cold_query_workload(
+    seed: u64,
+    atoms: usize,
+    sigma_count: usize,
+    count: usize,
+) -> ColdQueryWorkload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let attr = nalist::gen::attr_with_atoms(&mut rng, atoms);
+    let alg = Algebra::new(&attr);
+    let mut reasoner = Reasoner::new(&attr);
+    for _ in 0..sigma_count {
+        let d = dep_with(&mut rng, &alg, 0.05, 0.3, 0.1);
+        reasoner
+            .add(d.decompile(&alg))
+            .expect("generated Σ compiles");
+    }
+    let mut seen = HashSet::new();
+    let mut queries = Vec::with_capacity(count);
+    while queries.len() < count {
+        let d = dep_with(&mut rng, &alg, 0.3, 0.3, 0.5);
+        if seen.insert(d.lhs.clone()) {
+            queries.push(d.decompile(&alg));
+        }
+    }
+    ColdQueryWorkload { reasoner, queries }
 }
 
 /// Dependency texts in the paper's abbreviated notation over one schema:
@@ -293,7 +356,7 @@ pub fn run_closures_observed(w: &Workload, rec: &dyn nalist::obs::Recorder) -> u
             &w.alg, &w.sigma, q, &budget, rec,
         )
         .expect("workload queries are downward closed and the budget unlimited");
-        acc += run.basis.closure.count() + run.basis.blocks.len();
+        acc += run.closure.count() + run.blocks.len();
     }
     acc
 }

@@ -347,7 +347,8 @@ fn run(
         }
     }
 
-    // DepB(X) := SubB(X⁺) ∪ DB_new
+    // DepB(X) := SubB(X⁺) ∪ DB_new, straight from the definition: this
+    // engine is the reference the shared derivation is checked against
     let mut basis: BTreeSet<AtomSet> = db.clone();
     for a in x_new.iter() {
         basis.insert(alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [a])));
@@ -359,21 +360,98 @@ fn run(
     })
 }
 
+/// Proposition 4.10 on width-exact words (see [`AtomSet::words`]),
+/// deciding `X → Y` or `X ↠ Y` from `X⁺` and the blocks `X^M` alone:
+///
+/// * (ii) the FD is implied iff `Y ⊆ X⁺`;
+/// * (i) the MVD is implied iff `Y` is a join of elements of
+///   `DepB(X) = SubB(X⁺) ∪ X^M`, i.e. iff
+///   `Y ⊆ X⁺ ⊔ ⊔{W ∈ X^M : W ⊆ Y}` — every atom of `Y` outside `X⁺`
+///   lies in a block contained in `Y`. One pass over the block words
+///   strikes the atoms each such block covers.
+///
+/// [`DependencyBasis`] and the reasoner's packed cache entries both
+/// decide through this one function.
+pub(crate) fn derivable<'a>(
+    kind: DepKind,
+    closure: &[u64],
+    blocks: impl IntoIterator<Item = &'a [u64]>,
+    y: &[u64],
+) -> bool {
+    debug_assert_eq!(closure.len(), y.len());
+    let subset = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(&a, &b)| a & !b == 0);
+    if kind == DepKind::Fd {
+        return subset(y, closure);
+    }
+    // the atoms of Y not yet covered: Y ∖ X⁺, then minus every block ⊆ Y
+    let mut inline = [0u64; 8];
+    let mut spilled = Vec::new();
+    let rest: &mut [u64] = if y.len() <= inline.len() {
+        &mut inline[..y.len()]
+    } else {
+        spilled.resize(y.len(), 0);
+        &mut spilled
+    };
+    for ((r, &yw), &cw) in rest.iter_mut().zip(y).zip(closure) {
+        *r = yw & !cw;
+    }
+    for w in blocks {
+        if rest.iter().all(|&r| r == 0) {
+            return true;
+        }
+        if subset(w, y) {
+            for (r, &ww) in rest.iter_mut().zip(w) {
+                *r &= !ww;
+            }
+        }
+    }
+    rest.iter().all(|&r| r == 0)
+}
+
 impl DependencyBasis {
+    /// Assembles the basis from `X⁺` and the blocks `X^M` (sorted),
+    /// deriving `DepB(X) = SubB(X⁺) ∪ X^M` in its deterministic order.
+    /// Every maximal atom `m` of `X⁺` already has its singleton block
+    /// `b(m)^↓ = below(m)` (the initial `MaxB(X^CC)` singletons and those
+    /// each FD step adds; the mixed meet adds no maximal atom), and the
+    /// `below` set of a list-node atom is never `^CC`-closed, so never a
+    /// block. `DepB(X)` is therefore the blocks interleaved with the
+    /// `below` sets of the non-maximal atoms of `X⁺`, merged in sorted
+    /// order. The worklist engine and the reasoner's cache build their
+    /// [`DependencyBasis`] here; the paper engine builds `DepB(X)` from
+    /// its definition and is the reference this is checked against.
+    pub(crate) fn derive(alg: &Algebra, closure: AtomSet, blocks: Vec<AtomSet>) -> Self {
+        debug_assert!(blocks.windows(2).all(|p| p[0] < p[1]), "blocks are sorted");
+        let lists = closure.difference(alg.max_mask());
+        let mut below: Vec<&AtomSet> = lists.iter().map(|a| &alg.atom(a).below).collect();
+        below.sort_unstable();
+        let mut basis = Vec::with_capacity(blocks.len() + below.len());
+        let mut below = below.into_iter().peekable();
+        for w in &blocks {
+            while let Some(b) = below.next_if(|&b| b < w) {
+                basis.push(b.clone());
+            }
+            basis.push(w.clone());
+        }
+        basis.extend(below.cloned());
+        DependencyBasis {
+            closure,
+            blocks,
+            basis,
+        }
+    }
+
     /// Proposition 4.10 (i): is the MVD `X ↠ Y` implied, i.e. is `Y` the
-    /// join of elements of `DepB(X)`?
-    ///
-    /// `Y` is representable iff every atom of `Y` outside `X⁺` lies in
-    /// some block entirely contained in `Y`.
+    /// join of elements of `DepB(X)`? Evaluated from `X⁺` and the blocks
+    /// as `Y ⊆ X⁺ ⊔ ⊔{W ∈ X^M : W ⊆ Y}`.
     pub fn mvd_derivable(&self, y: &AtomSet) -> bool {
-        y.iter().all(|a| {
-            self.closure.contains(a) || self.blocks.iter().any(|w| w.contains(a) && w.is_subset(y))
-        })
+        let blocks = self.blocks.iter().map(AtomSet::words);
+        derivable(DepKind::Mvd, self.closure.words(), blocks, y.words())
     }
 
     /// Proposition 4.10 (ii): is the FD `X → Y` implied, i.e. `Y ≤ X⁺`?
     pub fn fd_derivable(&self, y: &AtomSet) -> bool {
-        y.is_subset(&self.closure)
+        derivable(DepKind::Fd, self.closure.words(), [], y.words())
     }
 
     /// Blocks not below `X⁺` — the "free" combination blocks `W_1, …, W_k`

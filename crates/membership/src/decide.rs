@@ -22,11 +22,11 @@ use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use nalist_algebra::{Algebra, AlgebraError, AtomSet};
-use nalist_deps::{CompiledDep, DepKind, Dependency, PreparedDep};
+use nalist_deps::{CompiledDep, Dependency, PreparedDep};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Hist, Recorder};
 use nalist_types::attr::NestedAttr;
@@ -35,10 +35,14 @@ use nalist_types::parser::ParseLimits;
 
 use crate::certify::CertifyError;
 use crate::closure::{
-    closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis,
+    closure_and_basis, closure_and_basis_governed, derivable, ClosureError, DependencyBasis,
 };
+use crate::packed::PackedBasis;
 use crate::witness::WitnessError;
-use crate::worklist::{closure_and_basis_worklist_run_observed, step_would_change};
+use crate::worklist::{
+    closure_and_basis_worklist_run_governed, closure_and_basis_worklist_run_observed,
+    step_would_change,
+};
 
 /// Floor on the number of independently locked cache shards. The actual
 /// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
@@ -47,15 +51,6 @@ use crate::worklist::{closure_and_basis_worklist_run_observed, step_would_change
 /// and inserts stay shard-local), while the floor keeps contention
 /// negligible when callers oversubscribe threads on a small machine.
 const MIN_CACHE_SHARDS: usize = 8;
-
-/// One cached basis plus its invalidation index: the stable ids (see
-/// [`Reasoner::add`]) of the dependencies that fired while it was
-/// computed, ascending.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    basis: DependencyBasis,
-    fired: Vec<u64>,
-}
 
 /// Cache-effectiveness counters ([`Reasoner::cache_stats`]). `misses`
 /// counts full Algorithm 5.1 runs, so a batch with duplicated left-hand
@@ -75,20 +70,10 @@ pub struct CacheStats {
     pub evicted: u64,
     /// Entries currently live.
     pub entries: u64,
-}
-
-/// One exported cache entry ([`Reasoner::export_cache`] /
-/// [`Reasoner::restore_parts`]): the public, persistence-facing shape
-/// of a cache slot — LHS key, cached basis, and the stable ids of the
-/// dependencies that fired while the basis was computed (ascending).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheExport {
-    /// The left-hand side the basis was computed for.
-    pub lhs: AtomSet,
-    /// The cached dependency basis.
-    pub basis: DependencyBasis,
-    /// Stable ids of the dependencies that fired, ascending.
-    pub fired: Vec<u64>,
+    /// Exact bytes the live entries' packed runs hold — their words plus
+    /// their fired ids ([`PackedBasis::bytes`]), not counting the
+    /// left-hand-side keys or the map itself.
+    pub bytes: u64,
 }
 
 /// Errors from [`Reasoner::restore_parts`].
@@ -99,8 +84,8 @@ pub enum RestoreError {
     /// The resource [`Budget`] was exhausted rebuilding the algebra.
     Resource(ResourceExhausted),
     /// A structural invariant of the persisted state is broken
-    /// (non-ascending ids, fired-set naming an unknown dependency,
-    /// atom sets of the wrong capacity, …).
+    /// (non-ascending ids or left-hand sides, fired-set naming an
+    /// unknown dependency, atom sets of the wrong capacity, …).
     Invalid(String),
 }
 
@@ -125,13 +110,16 @@ impl std::error::Error for RestoreError {}
 /// same fresh LHS produce deterministic, idempotent inserts.
 ///
 /// The same no-lock-while-computing discipline is what makes poison
-/// recovery sound: a worker can only panic *outside* the critical
-/// sections (every value is fully constructed before `insert` takes the
-/// lock), so a poisoned mutex never guards half-written data and the
-/// cache simply keeps serving after a worker dies.
+/// recovery sound: besides the map's own mutations, a shard lock only
+/// covers a hit's short read of one entry — a single query's
+/// Proposition 4.10 check, a `DepB` derivation, or a batch group's copy
+/// of the entry (its members are evaluated outside the lock) — and
+/// every entry is fully packed before `insert` takes the lock, so a
+/// poisoned mutex never guards half-written data and the cache simply
+/// keeps serving after a worker dies.
 #[derive(Debug)]
 struct BasisCache {
-    shards: Vec<Mutex<HashMap<AtomSet, CacheEntry>>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     retained: AtomicU64,
@@ -160,10 +148,19 @@ impl Clone for BasisCache {
     }
 }
 
+/// One lock's worth of the cache: the packed bases by left-hand side,
+/// and the sum of their [`PackedBasis::bytes`], kept exact on every
+/// insert, eviction and clear.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    map: HashMap<AtomSet, PackedBasis>,
+    bytes: u64,
+}
+
 impl BasisCache {
     fn with_shards(n: usize) -> Self {
         BasisCache {
-            shards: (0..n.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n.max(1)).map(|_| Mutex::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             retained: AtomicU64::new(0),
@@ -180,17 +177,16 @@ impl BasisCache {
         h.finish() as usize % self.shards.len()
     }
 
-    fn shard(&self, x: &AtomSet) -> &Mutex<HashMap<AtomSet, CacheEntry>> {
-        &self.shards[self.shard_index(x)]
-    }
-
-    fn get(&self, x: &AtomSet) -> Option<DependencyBasis> {
-        let hit = self
-            .shard(x)
+    fn shard(&self, x: &AtomSet) -> MutexGuard<'_, Shard> {
+        self.shards[self.shard_index(x)]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(x)
-            .map(|e| e.basis.clone());
+    }
+
+    /// Runs `read` on the cached basis of `x` in place, under its shard
+    /// lock — a hit copies nothing out of the cache.
+    fn get<T>(&self, x: &AtomSet, read: impl FnOnce(&PackedBasis) -> T) -> Option<T> {
+        let hit = self.shard(x).map.get(x).map(read);
         let counter = if hit.is_some() {
             &self.hits
         } else {
@@ -202,29 +198,34 @@ impl BasisCache {
 
     /// Warmth probe for the batch planner — no stats impact.
     fn contains(&self, x: &AtomSet) -> bool {
-        self.shard(x)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(x)
+        self.shard(x).map.contains_key(x)
     }
 
-    fn insert(&self, x: AtomSet, entry: CacheEntry) {
-        self.shard(&x)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(x, entry);
+    fn insert(&self, x: AtomSet, entry: PackedBasis) {
+        let mut shard = self.shard(&x);
+        shard.bytes += entry.bytes();
+        if let Some(old) = shard.map.insert(x, entry) {
+            shard.bytes -= old.bytes();
+        }
     }
 
     /// Keeps only the entries `keep` approves, updating the
     /// retained/evicted counters. Returns `(retained, evicted)` for this
     /// sweep so callers can mirror the deltas into an observability
     /// recorder.
-    fn retain(&self, mut keep: impl FnMut(&CacheEntry) -> bool) -> (u64, u64) {
+    fn retain(&self, mut keep: impl FnMut(&PackedBasis) -> bool) -> (u64, u64) {
         let mut totals = (0u64, 0u64);
         for shard in &self.shards {
-            let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            let Shard { map, bytes } = &mut *shard;
             let before = map.len() as u64;
-            map.retain(|_, e| keep(e));
+            map.retain(|_, e| {
+                let kept = keep(e);
+                if !kept {
+                    *bytes -= e.bytes();
+                }
+                kept
+            });
             let after = map.len() as u64;
             self.retained.fetch_add(after, Ordering::Relaxed);
             self.evicted.fetch_add(before - after, Ordering::Relaxed);
@@ -236,35 +237,37 @@ impl BasisCache {
 
     fn clear(&self) {
         for shard in &self.shards {
-            let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            self.evicted.fetch_add(map.len() as u64, Ordering::Relaxed);
-            map.clear();
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            self.evicted
+                .fetch_add(shard.map.len() as u64, Ordering::Relaxed);
+            *shard = Shard::default();
         }
     }
 
     fn stats(&self) -> CacheStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len() as u64)
-            .sum();
+        let (mut entries, mut bytes) = (0, 0);
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            entries += shard.map.len() as u64;
+            bytes += shard.bytes;
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             entries,
+            bytes,
         }
     }
 }
 
 /// Decides `Σ ⊨ σ` on compiled inputs.
 pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    let basis = closure_and_basis(alg, sigma, &dep.lhs);
-    match dep.kind {
-        DepKind::Fd => basis.fd_derivable(&dep.rhs),
-        DepKind::Mvd => basis.mvd_derivable(&dep.rhs),
-    }
+    let run = closure_and_basis_worklist_run_governed(alg, sigma, &dep.lhs, &Budget::unlimited())
+        .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed");
+    let blocks = run.blocks.iter().map(AtomSet::words);
+    derivable(dep.kind, run.closure.words(), blocks, dep.rhs.words())
 }
 
 /// A convenience engine bundling an ambient attribute, its algebra and a
@@ -579,14 +582,14 @@ impl Reasoner {
         let removed_id = self.ids.remove(i);
         self.compiled.remove(i);
         let dep = self.sigma.remove(i);
-        self.observed_retain(|entry| !entry.fired.contains(&removed_id));
+        self.observed_retain(|entry| entry.fired().binary_search(&removed_id).is_err());
         dep
     }
 
     /// Evicts every cached entry at which one step of `prepared` would
     /// change the basis (the `add` eviction rule).
     fn evict_if_step_fires(&self, prepared: &PreparedDep) {
-        self.observed_retain(|entry| !step_would_change(&self.alg, prepared, &entry.basis));
+        self.observed_retain(|entry| !step_would_change(&self.alg, prepared, entry));
     }
 
     /// [`BasisCache::retain`] with the eviction sweep mirrored into the
@@ -596,7 +599,7 @@ impl Reasoner {
     /// nothing to sweep and records nothing — no span, so replaying
     /// thousands of edits into a cold reasoner cannot fill a capped
     /// span buffer.
-    fn observed_retain(&self, keep: impl FnMut(&CacheEntry) -> bool) {
+    fn observed_retain(&self, keep: impl FnMut(&PackedBasis) -> bool) {
         let rec = self.recorder.as_ref();
         if !rec.enabled() {
             self.cache.retain(keep);
@@ -639,29 +642,31 @@ impl Reasoner {
         self.next_id
     }
 
-    /// Every live cache entry — LHS key, basis and fired-set — sorted
-    /// by LHS, so the export is deterministic regardless of shard count
-    /// or hash order. This is the warm state a snapshot persists.
-    pub fn export_cache(&self) -> Vec<CacheExport> {
-        let mut out = Vec::new();
-        for shard in &self.cache.shards {
-            let map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (lhs, entry) in map.iter() {
-                out.push(CacheExport {
-                    lhs: lhs.clone(),
-                    basis: entry.basis.clone(),
-                    fired: entry.fired.clone(),
-                });
-            }
-        }
-        out.sort_by(|a, b| a.lhs.cmp(&b.lhs));
-        out
+    /// Runs `visit` on every live cache entry — LHS key and packed
+    /// basis — sorted by LHS, so the visit is deterministic regardless of
+    /// shard count or hash order. This is the warm state a snapshot
+    /// persists. Every shard stays locked while `visit` runs, so the
+    /// entries are read in place, not copied.
+    pub fn with_cache_entries<T>(&self, visit: impl FnOnce(&[(&AtomSet, &PackedBasis)]) -> T) -> T {
+        // shards are only ever locked one at a time elsewhere, so taking
+        // them all in index order cannot deadlock
+        let shards: Vec<MutexGuard<'_, Shard>> = self
+            .cache
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let mut entries: Vec<(&AtomSet, &PackedBasis)> =
+            shards.iter().flat_map(|s| s.map.iter()).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        visit(&entries)
     }
 
     /// Rebuilds a reasoner from persisted parts: `Σ` with *pinned*
-    /// stable ids, the id counter, and previously warm cache entries
-    /// (inserted verbatim — no eviction sweep, no stats impact), so the
-    /// result is bit-identical to the reasoner that was exported.
+    /// stable ids, the id counter, and previously warm cache entries in
+    /// strictly ascending LHS order (inserted verbatim — no eviction
+    /// sweep, no stats impact), so the result is bit-identical to the
+    /// reasoner that was persisted.
     ///
     /// Everything is validated: this entry point accepts bytes that
     /// merely passed a checksum, which guards against accidental
@@ -671,7 +676,7 @@ impl Reasoner {
         n: &NestedAttr,
         sigma: Vec<(u64, Dependency)>,
         next_id: u64,
-        cache: Vec<CacheExport>,
+        cache: Vec<(AtomSet, PackedBasis)>,
         budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, RestoreError> {
@@ -696,26 +701,27 @@ impl Reasoner {
         }
         r.next_id = next_id;
         let atoms = r.alg.atom_count();
-        for entry in cache {
-            for (set, what) in std::iter::once((&entry.lhs, "LHS"))
-                .chain(std::iter::once((&entry.basis.closure, "closure")))
-                .chain(entry.basis.blocks.iter().map(|b| (b, "block")))
-                .chain(entry.basis.basis.iter().map(|b| (b, "basis element")))
-            {
-                if set.capacity() != atoms {
+        let mut prev_lhs: Option<AtomSet> = None;
+        for (lhs, entry) in cache {
+            for (what, capacity) in [("LHS", lhs.capacity()), ("basis", entry.atoms())] {
+                if capacity != atoms {
                     return Err(RestoreError::Invalid(format!(
-                        "cache entry {what} is over {} atoms, schema has {atoms}",
-                        set.capacity()
+                        "cache entry {what} is over {capacity} atoms, schema has {atoms}"
                     )));
                 }
             }
-            if !r.alg.is_downward_closed(&entry.lhs) {
+            if prev_lhs.as_ref().is_some_and(|p| *p >= lhs) {
+                return Err(RestoreError::Invalid(
+                    "cache entry left-hand sides are not strictly ascending".to_string(),
+                ));
+            }
+            if !r.alg.is_downward_closed(&lhs) {
                 return Err(RestoreError::Invalid(
                     "cache entry LHS is not downward closed".to_string(),
                 ));
             }
             let mut prev_fired: Option<u64> = None;
-            for &id in &entry.fired {
+            for &id in entry.fired() {
                 if prev_fired.is_some_and(|p| p >= id) {
                     return Err(RestoreError::Invalid(
                         "cache entry fired-set is not strictly ascending".to_string(),
@@ -728,13 +734,8 @@ impl Reasoner {
                     )));
                 }
             }
-            r.cache.insert(
-                entry.lhs,
-                CacheEntry {
-                    basis: entry.basis,
-                    fired: entry.fired,
-                },
-            );
+            r.cache.insert(lhs.clone(), entry);
+            prev_lhs = Some(lhs);
         }
         Ok(r)
     }
@@ -758,23 +759,18 @@ impl Reasoner {
     }
 
     fn implies_compiled(&self, c: &CompiledDep) -> bool {
-        let basis = self.dependency_basis(&c.lhs);
-        match c.kind {
-            DepKind::Fd => basis.fd_derivable(&c.rhs),
-            DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-        }
+        self.implies_compiled_governed(c, &Budget::unlimited())
+            .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed")
     }
 
+    /// Proposition 4.10 on the cached basis of `c`'s left-hand side, read
+    /// in place: a hit allocates nothing and copies nothing.
     fn implies_compiled_governed(
         &self,
         c: &CompiledDep,
         budget: &Budget,
     ) -> Result<bool, ClosureError> {
-        let basis = self.dependency_basis_governed(&c.lhs, budget)?;
-        Ok(match c.kind {
-            DepKind::Fd => basis.fd_derivable(&c.rhs),
-            DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-        })
+        self.with_basis(&c.lhs, budget, |basis| basis.implies(c))
     }
 
     /// Decides `Σ ⊨ σ` for every dependency in `deps`, in parallel.
@@ -843,11 +839,7 @@ impl Reasoner {
         let groups = self.plan_groups(compiled.iter().map(|c| &c.lhs));
         Ok(
             self.run_planned(&groups, compiled.len(), threads, budget, |basis, i| {
-                let c = &compiled[i];
-                match c.kind {
-                    DepKind::Fd => basis.fd_derivable(&c.rhs),
-                    DepKind::Mvd => basis.mvd_derivable(&c.rhs),
-                }
+                basis.implies(&compiled[i])
             }),
         )
     }
@@ -903,7 +895,9 @@ impl Reasoner {
         threads: NonZeroUsize,
     ) -> Vec<Result<DependencyBasis, QueryError>> {
         let groups = self.plan_groups(xs.iter());
-        self.run_planned(&groups, xs.len(), threads, budget, |basis, _| basis.clone())
+        self.run_planned(&groups, xs.len(), threads, budget, |basis, _| {
+            basis.to_basis(&self.alg)
+        })
     }
 
     /// The batch query planner: deduplicates batch items by left-hand
@@ -935,15 +929,15 @@ impl Reasoner {
 
     /// Executes a planned batch: workers steal whole groups, compute the
     /// group's basis once (panic- and budget-isolated), then fan the
-    /// result out to every member item through `eval`. Per-item slots
-    /// keep the output index-aligned with the original batch.
+    /// packed basis out to every member item through `eval`. Per-item
+    /// slots keep the output index-aligned with the original batch.
     fn run_planned<T: Send + Sync>(
         &self,
         groups: &[PlanGroup],
         n_items: usize,
         threads: NonZeroUsize,
         budget: &Budget,
-        eval: impl Fn(&DependencyBasis, usize) -> T + Sync,
+        eval: impl Fn(&PackedBasis, usize) -> T + Sync,
     ) -> Vec<Result<T, QueryError>> {
         let slots: Vec<OnceLock<Result<T, QueryError>>> =
             (0..n_items).map(|_| OnceLock::new()).collect();
@@ -958,7 +952,10 @@ impl Reasoner {
                 enabled.then(|| rec.enter(nalist_obs::site::BATCH_GROUP, g.members.len() as u64));
             let gstart = enabled.then(Instant::now);
             let mut ok_members = 0u64;
-            match self.isolated(|| self.dependency_basis_governed(&g.x, budget)) {
+            // one copy of the packed entry per group, taken out of the
+            // cache so the members are evaluated outside the shard lock
+            // and the lookup span
+            match self.isolated(|| self.with_basis(&g.x, budget, PackedBasis::clone)) {
                 Ok(basis) => {
                     for &i in &g.members {
                         let qtoken =
@@ -1130,10 +1127,24 @@ impl Reasoner {
         x: &AtomSet,
         budget: &Budget,
     ) -> Result<DependencyBasis, ClosureError> {
+        self.with_basis(x, budget, |basis| basis.to_basis(&self.alg))
+    }
+
+    /// The one cache access path: runs `read` on the packed basis of `x`
+    /// — in place under its shard lock on a hit, so a hit copies nothing
+    /// out of the cache unless `read` does; on a miss it runs Algorithm
+    /// 5.1, packs `X⁺`, the blocks and the fired ids, runs `read` on
+    /// that, and caches it.
+    fn with_basis<T>(
+        &self,
+        x: &AtomSet,
+        budget: &Budget,
+        read: impl Fn(&PackedBasis) -> T,
+    ) -> Result<T, ClosureError> {
         let rec = self.recorder.as_ref();
         if rec.enabled() {
             let token = rec.enter(nalist_obs::site::CACHE_LOOKUP, x.count() as u64);
-            let hit = self.cache.get(x);
+            let hit = self.cache.get(x, &read);
             let counter = if hit.is_some() {
                 Counter::CacheHits
             } else {
@@ -1144,22 +1155,18 @@ impl Reasoner {
             if let Some(hit) = hit {
                 return Ok(hit);
             }
-        } else if let Some(hit) = self.cache.get(x) {
+        } else if let Some(hit) = self.cache.get(x, &read) {
             return Ok(hit);
         }
         let run =
             closure_and_basis_worklist_run_observed(&self.alg, &self.compiled, x, budget, rec)?;
         // `run.fired` indexes Σ in ascending order and ids grow with the
         // index, so the mapped list stays ascending.
-        let fired = run.fired.iter().map(|&i| self.ids[i]).collect();
-        self.cache.insert(
-            x.clone(),
-            CacheEntry {
-                basis: run.basis.clone(),
-                fired,
-            },
-        );
-        Ok(run.basis)
+        let fired = run.fired.iter().map(|&i| self.ids[i]);
+        let entry = PackedBasis::pack(&run.closure, &run.blocks, fired);
+        let out = read(&entry);
+        self.cache.insert(x.clone(), entry);
+        Ok(out)
     }
 
     /// Dependency basis for a subattribute given in abbreviated notation.
@@ -1500,6 +1507,41 @@ mod tests {
         assert_eq!(r.cache_stats().misses, 2, "surviving entry was a hit");
         // ...and the evicted LHS reflects the new Σ
         assert!(r.implies_str("L(C) -> L(D)").unwrap());
+    }
+
+    #[test]
+    fn cache_bytes_track_inserts_evictions_and_clears() {
+        let n = parse_attr("L(A, B, C, D)").unwrap();
+        let mut r = Reasoner::new(&n);
+        r.add_str("L(A) -> L(B)").unwrap();
+        assert_eq!(r.cache_stats().bytes, 0);
+        // L(A): X⁺ {A, B}, blocks {A} {B} {C, D}, fired [0] — 5 words;
+        // L(C): X⁺ {C}, blocks {C} {A, B, D}, nothing fired — 3 words
+        assert!(r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        let sum = |r: &Reasoner| {
+            r.with_cache_entries(|es| es.iter().map(|(_, e)| e.bytes()).sum::<u64>())
+        };
+        assert_eq!(r.cache_stats().bytes, 8 * (5 + 3));
+        assert_eq!(sum(&r), 8 * (5 + 3));
+        // a hit changes nothing; the add evicts the L(C) entry only
+        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
+        r.add_str("L(C) -> L(D)").unwrap();
+        assert_eq!(r.cache_stats().bytes, 8 * 5);
+        // a remove that fired in the survivor evicts it
+        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        let warm = r.cache_stats().bytes;
+        assert_eq!(
+            r.clone().cache_stats().bytes,
+            warm,
+            "clones carry the bytes"
+        );
+        r.remove_at(0);
+        assert_eq!(r.cache_stats().bytes, sum(&r));
+        assert!(r.cache_stats().bytes < warm);
+        r.clear_cache();
+        assert_eq!(r.cache_stats().bytes, 0);
+        assert_eq!(r.cache_stats().entries, 0);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   from the completeness argument of Section 4.2;
 //! * [`beeri`] — Beeri's classical relational algorithm, the baseline
 //!   Algorithm 5.1 generalises;
+//! * [`packed`] — the reasoner's cache entry: `X⁺` and the blocks
+//!   packed as width-exact words, read in place by queries;
 //! * [`persist`] — the snapshot/WAL payload encodings and crash
 //!   recovery on top of `nalist-store`;
 //! * [`trace`] — paper-notation rendering of algorithm runs.
@@ -25,6 +27,7 @@ pub mod cert;
 pub mod certify;
 pub mod closure;
 pub mod decide;
+pub mod packed;
 pub mod persist;
 pub mod reference;
 mod steal;
@@ -42,9 +45,10 @@ pub use closure::{
     Trace,
 };
 pub use decide::{
-    default_batch_threads, implies, CacheExport, CacheStats, Evidence, QueryError, Reasoner,
-    ReasonerError, RestoreError,
+    default_batch_threads, implies, CacheStats, Evidence, QueryError, Reasoner, ReasonerError,
+    RestoreError,
 };
+pub use packed::PackedBasis;
 pub use persist::{
     read_reasoner_snapshot, recover, replay_wal, restore_reasoner, snapshot_payload,
     write_reasoner_snapshot, PersistError, RecoveryReport, ReplayCounts, WalOp,

@@ -7,11 +7,14 @@
 //! * **snapshot payload** — the full reasoner state: the schema (round-
 //!   trippable text), the algebra identity (`|N|` and width class, as a
 //!   cross-check), `Σ` with its *stable dependency ids* plus the next-id
-//!   counter, and every warm cache entry with its fired-set. The
-//!   encoding is deterministic (cache entries sorted by LHS), so equal
-//!   reasoners produce byte-equal payloads — the property the
-//!   bit-identical-recovery proptests and the format-stability golden
-//!   are built on;
+//!   counter, and every warm cache entry written straight from its
+//!   packed words ([`PackedBasis`]): the LHS, `X⁺`, the block count and
+//!   the blocks as width-exact little-endian words, then the fired ids.
+//!   No `DepB(X)` list is stored — it is derived from `X⁺` and the
+//!   blocks. The encoding is deterministic (cache entries in strictly
+//!   ascending LHS order), so equal reasoners produce byte-equal
+//!   payloads — the property the bit-identical-recovery proptests and
+//!   the format-stability golden are built on;
 //! * **WAL records** — one [`WalOp`] per record: `+`/`-` edits and `?`
 //!   queries in the same dependency syntax the CLI accepts, plus a
 //!   header record naming the schema. Queries are journaled too:
@@ -34,7 +37,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-use nalist_algebra::{AtomSet, WidthClass};
+use nalist_algebra::{AlgebraError, AtomSet, WidthClass};
 use nalist_deps::{CompiledDep, Dependency};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Recorder};
@@ -42,7 +45,8 @@ use nalist_store::{self as store, StoreError};
 use nalist_types::error::TypeError;
 use nalist_types::parser::parse_attr;
 
-use crate::decide::{CacheExport, Reasoner, ReasonerError, RestoreError};
+use crate::decide::{Reasoner, ReasonerError, RestoreError};
+use crate::packed::PackedBasis;
 
 /// Errors from snapshotting, restoring or recovering a reasoner.
 #[derive(Debug)]
@@ -111,26 +115,26 @@ fn u32_of(n: usize, what: &str) -> u32 {
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} count {n} exceeds the u32 format limit"))
 }
 
-fn put_atomset(w: &mut store::Writer, set: &AtomSet) {
-    w.u32(u32_of(set.count(), "atom"));
-    for i in set.iter() {
-        w.u32(u32_of(i, "atom index"));
+fn put_words(w: &mut store::Writer, words: &[u64]) {
+    for &word in words {
+        w.u64(word);
     }
 }
 
-fn get_atomset(r: &mut store::Reader<'_>, atoms: usize) -> Result<AtomSet, PersistError> {
-    let count = r.u32()? as usize;
-    let mut set = AtomSet::empty(atoms);
+/// Appends `count` little-endian words from `r` to `out`.
+fn get_words(
+    r: &mut store::Reader<'_>,
+    count: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), PersistError> {
     for _ in 0..count {
-        let i = r.u32()? as usize;
-        if i >= atoms {
-            return Err(PersistError::Invalid(format!(
-                "atom index {i} out of range for a {atoms}-atom schema"
-            )));
-        }
-        set.insert(i);
+        out.push(r.u64()?);
     }
-    Ok(set)
+    Ok(())
+}
+
+fn invalid_set(e: AlgebraError) -> PersistError {
+    PersistError::Invalid(format!("cache entry set: {e}"))
 }
 
 /// Serializes the full state of `r` as a deterministic snapshot
@@ -150,24 +154,19 @@ pub fn snapshot_payload(r: &Reasoner) -> Vec<u8> {
         w.u64(*id);
         w.str(&dep.display_in(attr));
     }
-    let cache = r.export_cache();
-    w.u32(u32_of(cache.len(), "cache entry"));
-    for entry in cache {
-        put_atomset(&mut w, &entry.lhs);
-        put_atomset(&mut w, &entry.basis.closure);
-        w.u32(u32_of(entry.basis.blocks.len(), "block"));
-        for b in &entry.basis.blocks {
-            put_atomset(&mut w, b);
+    r.with_cache_entries(|entries| {
+        w.u32(u32_of(entries.len(), "cache entry"));
+        for (lhs, entry) in entries {
+            put_words(&mut w, lhs.words());
+            put_words(&mut w, entry.closure());
+            w.u32(u32_of(entry.blocks().len(), "block"));
+            for block in entry.blocks() {
+                put_words(&mut w, block);
+            }
+            w.u32(u32_of(entry.fired().len(), "fired id"));
+            put_words(&mut w, entry.fired());
         }
-        w.u32(u32_of(entry.basis.basis.len(), "basis element"));
-        for b in &entry.basis.basis {
-            put_atomset(&mut w, b);
-        }
-        w.u32(u32_of(entry.fired.len(), "fired id"));
-        for id in &entry.fired {
-            w.u64(*id);
-        }
-    }
+    });
     w.into_bytes()
 }
 
@@ -196,51 +195,49 @@ pub fn restore_reasoner(
         })?;
         sigma.push((id, dep));
     }
-    let entry_count = r.u32()? as usize;
-    let mut cache = Vec::with_capacity(entry_count.min(payload.len()));
-    for _ in 0..entry_count {
-        let lhs = get_atomset(&mut r, declared_atoms)?;
-        let closure = get_atomset(&mut r, declared_atoms)?;
-        let nblocks = r.u32()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks.min(payload.len()));
-        for _ in 0..nblocks {
-            blocks.push(get_atomset(&mut r, declared_atoms)?);
-        }
-        let nbasis = r.u32()? as usize;
-        let mut basis = Vec::with_capacity(nbasis.min(payload.len()));
-        for _ in 0..nbasis {
-            basis.push(get_atomset(&mut r, declared_atoms)?);
-        }
-        let nfired = r.u32()? as usize;
-        let mut fired = Vec::with_capacity(nfired.min(payload.len()));
-        for _ in 0..nfired {
-            fired.push(r.u64()?);
-        }
-        cache.push(CacheExport {
-            lhs,
-            basis: crate::closure::DependencyBasis {
-                closure,
-                blocks,
-                basis,
-            },
-            fired,
-        });
-    }
-    r.finish()?;
-    let reasoner = Reasoner::restore_parts(&attr, sigma, next_id, cache, budget, rec)?;
-    let atoms = reasoner.algebra().atom_count();
+    // the declared identity is checked before any cache entry is read,
+    // so every set below is decoded at the schema's own width
+    let atoms = attr.basis_size();
     if atoms != declared_atoms {
         return Err(PersistError::Invalid(format!(
             "snapshot declares {declared_atoms} atoms but the schema has {atoms}"
         )));
     }
-    let width = WidthClass::for_capacity(atoms).name();
-    if width != declared_width {
+    let width_class = WidthClass::for_capacity(atoms).name();
+    if width_class != declared_width {
         return Err(PersistError::Invalid(format!(
-            "snapshot declares width class {declared_width:?} but the schema is {width:?}"
+            "snapshot declares width class {declared_width:?} but the schema is {width_class:?}"
         )));
     }
-    Ok(reasoner)
+    let entry_count = r.u32()? as usize;
+    let width = atoms.div_ceil(64);
+    let mut cache = Vec::with_capacity(entry_count.min(payload.len()));
+    let mut lhs_words = Vec::new();
+    for _ in 0..entry_count {
+        lhs_words.clear();
+        get_words(&mut r, width, &mut lhs_words)?;
+        let lhs = AtomSet::from_words(atoms, &lhs_words).map_err(invalid_set)?;
+        let mut run = Vec::new();
+        get_words(&mut r, width, &mut run)?;
+        let blocks = r.u32()?;
+        // each block takes 8·width bytes, so a count the rest of the
+        // payload cannot hold is refused before any work is done; a
+        // zero-atom schema has no non-empty set, hence no block
+        if blocks > 0 && (width == 0 || blocks as usize > r.remaining() / (8 * width)) {
+            return Err(PersistError::Invalid(format!(
+                "cache entry declares {blocks} blocks, more than the payload holds"
+            )));
+        }
+        get_words(&mut r, width * blocks as usize, &mut run)?;
+        let fired = r.u32()? as usize;
+        get_words(&mut r, fired, &mut run)?;
+        let entry = PackedBasis::from_run(atoms as u32, run, blocks).map_err(invalid_set)?;
+        cache.push((lhs, entry));
+    }
+    r.finish()?;
+    Ok(Reasoner::restore_parts(
+        &attr, sigma, next_id, cache, budget, rec,
+    )?)
 }
 
 /// Writes a snapshot of `r` to `path` (atomically, via the store
@@ -579,6 +576,161 @@ mod tests {
             Err(PersistError::Store(StoreError::Corrupt { .. })) => {}
             other => panic!("expected truncated-payload corruption, got {other:?}"),
         }
+    }
+
+    /// A payload with two warm entries over `L(A, B, C)` (one word per
+    /// set) and the byte range of each entry.
+    fn two_entry_payload() -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+        let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)", "L(B) ->> L(C)"]);
+        r.implies_str("L(A) -> L(B)").unwrap();
+        r.implies_str("L(C) -> L(A)").unwrap();
+        let payload = snapshot_payload(&r);
+        let mut rd = store::Reader::new(&payload);
+        rd.str().unwrap();
+        rd.u32().unwrap();
+        rd.str().unwrap();
+        rd.u64().unwrap();
+        for _ in 0..rd.u32().unwrap() {
+            rd.u64().unwrap();
+            rd.str().unwrap();
+        }
+        assert_eq!(rd.u32().unwrap(), 2);
+        let mut spans = Vec::new();
+        for _ in 0..2 {
+            let start = usize::try_from(rd.offset()).unwrap();
+            rd.u64().unwrap(); // LHS
+            rd.u64().unwrap(); // X⁺
+            for _ in 0..rd.u32().unwrap() {
+                rd.u64().unwrap(); // a block
+            }
+            for _ in 0..rd.u32().unwrap() {
+                rd.u64().unwrap(); // a fired id
+            }
+            spans.push(start..usize::try_from(rd.offset()).unwrap());
+        }
+        rd.finish().unwrap();
+        (payload, spans)
+    }
+
+    /// Restores `payload` after a round trip through the checksummed
+    /// container, so the bytes are CRC-valid and only the structural
+    /// validation can refuse them.
+    fn restore_crc_valid(payload: &[u8]) -> Result<Reasoner, PersistError> {
+        let file = store::encode_snapshot(payload).unwrap();
+        restore(&store::decode_snapshot(&file).unwrap())
+    }
+
+    #[test]
+    fn cache_entry_layout_is_width_exact_words() {
+        // L(A, B, C) = one word per set; from X = L(A), A -> B fires:
+        // X⁺ = {A, B}, blocks {A} < {B} < {C}, fired ids [0]
+        let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
+        r.implies_str("L(A) -> L(B)").unwrap();
+        let payload = snapshot_payload(&r);
+        let word = |w: u64| w.to_le_bytes().to_vec();
+        let count = |n: u32| n.to_le_bytes().to_vec();
+        let entry = [
+            count(1),  // one cache entry
+            word(0b1), // LHS {A}
+            word(0b11),
+            count(3),
+            word(0b1),
+            word(0b10),
+            word(0b100),
+            count(1),
+            word(0), // fired: dependency id 0
+        ]
+        .concat();
+        assert!(payload.ends_with(&entry), "{payload:02x?}");
+    }
+
+    #[test]
+    fn cache_entries_out_of_ascending_lhs_order_are_invalid() {
+        let (payload, spans) = two_entry_payload();
+        assert!(restore_crc_valid(&payload).is_ok());
+        let (first, second) = (&payload[spans[0].clone()], &payload[spans[1].clone()]);
+        let head = &payload[..spans[0].start];
+        for (what, bad) in [
+            ("duplicate", [head, first, first].concat()),
+            ("swapped", [head, second, first].concat()),
+        ] {
+            match restore_crc_valid(&bad) {
+                Err(PersistError::Invalid(msg)) => {
+                    assert!(msg.contains("ascending"), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cache_set_bits_beyond_the_atom_count_are_invalid() {
+        let (payload, spans) = two_entry_payload();
+        // bit 3 of a one-word set over three atoms; the LHS word starts
+        // the entry, the X⁺ word follows, the first block sits after the
+        // block count
+        let at = spans[1].start;
+        for (what, byte) in [("LHS", at), ("X⁺", at + 8), ("block", at + 20)] {
+            let mut bad = payload.clone();
+            bad[byte] |= 1 << 3;
+            match restore_crc_valid(&bad) {
+                Err(PersistError::Invalid(msg)) => {
+                    assert!(msg.contains("bit 3"), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cache_block_counts_the_payload_cannot_hold_are_invalid() {
+        let invalid = |bad: &[u8], want: &str| match restore_crc_valid(bad) {
+            Err(PersistError::Invalid(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        };
+        // the block count of the first entry follows its LHS and X⁺ words
+        let (payload, spans) = two_entry_payload();
+        let mut bad = payload.clone();
+        let at = spans[0].start + 16;
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        invalid(&bad, "blocks");
+        // a declared atom count of 0 would make every set zero words wide:
+        // it is refused before any entry is read
+        let mut rd = store::Reader::new(&payload);
+        rd.str().unwrap();
+        let at = usize::try_from(rd.offset()).unwrap();
+        let mut bad = payload.clone();
+        bad[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        invalid(&bad, "declares 0 atoms");
+        // a schema with no atoms at all has no block to hold: one entry
+        // (zero-word LHS and X⁺) declaring u32::MAX blocks, no fired id
+        let mut empty = snapshot_payload(&reasoner_with("λ", &[]));
+        assert!(empty.ends_with(&0u32.to_le_bytes()), "a cold cache ends it");
+        empty.truncate(empty.len() - 4);
+        for count in [1, u32::MAX, 0] {
+            empty.extend_from_slice(&count.to_le_bytes());
+        }
+        invalid(&empty, "blocks");
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused_as_format_errors() {
+        let (payload, _) = two_entry_payload();
+        let mut file = store::encode_snapshot(&payload).unwrap();
+        file[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let mut checked = file[8..16].to_vec();
+        checked.extend_from_slice(&payload);
+        file[16..20].copy_from_slice(&store::crc32::crc32(&checked).to_le_bytes());
+        let d = std::env::temp_dir().join(format!("nalist_persist_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&d).unwrap();
+        let path = d.join("v1.snap");
+        std::fs::write(&path, &file).unwrap();
+        let got = read_reasoner_snapshot(&path, &Budget::unlimited(), Arc::new(NoopRecorder));
+        std::fs::remove_dir_all(&d).unwrap();
+        assert!(
+            matches!(got, Err(PersistError::Store(StoreError::Format { .. }))),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -68,14 +68,18 @@ use nalist_guard::Budget;
 use nalist_obs::{Counter, Hist, Recorder};
 
 use crate::closure::{check_downward_closed, ClosureError, DependencyBasis};
+use crate::packed::PackedBasis;
 
-/// The output of one worklist run: the basis plus the indices (into the
-/// caller's `Σ` slice, ascending) of every dependency whose step changed
-/// the engine state at least once.
+/// The output of one worklist run: `X⁺` and the blocks `X^M` — all that
+/// Proposition 4.10 needs, so no `DepB(X)` list is built — plus the
+/// indices (into the caller's `Σ` slice, ascending) of every dependency
+/// whose step changed the engine state at least once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorklistRun {
-    /// The computed closure and dependency basis.
-    pub basis: DependencyBasis,
+    /// `X⁺`, the attribute-set closure.
+    pub closure: AtomSet,
+    /// The final blocks `X^M`, sorted.
+    pub blocks: Vec<AtomSet>,
     /// Indices into `sigma` of the dependencies that fired, ascending.
     pub fired: Vec<usize>,
     /// Dependency steps pulled off the worklist — the unit of work
@@ -108,7 +112,8 @@ pub fn closure_and_basis_worklist_governed(
     x: &AtomSet,
     budget: &Budget,
 ) -> Result<DependencyBasis, ClosureError> {
-    Ok(closure_and_basis_worklist_run_governed(alg, sigma, x, budget)?.basis)
+    let run = closure_and_basis_worklist_run_governed(alg, sigma, x, budget)?;
+    Ok(DependencyBasis::derive(alg, run.closure, run.blocks))
 }
 
 /// [`closure_and_basis_worklist_governed`], also reporting the set of
@@ -190,7 +195,8 @@ pub fn closure_and_basis_worklist_run_governed(
         .collect();
     fired.sort_unstable();
     Ok(WorklistRun {
-        basis: engine.finish(),
+        closure: engine.x_new,
+        blocks: engine.part.sorted_sets(),
         fired,
         steps,
     })
@@ -228,19 +234,23 @@ pub fn closure_and_basis_worklist_run_observed(
 ///
 /// This replays exactly the change test of one engine step (anchoring
 /// via the precomputed masks, `Ṽ = V ∸ Ū`, then the FD/MVD mutation
-/// conditions) against `basis.closure` / `basis.blocks` without mutating
-/// anything. At a fixpoint of `Σ` it is `false` for every `d ∈ Σ` by
-/// definition; for a *new* dependency it decides whether a cached basis
-/// survives `Σ ∪ {dep}` — `false` means the cached state is a fixpoint
-/// of the larger Σ as well, hence still the (canonical) dependency
-/// basis.
-pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &DependencyBasis) -> bool {
-    let closure = &basis.closure;
+/// conditions) against the packed `X⁺` and blocks, read in place,
+/// without mutating anything. At a fixpoint of `Σ` it is `false` for
+/// every `d ∈ Σ` by definition; for a *new* dependency it decides
+/// whether a cached basis survives `Σ ∪ {dep}` — `false` means the
+/// cached state is a fixpoint of the larger Σ as well, hence still the
+/// (canonical) dependency basis.
+pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &PackedBasis) -> bool {
+    let set = |w: &[u64]| {
+        AtomSet::from_words(alg.atom_count(), w).expect("a packed basis holds checked sets")
+    };
+    let closure = &set(basis.closure());
+    let mut blocks = basis.blocks().map(set);
     // Ū := ⊔{W ∈ DB | W anchors an un-determined LHS atom}
     let mut ubar = AtomSet::empty(alg.atom_count());
-    for w in &basis.blocks {
-        if dep.anchors(closure, w) {
-            ubar.union_with(w);
+    for w in blocks.clone() {
+        if dep.anchors(closure, &w) {
+            ubar.union_with(&w);
         }
     }
     let vtilde = alg.pdiff(&dep.rhs, &ubar);
@@ -254,8 +264,8 @@ pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &DependencyBas
             }
             let vt_max = alg.maximal_atoms_of(&vtilde);
             let mut present = AtomSet::empty(alg.atom_count());
-            for w in &basis.blocks {
-                let wmax = alg.maximal_atoms_of(w);
+            for w in blocks {
+                let wmax = alg.maximal_atoms_of(&w);
                 if !wmax.intersects(&vt_max) {
                     continue;
                 }
@@ -277,8 +287,8 @@ pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &DependencyBas
                 return true;
             }
             // … and no block may straddle Ṽ
-            basis.blocks.iter().any(|w| {
-                let wmax = alg.maximal_atoms_of(w);
+            blocks.any(|w| {
+                let wmax = alg.maximal_atoms_of(&w);
                 wmax.intersects(&vtilde) && !wmax.is_subset(&vtilde)
             })
         }
@@ -408,21 +418,6 @@ impl Engine<'_> {
             self.part.push(rest);
         }
         changed
-    }
-
-    /// Assembles the result exactly as the pass engine does.
-    fn finish(self) -> DependencyBasis {
-        let blocks = self.part.sorted_sets();
-        // DepB(X) := SubB(X⁺) ∪ DB_new, deduplicated and sorted
-        let mut basis: std::collections::BTreeSet<AtomSet> = blocks.iter().cloned().collect();
-        for a in self.x_new.iter() {
-            basis.insert(self.alg.atom(a).below.clone());
-        }
-        DependencyBasis {
-            closure: self.x_new,
-            blocks,
-            basis: basis.into_iter().collect(),
-        }
     }
 }
 
@@ -594,9 +589,10 @@ mod tests {
         for (attr, deps, xs) in cases {
             for x in *xs {
                 let (alg, sigma, run) = run_for(attr, deps, x);
+                let packed = PackedBasis::pack(&run.closure, &run.blocks, std::iter::empty());
                 for d in &sigma {
                     assert!(
-                        !step_would_change(&alg, &d.prepare(&alg), &run.basis),
+                        !step_would_change(&alg, &d.prepare(&alg), &packed),
                         "{} at fixpoint of X = {x} on {attr}",
                         d.render(&alg)
                     );
@@ -619,13 +615,14 @@ mod tests {
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
         let before = closure_and_basis_worklist(&alg, &sigma, &x);
+        let packed = PackedBasis::pack(&before.closure, &before.blocks, std::iter::empty());
         for (dep, expect_change) in [
             ("L(B) -> L(C)", true),  // B ∈ X⁺, C outside: fires
             ("L(C) -> L(D)", false), // C unanchored inside one block: no-op
             ("L(A) -> L(B)", false), // already in Σ: no-op at fixpoint
         ] {
             let d = Dependency::parse(&n, dep).unwrap().compile(&alg).unwrap();
-            let predicted = step_would_change(&alg, &d.prepare(&alg), &before);
+            let predicted = step_would_change(&alg, &d.prepare(&alg), &packed);
             assert_eq!(predicted, expect_change, "prediction for {dep}");
             let mut bigger = sigma.clone();
             bigger.push(d);

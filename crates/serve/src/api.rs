@@ -370,12 +370,13 @@ fn tenant_route(
                 200,
                 format!(
                     "{{\"tenant\": {}, \"schema\": {}, \"sigma\": [{}], \
-                     \"cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \
-                     \"retained\": {}, \"evicted\": {}}}}}\n",
+                     \"cache\": {{\"entries\": {}, \"bytes\": {}, \"hits\": {}, \
+                     \"misses\": {}, \"retained\": {}, \"evicted\": {}}}}}\n",
                     escape(tenant),
                     escape(&r.attr().to_string()),
                     deps.join(", "),
                     stats.entries,
+                    stats.bytes,
                     stats.hits,
                     stats.misses,
                     stats.retained,

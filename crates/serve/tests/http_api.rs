@@ -124,11 +124,17 @@ fn full_api_walkthrough() {
     let (status, _) = request(addr, "GET", "/v1/t1/cert", None);
     assert_eq!(status, 400);
 
-    // Σ listing with cache counters.
+    // Σ listing with cache counters: every live entry holds at least its
+    // closure word, and the byte count is whole words.
     let (status, body) = request(addr, "GET", "/v1/t1/sigma", None);
     assert_eq!(status, 200);
     assert!(body.contains("L(A) -> L(B)"), "{body}");
-    assert!(body.contains("\"cache\""), "{body}");
+    let cache = parse_json(&body).expect("sigma is valid JSON");
+    let cache = cache.get("cache").expect("cache object");
+    let field = |k| cache.get(k).and_then(|v| v.as_usize()).expect(k);
+    assert!(field("entries") >= 1, "{body}");
+    assert!(field("bytes") >= 8 * field("entries"), "{body}");
+    assert_eq!(field("bytes") % 8, 0, "{body}");
 
     // The metrics document is valid, schema-versioned JSON.
     let (status, body) = request(addr, "GET", "/metrics", None);

@@ -39,7 +39,7 @@ use crate::{site, StoreError};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"NALSNAP1";
 
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Bytes of header before the payload starts.
 const HEADER_LEN: usize = 20;
@@ -240,19 +240,25 @@ mod tests {
     #[test]
     fn future_version_is_format_error_not_corrupt() {
         let p = tmp("ver");
-        // hand-build a version-2 file with a correct checksum
-        let payload = b"from the future";
-        let len = payload.len() as u32;
-        let mut file = Vec::new();
-        file.extend_from_slice(SNAPSHOT_MAGIC);
-        file.extend_from_slice(&2u32.to_le_bytes());
-        file.extend_from_slice(&len.to_le_bytes());
-        let mut checked = file[8..16].to_vec();
-        checked.extend_from_slice(payload);
-        file.extend_from_slice(&crc32(&checked).to_le_bytes());
-        file.extend_from_slice(payload);
-        std::fs::write(&p, &file).unwrap();
-        assert!(matches!(read_snapshot(&p), Err(StoreError::Format { .. })));
+        // hand-build files of the next and the previous version with a
+        // correct checksum: intact, but not this build's format
+        for version in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+            let payload = b"from another version";
+            let len = payload.len() as u32;
+            let mut file = Vec::new();
+            file.extend_from_slice(SNAPSHOT_MAGIC);
+            file.extend_from_slice(&version.to_le_bytes());
+            file.extend_from_slice(&len.to_le_bytes());
+            let mut checked = file[8..16].to_vec();
+            checked.extend_from_slice(payload);
+            file.extend_from_slice(&crc32(&checked).to_le_bytes());
+            file.extend_from_slice(payload);
+            std::fs::write(&p, &file).unwrap();
+            assert!(
+                matches!(read_snapshot(&p), Err(StoreError::Format { .. })),
+                "version {version}"
+            );
+        }
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }
 

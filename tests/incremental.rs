@@ -225,3 +225,90 @@ proptest! {
         }
     }
 }
+
+/// Prop 4.10 straight from `DepB(X)`: an FD holds iff `Y ⊆ X⁺`, an MVD
+/// iff `Y` is the join of the `DepB(X)` elements below it.
+fn paper_verdict(basis: &DependencyBasis, q: &CompiledDep) -> bool {
+    match q.kind {
+        DepKind::Fd => q.rhs.is_subset(&basis.closure),
+        DepKind::Mvd => {
+            let mut join = AtomSet::empty(q.rhs.capacity());
+            for b in basis.basis.iter().filter(|b| b.is_subset(&q.rhs)) {
+                join.union_with(b);
+            }
+            join == q.rhs
+        }
+    }
+}
+
+/// `r`'s bases and verdicts for `queries` against the uncached paper
+/// engine over `live`.
+fn check_against_paper(
+    r: &Reasoner,
+    alg: &Algebra,
+    live: &[CompiledDep],
+    queries: &[CompiledDep],
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    for q in queries {
+        let want = nalist::membership::closure_and_basis_paper(alg, live, &q.lhs);
+        // DepB(X) = SubB(X⁺) ∪ X^M, deduplicated and sorted, by definition
+        let mut depb: std::collections::BTreeSet<AtomSet> = want.blocks.iter().cloned().collect();
+        depb.extend(want.closure.iter().map(|a| alg.atom(a).below.clone()));
+        prop_assert!(want.basis.iter().eq(&depb), "{}: DepB(X)", stage);
+        let verdict = r.implies(&q.decompile(alg)).expect("compiles");
+        prop_assert_eq!(verdict, paper_verdict(&want, q), "{}: verdict", stage);
+        prop_assert_eq!(r.dependency_basis(&q.lhs), want, "{}: basis", stage);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    /// The packed cache at every width: on both sides of each word
+    /// boundary and width class, up to the heap fallback past 512 atoms,
+    /// the cached reasoner's bases and verdicts equal the uncached paper
+    /// engine's after misses, hits, add and remove evictions, and a
+    /// snapshot round trip.
+    #[test]
+    fn packed_cache_matches_paper_engine_at_every_width(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for atoms in [63usize, 64, 65, 128, 129, 256, 257, 513] {
+            let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+            let alg = Algebra::new(&n);
+            prop_assert_eq!(alg.atom_count(), atoms);
+            let sigma_cfg = nalist::gen::SigmaConfig { count: 6, density: 0.1, ..Default::default() };
+            let mut live = nalist::gen::random_sigma(&mut rng, &alg, &sigma_cfg);
+            let queries: Vec<CompiledDep> = (0..4)
+                .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.3, 0.5))
+                .collect();
+            let mut r = from_scratch(&n, &alg, &live);
+            check_against_paper(&r, &alg, &live, &queries, "misses")?;
+            check_against_paper(&r, &alg, &live, &queries, "hits")?;
+            // an FD anchored at the first query's left-hand side fires in
+            // that entry, so the add must evict it and, once the entry is
+            // recomputed, the remove must evict it again
+            let anchored = CompiledDep::fd(
+                queries[0].lhs.clone(),
+                nalist::gen::random_subattr(&mut rng, &alg, 0.3),
+            );
+            r.add(anchored.decompile(&alg)).expect("generated Σ compiles");
+            live.push(anchored);
+            check_against_paper(&r, &alg, &live, &queries, "after an add")?;
+            r.remove_at(live.len() - 1);
+            live.pop();
+            check_against_paper(&r, &alg, &live, &queries, "after a remove")?;
+            let payload = snapshot_payload(&r);
+            let back = nalist::membership::restore_reasoner(
+                &payload,
+                &Budget::unlimited(),
+                std::sync::Arc::new(nalist::obs::NoopRecorder),
+            )
+            .expect("own snapshot restores");
+            prop_assert_eq!(snapshot_payload(&back), payload);
+            prop_assert_eq!(back.cache_stats().bytes, r.cache_stats().bytes);
+            check_against_paper(&back, &alg, &live, &queries, "after a restore")?;
+        }
+    }
+}
