@@ -22,11 +22,12 @@
 //!
 //! The cache row answers 2000 `read-cold`-shaped queries — fresh
 //! left-hand sides over a 32-atom schema whose 64 dependencies fire
-//! often — through `Reasoner::implies`, and pins the cache's entries and
-//! bytes plus the dependencies fired and worklist steps with the other
-//! counters. It also fails when an entry averages more than
-//! `MAX_ENTRY_BYTES`, so a return to materialised `DepB` lists or
-//! inline-width sets fails here.
+//! often — through `Reasoner::implies`, and pins the cache's entries,
+//! bytes and capacity evictions plus the dependencies fired and worklist
+//! steps with the other counters. The row crosses the cache's byte
+//! bound, so it fails when the cache holds more than `MAX_CACHE_BYTES`,
+//! and when an entry averages more than `MAX_ENTRY_BYTES`, so a return
+//! to materialised `DepB` lists or inline-width sets fails here.
 //!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
@@ -38,7 +39,7 @@
 use std::sync::Arc;
 
 use nalist::guard::Budget;
-use nalist::membership::recover;
+use nalist::membership::{recover, MAX_CACHE_BYTES};
 use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
 use nalist_bench::{
     cold_query_workload, fmt_nanos, incremental_edit_workload, median_nanos, nested_workload,
@@ -59,7 +60,7 @@ const MAX_ENTRY_BYTES: u64 = 1024;
 /// The work counters pinned by the baseline, in file order. The
 /// `wide_*` pair comes from a 256-atom workload, so the w4
 /// width-specialized kernel path is pinned alongside the w2 one; the
-/// `cold_*` four from the cache row.
+/// `cold_*` five from the cache row.
 const WORK_COUNTERS: &[&str] = &[
     "worklist_steps",
     "deps_fired",
@@ -72,6 +73,7 @@ const WORK_COUNTERS: &[&str] = &[
     "recovery_replayed_ops",
     "cold_cache_entries",
     "cold_cache_bytes",
+    "cold_cache_capacity_evicted",
     "cold_deps_fired",
     "cold_worklist_steps",
 ];
@@ -168,7 +170,8 @@ fn main() {
     recover(&rw.snapshot, Some(&rw.wal), &unlimited, recover_rec.clone())
         .expect("the replay row recovers");
     let _ = std::fs::remove_dir_all(&dir);
-    // the cache row: every query misses, fires dependencies and inserts
+    // the cache row: every query misses, fires dependencies and inserts,
+    // so the cache flushes each time it reaches its byte bound
     let cw = cold_query_workload(7, 32, 64, 2000);
     let cold_rec = Arc::new(MetricsRecorder::new());
     let cold = cw.reasoner.clone().with_recorder(cold_rec.clone());
@@ -177,11 +180,12 @@ fn main() {
     }
     let cold_stats = cold.cache_stats();
     println!(
-        "cache row: {} queries, {} entries in {} bytes ({} per entry)",
+        "cache row: {} queries, {} entries in {} bytes ({} per entry), {} flushed by the bound",
         cw.queries.len(),
         cold_stats.entries,
         cold_stats.bytes,
-        cold_stats.bytes / cold_stats.entries.max(1)
+        cold_stats.bytes / cold_stats.entries.max(1),
+        cold_stats.capacity_evicted
     );
     let work = [
         closure_rec.counter(Counter::WorklistSteps),
@@ -195,6 +199,7 @@ fn main() {
         recover_rec.counter(Counter::RecoveryReplayedOps),
         cold_stats.entries,
         cold_stats.bytes,
+        cold_stats.capacity_evicted,
         cold_rec.counter(Counter::DepsFired),
         cold_rec.counter(Counter::WorklistSteps),
     ];
@@ -276,6 +281,14 @@ fn main() {
         eprintln!(
             "OBSERVABILITY OVERHEAD: the disabled-recorder path is {noop_ratio:.2}x the \
              plain path (limit {MAX_NOOP_RATIO:.1}x); the no-op seam must cost nothing."
+        );
+        failed = true;
+    }
+    if cold_stats.bytes > MAX_CACHE_BYTES {
+        eprintln!(
+            "CACHE BOUND: the cache row holds {} bytes, more than the bound of \
+             {MAX_CACHE_BYTES}; an insert past the bound must flush the cache first.",
+            cold_stats.bytes
         );
         failed = true;
     }

@@ -52,6 +52,13 @@ use crate::worklist::{
 /// negligible when callers oversubscribe threads on a small machine.
 const MIN_CACHE_SHARDS: usize = 8;
 
+/// Most packed bytes ([`CacheStats::bytes`]) one reasoner's basis cache
+/// holds. An insert that would take the cache past it first flushes
+/// every entry, so the cache holds at most this much, or one entry that
+/// alone is larger. About 700 entries of a 32-atom schema with
+/// `|Σ|` = 64.
+pub const MAX_CACHE_BYTES: u64 = 256 << 10;
+
 /// Cache-effectiveness counters ([`Reasoner::cache_stats`]). `misses`
 /// counts full Algorithm 5.1 runs, so a batch with duplicated left-hand
 /// sides must raise it by the number of *distinct* LHSs only.
@@ -66,8 +73,12 @@ pub struct CacheStats {
     /// provably could not affect them.
     pub retained: u64,
     /// Entries evicted — by a `Σ` edit that could affect them, or by
-    /// [`Reasoner::clear_cache`].
+    /// [`Reasoner::clear_cache`]. Entries the byte bound dropped count
+    /// in `capacity_evicted` instead.
     pub evicted: u64,
+    /// Entries dropped by the [`MAX_CACHE_BYTES`] bound: the flushes of
+    /// inserts that would have taken the cache past it.
+    pub capacity_evicted: u64,
     /// Entries currently live.
     pub entries: u64,
     /// Exact bytes the live entries' packed runs hold — their words plus
@@ -102,12 +113,22 @@ impl std::fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 /// A thread-safe per-LHS dependency-basis cache, sharded by the hash of
-/// the left-hand side.
+/// the left-hand side and bounded by [`MAX_CACHE_BYTES`].
 ///
 /// Lookups lock exactly one shard, and no lock is held while a basis is
 /// *computed*; within one batch the planner guarantees a distinct LHS is
 /// computed once, and concurrent *independent* callers racing on the
 /// same fresh LHS produce deterministic, idempotent inserts.
+///
+/// The bound is enforced by `insert`: an entry that would take the
+/// reasoner-wide byte total past it first flushes every shard, one lock
+/// at a time. The rule reads only the bytes held and the incoming
+/// entry's — not insertion order, hits or the shard count — so a
+/// reasoner restored from its snapshot, or cloned, evicts exactly as
+/// the live one does, and the counters do not depend on the CPU count.
+/// Entries are memos of complete fixpoints, so a flushed one recomputes
+/// bit-identically (Theorem 6.3). Concurrent inserters can each land
+/// one entry past the bound before the next insert flushes.
 ///
 /// The same no-lock-while-computing discipline is what makes poison
 /// recovery sound: besides the map's own mutations, a shard lock only
@@ -120,10 +141,16 @@ impl std::error::Error for RestoreError {}
 #[derive(Debug)]
 struct BasisCache {
     shards: Vec<Mutex<Shard>>,
+    /// Sum of the live entries' [`PackedBasis::bytes`]. Changed only
+    /// under the lock of the shard whose entries changed, so a
+    /// subtraction never precedes the addition it undoes; it publishes
+    /// no other data, hence `Relaxed`.
+    bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     retained: AtomicU64,
     evicted: AtomicU64,
+    capacity_evicted: AtomicU64,
 }
 
 impl Default for BasisCache {
@@ -137,34 +164,32 @@ impl Default for BasisCache {
 impl Clone for BasisCache {
     /// Deep copy: the clone owns independent shard storage (mutating
     /// either side can never leak entries across), with the same shard
-    /// count and counters reset.
+    /// count and bytes, and counters reset.
     fn clone(&self) -> Self {
         let cloned = BasisCache::with_shards(self.shards.len());
         for (src, dst) in self.shards.iter().zip(&cloned.shards) {
             let src = src.lock().unwrap_or_else(PoisonError::into_inner);
+            let held: u64 = src.values().map(PackedBasis::bytes).sum();
             *dst.lock().unwrap_or_else(PoisonError::into_inner) = src.clone();
+            cloned.bytes.fetch_add(held, Ordering::Relaxed);
         }
         cloned
     }
 }
 
-/// One lock's worth of the cache: the packed bases by left-hand side,
-/// and the sum of their [`PackedBasis::bytes`], kept exact on every
-/// insert, eviction and clear.
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    map: HashMap<AtomSet, PackedBasis>,
-    bytes: u64,
-}
+/// One lock's worth of the cache: the packed bases by left-hand side.
+type Shard = HashMap<AtomSet, PackedBasis>;
 
 impl BasisCache {
     fn with_shards(n: usize) -> Self {
         BasisCache {
             shards: (0..n.max(1)).map(|_| Mutex::default()).collect(),
+            bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             retained: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
+            capacity_evicted: AtomicU64::new(0),
         }
     }
 
@@ -186,7 +211,7 @@ impl BasisCache {
     /// Runs `read` on the cached basis of `x` in place, under its shard
     /// lock — a hit copies nothing out of the cache.
     fn get<T>(&self, x: &AtomSet, read: impl FnOnce(&PackedBasis) -> T) -> Option<T> {
-        let hit = self.shard(x).map.get(x).map(read);
+        let hit = self.shard(x).get(x).map(read);
         let counter = if hit.is_some() {
             &self.hits
         } else {
@@ -198,15 +223,24 @@ impl BasisCache {
 
     /// Warmth probe for the batch planner — no stats impact.
     fn contains(&self, x: &AtomSet) -> bool {
-        self.shard(x).map.contains_key(x)
+        self.shard(x).contains_key(x)
     }
 
-    fn insert(&self, x: AtomSet, entry: PackedBasis) {
+    /// Caches `entry` for `x`. If it would take the cache past
+    /// [`MAX_CACHE_BYTES`], every entry is flushed first; returns how
+    /// many were.
+    fn insert(&self, x: AtomSet, entry: PackedBasis) -> u64 {
+        let size = entry.bytes();
+        let flushed = if self.bytes.load(Ordering::Relaxed) + size > MAX_CACHE_BYTES {
+            self.drain(&self.capacity_evicted)
+        } else {
+            0
+        };
         let mut shard = self.shard(&x);
-        shard.bytes += entry.bytes();
-        if let Some(old) = shard.map.insert(x, entry) {
-            shard.bytes -= old.bytes();
-        }
+        let replaced = shard.insert(x, entry).map_or(0, |old| old.bytes());
+        self.bytes.fetch_add(size, Ordering::Relaxed);
+        self.bytes.fetch_sub(replaced, Ordering::Relaxed);
+        flushed
     }
 
     /// Keeps only the entries `keep` approves, updating the
@@ -217,16 +251,17 @@ impl BasisCache {
         let mut totals = (0u64, 0u64);
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let Shard { map, bytes } = &mut *shard;
-            let before = map.len() as u64;
-            map.retain(|_, e| {
+            let before = shard.len() as u64;
+            let mut freed = 0;
+            shard.retain(|_, e| {
                 let kept = keep(e);
                 if !kept {
-                    *bytes -= e.bytes();
+                    freed += e.bytes();
                 }
                 kept
             });
-            let after = map.len() as u64;
+            self.bytes.fetch_sub(freed, Ordering::Relaxed);
+            let after = shard.len() as u64;
             self.retained.fetch_add(after, Ordering::Relaxed);
             self.evicted.fetch_add(before - after, Ordering::Relaxed);
             totals.0 += after;
@@ -235,29 +270,40 @@ impl BasisCache {
         totals
     }
 
-    fn clear(&self) {
+    /// Empties every shard, one lock at a time and never holding two,
+    /// and adds the entries dropped to `counter`. Returns how many there
+    /// were.
+    fn drain(&self, counter: &AtomicU64) -> u64 {
+        let mut dropped = 0;
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            self.evicted
-                .fetch_add(shard.map.len() as u64, Ordering::Relaxed);
-            *shard = Shard::default();
+            let freed: u64 = shard.values().map(PackedBasis::bytes).sum();
+            self.bytes.fetch_sub(freed, Ordering::Relaxed);
+            dropped += shard.len() as u64;
+            shard.clear();
         }
+        counter.fetch_add(dropped, Ordering::Relaxed);
+        dropped
+    }
+
+    fn clear(&self) {
+        self.drain(&self.evicted);
     }
 
     fn stats(&self) -> CacheStats {
-        let (mut entries, mut bytes) = (0, 0);
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            entries += shard.map.len() as u64;
-            bytes += shard.bytes;
-        }
+        let entries = self
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len() as u64)
+            .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
+            capacity_evicted: self.capacity_evicted.load(Ordering::Relaxed),
             entries,
-            bytes,
+            bytes: self.bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -657,7 +703,7 @@ impl Reasoner {
             .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
             .collect();
         let mut entries: Vec<(&AtomSet, &PackedBasis)> =
-            shards.iter().flat_map(|s| s.map.iter()).collect();
+            shards.iter().flat_map(|s| s.iter()).collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         visit(&entries)
     }
@@ -665,8 +711,11 @@ impl Reasoner {
     /// Rebuilds a reasoner from persisted parts: `Σ` with *pinned*
     /// stable ids, the id counter, and previously warm cache entries in
     /// strictly ascending LHS order (inserted verbatim — no eviction
-    /// sweep, no stats impact), so the result is bit-identical to the
-    /// reasoner that was persisted.
+    /// sweep, no hit or miss), so the result is bit-identical to the
+    /// reasoner that was persisted. The entries go through the
+    /// [`MAX_CACHE_BYTES`] bound like any insert: a persisted cache
+    /// within it is kept whole, and one past it keeps what inserting in
+    /// ascending order keeps.
     ///
     /// Everything is validated: this entry point accepts bytes that
     /// merely passed a checksum, which guards against accidental
@@ -734,7 +783,7 @@ impl Reasoner {
                     )));
                 }
             }
-            r.cache.insert(lhs.clone(), entry);
+            r.insert_entry(lhs.clone(), entry);
             prev_lhs = Some(lhs);
         }
         Ok(r)
@@ -1165,8 +1214,17 @@ impl Reasoner {
         let fired = run.fired.iter().map(|&i| self.ids[i]);
         let entry = PackedBasis::pack(&run.closure, &run.blocks, fired);
         let out = read(&entry);
-        self.cache.insert(x.clone(), entry);
+        self.insert_entry(x.clone(), entry);
         Ok(out)
+    }
+
+    /// [`BasisCache::insert`] with the entries a flush drops mirrored
+    /// into the recorder's `cache_capacity_evicted` counter.
+    fn insert_entry(&self, x: AtomSet, entry: PackedBasis) {
+        let flushed = self.cache.insert(x, entry);
+        if flushed > 0 {
+            self.recorder.add(Counter::CacheCapacityEvicted, flushed);
+        }
     }
 
     /// Dependency basis for a subattribute given in abbreviated notation.
@@ -1542,6 +1600,136 @@ mod tests {
         r.clear_cache();
         assert_eq!(r.cache_stats().bytes, 0);
         assert_eq!(r.cache_stats().entries, 0);
+    }
+
+    /// `R(A, …, P)`: a flat record over 16 atoms, so every subset of
+    /// them is a left-hand side.
+    fn flat16() -> NestedAttr {
+        let names: Vec<String> = ('A'..='P').map(String::from).collect();
+        parse_attr(&format!("R({})", names.join(", "))).unwrap()
+    }
+
+    /// The atoms of [`flat16`] whose bits `mask` sets.
+    fn atoms_of(mask: u32) -> AtomSet {
+        AtomSet::from_indices(16, (0..16).filter(|i| mask >> i & 1 == 1))
+    }
+
+    /// A synthetic entry over `atoms` atoms whose run is `words` zero
+    /// words: `X⁺` and `words - 1` blocks, no fired ids.
+    fn entry_of(atoms: u32, words: usize) -> PackedBasis {
+        PackedBasis::from_run(atoms, vec![0; words], words as u32 - 1).unwrap()
+    }
+
+    #[test]
+    fn flush_leaves_exact_entries_bytes_and_capacity_evictions() {
+        // with Σ empty, a 6-atom LHS of a flat record packs X⁺, six
+        // singleton blocks and the complement: 8 words, 64 bytes, so 4096
+        // entries fill the bound exactly
+        let n = flat16();
+        let lhss: Vec<AtomSet> = (0u32..1 << 16)
+            .filter(|m| m.count_ones() == 6)
+            .map(atoms_of)
+            .collect();
+        let rec = Arc::new(nalist_obs::MetricsRecorder::new());
+        let r = Reasoner::try_new_observed(&n, &Budget::unlimited(), rec.clone()).unwrap();
+        assert_eq!(r.algebra().atom_count(), 16);
+        let per_entry = 64;
+        let fill = (MAX_CACHE_BYTES / per_entry) as usize;
+        for x in &lhss[..fill] {
+            r.dependency_basis(x);
+        }
+        let full = r.cache_stats();
+        assert_eq!(full.entries, fill as u64);
+        assert_eq!(
+            full.bytes, MAX_CACHE_BYTES,
+            "reaching the bound is no flush"
+        );
+        assert_eq!(full.capacity_evicted, 0);
+        // one more entry would pass the bound: all 4096 go, it stays
+        r.dependency_basis(&lhss[fill]);
+        let stats = r.cache_stats();
+        assert_eq!(
+            (stats.entries, stats.bytes, stats.capacity_evicted),
+            (1, per_entry, fill as u64)
+        );
+        assert_eq!(stats.evicted, 0, "a flush is not an edit eviction");
+        assert_eq!(stats.misses, fill as u64 + 1);
+        assert_eq!(
+            rec.counter(Counter::CacheCapacityEvicted),
+            stats.capacity_evicted
+        );
+        // the flushed entries recompute to the same bases
+        let fresh = Reasoner::new(&n);
+        assert_eq!(
+            r.dependency_basis(&lhss[0]),
+            fresh.dependency_basis(&lhss[0])
+        );
+    }
+
+    #[test]
+    fn an_entry_past_the_bound_is_cached_alone() {
+        let cache = BasisCache::default();
+        let key = |i: usize| AtomSet::from_indices(64, [i]);
+        let oversized = (MAX_CACHE_BYTES / 8) as usize + 1;
+        for i in 0..4 {
+            assert_eq!(cache.insert(key(i), entry_of(64, 8)), 0);
+        }
+        // the oversized entry flushes the four and stays, alone
+        assert_eq!(cache.insert(key(10), entry_of(64, oversized)), 4);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.bytes),
+            (1, MAX_CACHE_BYTES + 8),
+            "{stats:?}"
+        );
+        // anything after it flushes it
+        assert_eq!(cache.insert(key(11), entry_of(64, 8)), 1);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.bytes, stats.capacity_evicted),
+            (1, 64, 5)
+        );
+    }
+
+    #[test]
+    fn restore_past_the_bound_keeps_what_ascending_inserts_keep() {
+        // entries of 1 to 1500 words, about three bounds' worth in all
+        let mut lhss: Vec<AtomSet> = (1u32..=150).map(atoms_of).collect();
+        lhss.sort_unstable();
+        let entries: Vec<(AtomSet, PackedBasis)> = lhss
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| (x, entry_of(16, 1 + i * 7919 % 1500)))
+            .collect();
+        // the rule on its own: flush whenever the next entry would pass
+        let (mut kept, mut held, mut flushed) = (Vec::new(), 0, 0);
+        for (x, e) in &entries {
+            if held + e.bytes() > MAX_CACHE_BYTES {
+                flushed += kept.len() as u64;
+                kept.clear();
+                held = 0;
+            }
+            kept.push(x.clone());
+            held += e.bytes();
+        }
+        assert!(flushed > 0, "the entries must pass the bound");
+        let r = Reasoner::restore_parts(
+            &flat16(),
+            Vec::new(),
+            0,
+            entries,
+            &Budget::unlimited(),
+            Arc::new(nalist_obs::NoopRecorder),
+        )
+        .unwrap();
+        let live: Vec<AtomSet> =
+            r.with_cache_entries(|es| es.iter().map(|(x, _)| (*x).clone()).collect());
+        assert_eq!(live, kept);
+        let stats = r.cache_stats();
+        assert_eq!(
+            (stats.entries, stats.bytes, stats.capacity_evicted),
+            (kept.len() as u64, held, flushed)
+        );
     }
 
     #[test]

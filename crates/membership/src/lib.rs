@@ -46,7 +46,7 @@ pub use closure::{
 };
 pub use decide::{
     default_batch_threads, implies, CacheStats, Evidence, QueryError, Reasoner, ReasonerError,
-    RestoreError,
+    RestoreError, MAX_CACHE_BYTES,
 };
 pub use packed::PackedBasis;
 pub use persist::{

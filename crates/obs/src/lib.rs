@@ -98,6 +98,9 @@ pub enum Counter {
     CacheEvicted,
     /// Cache entries retained by selective invalidation.
     CacheRetained,
+    /// Cache entries flushed because an insert would have taken the
+    /// cache past its byte bound.
+    CacheCapacityEvicted,
     /// Chase rounds run to fixpoint.
     ChaseRounds,
     /// Tuples inserted by the chase.
@@ -163,7 +166,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (and serialization) order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::DepsFired,
         Counter::WorklistSteps,
         Counter::AtomsAllocated,
@@ -171,6 +174,7 @@ impl Counter {
         Counter::CacheMisses,
         Counter::CacheEvicted,
         Counter::CacheRetained,
+        Counter::CacheCapacityEvicted,
         Counter::ChaseRounds,
         Counter::ChaseTuples,
         Counter::BatchQueries,
@@ -207,6 +211,7 @@ impl Counter {
             Counter::CacheMisses => "cache_misses",
             Counter::CacheEvicted => "cache_evicted",
             Counter::CacheRetained => "cache_retained",
+            Counter::CacheCapacityEvicted => "cache_capacity_evicted",
             Counter::ChaseRounds => "chase_rounds",
             Counter::ChaseTuples => "chase_tuples",
             Counter::BatchQueries => "batch_queries",

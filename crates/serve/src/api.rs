@@ -371,7 +371,8 @@ fn tenant_route(
                 format!(
                     "{{\"tenant\": {}, \"schema\": {}, \"sigma\": [{}], \
                      \"cache\": {{\"entries\": {}, \"bytes\": {}, \"hits\": {}, \
-                     \"misses\": {}, \"retained\": {}, \"evicted\": {}}}}}\n",
+                     \"misses\": {}, \"retained\": {}, \"evicted\": {}, \
+                     \"capacity_evicted\": {}}}}}\n",
                     escape(tenant),
                     escape(&r.attr().to_string()),
                     deps.join(", "),
@@ -380,7 +381,8 @@ fn tenant_route(
                     stats.hits,
                     stats.misses,
                     stats.retained,
-                    stats.evicted
+                    stats.evicted,
+                    stats.capacity_evicted
                 ),
             ))
         }
@@ -608,6 +610,14 @@ fn handle_query(
     ))
 }
 
+/// `POST /v1/{t}/edit` with `{"op", "dep"}` or `{"edits": [{"op", "dep"}, …]}`.
+/// The whole batch is validated before anything is journaled, since a
+/// record that cannot replay must never reach the log: every text
+/// parsed and compiled, every op named, every remove checked against Σ
+/// as the batch's earlier edits leave it, and the deadline checked per
+/// edit. So a batch that answers `400` or `429` changes nothing. Then
+/// each edit is journaled and applied in turn, from the dependencies
+/// the first pass parsed.
 fn handle_edit(
     state: &ServiceState,
     r: &mut Reasoner,
@@ -639,39 +649,56 @@ fn handle_edit(
         )]
     };
     let limits = nalist_types::parser::ParseLimits::from_budget(budget);
-    let rec = Arc::clone(state.recorder());
-    let (mut adds, mut removes) = (0u64, 0u64);
+    // (is an add, parsed, compiled) per edit, in batch order
+    let mut checked: Vec<(bool, nalist_deps::Dependency, nalist_deps::CompiledDep)> =
+        Vec::with_capacity(edits.len());
     for (i, (op, text)) in edits.iter().enumerate() {
         budget.check_deadline().map_err(ApiError::resource)?;
         let here = |e: &dyn std::fmt::Display| ApiError::bad_request(format!("edits[{i}]: {e}"));
         let dep =
             nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| here(&e))?;
-        // Validate fully *before* journaling: a record that cannot
-        // replay must never reach the log.
         let compiled = dep.compile(r.algebra()).map_err(|m| here(&m))?;
-        let wal_op = match op.as_str() {
-            "add" => WalOp::Add(text.clone()),
+        let add = match op.as_str() {
+            "add" => true,
             "remove" => {
-                if !r.compiled_sigma().contains(&compiled) {
+                // Σ as the batch's earlier edits leave it must hold a
+                // copy: one more than the earlier removes take, net of
+                // the earlier adds
+                let earlier = |add: bool| {
+                    checked
+                        .iter()
+                        .filter(|(a, _, c)| *a == add && *c == compiled)
+                        .count()
+                };
+                let (added, removed) = (earlier(true), earlier(false));
+                let mut held = r.compiled_sigma().iter().filter(|c| **c == compiled);
+                if added <= removed && held.nth(removed - added).is_none() {
                     return Err(here(&format!("dependency not in Σ: {text}")));
                 }
-                WalOp::Remove(text.clone())
+                false
             }
             other => return Err(here(&format!("unknown op {other:?} (want add or remove)"))),
+        };
+        checked.push((add, dep, compiled));
+    }
+    let rec = Arc::clone(state.recorder());
+    let (mut adds, mut removes) = (0u64, 0u64);
+    for ((add, dep, _), (_, text)) in checked.into_iter().zip(edits) {
+        let wal_op = if add {
+            WalOp::Add(text)
+        } else {
+            WalOp::Remove(text)
         };
         if let Some(w) = wal.as_deref_mut() {
             w.append(&wal_op.encode(), budget, rec.as_ref())
                 .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
         }
-        match op.as_str() {
-            "add" => {
-                r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
-                adds += 1;
-            }
-            _ => {
-                r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
-                removes += 1;
-            }
+        if add {
+            r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
+            adds += 1;
+        } else {
+            r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
+            removes += 1;
         }
     }
     let stats = r.cache_stats();

@@ -250,3 +250,71 @@ fn capped_span_buffer_bounds_the_metrics_document() {
     assert!(dropped >= 9, "{dropped}");
     srv.shutdown();
 }
+
+/// An `/edit` batch is validated whole before anything is journaled:
+/// removes see the batch's earlier edits, and a batch with a bad edit
+/// anywhere answers 400 with its valid edits neither applied nor
+/// journaled, so `/sigma` reads the same before and after — also after
+/// a restart on the same wal-dir.
+#[test]
+fn failed_edit_batch_changes_nothing() {
+    let dir = std::env::temp_dir().join(format!("nalist-serve-edit-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create wal dir");
+    let boot = || {
+        let cfg = ServerConfig {
+            workers: 2,
+            wal_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let srv =
+            nalist_serve::server::start(&cfg, Arc::new(MetricsRecorder::new())).expect("start");
+        let addr = srv.local_addr();
+        (srv, addr)
+    };
+    let sigma = |addr| {
+        let (status, body) = request(addr, "GET", "/v1/t/sigma", None);
+        assert_eq!(status, 200, "{body}");
+        let doc = parse_json(&body).expect("sigma is valid JSON");
+        format!("{:?}", doc.get("sigma").expect("sigma listing"))
+    };
+    let edit = |addr, body: &str| request(addr, "POST", "/v1/t/edit", Some(body));
+
+    let (srv, addr) = boot();
+    let create = r#"{"schema": "L(A, B, C)", "deps": ["L(A) -> L(B)"]}"#;
+    let (status, body) = request(addr, "POST", "/v1/t/create", Some(create));
+    assert_eq!(status, 201, "{body}");
+    // a remove may take what an earlier edit of its batch added
+    let (status, body) = edit(
+        addr,
+        r#"{"edits": [{"op": "add", "dep": "L(B) -> L(C)"}, {"op": "remove", "dep": "L(B) -> L(C)"}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let before = sigma(addr);
+
+    for (batch, why) in [
+        (
+            r#"{"edits": [{"op": "add", "dep": "L(B) -> L(C)"}, {"op": "add", "dep": "L(B) ->"}]}"#,
+            "edits[1]",
+        ),
+        (
+            r#"{"edits": [{"op": "add", "dep": "L(B) -> L(C)"}, {"op": "swap", "dep": "L(B) -> L(C)"}]}"#,
+            "unknown op",
+        ),
+        (
+            r#"{"edits": [{"op": "remove", "dep": "L(A) -> L(B)"}, {"op": "remove", "dep": "L(A) -> L(B)"}]}"#,
+            "not in Σ",
+        ),
+    ] {
+        let (status, body) = edit(addr, batch);
+        assert_eq!(status, 400, "{batch}: {body}");
+        assert!(body.contains(why), "{batch}: {body}");
+        assert_eq!(sigma(addr), before, "{batch} changed Σ");
+    }
+    srv.shutdown();
+
+    let (srv, addr) = boot();
+    assert_eq!(sigma(addr), before, "a failed batch reached the log");
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

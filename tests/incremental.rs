@@ -11,6 +11,7 @@
 //! on the confluence theorem, Theorem 6.3 of the paper).
 
 use nalist::gen::{random_edit_script, EditConfig, EditOp};
+use nalist::membership::MAX_CACHE_BYTES;
 use nalist::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -310,5 +311,102 @@ proptest! {
             prop_assert_eq!(back.cache_stats().bytes, r.cache_stats().bytes);
             check_against_paper(&back, &alg, &live, &queries, "after a restore")?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
+
+    /// Past the cache's byte bound: fresh left-hand sides fill the cache
+    /// until an insert flushes it, with adds and removes mixed in. After
+    /// every operation the cache holds at most `MAX_CACHE_BYTES` (or a
+    /// single entry), and every verdict equals the uncached
+    /// `membership::implies`. A reasoner restored from the snapshot at a
+    /// random cut, part-way through refilling after the first flush, and
+    /// fed the remaining operations has the live reasoner's snapshot
+    /// payload after each one, through the next flush.
+    #[test]
+    fn bounded_cache_flushes_identically_after_a_restore(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(32..=129);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        // Σ has sparse left-hand sides, so it fires in most closures; the
+        // edits add and remove dependencies with dense ones, which evict
+        // a few entries each instead of emptying the cache
+        let sigma: Vec<CompiledDep> = (0..32)
+            .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.08, 0.3))
+            .collect();
+        let mut live = from_scratch(&n, &alg, &sigma);
+        let mut added: Vec<Dependency> = Vec::new();
+        let mut restored: Option<Reasoner> = None;
+        let cut_at = rng.gen_range(0.5..0.95) * MAX_CACHE_BYTES as f64;
+        let mut seen = std::collections::HashSet::new();
+        let (mut flushes, mut flushes_after_cut, mut tail) = (0, 0, 16);
+        for step in 0..20_000 {
+            let before = live.cache_stats();
+            if restored.is_none() && flushes > 0 && before.bytes as f64 >= cut_at {
+                let payload = snapshot_payload(&live);
+                let back = nalist::membership::restore_reasoner(
+                    &payload,
+                    &Budget::unlimited(),
+                    std::sync::Arc::new(nalist::obs::NoopRecorder),
+                )
+                .expect("own snapshot restores");
+                prop_assert_eq!(snapshot_payload(&back), payload);
+                restored = Some(back);
+            }
+            let roll = rng.gen_range(0..100);
+            if roll < 2 && !added.is_empty() {
+                let d = added.swap_remove(rng.gen_range(0..added.len()));
+                for r in std::iter::once(&mut live).chain(restored.as_mut()) {
+                    prop_assert!(r.remove(&d).expect("compiles"));
+                }
+            } else if roll < 4 {
+                let d = nalist::gen::random_dep(&mut rng, &alg, 0.85, 0.3).decompile(&alg);
+                for r in std::iter::once(&mut live).chain(restored.as_mut()) {
+                    r.add(d.clone()).expect("generated Σ compiles");
+                }
+                added.push(d);
+            } else {
+                let q = loop {
+                    let q = nalist::gen::random_dep(&mut rng, &alg, 0.3, 0.5);
+                    if seen.insert(q.lhs.clone()) {
+                        break q;
+                    }
+                };
+                let want = nalist::membership::implies(&alg, live.compiled_sigma(), &q);
+                let dep = q.decompile(&alg);
+                prop_assert_eq!(live.implies(&dep).expect("compiles"), want, "step {}", step);
+                if let Some(r) = &restored {
+                    prop_assert_eq!(r.implies(&dep).expect("compiles"), want, "step {}", step);
+                }
+            }
+            let stats = live.cache_stats();
+            prop_assert!(
+                stats.bytes <= MAX_CACHE_BYTES || stats.entries == 1,
+                "step {}: {:?}",
+                step,
+                stats
+            );
+            let flushed = stats.capacity_evicted > before.capacity_evicted;
+            flushes += u32::from(flushed);
+            if let Some(r) = &restored {
+                prop_assert_eq!(
+                    snapshot_payload(r),
+                    snapshot_payload(&live),
+                    "step {}: diverged after the restore",
+                    step
+                );
+                flushes_after_cut += u32::from(flushed);
+                if flushes_after_cut > 0 {
+                    tail -= 1;
+                    if tail == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        prop_assert!(flushes >= 2 && flushes_after_cut >= 1, "{} flushes, {} after the cut", flushes, flushes_after_cut);
     }
 }
