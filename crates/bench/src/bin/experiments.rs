@@ -361,24 +361,53 @@ fn certificates() {
          vs. the exponential search space the naive engine walks",
         total_nodes.checked_div(implied).unwrap_or(0)
     );
-    let w = nalist_bench::nested_workload(7, 16, 8);
+    // the overhead where dependencies fire: read-cold-shaped left-hand
+    // sides (|Σ| = 64, left-hand sides at density 0.05), where a closure
+    // fires about a dozen dependencies and the replay has work to do
+    let cw = nalist_bench::cold_query_workload(7, 32, 64, 32);
+    let (alg, sigma) = (cw.reasoner.algebra(), cw.reasoner.compiled_sigma());
+    let lhss: Vec<AtomSet> = cw
+        .queries
+        .iter()
+        .map(|q| q.compile(alg).expect("workload queries compile").lhs)
+        .collect();
+    let rec = nalist::obs::MetricsRecorder::new();
+    let mut nodes = 0usize;
+    for x in &lhss {
+        nalist::membership::worklist::run(alg, sigma, x, &Budget::unlimited(), &rec)
+            .expect("workload left-hand sides are downward closed");
+        nodes += nalist::membership::certified_closure_and_basis(alg, sigma, x)
+            .expect("benchmark workloads certify cleanly")
+            .dag
+            .len();
+    }
     let t = median_nanos(5, || {
-        for q in &w.queries {
+        for x in &lhss {
             std::hint::black_box(
-                nalist::membership::certified_closure_and_basis(&w.alg, &w.sigma, q)
+                nalist::membership::certified_closure_and_basis(alg, sigma, x)
                     .expect("benchmark workloads certify cleanly")
                     .dag
                     .len(),
             );
         }
-    }) / w.queries.len() as u128;
+    }) / lhss.len() as u128;
     let plain = median_nanos(5, || {
-        std::hint::black_box(nalist_bench::run_closures(&w));
-    }) / w.queries.len() as u128;
+        for x in &lhss {
+            std::hint::black_box(closure_and_basis(alg, sigma, x));
+        }
+    }) / lhss.len() as u128;
+    let per_query = |total: u64| total as f64 / lhss.len() as f64;
     println!(
-        "overhead at |N| = 16, |Σ| = 8: certified run {} vs plain {} per query",
+        "overhead at |N| = 32, |Σ| = 64, {} fresh left-hand sides (read-cold densities): \
+         certified run {} vs plain {} per query ({:.1}×); {:.1} dependencies fired in \
+         {:.1} worklist steps and {:.0} DAG nodes per query",
+        lhss.len(),
         fmt_nanos(t),
-        fmt_nanos(plain)
+        fmt_nanos(plain),
+        t as f64 / plain.max(1) as f64,
+        per_query(rec.counter(nalist::obs::Counter::DepsFired)),
+        per_query(rec.counter(nalist::obs::Counter::WorklistSteps)),
+        per_query(nodes as u64)
     );
 
     // the portable wire format: serialized certificate size, and the

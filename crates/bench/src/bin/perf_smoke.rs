@@ -29,6 +29,14 @@
 //! and when an entry averages more than `MAX_ENTRY_BYTES`, so a return
 //! to materialised `DepB` lists or inline-width sets fails here.
 //!
+//! The certification row certifies every target of a 200-query
+//! `read-cold`-shaped stream with `certify_governed` (`cert_ns`, same
+//! 3x limit) and pins how many are implied and the total nodes of their
+//! derivations. Certificates replay only the steps that fired in the
+//! worklist engine; the earlier certifier re-ran Algorithm 5.1's
+//! REPEAT-UNTIL passes and recorded 111,331 nodes on this row, so a
+//! return to the pass loop fails here.
+//!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
 //! no-op recorder must not be measurably slower than the plain path.
@@ -38,8 +46,9 @@
 
 use std::sync::Arc;
 
+use nalist::deps::CompiledDep;
 use nalist::guard::Budget;
-use nalist::membership::{recover, MAX_CACHE_BYTES};
+use nalist::membership::{certify_governed, recover, MAX_CACHE_BYTES};
 use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
 use nalist_bench::{
     cold_query_workload, fmt_nanos, incremental_edit_workload, median_nanos, nested_workload,
@@ -60,7 +69,8 @@ const MAX_ENTRY_BYTES: u64 = 1024;
 /// The work counters pinned by the baseline, in file order. The
 /// `wide_*` pair comes from a 256-atom workload, so the w4
 /// width-specialized kernel path is pinned alongside the w2 one; the
-/// `cold_*` five from the cache row.
+/// `cold_*` five from the cache row, the `cert_*` pair from the
+/// certification row.
 const WORK_COUNTERS: &[&str] = &[
     "worklist_steps",
     "deps_fired",
@@ -76,6 +86,8 @@ const WORK_COUNTERS: &[&str] = &[
     "cold_cache_capacity_evicted",
     "cold_deps_fired",
     "cold_worklist_steps",
+    "cert_implied",
+    "cert_dag_nodes",
 ];
 
 /// Extracts `"field": <digits>` from a hand-written JSON object — the
@@ -187,6 +199,41 @@ fn main() {
         cold_stats.bytes / cold_stats.entries.max(1),
         cold_stats.capacity_evicted
     );
+    // the certification row: implied targets get a derivation, the
+    // others are decided from the closure alone
+    let certw = cold_query_workload(7, 32, 64, 200);
+    let cert_alg = certw.reasoner.algebra();
+    let cert_sigma = certw.reasoner.compiled_sigma();
+    let cert_targets: Vec<CompiledDep> = certw
+        .queries
+        .iter()
+        .map(|q| {
+            q.compile(cert_alg)
+                .expect("the certification row's queries compile")
+        })
+        .collect();
+    let certify_all = || {
+        let (mut implied, mut nodes) = (0u64, 0u64);
+        for t in &cert_targets {
+            let proof = certify_governed(cert_alg, cert_sigma, t, &unlimited)
+                .expect("the certification row certifies");
+            if let Some(dag) = proof {
+                implied += 1;
+                nodes += dag.len() as u64;
+            }
+        }
+        (implied, nodes)
+    };
+    let (cert_implied, cert_dag_nodes) = certify_all();
+    let cert_ns = median_nanos(3, || {
+        std::hint::black_box(certify_all());
+    });
+    println!(
+        "certification row: {} targets, {cert_implied} implied with {cert_dag_nodes} \
+         derivation nodes in all, in {}",
+        cert_targets.len(),
+        fmt_nanos(cert_ns)
+    );
     let work = [
         closure_rec.counter(Counter::WorklistSteps),
         closure_rec.counter(Counter::DepsFired),
@@ -202,6 +249,8 @@ fn main() {
         cold_stats.capacity_evicted,
         cold_rec.counter(Counter::DepsFired),
         cold_rec.counter(Counter::WorklistSteps),
+        cert_implied,
+        cert_dag_nodes,
     ];
     print!("work counters:");
     for (name, value) in WORK_COUNTERS.iter().zip(work) {
@@ -211,7 +260,7 @@ fn main() {
 
     if std::env::var_os("UPDATE_PERF_BASELINE").is_some() {
         let mut json = format!(
-            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns}"
+            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns},\n  \"cert_ns\": {cert_ns}"
         );
         for (name, value) in WORK_COUNTERS.iter().zip(work) {
             json.push_str(&format!(",\n  \"{name}\": {value}"));
@@ -252,6 +301,7 @@ fn main() {
     for (field, what, ns) in [
         ("parse_ns", "notation parsing", parse_ns),
         ("recover_ns", "WAL replay", recover_ns),
+        ("cert_ns", "certification", cert_ns),
     ] {
         let row_baseline = parse_field(&text, field).unwrap_or_else(|| {
             eprintln!("no \"{field}\" field in {BASELINE_PATH}");

@@ -18,7 +18,7 @@ use nalist::membership::{write_reasoner_snapshot, WalOp};
 use nalist::obs::NoopRecorder;
 use nalist::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A deterministic closure workload: ambient algebra, `Σ`, and a list of
 /// query left-hand sides.
@@ -158,30 +158,20 @@ pub struct ColdQueryWorkload {
     pub queries: Vec<Dependency>,
 }
 
-/// A non-trivial random dependency with a non-empty left-hand side of
-/// density `lhs` and a right-hand side of density `rhs`.
-fn dep_with(rng: &mut StdRng, alg: &Algebra, lhs: f64, rhs: f64, fd_prob: f64) -> CompiledDep {
-    loop {
-        let l = nalist::gen::random_subattr(rng, alg, lhs);
-        if l.is_empty() {
-            continue;
-        }
-        let r = nalist::gen::random_subattr(rng, alg, rhs);
-        let d = if rng.gen_bool(fd_prob) {
-            CompiledDep::fd(l, r)
-        } else {
-            CompiledDep::mvd(l, r)
-        };
-        if !d.is_trivial(alg) {
-            return d;
-        }
-    }
-}
+/// Draws in a row that find no new left-hand side before
+/// [`cold_query_workload`] gives up on a schema too small for `count`.
+const STALE_DRAWS: usize = 1 << 16;
 
 /// Builds a [`ColdQueryWorkload`] over an `atoms`-atom schema,
 /// deterministic in `seed`: `sigma_count` dependencies with left-hand
 /// side density 0.05, right-hand side density 0.3 and FD share 0.1, and
 /// `count` queries with both sides at density 0.3 and FD share 0.5.
+///
+/// # Panics
+///
+/// When the schema yields fewer than `count` distinct left-hand sides:
+/// after 65,536 draws in a row without a new one, with a message naming
+/// the shortfall.
 pub fn cold_query_workload(
     seed: u64,
     atoms: usize,
@@ -193,18 +183,30 @@ pub fn cold_query_workload(
     let alg = Algebra::new(&attr);
     let mut reasoner = Reasoner::new(&attr);
     for _ in 0..sigma_count {
-        let d = dep_with(&mut rng, &alg, 0.05, 0.3, 0.1);
+        let d = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.05, 0.3, 0.1);
         reasoner
             .add(d.decompile(&alg))
             .expect("generated Σ compiles");
     }
     let mut seen = HashSet::new();
     let mut queries = Vec::with_capacity(count);
+    let mut stale = 0;
     while queries.len() < count {
-        let d = dep_with(&mut rng, &alg, 0.3, 0.3, 0.5);
+        let d = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.3, 0.3, 0.5);
         if seen.insert(d.lhs.clone()) {
             queries.push(d.decompile(&alg));
+            stale = 0;
+            continue;
         }
+        stale += 1;
+        assert!(
+            stale < STALE_DRAWS,
+            "cold_query_workload(seed {seed}, {atoms} atoms): found only {} distinct \
+             left-hand sides for {count} queries, {} short (no new one in {STALE_DRAWS} \
+             draws in a row)",
+            queries.len(),
+            count - queries.len()
+        );
     }
     ColdQueryWorkload { reasoner, queries }
 }
@@ -342,8 +344,8 @@ pub fn run_closures(w: &Workload) -> usize {
     acc
 }
 
-/// The same unit of work as [`run_closures`], through the observed
-/// worklist entry point. With the no-op recorder this measures the
+/// The same unit of work as [`run_closures`], through the worklist
+/// engine with the given recorder. With the no-op recorder this measures the
 /// observability seam's disabled-path overhead (expected: none); with a
 /// [`nalist::obs::MetricsRecorder`] the recorder's counters afterwards
 /// hold machine-independent work totals (worklist steps, dependencies
@@ -352,10 +354,8 @@ pub fn run_closures_observed(w: &Workload, rec: &dyn nalist::obs::Recorder) -> u
     let budget = Budget::unlimited();
     let mut acc = 0usize;
     for q in &w.queries {
-        let run = nalist::membership::closure_and_basis_worklist_run_observed(
-            &w.alg, &w.sigma, q, &budget, rec,
-        )
-        .expect("workload queries are downward closed and the budget unlimited");
+        let run = nalist::membership::worklist::run(&w.alg, &w.sigma, q, &budget, rec)
+            .expect("workload queries are downward closed and the budget unlimited");
         acc += run.closure.count() + run.blocks.len();
     }
     acc
@@ -458,6 +458,14 @@ mod tests {
         let rec = MetricsRecorder::new();
         run_closures_observed(&chain, &rec);
         assert_eq!(rec.counter(Counter::DepsFired), 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "short")]
+    fn cold_query_workload_names_its_shortfall_on_a_tiny_schema() {
+        // 8 atoms hold fewer distinct left-hand sides than 60 queries
+        // need; this used to loop forever
+        cold_query_workload(7, 8, 8, 60);
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use defects::{
 pub use edits::{random_edit_script, EditConfig, EditOp};
 pub use instance_gen::{random_instance, random_value, satisfying_instance, InstanceConfig};
 pub use scenarios::Scenario;
-pub use sigma_gen::{random_dep, random_sigma, random_subattr, SigmaConfig};
+pub use sigma_gen::{random_dep, random_nontrivial_dep, random_sigma, random_subattr, SigmaConfig};

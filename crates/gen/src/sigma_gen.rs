@@ -51,6 +51,46 @@ pub fn random_dep(rng: &mut impl Rng, alg: &Algebra, density: f64, fd_prob: f64)
     }
 }
 
+/// A non-trivial random dependency with a non-empty left-hand side of
+/// density `lhs` and a right-hand side of density `rhs`, an FD with
+/// probability `fd_prob`. Left-hand sides sparser than the right-hand
+/// sides make dependencies fire: `read-cold`'s `Σ` draws them at 0.05
+/// and 0.3 with FD share 0.1, its queries at 0.3, 0.3 and 0.5.
+///
+/// # Panics
+///
+/// When 65,536 draws in a row give no such dependency, as on a one-atom
+/// schema, where every dependency with a non-empty left-hand side is
+/// trivial.
+pub fn random_nontrivial_dep(
+    rng: &mut impl Rng,
+    alg: &Algebra,
+    lhs: f64,
+    rhs: f64,
+    fd_prob: f64,
+) -> CompiledDep {
+    for _ in 0..1 << 16 {
+        let l = random_subattr(rng, alg, lhs);
+        if l.is_empty() {
+            continue;
+        }
+        let r = random_subattr(rng, alg, rhs);
+        let d = if rng.gen_bool(fd_prob) {
+            CompiledDep::fd(l, r)
+        } else {
+            CompiledDep::mvd(l, r)
+        };
+        if !d.is_trivial(alg) {
+            return d;
+        }
+    }
+    panic!(
+        "random_nontrivial_dep: 65536 draws gave no non-trivial dependency with a non-empty \
+         left-hand side on {}",
+        alg.attr()
+    );
+}
+
 /// A random dependency set; with `skip_trivial`, trivial candidates are
 /// re-rolled a bounded number of times (trivial ones may still appear in
 /// degenerate algebras where everything is trivial).
@@ -87,6 +127,16 @@ mod tests {
             let x = random_subattr(&mut rng, &alg, 0.4);
             assert!(alg.is_downward_closed(&x));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no non-trivial dependency")]
+    fn nontrivial_deps_do_not_exist_on_one_atom() {
+        // the only non-empty left-hand side is the whole schema, so every
+        // dependency drawn is trivial; this used to loop forever
+        let n = nalist_types::parser::parse_attr("R(A)").unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        random_nontrivial_dep(&mut rng, &Algebra::new(&n), 0.5, 0.5, 0.5);
     }
 
     #[test]

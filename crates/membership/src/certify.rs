@@ -1,15 +1,15 @@
-//! Certified membership: Algorithm 5.1 instrumented to emit a **checkable
-//! derivation** (a [`ProofDag`] over the 14 rules of Theorem 4.6) for
-//! every implication it reports.
+//! Certified membership: a **checkable derivation** (a [`ProofDag`] over
+//! the 14 rules of Theorem 4.6) for every output of Algorithm 5.1.
 //!
 //! The paper's Lemma 6.1 proves that everything the algorithm outputs is
 //! derivable (`X ↠ W ∈ Σ⁺` for every `W ∈ DepB_alg(X)` and
-//! `X → X⁺_alg ∈ Σ⁺`) by induction over the loop. This module makes that
-//! induction *constructive*: every state update appends the corresponding
-//! rule applications to a shared proof DAG, so certificates stay
-//! polynomial in size and can be re-verified by the independent checker
-//! in `nalist-deps` — turning "trust the algorithm" into "check this
-//! object".
+//! `X → X⁺_alg ∈ Σ⁺`) by induction over the steps that change the state;
+//! the others are no-ops, which is why the worklist engine may skip them.
+//! This module makes the induction *constructive*: it replays the firing
+//! trail of one production run ([`WorklistRun::trail`]), appending the
+//! rule applications of every state update to a shared proof DAG that the
+//! independent checker in `nalist-check` re-verifies. A replay that does
+//! not retrace the run is a typed error, not a certificate.
 //!
 //! The derivations rely on two invariants of the loop (both established
 //! in the paper's correctness proof and re-checked here defensively):
@@ -36,7 +36,8 @@ use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, DepKind, ProofDag, Rule};
 use nalist_guard::{Budget, ResourceExhausted};
 
-use crate::closure::{closure_and_basis, DependencyBasis};
+use crate::closure::{derivable, ClosureError, DependencyBasis};
+use crate::worklist::WorklistRun;
 
 /// Error from certification: a recorded rule application was rejected by
 /// the proof checker's side conditions. With dependencies compiled
@@ -50,13 +51,16 @@ pub enum CertifyError {
         /// Display name of the rule whose side condition failed.
         rule: &'static str,
     },
-    /// An internal invariant of the certifying run failed — the recorded
-    /// derivation disagrees with the uninstrumented engine. Indicates a
-    /// bug; previously these were `assert!` panics.
+    /// An internal invariant of the replay failed — the recorded
+    /// derivation does not retrace the engine's run. Indicates a bug.
     Internal {
         /// Which invariant broke.
         what: &'static str,
     },
+    /// `X` is not an element of the algebra's `Sub(N)`, so the engine
+    /// refused to run ([`ClosureError`]); only hand-built inputs reach
+    /// this.
+    Closure(ClosureError),
     /// The budget ran out mid-certification.
     Resource(ResourceExhausted),
 }
@@ -68,6 +72,7 @@ impl std::fmt::Display for CertifyError {
                 write!(f, "certify: invalid {rule} instance")
             }
             CertifyError::Internal { what } => write!(f, "certify: {what}"),
+            CertifyError::Closure(e) => write!(f, "certify: {e}"),
             CertifyError::Resource(e) => write!(f, "{e}"),
         }
     }
@@ -81,11 +86,20 @@ impl From<ResourceExhausted> for CertifyError {
     }
 }
 
+impl From<ClosureError> for CertifyError {
+    fn from(e: ClosureError) -> Self {
+        match e {
+            ClosureError::Resource(e) => CertifyError::Resource(e),
+            other => CertifyError::Closure(other),
+        }
+    }
+}
+
 /// The certified output: the dependency basis plus a proof DAG and the
 /// nodes certifying each part.
 #[derive(Debug, Clone)]
 pub struct CertifiedBasis {
-    /// The (independently computed and asserted-equal) dependency basis.
+    /// The dependency basis of the worklist run the DAG retraces.
     pub basis: DependencyBasis,
     /// The shared derivation DAG.
     pub dag: ProofDag,
@@ -212,33 +226,126 @@ impl<'a> Builder<'a> {
         };
         Ok((set, node))
     }
+
+    /// Replays one fired step of `dep` (premise node `premise`): derives
+    /// the new `X → X_new` and a node `X ↠ W` for every block the step
+    /// leaves.
+    fn fire(&mut self, dep: &CompiledDep, premise: usize, x: &AtomSet) -> Result<(), CertifyError> {
+        let alg = self.alg;
+        let (ubar_set, ubar_node) = self.ubar(&dep.lhs, x)?;
+        let vtilde = alg.pdiff(&dep.rhs, &ubar_set);
+        if vtilde.is_empty() {
+            return Err(CertifyError::Internal {
+                what: "a trail step transfers nothing",
+            });
+        }
+        // the anchoring invariant the derivations rely on
+        if !dep.lhs.is_subset(&alg.join(&self.x_new, &ubar_set)) {
+            return Err(CertifyError::Internal {
+                what: "anchoring invariant violated",
+            });
+        }
+        match dep.kind {
+            DepKind::Fd => {
+                // X_new ↠ Ū^C
+                let comp = self.step(Rule::MvdComplementation, &[ubar_node], &[])?;
+                let aug = self.lift(comp, &self.x_new.clone())?;
+                // U → Ṽ
+                let refl_v = self.fd_refl(&dep.rhs, &vtilde)?;
+                let u_to_vt = self.step(Rule::FdTransitivity, &[premise, refl_v], &[])?;
+                // generalised coalescence: X_new → Ṽ
+                let coal = self.step(Rule::Coalescence, &[aug, u_to_vt], &[])?;
+                // X → Ṽ, and the new X → X_new
+                let x_to_vt = self.step(Rule::FdTransitivity, &[self.x_node, coal], &[])?;
+                let x_join = self.step(Rule::FdJoin, &[self.x_node, x_to_vt], &[])?;
+                self.x_node = x_join;
+                self.x_new = alg.join(&self.x_new, &vtilde);
+                // block updates
+                let x_mvd_vt = self.step(Rule::FdImpliesMvd, &[x_to_vt], &[])?;
+                for (w, wn) in std::mem::take(&mut self.blocks) {
+                    let reduced = alg.cc(&alg.pdiff(&w, &vtilde));
+                    if reduced.is_empty() {
+                        continue;
+                    }
+                    let pd = self.step(Rule::MvdPseudoDiff, &[wn, x_mvd_vt], &[])?;
+                    let ccn = self.cc_of(pd)?;
+                    debug_assert_eq!(self.dag.conclusion(ccn).rhs, reduced);
+                    self.blocks.entry(reduced).or_insert(ccn);
+                }
+                for m in alg.maximal_atoms_of(&vtilde).iter() {
+                    let w = alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [m]));
+                    let refl = self.fd_refl(&vtilde, &w)?;
+                    let x_to_w = self.step(Rule::FdTransitivity, &[x_to_vt, refl], &[])?;
+                    let n = self.step(Rule::FdImpliesMvd, &[x_to_w], &[])?;
+                    self.blocks.entry(w).or_insert(n);
+                }
+            }
+            DepKind::Mvd => {
+                let x_cur = self.x_new.clone();
+                // X_new ↠ L for L = X_new ⊔ Ū
+                let b_node = self.lift(ubar_node, &x_cur)?;
+                let refl_x = self.mvd_refl(&x_cur, &x_cur)?;
+                let l_node = self.step(Rule::MvdJoin, &[b_node, refl_x], &[])?;
+                let l_set = self.dag.conclusion(l_node).rhs.clone();
+                // L ↠ V (the premise, lifted — needs U ≤ L)
+                let va = self.lift(premise, &l_set)?;
+                if self.dag.conclusion(va).lhs != l_set {
+                    return Err(CertifyError::Internal {
+                        what: "premise LHS not anchored",
+                    });
+                }
+                // X_new ↠ V ∸ L, joined with the determined part = Ṽ
+                let tr = self.step(Rule::MvdTransitivity, &[l_node, va], &[])?;
+                let det = alg.meet(&vtilde, &x_cur);
+                let det_node = self.mvd_refl(&x_cur, &det)?;
+                let vt_node = self.step(Rule::MvdJoin, &[tr, det_node], &[])?;
+                if self.dag.conclusion(vt_node).rhs != vtilde {
+                    return Err(CertifyError::Internal {
+                        what: "Ṽ derivation mismatch",
+                    });
+                }
+                // mixed meet: X_new → Ṽ ⊓ Ṽ^C, then the new X → X_new
+                let mixed = self.step(Rule::MixedMeet, &[vt_node], &[])?;
+                let x_to_m = self.step(Rule::FdTransitivity, &[self.x_node, mixed], &[])?;
+                let x_join = self.step(Rule::FdJoin, &[self.x_node, x_to_m], &[])?;
+                self.x_node = x_join;
+                self.x_new = alg.join(&self.x_new, &self.dag.conclusion(x_to_m).rhs.clone());
+                // block splits along Ṽ (derived at lhs x_cur, lowered to X)
+                for (w, wn) in std::mem::take(&mut self.blocks) {
+                    let inter = alg.cc(&alg.meet(&vtilde, &w));
+                    if !inter.is_empty() && inter != w {
+                        let w_lift = self.lift(wn, &x_cur)?;
+                        let m_node = self.step(Rule::MvdMeet, &[vt_node, w_lift], &[])?;
+                        let m_cc = self.cc_of(m_node)?;
+                        let m_low = self.lower(m_cc)?;
+                        debug_assert_eq!(self.dag.conclusion(m_low).rhs, inter);
+                        self.blocks.entry(inter).or_insert(m_low);
+                        let d_node = self.step(Rule::MvdPseudoDiff, &[w_lift, vt_node], &[])?;
+                        let d_cc = self.cc_of(d_node)?;
+                        let d_low = self.lower(d_cc)?;
+                        let d_set = self.dag.conclusion(d_low).rhs.clone();
+                        self.blocks.entry(d_set).or_insert(d_low);
+                    } else {
+                        self.blocks.insert(w, wn);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Runs Algorithm 5.1 while recording a checkable derivation of every
-/// output (Lemma 6.1, constructively). A rule application rejected by
-/// the checker surfaces as [`CertifyError::InvalidInstance`] (reachable
-/// only with hand-built [`CompiledDep`] inputs); a broken internal
-/// invariant — the recorded derivation or basis disagreeing with the
-/// uninstrumented engine — is [`CertifyError::Internal`] instead of a
-/// panic, so certificate emission can never take the process down.
-pub fn certified_closure_and_basis(
+/// Replays `run`'s firing trail from Algorithm 5.1's initial state for
+/// `X = x`, charging one fuel unit per replayed step. Returns the DAG,
+/// the node proving `X → X⁺` and, for every block `W` of `run.blocks`
+/// (same order), the node proving `X ↠ W`.
+fn replay(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
-) -> Result<CertifiedBasis, CertifyError> {
-    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`certified_closure_and_basis`]: charges one
-/// fuel unit per dependency visit per pass (the same unit the worklist
-/// engine charges), so certification respects the caller's admission
-/// limits even though it runs the slower instrumented loop.
-pub fn certified_closure_and_basis_governed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
+    run: &WorklistRun,
     budget: &Budget,
-) -> Result<CertifiedBasis, CertifyError> {
+) -> Result<(ProofDag, usize, Vec<usize>), CertifyError> {
     let mut b = Builder {
         alg,
         dag: ProofDag::new(),
@@ -247,16 +354,11 @@ pub fn certified_closure_and_basis_governed(
         x_new: x.clone(),
         blocks: BTreeMap::new(),
     };
-    // premises
-    let premise_nodes: Vec<usize> = sigma
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let node = b.dag.premise(i, d.clone());
-            b.memo.entry(d.clone()).or_insert(node);
-            node
-        })
-        .collect();
+    // premises: premise `i` is node `i`
+    for (i, d) in sigma.iter().enumerate() {
+        let node = b.dag.premise(i, d.clone());
+        b.memo.entry(d.clone()).or_insert(node);
+    }
     // X → X
     b.x_node = b.fd_refl(x, x)?;
     // initial blocks: singletons for MaxB(X) …
@@ -274,153 +376,59 @@ pub fn certified_closure_and_basis_governed(
         b.blocks.insert(xc, n);
     }
 
-    let order: Vec<usize> = (0..sigma.len())
-        .filter(|&i| sigma[i].kind == DepKind::Fd)
-        .chain((0..sigma.len()).filter(|&i| sigma[i].kind == DepKind::Mvd))
-        .collect();
-
-    loop {
-        let x_old = b.x_new.clone();
-        let blocks_old: Vec<AtomSet> = b.blocks.keys().cloned().collect();
-        for &i in &order {
-            budget.charge(1)?;
-            let dep = &sigma[i];
-            let (ubar_set, ubar_node) = b.ubar(&dep.lhs, x)?;
-            let vtilde = alg.pdiff(&dep.rhs, &ubar_set);
-            if vtilde.is_empty() {
-                continue;
-            }
-            // the anchoring invariant the derivations rely on
-            if !dep.lhs.is_subset(&alg.join(&b.x_new, &ubar_set)) {
-                return Err(CertifyError::Internal {
-                    what: "anchoring invariant violated",
-                });
-            }
-            match dep.kind {
-                DepKind::Fd => {
-                    // X_new ↠ Ū^C
-                    let comp = b.step(Rule::MvdComplementation, &[ubar_node], &[])?;
-                    let aug = b.lift(comp, &b.x_new.clone())?;
-                    // U → Ṽ
-                    let refl_v = b.fd_refl(&dep.rhs, &vtilde)?;
-                    let u_to_vt = b.step(Rule::FdTransitivity, &[premise_nodes[i], refl_v], &[])?;
-                    // generalised coalescence: X_new → Ṽ
-                    let coal = b.step(Rule::Coalescence, &[aug, u_to_vt], &[])?;
-                    // X → Ṽ, and the new X → X_new
-                    let x_to_vt = b.step(Rule::FdTransitivity, &[b.x_node, coal], &[])?;
-                    let x_join = b.step(Rule::FdJoin, &[b.x_node, x_to_vt], &[])?;
-                    b.x_node = x_join;
-                    b.x_new = alg.join(&b.x_new, &vtilde);
-                    // block updates
-                    let x_mvd_vt = b.step(Rule::FdImpliesMvd, &[x_to_vt], &[])?;
-                    let old: Vec<(AtomSet, usize)> =
-                        b.blocks.iter().map(|(w, n)| (w.clone(), *n)).collect();
-                    b.blocks.clear();
-                    for (w, wn) in old {
-                        let reduced = alg.cc(&alg.pdiff(&w, &vtilde));
-                        if reduced.is_empty() {
-                            continue;
-                        }
-                        let pd = b.step(Rule::MvdPseudoDiff, &[wn, x_mvd_vt], &[])?;
-                        let ccn = b.cc_of(pd)?;
-                        debug_assert_eq!(b.dag.conclusion(ccn).rhs, reduced);
-                        b.blocks.entry(reduced).or_insert(ccn);
-                    }
-                    for m in alg.maximal_atoms_of(&vtilde).iter() {
-                        let w = alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [m]));
-                        let refl = b.fd_refl(&vtilde, &w)?;
-                        let x_to_w = b.step(Rule::FdTransitivity, &[x_to_vt, refl], &[])?;
-                        let n = b.step(Rule::FdImpliesMvd, &[x_to_w], &[])?;
-                        b.blocks.entry(w).or_insert(n);
-                    }
-                }
-                DepKind::Mvd => {
-                    let x_cur = b.x_new.clone();
-                    // X_new ↠ L for L = X_new ⊔ Ū
-                    let b_node = b.lift(ubar_node, &x_cur)?;
-                    let refl_x = b.mvd_refl(&x_cur, &x_cur)?;
-                    let l_node = b.step(Rule::MvdJoin, &[b_node, refl_x], &[])?;
-                    let l_set = b.dag.conclusion(l_node).rhs.clone();
-                    // L ↠ V (the premise, lifted — needs U ≤ L)
-                    let va = b.lift(premise_nodes[i], &l_set)?;
-                    if b.dag.conclusion(va).lhs != l_set {
-                        return Err(CertifyError::Internal {
-                            what: "premise LHS not anchored",
-                        });
-                    }
-                    // X_new ↠ V ∸ L, joined with the determined part = Ṽ
-                    let tr = b.step(Rule::MvdTransitivity, &[l_node, va], &[])?;
-                    let det = alg.meet(&vtilde, &x_cur);
-                    let det_node = b.mvd_refl(&x_cur, &det)?;
-                    let vt_node = b.step(Rule::MvdJoin, &[tr, det_node], &[])?;
-                    if b.dag.conclusion(vt_node).rhs != vtilde {
-                        return Err(CertifyError::Internal {
-                            what: "Ṽ derivation mismatch",
-                        });
-                    }
-                    // mixed meet: X_new → Ṽ ⊓ Ṽ^C, then the new X → X_new
-                    let mixed = b.step(Rule::MixedMeet, &[vt_node], &[])?;
-                    let x_to_m = b.step(Rule::FdTransitivity, &[b.x_node, mixed], &[])?;
-                    let x_join = b.step(Rule::FdJoin, &[b.x_node, x_to_m], &[])?;
-                    b.x_node = x_join;
-                    b.x_new = alg.join(&b.x_new, &b.dag.conclusion(x_to_m).rhs.clone());
-                    // block splits along Ṽ (derived at lhs x_cur, lowered to X)
-                    let old: Vec<(AtomSet, usize)> =
-                        b.blocks.iter().map(|(w, n)| (w.clone(), *n)).collect();
-                    b.blocks.clear();
-                    for (w, wn) in old {
-                        let inter = alg.cc(&alg.meet(&vtilde, &w));
-                        if !inter.is_empty() && inter != w {
-                            let w_lift = b.lift(wn, &x_cur)?;
-                            let m_node = b.step(Rule::MvdMeet, &[vt_node, w_lift], &[])?;
-                            let m_cc = b.cc_of(m_node)?;
-                            let m_low = b.lower(m_cc)?;
-                            debug_assert_eq!(b.dag.conclusion(m_low).rhs, inter);
-                            b.blocks.entry(inter).or_insert(m_low);
-                            let d_node = b.step(Rule::MvdPseudoDiff, &[w_lift, vt_node], &[])?;
-                            let d_cc = b.cc_of(d_node)?;
-                            let d_low = b.lower(d_cc)?;
-                            let d_set = b.dag.conclusion(d_low).rhs.clone();
-                            b.blocks.entry(d_set).or_insert(d_low);
-                        } else {
-                            b.blocks.insert(w, wn);
-                        }
-                    }
-                }
-            }
-        }
-        let blocks_now: Vec<AtomSet> = b.blocks.keys().cloned().collect();
-        if b.x_new == x_old && blocks_now == blocks_old {
-            break;
-        }
+    for &i in &run.trail {
+        budget.charge(1)?;
+        b.fire(&sigma[i], i, x)?;
     }
 
-    // cross-check against the uninstrumented engine
-    let basis = closure_and_basis(alg, sigma, x);
-    if basis.closure != b.x_new {
+    if b.x_new != run.closure {
         return Err(CertifyError::Internal {
-            what: "closure disagrees with the uninstrumented engine",
+            what: "replay does not end on the run's X⁺",
         });
     }
-    let block_sets: Vec<AtomSet> = b.blocks.keys().cloned().collect();
-    if basis.blocks != block_sets {
-        return Err(CertifyError::Internal {
-            what: "blocks disagree with the uninstrumented engine",
-        });
-    }
-    let block_nodes: Vec<usize> = basis
+    let block_nodes: Option<Vec<usize>> = run
         .blocks
         .iter()
-        .map(|w| {
-            b.blocks.get(w).copied().ok_or(CertifyError::Internal {
-                what: "block without a proving node",
-            })
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|w| b.blocks.get(w).copied())
+        .collect();
+    match block_nodes {
+        Some(nodes) if b.blocks.len() == run.blocks.len() => Ok((b.dag, b.x_node, nodes)),
+        _ => Err(CertifyError::Internal {
+            what: "replay does not end on the run's blocks",
+        }),
+    }
+}
+
+/// Computes `X⁺` and the blocks of `DepB(X)` with a checkable derivation
+/// of every output (Lemma 6.1, constructively). A rule application
+/// rejected by the checker surfaces as [`CertifyError::InvalidInstance`]
+/// (reachable only with hand-built [`CompiledDep`] inputs); a replay that
+/// does not retrace the engine's run is [`CertifyError::Internal`]
+/// instead of a panic, so certificate emission can never take the
+/// process down.
+pub fn certified_closure_and_basis(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+) -> Result<CertifiedBasis, CertifyError> {
+    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
+}
+
+/// Budget-governed twin of [`certified_closure_and_basis`]: the worklist
+/// run charges one fuel unit per step, as everywhere, and the replay one
+/// more per fired step.
+pub fn certified_closure_and_basis_governed(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+    budget: &Budget,
+) -> Result<CertifiedBasis, CertifyError> {
+    let run = crate::worklist::run(alg, sigma, x, budget, nalist_obs::noop())?;
+    let (dag, closure_node, block_nodes) = replay(alg, sigma, x, &run, budget)?;
     Ok(CertifiedBasis {
-        basis,
-        dag: b.dag,
-        closure_node: b.x_node,
+        basis: DependencyBasis::derive(alg, run.closure, run.blocks),
+        dag,
+        closure_node,
         block_nodes,
     })
 }
@@ -451,71 +459,47 @@ pub fn certify(
     certify_governed(alg, sigma, dep, &Budget::unlimited())
 }
 
-/// Budget-governed twin of [`certify`].
+/// Budget-governed twin of [`certify`]. The verdict comes from the
+/// worklist run's `X⁺` and blocks (Proposition 4.10) before any proof
+/// node is built, so a target that is not implied costs one closure run.
 pub fn certify_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<ProofDag>, CertifyError> {
-    let mut cert = certified_closure_and_basis_governed(alg, sigma, &dep.lhs, budget)?;
-    match dep.kind {
-        DepKind::Fd => {
-            if !cert.basis.fd_derivable(&dep.rhs) {
-                return Ok(None);
+    let run = crate::worklist::run(alg, sigma, &dep.lhs, budget, nalist_obs::noop())?;
+    let blocks = run.blocks.iter().map(AtomSet::words);
+    if !derivable(dep.kind, run.closure.words(), blocks, dep.rhs.words()) {
+        return Ok(None);
+    }
+    let (mut dag, closure_node, block_nodes) = replay(alg, sigma, &dep.lhs, &run, budget)?;
+    // X → X⁺ ⊓ Y by reflexivity and transitivity: the whole of an
+    // implied FD's Y, the determined part of an MVD's
+    let det = alg.meet(&run.closure, &dep.rhs);
+    let refl = raw_step(&mut dag, alg, Rule::FdReflexivity, &[], &[run.closure, det])?;
+    let mut last = raw_step(
+        &mut dag,
+        alg,
+        Rule::FdTransitivity,
+        &[closure_node, refl],
+        &[],
+    )?;
+    if dep.kind == DepKind::Mvd {
+        // X ↠ X⁺ ⊓ Y, joined with every block contained in Y
+        last = raw_step(&mut dag, alg, Rule::FdImpliesMvd, &[last], &[])?;
+        for (w, &wn) in run.blocks.iter().zip(&block_nodes) {
+            if w.is_subset(&dep.rhs) {
+                last = raw_step(&mut dag, alg, Rule::MvdJoin, &[last, wn], &[])?;
             }
-            // X → X⁺, X⁺ → Y, transitivity
-            let refl = raw_step(
-                &mut cert.dag,
-                alg,
-                Rule::FdReflexivity,
-                &[],
-                &[cert.basis.closure.clone(), dep.rhs.clone()],
-            )?;
-            raw_step(
-                &mut cert.dag,
-                alg,
-                Rule::FdTransitivity,
-                &[cert.closure_node, refl],
-                &[],
-            )?;
-            Ok(Some(cert.dag))
-        }
-        DepKind::Mvd => {
-            if !cert.basis.mvd_derivable(&dep.rhs) {
-                return Ok(None);
-            }
-            // determined part: X → X⁺ ⊓ Y, hence X ↠ X⁺ ⊓ Y
-            let det = alg.meet(&cert.basis.closure, &dep.rhs);
-            let refl = raw_step(
-                &mut cert.dag,
-                alg,
-                Rule::FdReflexivity,
-                &[],
-                &[cert.basis.closure.clone(), det],
-            )?;
-            let x_to_det = raw_step(
-                &mut cert.dag,
-                alg,
-                Rule::FdTransitivity,
-                &[cert.closure_node, refl],
-                &[],
-            )?;
-            let mut acc = raw_step(&mut cert.dag, alg, Rule::FdImpliesMvd, &[x_to_det], &[])?;
-            // join in every block contained in Y
-            for (w, &wn) in cert.basis.blocks.iter().zip(&cert.block_nodes) {
-                if w.is_subset(&dep.rhs) {
-                    acc = raw_step(&mut cert.dag, alg, Rule::MvdJoin, &[acc, wn], &[])?;
-                }
-            }
-            if cert.dag.conclusion(acc) != dep {
-                return Err(CertifyError::Internal {
-                    what: "assembled MVD does not match the target",
-                });
-            }
-            Ok(Some(cert.dag))
         }
     }
+    if dag.conclusion(last) != dep {
+        return Err(CertifyError::Internal {
+            what: "assembled derivation does not match the target",
+        });
+    }
+    Ok(Some(dag))
 }
 
 #[cfg(test)]
@@ -562,6 +546,20 @@ mod tests {
         );
         assert!(err.to_string().contains("invalid"));
         assert!(err.to_string().contains(Rule::FdReflexivity.name()));
+    }
+
+    #[test]
+    fn x_outside_sub_n_is_a_typed_error_not_a_panic() {
+        // {E} without its list ancestor C (atom ids 0=B, 1=C, 2=E, 3=F, 4=G)
+        let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
+        let alg = Algebra::new(&n);
+        let bad = AtomSet::from_indices(5, [2]);
+        let err = certified_closure_and_basis(&alg, &[], &bad).unwrap_err();
+        assert_eq!(
+            err,
+            CertifyError::Closure(ClosureError::NotDownwardClosed { atom: 2 })
+        );
+        assert!(err.to_string().contains("not downward closed"));
     }
 
     #[test]

@@ -173,11 +173,11 @@ fn sorted(db: &BTreeSet<AtomSet>) -> Vec<AtomSet> {
 
 /// Computes `X⁺` and `DepB(X)` (Algorithm 5.1), discarding the trace.
 ///
-/// Runs the change-driven worklist engine
-/// ([`crate::worklist::closure_and_basis_worklist`]); the output is
-/// identical to [`closure_and_basis_paper`].
+/// Runs the change-driven worklist engine ([`crate::worklist::run`]);
+/// the output is identical to [`closure_and_basis_paper`].
 pub fn closure_and_basis(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> DependencyBasis {
-    crate::worklist::closure_and_basis_worklist(alg, sigma, x)
+    closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
+        .expect("unlimited budget cannot be exhausted and X must be downward closed")
 }
 
 /// [`closure_and_basis`] under a resource [`Budget`]. A successful return
@@ -190,7 +190,8 @@ pub fn closure_and_basis_governed(
     x: &AtomSet,
     budget: &Budget,
 ) -> Result<DependencyBasis, ClosureError> {
-    crate::worklist::closure_and_basis_worklist_governed(alg, sigma, x, budget)
+    let run = crate::worklist::run(alg, sigma, x, budget, nalist_obs::noop())?;
+    Ok(DependencyBasis::derive(alg, run.closure, run.blocks))
 }
 
 /// Computes `X⁺` and `DepB(X)` with the paper-faithful pass engine

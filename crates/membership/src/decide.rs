@@ -39,10 +39,7 @@ use crate::closure::{
 };
 use crate::packed::PackedBasis;
 use crate::witness::WitnessError;
-use crate::worklist::{
-    closure_and_basis_worklist_run_governed, closure_and_basis_worklist_run_observed,
-    step_would_change,
-};
+use crate::worklist::step_would_change;
 
 /// Floor on the number of independently locked cache shards. The actual
 /// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
@@ -310,8 +307,14 @@ impl BasisCache {
 
 /// Decides `Σ ⊨ σ` on compiled inputs.
 pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    let run = closure_and_basis_worklist_run_governed(alg, sigma, &dep.lhs, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed");
+    let run = crate::worklist::run(
+        alg,
+        sigma,
+        &dep.lhs,
+        &Budget::unlimited(),
+        nalist_obs::noop(),
+    )
+    .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed");
     let blocks = run.blocks.iter().map(AtomSet::words);
     derivable(dep.kind, run.closure.words(), blocks, dep.rhs.words())
 }
@@ -1207,8 +1210,7 @@ impl Reasoner {
         } else if let Some(hit) = self.cache.get(x, &read) {
             return Ok(hit);
         }
-        let run =
-            closure_and_basis_worklist_run_observed(&self.alg, &self.compiled, x, budget, rec)?;
+        let run = crate::worklist::run(&self.alg, &self.compiled, x, budget, rec)?;
         // `run.fired` indexes Σ in ascending order and ids grow with the
         // index, so the mapped list stays ascending.
         let fired = run.fired.iter().map(|&i| self.ids[i]);

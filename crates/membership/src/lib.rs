@@ -54,7 +54,4 @@ pub use persist::{
     write_reasoner_snapshot, PersistError, RecoveryReport, ReplayCounts, WalOp,
 };
 pub use witness::{refute, refute_governed, Witness, WitnessError};
-pub use worklist::{
-    closure_and_basis_worklist_run_governed, closure_and_basis_worklist_run_observed,
-    step_would_change, WorklistRun,
-};
+pub use worklist::{step_would_change, WorklistRun};

@@ -1,4 +1,5 @@
-//! The change-driven worklist engine behind [`crate::closure_and_basis`].
+//! The change-driven worklist engine behind [`crate::closure_and_basis`],
+//! the reasoner's cache and the certificates of [`crate::certify`].
 //!
 //! Semantically this is exactly Algorithm 5.1 (see [`crate::closure`]); it
 //! differs from the paper-faithful pass loop only in *which steps it
@@ -48,82 +49,95 @@
 //! and the partition is a [`BlockPartition`] of inline bitsets instead
 //! of a `BTreeSet` that must be cloned to detect change.
 //!
-//! ## Fired-dependency tracking
+//! ## The firing trail
 //!
-//! [`closure_and_basis_worklist_run_governed`] additionally reports
-//! *which* dependencies fired — changed `X_new` or the partition — at
-//! least once during the run ([`WorklistRun::fired`]). This is the
-//! footprint index behind the incremental [`crate::Reasoner`]: a cached
-//! basis stays valid under `Σ ∖ {d}` whenever `d` never fired while it
-//! was computed (removing pure no-op steps leaves the trajectory — and
-//! hence the canonical output — untouched), and stays valid under
-//! `Σ ∪ {d}` whenever `d`'s step is a no-op at the cached fixpoint
-//! ([`step_would_change`]): the cached state is then a fixpoint of the
-//! larger Σ too, and any fixpoint of the step operators is *the*
-//! dependency basis (Theorem 6.3), which has a canonical representation.
+//! [`run`] also reports the steps that *fired* — changed `X_new` or the
+//! partition — in firing order ([`WorklistRun::trail`]), and the distinct
+//! dependencies among them ([`WorklistRun::fired`]). Both rest on the
+//! same fact: deleting no-op steps from a run leaves its trajectory
+//! untouched.
+//!
+//! * The trail alone, replayed from the initial state, retraces the run.
+//!   [`crate::certify`] replays it to emit one derivation per state
+//!   change (Lemma 6.1's induction runs over exactly these steps).
+//! * `fired` is the footprint index behind the incremental
+//!   [`crate::Reasoner`]: a cached basis stays valid under `Σ ∖ {d}`
+//!   whenever `d` never fired while it was computed, and stays valid
+//!   under `Σ ∪ {d}` whenever `d`'s step is a no-op at the cached
+//!   fixpoint ([`step_would_change`]): the cached state is then a
+//!   fixpoint of the larger Σ too, and any fixpoint of the step
+//!   operators is *the* dependency basis (Theorem 6.3), which has a
+//!   canonical representation.
 
 use nalist_algebra::{Algebra, AtomSet, BlockPartition};
 use nalist_deps::{CompiledDep, DepKind, PreparedDep};
 use nalist_guard::Budget;
 use nalist_obs::{Counter, Hist, Recorder};
 
-use crate::closure::{check_downward_closed, ClosureError, DependencyBasis};
+use crate::closure::{check_downward_closed, ClosureError};
 use crate::packed::PackedBasis;
 
 /// The output of one worklist run: `X⁺` and the blocks `X^M` — all that
 /// Proposition 4.10 needs, so no `DepB(X)` list is built — plus the
-/// indices (into the caller's `Σ` slice, ascending) of every dependency
-/// whose step changed the engine state at least once.
+/// firing trail: the steps that changed the engine state, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorklistRun {
     /// `X⁺`, the attribute-set closure.
     pub closure: AtomSet,
     /// The final blocks `X^M`, sorted.
     pub blocks: Vec<AtomSet>,
-    /// Indices into `sigma` of the dependencies that fired, ascending.
+    /// Indices into `sigma` of the steps that fired, in firing order.
+    /// Each firing grows `X_new` or refines the partition, so there are
+    /// at most `|N| + |MaxB(N)|` of them. Replaying them alone from the
+    /// initial state retraces the run, since every other step was a
+    /// no-op; certification does exactly that.
+    pub trail: Vec<usize>,
+    /// The distinct indices of `trail`, ascending.
     pub fired: Vec<usize>,
     /// Dependency steps pulled off the worklist — the unit of work
     /// Theorem 6.4's bound counts, and what one fuel unit is charged for.
     pub steps: u64,
 }
 
-/// Computes `X⁺` and `DepB(X)` with the change-driven worklist engine.
+/// Runs Algorithm 5.1 on the change-driven worklist engine: `X⁺`, the
+/// blocks and the firing trail (see [`WorklistRun`]).
 ///
-/// Produces bit-for-bit the same [`DependencyBasis`] as the paper-order
-/// pass engine ([`crate::closure::closure_and_basis_paper`]).
-pub fn closure_and_basis_worklist(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> DependencyBasis {
-    closure_and_basis_worklist_governed(alg, sigma, x, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted and X must be downward closed")
-}
-
-/// [`closure_and_basis_worklist`] under a resource [`Budget`]: one fuel
-/// unit is charged per dependency step pulled off the worklist (the unit
-/// of work Theorem 6.4's `O(|N|⁴·|Σ|)` bound counts), and the deadline is
-/// sampled along the way. A successful return is always the exact
-/// fixpoint — a truncated run surfaces as [`ResourceExhausted`], never as
-/// a partial answer.
-pub fn closure_and_basis_worklist_governed(
+/// One fuel unit is charged per dependency step pulled off the worklist
+/// (the unit of work Theorem 6.4's `O(|N|⁴·|Σ|)` bound counts), and the
+/// deadline is sampled along the way. A successful return is always the
+/// exact fixpoint — a truncated run surfaces as
+/// [`ClosureError::Resource`], never as a partial answer. The
+/// downward-closed precondition on `X` is checked, not assumed
+/// ([`ClosureError::NotDownwardClosed`]).
+///
+/// With an enabled recorder the run is wrapped in a
+/// `membership::worklist` span (enter payload: `|Σ|`, exit payload:
+/// dependencies fired) and bumps the `deps_fired` / `worklist_steps`
+/// counters and the `fired_per_closure` histogram; with a disabled one
+/// not even the payloads are computed.
+pub fn run(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
     budget: &Budget,
-) -> Result<DependencyBasis, ClosureError> {
-    let run = closure_and_basis_worklist_run_governed(alg, sigma, x, budget)?;
-    Ok(DependencyBasis::derive(alg, run.closure, run.blocks))
+    rec: &dyn Recorder,
+) -> Result<WorklistRun, ClosureError> {
+    if !rec.enabled() {
+        return fixpoint(alg, sigma, x, budget);
+    }
+    let token = rec.enter(nalist_obs::site::WORKLIST, sigma.len() as u64);
+    let result = fixpoint(alg, sigma, x, budget);
+    let fired = result.as_ref().map_or(0, |r| r.fired.len() as u64);
+    if let Ok(run) = &result {
+        rec.add(Counter::DepsFired, fired);
+        rec.add(Counter::WorklistSteps, run.steps);
+        rec.observe(Hist::FiredPerClosure, fired);
+    }
+    rec.exit(token, fired);
+    result
 }
 
-/// [`closure_and_basis_worklist_governed`], also reporting the set of
-/// dependencies that fired (see [`WorklistRun`]).
-///
-/// Unlike the private engines, this governed public entry point *checks*
-/// the downward-closed precondition on `X` and returns
-/// [`ClosureError::NotDownwardClosed`] instead of relying on a
-/// `debug_assert!` that release builds compile out.
-pub fn closure_and_basis_worklist_run_governed(
+fn fixpoint(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
@@ -162,7 +176,7 @@ pub fn closure_and_basis_worklist_run_governed(
 
     let k = prepared.len();
     let mut dirty = vec![true; k];
-    let mut fired = vec![false; k];
+    let mut trail = Vec::new();
     let mut n_dirty = k;
     let mut steps = 0u64;
     while n_dirty > 0 {
@@ -175,7 +189,7 @@ pub fn closure_and_basis_worklist_run_governed(
             dirty[j] = false;
             n_dirty -= 1;
             if engine.step(&prepared[j]) {
-                fired[j] = true;
+                trail.push(order[j]);
                 // wake every dependency whose LHS meets the dirty set
                 for (jj, other) in prepared.iter().enumerate() {
                     if !dirty[jj] && engine.delta.intersects(&other.lhs) {
@@ -187,47 +201,16 @@ pub fn closure_and_basis_worklist_run_governed(
         }
     }
 
-    let mut fired: Vec<usize> = fired
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f)
-        .map(|(j, _)| order[j])
-        .collect();
+    let mut fired = trail.clone();
     fired.sort_unstable();
+    fired.dedup();
     Ok(WorklistRun {
         closure: engine.x_new,
         blocks: engine.part.sorted_sets(),
+        trail,
         fired,
         steps,
     })
-}
-
-/// [`closure_and_basis_worklist_run_governed`] with an observability
-/// recorder: wraps the run in a `membership::worklist` span (enter
-/// payload: `|Σ|`, exit payload: dependencies fired), bumps the
-/// `deps_fired` / `worklist_steps` counters and the `fired_per_closure`
-/// histogram. With a disabled recorder this is exactly the governed run
-/// — not even the payloads are computed.
-pub fn closure_and_basis_worklist_run_observed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-    budget: &Budget,
-    rec: &dyn Recorder,
-) -> Result<WorklistRun, ClosureError> {
-    if !rec.enabled() {
-        return closure_and_basis_worklist_run_governed(alg, sigma, x, budget);
-    }
-    let token = rec.enter(nalist_obs::site::WORKLIST, sigma.len() as u64);
-    let result = closure_and_basis_worklist_run_governed(alg, sigma, x, budget);
-    let fired = result.as_ref().map_or(0, |r| r.fired.len() as u64);
-    if let Ok(run) = &result {
-        rec.add(Counter::DepsFired, fired);
-        rec.add(Counter::WorklistSteps, run.steps);
-        rec.observe(Hist::FiredPerClosure, fired);
-    }
-    rec.exit(token, fired);
-    result
 }
 
 /// Would processing `dep` change the fixpoint state recorded in `basis`?
@@ -424,7 +407,7 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::closure_and_basis_paper;
+    use crate::closure::{closure_and_basis, closure_and_basis_paper};
     use nalist_deps::Dependency;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
@@ -437,7 +420,7 @@ mod tests {
             .collect();
         for x in xs {
             let set = alg.from_attr(&parse_subattr_of(&n, x).unwrap()).unwrap();
-            let fast = closure_and_basis_worklist(&alg, &sigma, &set);
+            let fast = closure_and_basis(&alg, &sigma, &set);
             let paper = closure_and_basis_paper(&alg, &sigma, &set);
             assert_eq!(fast, paper, "X = {x} on {attr} with {deps:?}");
         }
@@ -501,8 +484,7 @@ mod tests {
             .map(|s| Dependency::parse(&n, s).unwrap().compile(&alg).unwrap())
             .collect();
         let set = alg.from_attr(&parse_subattr_of(&n, x).unwrap()).unwrap();
-        let run = closure_and_basis_worklist_run_governed(&alg, &sigma, &set, &Budget::unlimited())
-            .unwrap();
+        let run = run(&alg, &sigma, &set, &Budget::unlimited(), nalist_obs::noop()).unwrap();
         (alg, sigma, run)
     }
 
@@ -520,8 +502,10 @@ mod tests {
     #[test]
     fn fired_indices_refer_to_sigma_order_not_worklist_order() {
         // Σ lists the MVD before the FD; the worklist processes FDs
-        // first, but `fired` must still index into Σ as given.
+        // first, but `fired` and `trail` must still index into Σ as
+        // given — the trail in firing order, `fired` ascending.
         let (_, _, run) = run_for("L(A, B, C, D)", &["L(A) ->> L(B)", "L(A) -> L(C)"], "L(A)");
+        assert_eq!(run.trail, vec![1, 0]);
         assert_eq!(run.fired, vec![0, 1]);
     }
 
@@ -531,8 +515,7 @@ mod tests {
         let alg = Algebra::new(&n);
         // {G} without its list ancestors C, F (atom ids 0=B,1=C,2=E,3=F,4=G)
         let bad = AtomSet::from_indices(5, [4]);
-        let err = closure_and_basis_worklist_run_governed(&alg, &[], &bad, &Budget::unlimited())
-            .unwrap_err();
+        let err = run(&alg, &[], &bad, &Budget::unlimited(), nalist_obs::noop()).unwrap_err();
         assert_eq!(err, ClosureError::NotDownwardClosed { atom: 4 });
     }
 
@@ -547,25 +530,13 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let plain = closure_and_basis_worklist_run_governed(&alg, &sigma, &x, &Budget::unlimited())
-            .unwrap();
+        let plain = run(&alg, &sigma, &x, &Budget::unlimited(), nalist_obs::noop()).unwrap();
         let rec = nalist_obs::MetricsRecorder::new();
-        let observed =
-            closure_and_basis_worklist_run_observed(&alg, &sigma, &x, &Budget::unlimited(), &rec)
-                .unwrap();
+        let observed = run(&alg, &sigma, &x, &Budget::unlimited(), &rec).unwrap();
         assert_eq!(observed, plain);
         assert_eq!(rec.counter(Counter::DepsFired), plain.fired.len() as u64);
         assert_eq!(rec.counter(Counter::WorklistSteps), plain.steps);
         assert!(plain.steps >= sigma.len() as u64);
-        let noop = closure_and_basis_worklist_run_observed(
-            &alg,
-            &sigma,
-            &x,
-            &Budget::unlimited(),
-            nalist_obs::noop(),
-        )
-        .unwrap();
-        assert_eq!(noop, plain);
     }
 
     #[test]
@@ -614,7 +585,7 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let before = closure_and_basis_worklist(&alg, &sigma, &x);
+        let before = closure_and_basis(&alg, &sigma, &x);
         let packed = PackedBasis::pack(&before.closure, &before.blocks, std::iter::empty());
         for (dep, expect_change) in [
             ("L(B) -> L(C)", true),  // B ∈ X⁺, C outside: fires
@@ -626,7 +597,7 @@ mod tests {
             assert_eq!(predicted, expect_change, "prediction for {dep}");
             let mut bigger = sigma.clone();
             bigger.push(d);
-            let after = closure_and_basis_worklist(&alg, &bigger, &x);
+            let after = closure_and_basis(&alg, &bigger, &x);
             if !predicted {
                 assert_eq!(after, before, "no-op prediction must mean bit-identical");
             } else {

@@ -47,8 +47,6 @@ pub mod site {
     pub const CLI_COMMAND: &str = "cli::command";
     /// One worklist fixpoint run (Algorithm 5.1 closure phase).
     pub const WORKLIST: &str = "membership::worklist";
-    /// One paper-order (REPEAT-UNTIL) closure run.
-    pub const CLOSURE_PAPER: &str = "membership::closure";
     /// Atom/basis construction for a schema (`Algebra::try_new`).
     pub const ATOMS: &str = "algebra::atoms";
     /// One chase run to a fixpoint.

@@ -16,7 +16,9 @@ use nalist::check::{verify, Certificate, CheckError, Report, Verdict};
 use nalist::deps::CompiledDep;
 use nalist::gen::{certificate_defects, render_sigma, SigmaConfig};
 use nalist::membership::cert::{basis_certificate, implied_certificate, refuted_certificate};
-use nalist::membership::{certified_closure_and_basis, certify, refute};
+use nalist::membership::{
+    certified_closure_and_basis, certify, certify_governed, closure_and_basis_paper, refute,
+};
 use nalist::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -183,6 +185,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Certificates replay the worklist engine's firing trail, so they
+    /// are tested where dependencies fire: 32–64-atom schemas with
+    /// `read-cold`'s densities (`Σ` of 32–64 dependencies with left-hand
+    /// sides at 0.05, right-hand sides at 0.3 and FD share 0.1; targets
+    /// at 0.3). For every target the verdict matches `implies`, every
+    /// derivation checks and concludes its target, the certified basis is
+    /// the paper engine's with each node concluding `X → X⁺` or `X ↠ W`,
+    /// and the trail is what it claims: its distinct entries are the
+    /// fired set, and it is no longer than `|N| + |MaxB(N)|`, since each
+    /// firing grows `X⁺` or refines the partition.
+    #[test]
+    fn certificates_replay_the_firing_trail_where_dependencies_fire(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(32..=64);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let count = rng.gen_range(32..=64);
+        let sigma: Vec<CompiledDep> = (0..count)
+            .map(|_| nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.05, 0.3, 0.1))
+            .collect();
+        let max_trail = alg.atom_count() + alg.max_mask().count();
+        let unlimited = Budget::unlimited();
+        let mut fired = 0;
+        for _ in 0..6 {
+            let target = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.3, 0.3, 0.5);
+            let x = &target.lhs;
+
+            let run = nalist::membership::worklist::run(&alg, &sigma, x, &unlimited, nalist::obs::noop())
+                .expect("targets are downward closed");
+            prop_assert!(run.trail.len() <= max_trail, "trail of {} > {max_trail}", run.trail.len());
+            let mut distinct = run.trail.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(&distinct, &run.fired);
+            fired += run.trail.len();
+
+            let proof = certify_governed(&alg, &sigma, &target, &unlimited).expect("certify");
+            prop_assert_eq!(proof.is_some(), implies(&alg, &sigma, &target));
+            if let Some(dag) = proof {
+                let root = dag.check(&alg, &sigma).expect("derivation checks");
+                prop_assert_eq!(root, &target);
+            }
+
+            let cb = certified_closure_and_basis(&alg, &sigma, x).expect("basis certifies");
+            prop_assert_eq!(&cb.basis, &closure_and_basis_paper(&alg, &sigma, x));
+            cb.dag.check(&alg, &sigma).expect("basis derivation checks");
+            prop_assert_eq!(cb.dag.conclusion(cb.closure_node), &CompiledDep::fd(x.clone(), cb.basis.closure.clone()));
+            prop_assert_eq!(cb.block_nodes.len(), cb.basis.blocks.len());
+            for (w, &node) in cb.basis.blocks.iter().zip(&cb.block_nodes) {
+                prop_assert_eq!(cb.dag.conclusion(node), &CompiledDep::mvd(x.clone(), w.clone()));
+            }
+        }
+        // the densities make dependencies fire, so the replay has work
+        prop_assert!(fired > 0, "no dependency fired for any target");
+    }
+}
+
 /// The paper's running example, pinned byte for byte: one certificate of
 /// each kind. This is the format-stability contract — any diff here is a
 /// wire-format change and must be deliberate (and, if an existing field
@@ -255,21 +317,32 @@ fn certificate_json_matches_golden() {
     );
 }
 
-/// The v1 documents pinned in the golden file stay parseable forever —
-/// a reparse guard independent of the emitter.
+/// The v1 documents pinned in the golden files stay parseable and
+/// verifiable forever — a reparse guard independent of the emitter.
+/// `certificate_schema_pass_engine.golden` holds the implied and basis
+/// documents of the earlier certifier, which re-ran Algorithm 5.1's
+/// REPEAT-UNTIL passes and so recorded every visited step, not only the
+/// fired ones: certificates from earlier builds must stay accepted.
 #[test]
 fn golden_certificates_reparse_and_verify() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/cli_fixtures/certificate_schema.golden");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
     let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n";
     let mut seen = 0;
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        let cert = Certificate::from_json(line).expect("golden certificate parses");
-        verify(schema, deps, &cert, &Budget::unlimited()).expect("golden certificate verifies");
-        seen += 1;
+    for file in [
+        "certificate_schema.golden",
+        "certificate_schema_pass_engine.golden",
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/cli_fixtures")
+            .join(file);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let cert = Certificate::from_json(line).expect("golden certificate parses");
+            verify(schema, deps, &cert, &Budget::unlimited())
+                .unwrap_or_else(|e| panic!("{file}: golden certificate rejected: {e}"));
+            seen += 1;
+        }
     }
-    assert_eq!(seen, 3);
+    assert_eq!(seen, 5);
 }

@@ -423,11 +423,10 @@ proptest! {
         prop_assert_eq!(&seen, alg.max_mask(), "blocks do not cover MaxB(N)");
     }
 
-    /// Observability is pure observation: the observed twins of the
-    /// worklist engine and the chase return results bit-identical to
-    /// their unobserved counterparts, whether the recorder is the no-op
-    /// or a live [`MetricsRecorder`] — and the live recorder's counters
-    /// reflect the work actually done.
+    /// Observability is pure observation: the worklist engine and the
+    /// chase return bit-identical results whether the recorder is the
+    /// no-op or a live [`MetricsRecorder`] — and the live recorder's
+    /// counters reflect the work actually done.
     #[test]
     fn observed_runs_are_bit_identical_to_unobserved_runs(seed in any::<u64>()) {
         use nalist::obs::{noop, Counter, MetricsRecorder};
@@ -446,16 +445,10 @@ proptest! {
         let mut total_steps = 0u64;
         for _ in 0..5 {
             let x = alg.downward_closure(&sub(&mut rng, &alg));
-            let plain = nalist::membership::closure_and_basis_worklist_run_governed(
-                &alg, &sigma, &x, &budget,
-            ).expect("governed run succeeds");
-            let via_noop = nalist::membership::closure_and_basis_worklist_run_observed(
-                &alg, &sigma, &x, &budget, noop(),
-            ).expect("noop-observed run succeeds");
-            let via_metrics = nalist::membership::closure_and_basis_worklist_run_observed(
-                &alg, &sigma, &x, &budget, &metrics,
-            ).expect("metrics-observed run succeeds");
-            prop_assert_eq!(&plain, &via_noop);
+            let plain = nalist::membership::worklist::run(&alg, &sigma, &x, &budget, noop())
+                .expect("noop-observed run succeeds");
+            let via_metrics = nalist::membership::worklist::run(&alg, &sigma, &x, &budget, &metrics)
+                .expect("metrics-observed run succeeds");
             prop_assert_eq!(&plain, &via_metrics);
             total_steps += plain.steps;
         }
