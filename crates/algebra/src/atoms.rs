@@ -497,6 +497,9 @@ mod tests {
         assert!(alg.from_attr(&NestedAttr::flat("Z")).is_err());
         let other = parse_attr("A'(B)").unwrap(); // wrong arity record
         assert!(alg.from_attr(&other).is_err());
+        // λ where N has a record: its only spelling in Sub(N) is the
+        // record of λs, so every accepted tree is the canonical one
+        assert!(alg.from_attr(&NestedAttr::Null).is_err());
     }
 
     #[test]

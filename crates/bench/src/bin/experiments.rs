@@ -1387,7 +1387,7 @@ fn durability() {
         "workload", "|N|", "|Σ|", "pool", "cold replay", "recover", "speedup"
     );
     for (name, atoms, r, pool, edit_dep) in &scenarios {
-        let sigma_len = r.sigma().len();
+        let sigma_len = r.compiled_sigma().len();
         let snap = dir.join(format!("recover-{name}-{atoms}.snap"));
         write_reasoner_snapshot(&snap, r, &budget, rec.as_ref()).expect("snapshot writes");
         let wal = dir.join(format!("recover-{name}-{atoms}.wal"));
@@ -1409,7 +1409,11 @@ fn durability() {
         // cold replay: rebuild the reasoner from nothing and re-run the
         // entire history the snapshot+WAL pair encodes — every add, every
         // cache-warming query, then the tail
-        let sigma: Vec<Dependency> = r.sigma().to_vec();
+        let sigma: Vec<Dependency> = r
+            .compiled_sigma()
+            .iter()
+            .map(|c| c.decompile(r.algebra()))
+            .collect();
         let t_cold = median(
             (0..5)
                 .map(|_| {

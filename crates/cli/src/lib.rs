@@ -1036,7 +1036,7 @@ fn dispatch(
             writeln!(
                 out,
                 "Σ: {} dependencies after {adds} add(s), {removes} remove(s), {queries} query(ies)",
-                r.sigma().len()
+                r.compiled_sigma().len()
             )
             .unwrap();
             writeln!(
@@ -1079,7 +1079,7 @@ fn dispatch(
             writeln!(
                 out,
                 "Σ: {} dependencies, cache: {} warm entries",
-                r.sigma().len(),
+                r.compiled_sigma().len(),
                 r.cache_stats().entries
             )
             .unwrap();
@@ -1096,9 +1096,9 @@ fn dispatch(
             .map_err(persist_error)?;
             let r = &report.reasoner;
             writeln!(out, "recovered {}", r.attr()).unwrap();
-            writeln!(out, "Σ ({} dependencies):", r.sigma().len()).unwrap();
-            for (dep, id) in r.sigma().iter().zip(r.dep_ids()) {
-                writeln!(out, "  [{id}] {}", dep.display_in(r.attr())).unwrap();
+            writeln!(out, "Σ ({} dependencies):", r.compiled_sigma().len()).unwrap();
+            for (dep, id) in r.compiled_sigma().iter().zip(r.dep_ids()) {
+                writeln!(out, "  [{id}] {}", dep.render(r.algebra())).unwrap();
             }
             if wal_path.is_some() {
                 if let Some(at) = report.truncated_at {

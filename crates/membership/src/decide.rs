@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use nalist_algebra::{Algebra, AlgebraError, AtomSet};
-use nalist_deps::{CompiledDep, Dependency, PreparedDep};
+use nalist_deps::{CompiledDep, Dependency};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Hist, Recorder};
 use nalist_types::attr::NestedAttr;
@@ -223,6 +223,14 @@ impl BasisCache {
         self.shard(x).contains_key(x)
     }
 
+    /// Does the cache hold no entry? Judged by entries, not bytes: an
+    /// entry over a zero-atom schema packs to 0 bytes.
+    fn is_empty(&self) -> bool {
+        self.shards
+            .iter()
+            .all(|s| s.lock().unwrap_or_else(PoisonError::into_inner).is_empty())
+    }
+
     /// Caches `entry` for `x`. If it would take the cache past
     /// [`MAX_CACHE_BYTES`], every entry is flushed first; returns how
     /// many were.
@@ -337,11 +345,12 @@ pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool 
 pub struct Reasoner {
     attr: NestedAttr,
     alg: Algebra,
-    sigma: Vec<Dependency>,
+    /// `Σ`, held once: each dependency as its compiled atom-set pair,
+    /// which determines its canonical tree and text
     compiled: Vec<CompiledDep>,
-    /// stable id of each `sigma[i]`, parallel to `sigma`/`compiled`;
-    /// ids are never reused, so cached `fired` lists stay unambiguous
-    /// across removals
+    /// stable id of each `compiled[i]`, parallel to `compiled`; ids are
+    /// never reused, so cached `fired` lists stay unambiguous across
+    /// removals
     ids: Vec<u64>,
     /// next id handed out by [`Reasoner::add`]
     next_id: u64,
@@ -363,7 +372,6 @@ impl Clone for Reasoner {
         Reasoner {
             attr: self.attr.clone(),
             alg: self.alg.clone(),
-            sigma: self.sigma.clone(),
             compiled: self.compiled.clone(),
             ids: self.ids.clone(),
             next_id: self.next_id,
@@ -526,7 +534,6 @@ impl Reasoner {
         Ok(Reasoner {
             attr: n.clone(),
             alg: Algebra::try_new_observed(n, budget, rec.as_ref())?,
-            sigma: Vec::new(),
             compiled: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
@@ -557,12 +564,9 @@ impl Reasoner {
         &self.alg
     }
 
-    /// The current `Σ`.
-    pub fn sigma(&self) -> &[Dependency] {
-        &self.sigma
-    }
-
-    /// The current `Σ`, compiled.
+    /// The current `Σ`, in insertion order. Each dependency is held
+    /// only as its compiled pair; [`CompiledDep::render`] gives its text
+    /// and [`CompiledDep::decompile`] its tree.
     pub fn compiled_sigma(&self) -> &[CompiledDep] {
         &self.compiled
     }
@@ -581,13 +585,23 @@ impl Reasoner {
     /// never touched.
     pub fn add(&mut self, dep: Dependency) -> Result<(), ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        let prepared = c.prepare(&self.alg);
-        self.evict_if_step_fires(&prepared);
-        self.sigma.push(dep);
+        self.add_compiled(c);
+        Ok(())
+    }
+
+    /// The step [`Reasoner::add`] ends in, for a dependency already
+    /// compiled over this reasoner's algebra: evict every entry at which
+    /// one step of it would change the basis, then append under the next
+    /// id. An empty cache has nothing to evict, so the dependency is not
+    /// even prepared.
+    pub(crate) fn add_compiled(&mut self, c: CompiledDep) {
+        if !self.cache.is_empty() {
+            let prepared = c.prepare(&self.alg);
+            self.observed_retain(|entry| !step_would_change(&self.alg, &prepared, entry));
+        }
         self.compiled.push(c);
         self.ids.push(self.next_id);
         self.next_id += 1;
-        Ok(())
     }
 
     /// Adds a dependency written as `"X -> Y"` / `"X ->> Y"`.
@@ -623,22 +637,16 @@ impl Reasoner {
         self.remove(&dep)
     }
 
-    /// Removes `sigma()[i]`, evicting only the cached bases it fired in.
+    /// Removes `compiled_sigma()[i]`, evicting only the cached bases it
+    /// fired in, and returns it.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    pub fn remove_at(&mut self, i: usize) -> Dependency {
+    pub fn remove_at(&mut self, i: usize) -> CompiledDep {
         let removed_id = self.ids.remove(i);
-        self.compiled.remove(i);
-        let dep = self.sigma.remove(i);
+        let dep = self.compiled.remove(i);
         self.observed_retain(|entry| entry.fired().binary_search(&removed_id).is_err());
         dep
-    }
-
-    /// Evicts every cached entry at which one step of `prepared` would
-    /// change the basis (the `add` eviction rule).
-    fn evict_if_step_fires(&self, prepared: &PreparedDep) {
-        self.observed_retain(|entry| !step_would_change(&self.alg, prepared, entry));
     }
 
     /// [`BasisCache::retain`] with the eviction sweep mirrored into the
@@ -678,7 +686,8 @@ impl Reasoner {
         self.cache.stats()
     }
 
-    /// The stable id of each `sigma()[i]`, parallel to [`Reasoner::sigma`].
+    /// The stable id of each `compiled_sigma()[i]`, parallel to
+    /// [`Reasoner::compiled_sigma`].
     /// Ids are handed out by [`Reasoner::add`] and never reused, so they
     /// survive arbitrary interleavings of adds and removals — the
     /// property persistence (`membership::persist`) is keyed on.
@@ -747,7 +756,6 @@ impl Reasoner {
             }
             prev = Some(id);
             let c = dep.compile(&r.alg).map_err(RestoreError::Type)?;
-            r.sigma.push(dep);
             r.compiled.push(c);
             r.ids.push(id);
         }
@@ -1328,7 +1336,7 @@ mod tests {
         assert!(r.implies_str("L(A) ->> L(B)").unwrap());
         assert!(!r.implies_str("L(B) -> L(A)").unwrap());
         assert_eq!(r.closure_str("L(A)").unwrap().to_string(), "L(A, B, λ)");
-        assert_eq!(r.sigma().len(), 2);
+        assert_eq!(r.compiled_sigma().len(), 2);
     }
 
     #[test]
@@ -1419,7 +1427,7 @@ mod tests {
         // the mirror-image direction: mutate the original instead
         r.add_str("L(A) -> L(C)").unwrap();
         assert!(r.implies_str("L(A) -> L(C)").unwrap());
-        assert_eq!(r2.sigma().len(), 2);
+        assert_eq!(r2.compiled_sigma().len(), 2);
         assert!(!r2.implies_str("L(B) -> L(A)").unwrap());
     }
 
@@ -1746,7 +1754,7 @@ mod tests {
         assert_eq!(r.cache_stats().entries, 2);
         // removing C -> D must keep the L(A) entry
         assert!(r.remove_str("L(C) -> L(D)").unwrap());
-        assert_eq!(r.sigma().len(), 1);
+        assert_eq!(r.compiled_sigma().len(), 1);
         let stats = r.cache_stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evicted, 1);
@@ -1756,7 +1764,7 @@ mod tests {
         // removing something absent is reported, not an error
         assert!(!r.remove_str("L(C) -> L(D)").unwrap());
         assert!(r.remove_str("L(A) -> L(B)").unwrap());
-        assert!(r.sigma().is_empty());
+        assert!(r.compiled_sigma().is_empty());
         assert!(!r.implies_str("L(A) -> L(B)").unwrap());
     }
 

@@ -22,10 +22,10 @@
 //!
 //! [`recover`] composes the two: load the snapshot (surviving cache
 //! entries land warm, no recomputation), then [`replay_wal`] the log
-//! tail through the ordinary incremental [`Reasoner::add`] /
-//! [`Reasoner::remove_at`] path — eviction decisions during replay are
-//! the same code that made them live, which is what makes recovery
-//! bit-identical rather than merely equivalent.
+//! tail through the ordinary incremental path — the step
+//! [`Reasoner::add`] ends in, and [`Reasoner::remove_at`] — so eviction
+//! decisions during replay are the same code that made them live, which
+//! is what makes recovery bit-identical rather than merely equivalent.
 //!
 //! The checksums guard against *accidental* corruption (bit rot, torn
 //! writes); they are not authentication. A hand-crafted file with a
@@ -139,20 +139,21 @@ fn invalid_set(e: AlgebraError) -> PersistError {
 
 /// Serializes the full state of `r` as a deterministic snapshot
 /// payload: equal reasoners (same schema, `Σ`, ids and warm entries)
-/// produce byte-equal payloads.
+/// produce byte-equal payloads. Each dependency's text is rendered from
+/// its compiled pair.
 pub fn snapshot_payload(r: &Reasoner) -> Vec<u8> {
     let mut w = store::Writer::new();
-    let attr = r.attr();
-    let atoms = r.algebra().atom_count();
-    w.str(&attr.to_string());
+    let alg = r.algebra();
+    let atoms = alg.atom_count();
+    w.str(&r.attr().to_string());
     w.u32(u32_of(atoms, "schema atom"));
     w.str(WidthClass::for_capacity(atoms).name());
     w.u64(r.next_dep_id());
-    let sigma = r.sigma();
+    let sigma = r.compiled_sigma();
     w.u32(u32_of(sigma.len(), "dependency"));
     for (dep, id) in sigma.iter().zip(r.dep_ids()) {
         w.u64(*id);
-        w.str(&dep.display_in(attr));
+        w.str(&dep.render(alg));
     }
     r.with_cache_entries(|entries| {
         w.u32(u32_of(entries.len(), "cache entry"));
@@ -388,14 +389,12 @@ pub struct ReplayCounts {
 /// and replication followers tailing a leader's log, so both
 /// reconstruct bit-identical state by construction.
 ///
-/// Each distinct dependency text is resolved once per call. `Sub(N)`
-/// is isomorphic to the downward-closed atom sets, so a dependency's
-/// compiled form determines its canonical tree
-/// (`d.compile(alg)?.decompile(alg) == d`): a `+` of a text seen
-/// before adds the decompiled memo entry, and a `-` removes the first
-/// `Σ` member with the same compiled form, exactly as
-/// [`Reasoner::remove`] does. `?` records are parsed every time, under
-/// `budget`'s limits.
+/// Each distinct dependency text is resolved once per call, to the
+/// compiled form the reasoner keeps as its only copy of the dependency:
+/// a `+` pushes the memoized compiled form through the step
+/// [`Reasoner::add`] ends in, and a `-` removes the first `Σ` member
+/// with the same compiled form, exactly as [`Reasoner::remove`] does.
+/// `?` records are parsed every time, under `budget`'s limits.
 ///
 /// Replay stops at the first record that fails to decode or apply;
 /// `counts` then holds what was applied before it. Record indices in
@@ -427,18 +426,7 @@ pub fn replay_wal<'a>(
                 }
                 counts.headers += 1;
             }
-            Tag::Add => {
-                if let Some(c) = memo.get(text) {
-                    let dep = c.decompile(reasoner.algebra());
-                    reasoner.add(dep).map_err(fail)?;
-                } else {
-                    reasoner.add_str(text).map_err(fail)?;
-                    let added = reasoner.compiled_sigma().last().expect("add appends to Σ");
-                    memo.insert(text, added.clone());
-                }
-                counts.adds += 1;
-            }
-            Tag::Remove => {
+            Tag::Add | Tag::Remove => {
                 let c = match memo.entry(text) {
                     Entry::Occupied(seen) => seen.into_mut(),
                     Entry::Vacant(first) => {
@@ -450,10 +438,15 @@ pub fn replay_wal<'a>(
                         first.insert(c)
                     }
                 };
-                if let Some(i) = reasoner.compiled_sigma().iter().position(|have| have == c) {
-                    reasoner.remove_at(i);
+                if matches!(tag, Tag::Add) {
+                    reasoner.add_compiled(c.clone());
+                    counts.adds += 1;
+                } else {
+                    if let Some(i) = reasoner.compiled_sigma().iter().position(|have| have == c) {
+                        reasoner.remove_at(i);
+                    }
+                    counts.removes += 1;
                 }
-                counts.removes += 1;
             }
             Tag::Query => {
                 reasoner.implies_str_governed(text, budget).map_err(fail)?;

@@ -317,7 +317,7 @@ fn tenant_route(
                 "{{\"tenant\": {}, \"schema\": {}, \"sigma\": {}}}\n",
                 escape(tenant),
                 escape(&r.attr().to_string()),
-                r.sigma().len()
+                r.compiled_sigma().len()
             ),
         ));
     }
@@ -356,13 +356,13 @@ fn tenant_route(
             let r = t.reasoner.read().unwrap_or_else(PoisonError::into_inner);
             let stats = r.cache_stats();
             let deps: Vec<String> = r
-                .sigma()
+                .compiled_sigma()
                 .iter()
                 .zip(r.dep_ids())
                 .map(|(d, id)| {
                     format!(
                         "{{\"id\": {id}, \"dep\": {}}}",
-                        escape(&d.display_in(r.attr()))
+                        escape(&d.render(r.algebra()))
                     )
                 })
                 .collect();
@@ -528,15 +528,17 @@ fn handle_reload(
         }
         Ok::<(), ApiError>(())
     };
-    let old: Vec<(String, nalist_deps::Dependency)> = r
-        .sigma()
+    let old: Vec<String> = r
+        .compiled_sigma()
         .iter()
-        .map(|d| (d.display_in(r.attr()), d.clone()))
+        .map(|d| d.render(r.algebra()))
         .collect();
     let (removed, added) = (old.len(), new_deps.len());
-    for (text, dep) in old {
+    for text in old {
         append(&WalOp::Remove(text), &mut wal)?;
-        r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
+        // every earlier member is gone, so the first Σ member equal to
+        // this one is the front: what `remove` would find
+        r.remove_at(0);
     }
     for (text, dep) in new_deps {
         append(&WalOp::Add(text), &mut wal)?;
@@ -551,7 +553,7 @@ fn handle_reload(
             "{{\"tenant\": {}, \"removed\": {removed}, \"added\": {added}, \
              \"sigma\": {}, \"warnings\": {}}}\n",
             escape(tenant),
-            r.sigma().len(),
+            r.compiled_sigma().len(),
             report.warnings()
         ),
     ))
@@ -707,7 +709,7 @@ fn handle_edit(
         format!(
             "{{\"adds\": {adds}, \"removes\": {removes}, \"sigma\": {}, \
              \"cache\": {{\"entries\": {}, \"retained\": {}, \"evicted\": {}}}}}\n",
-            r.sigma().len(),
+            r.compiled_sigma().len(),
             stats.entries,
             stats.retained,
             stats.evicted

@@ -580,10 +580,11 @@ proptest! {
         replay_matches_oracle(seed)?;
     }
 
-    /// The replay memo's invariant: a parsed dependency is the
-    /// decompiled form of its own compilation, whatever spelling it was
-    /// parsed from, so a repeated text can be replayed from its
-    /// compiled form.
+    /// The invariant `Σ`'s single copy rests on: a parsed dependency is
+    /// the decompiled form of its own compilation, whatever spelling it
+    /// was parsed from, so a repeated text can be replayed from its
+    /// compiled form and the compiled pair renders the text the tree
+    /// would.
     #[test]
     fn parsed_dependencies_are_their_compiled_form(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -598,6 +599,7 @@ proptest! {
             let d = parsed.unwrap();
             let c = d.compile(&alg).unwrap();
             prop_assert_eq!(&c, &want, "{} resolved to another dependency", text);
+            prop_assert_eq!(c.render(&alg), d.display_in(&n), "{}", text);
             prop_assert_eq!(c.decompile(&alg), d, "{}", text);
         }
     }
