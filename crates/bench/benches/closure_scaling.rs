@@ -99,7 +99,11 @@ fn batch_throughput(c: &mut Criterion) {
                 // fresh clone: each iteration answers from a cold cache
                 let fresh = reasoner.clone();
                 let verdicts = fresh
-                    .implies_batch_with(&queries, std::num::NonZeroUsize::new(t).unwrap())
+                    .implies_batch_governed_with(
+                        &queries,
+                        &Budget::unlimited(),
+                        std::num::NonZeroUsize::new(t).unwrap(),
+                    )
                     .expect("queries compile");
                 std::hint::black_box(verdicts.len())
             });

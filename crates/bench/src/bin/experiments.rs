@@ -664,14 +664,14 @@ fn engine_speedup() {
     // 64-atom workload (w2) and a 256-atom one (w4) that used to sit on
     // the heap fallback. Queries reuse left-hand sides the way
     // cover/key/normal-form workloads do, so the batch exercises both
-    // the shared cache and the work-stealing scheduler's cold queues.
+    // the shared cache and the cold groups the workers claim.
     for (atoms, sigma_count, n_queries, pool_size) in
         [(64usize, 32usize, 256usize, 32usize), (256, 48, 128, 16)]
     {
         let w = nested_workload(8, atoms, sigma_count);
         let width = w.alg.width_class().name();
         println!(
-            "\nbatch membership throughput (implies_batch, |N| = {atoms}, |Σ| = {sigma_count}, \
+            "\nbatch membership throughput (|N| = {atoms}, |Σ| = {sigma_count}, \
              {n_queries} queries over {pool_size} distinct LHSs, {cpus} CPU(s) available):"
         );
         let r = {
@@ -714,7 +714,11 @@ fn engine_speedup() {
             let t = median_nanos(runs, || {
                 let fresh = r.clone();
                 let verdicts = fresh
-                    .implies_batch_with(&queries, NonZeroUsize::new(threads).unwrap())
+                    .implies_batch_governed_with(
+                        &queries,
+                        &Budget::unlimited(),
+                        NonZeroUsize::new(threads).unwrap(),
+                    )
                     .expect("queries compile");
                 std::hint::black_box(verdicts.len());
             });
@@ -1559,11 +1563,10 @@ fn durability() {
 
 // ------------------------------------------------------------------ E-SERVE
 
-/// The multi-tenant HTTP service under open-loop load: steady-state
-/// throughput and tail latency (read-heavy, then churn-heavy), cache
-/// hit rates under churn, and the two documented overload answers —
-/// `429` when per-request budgets run out, `503` when the accept queue
-/// is full. Emits `BENCH_serve.json`.
+/// The multi-tenant HTTP service under open-loop load: the two
+/// documented overload answers — `429` when per-request budgets run
+/// out, `503` when the accept queue is full. Emits `BENCH_serve.json`.
+/// Steady-state serving is measured by `perfbench/`.
 fn serve_bench() {
     use nalist::obs::MetricsRecorder;
     use nalist::serve::{loadgen, LoadgenConfig, ServerConfig};
@@ -1575,12 +1578,12 @@ fn serve_bench() {
     std::fs::create_dir_all(&dir).expect("wal dir");
     let mut json_rows: Vec<String> = Vec::new();
 
-    let lcfg = |addr: &str, rps: f64, edit_ratio: f64, reuse: bool| LoadgenConfig {
+    let lcfg = |addr: &str, edit_ratio: f64, reuse: bool| LoadgenConfig {
         addr: addr.to_string(),
         tenants: 3,
         atoms: 10,
         pool: 64,
-        rps,
+        rps: 300.0,
         duration_ms: 2_500,
         conns: 3,
         edit_ratio,
@@ -1589,75 +1592,24 @@ fn serve_bench() {
         reuse_tenants: reuse,
         verify: None,
     };
-    let row =
-        |id: String, stage: &str, fuel: &str, report: &loadgen::LoadgenReport, hit_rate: f64| {
-            let rj = report.to_json();
-            format!(
-            "  {{\"id\": {id:?}, \"stage\": \"{stage}\", \"tenants\": 3, \"fuel\": \"{fuel}\", \
-             \"cache_hit_rate\": {hit_rate:.4}, {}}}",
-            &rj[1..rj.len() - 1]
-        )
-        };
-    println!(
-        "\n{:>18} {:>8} {:>9} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}",
-        "stage", "offered", "achieved", "ok", "429", "503", "p50 µs", "p99 µs", "hit rate"
-    );
 
-    // Stages 1+2: steady state on a roomy durable server — read-heavy
-    // first (the zipf-hot cache carries the load), then churn-heavy
-    // (edits evict selectively and journal to the WAL before applying).
-    let rec = Arc::new(MetricsRecorder::new());
-    let cfg = ServerConfig {
+    // Seed: one unmeasured churny run on a roomy durable server creates
+    // the tenants and journals their edits to the WAL directory.
+    let seed_cfg = ServerConfig {
         workers: 4,
         queue_cap: 64,
         wal_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let srv = nalist::serve::server::start(&cfg, rec.clone()).expect("server starts");
-    let addr = srv.local_addr().to_string();
-    let counter = |rec: &Arc<MetricsRecorder>, name: &str| -> u64 {
-        rec.snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |&(_, v)| v)
-    };
-    for (stage, rps, edit_ratio, reuse) in [
-        ("steady(read-heavy)", 300.0, 0.02, false),
-        ("steady(churn)", 300.0, 0.30, true),
-    ] {
-        let (h0, m0) = (counter(&rec, "cache_hits"), counter(&rec, "cache_misses"));
-        let report = loadgen::run(&lcfg(&addr, rps, edit_ratio, reuse)).expect("loadgen runs");
-        let (dh, dm) = (
-            counter(&rec, "cache_hits") - h0,
-            counter(&rec, "cache_misses") - m0,
-        );
-        let hit_rate = dh as f64 / (dh + dm).max(1) as f64;
-        println!(
-            "{stage:>18} {:>8.0} {:>9.0} {:>6} {:>6} {:>5} {:>9} {:>9} {hit_rate:>8.2}",
-            report.offered_rps,
-            report.achieved_rps,
-            report.ok,
-            report.status_429,
-            report.status_503,
-            report.p50_us,
-            report.p99_us
-        );
-        json_rows.push(row(
-            format!("steady(stage={stage}, tenants=3, edit_ratio={edit_ratio})"),
-            stage,
-            "unlimited",
-            &report,
-            hit_rate,
-        ));
-    }
-    srv.shutdown();
+    let seed = nalist::serve::server::start(&seed_cfg, Arc::new(MetricsRecorder::new()))
+        .expect("server starts");
+    loadgen::run(&lcfg(&seed.local_addr().to_string(), 0.30, false)).expect("loadgen runs");
+    seed.shutdown();
 
-    // Stage 3: budget overload. The same tenants come back from the WAL
-    // directory (recovery runs unbudgeted), but every *request* now gets
-    // a tiny fuel cap — hard queries answer 429 instead of degrading the
-    // tenants that stay within budget.
-    let rec2 = Arc::new(MetricsRecorder::new());
+    // Stage 1: budget overload. The seeded tenants come back from the
+    // WAL directory (recovery runs unbudgeted), but every *request* now
+    // gets a tiny fuel cap — hard queries answer 429 instead of
+    // degrading the tenants that stay within budget.
     let cfg2 = ServerConfig {
         workers: 4,
         queue_cap: 64,
@@ -1665,12 +1617,17 @@ fn serve_bench() {
         wal_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
-    let srv2 = nalist::serve::server::start(&cfg2, rec2.clone()).expect("server restarts");
+    let srv2 = nalist::serve::server::start(&cfg2, Arc::new(MetricsRecorder::new()))
+        .expect("server restarts");
     let addr2 = srv2.local_addr().to_string();
-    let report = loadgen::run(&lcfg(&addr2, 300.0, 0.10, true)).expect("loadgen runs");
+    let report = loadgen::run(&lcfg(&addr2, 0.10, true)).expect("loadgen runs");
     let rejected = report.status_429;
     println!(
-        "{:>18} {:>8.0} {:>9.0} {:>6} {:>6} {:>5} {:>9} {:>9} {:>8}",
+        "\n{:>18} {:>8} {:>9} {:>6} {:>6} {:>5} {:>9} {:>9}",
+        "stage", "offered", "achieved", "ok", "429", "503", "p50 µs", "p99 µs"
+    );
+    println!(
+        "{:>18} {:>8.0} {:>9.0} {:>6} {:>6} {:>5} {:>9} {:>9}",
         "overload(fuel=64)",
         report.offered_rps,
         report.achieved_rps,
@@ -1679,19 +1636,17 @@ fn serve_bench() {
         report.status_503,
         report.p50_us,
         report.p99_us,
-        "-"
     );
-    json_rows.push(row(
-        "overload(kind=budget, fuel=64, tenants=3)".to_string(),
-        "overload(budget)",
-        "64",
-        &report,
-        0.0,
+    let rj = report.to_json();
+    json_rows.push(format!(
+        "  {{\"id\": \"overload(kind=budget, fuel=64, tenants=3)\", \
+         \"stage\": \"overload(budget)\", \"tenants\": 3, \"fuel\": \"64\", {}}}",
+        &rj[1..rj.len() - 1]
     ));
     srv2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Stage 4: accept-queue overload. One worker, a queue of two, and a
+    // Stage 2: accept-queue overload. One worker, a queue of two, and a
     // burst of eight idle connections: everything past workers + queue
     // is shed at accept time with a structured 503 + Retry-After.
     let cfg3 = ServerConfig {

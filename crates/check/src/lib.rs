@@ -13,7 +13,7 @@
 //!
 //! The split follows the untrusted-prover/trusted-checker pattern: the
 //! engine may use any optimisation (worklist fixpoints, caches,
-//! work-stealing batches) because nothing it outputs is believed until
+//! parallel batches) because nothing it outputs is believed until
 //! this crate has re-derived it. Correspondingly, the Cargo dependency
 //! graph of `nalist-check` must never reach `nalist-membership` — CI
 //! enforces this with `cargo tree`.

@@ -436,51 +436,6 @@ impl ProofDag {
         }
         Ok(out)
     }
-
-    /// Expands the sub-derivation rooted at node `i` into a [`Proof`]
-    /// tree. Sharing is lost — sizes can blow up; intended for displaying
-    /// small certificates. Ungoverned twin of
-    /// [`ProofDag::to_tree_governed`].
-    pub fn to_tree(&self, i: usize) -> Proof {
-        self.to_tree_governed(i, &Budget::unlimited())
-            .expect("unlimited budget never exhausts")
-    }
-
-    /// Budget-governed tree expansion: charges one fuel unit per expanded
-    /// node and honours `budget.max_depth()`. Because sharing is lost, a
-    /// small DAG can expand to an exponentially large tree — governed
-    /// expansion is the only safe entry point for untrusted input.
-    pub fn to_tree_governed(&self, i: usize, budget: &Budget) -> Result<Proof, ResourceExhausted> {
-        self.expand(i, budget, 0)
-    }
-
-    fn expand(&self, i: usize, budget: &Budget, depth: u64) -> Result<Proof, ResourceExhausted> {
-        budget.charge(1)?;
-        check_depth(budget, depth)?;
-        match &self.nodes[i] {
-            DagNode::Premise { index, dep } => Ok(Proof::Premise {
-                index: *index,
-                dep: dep.clone(),
-            }),
-            DagNode::Step {
-                rule,
-                inputs,
-                params,
-                conclusion,
-            } => {
-                let mut subtrees = Vec::with_capacity(inputs.len());
-                for &j in inputs {
-                    subtrees.push(self.expand(j, budget, depth + 1)?);
-                }
-                Ok(Proof::Step {
-                    rule: *rule,
-                    inputs: subtrees,
-                    params: params.clone(),
-                    conclusion: conclusion.clone(),
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -585,12 +540,6 @@ mod tests {
         assert_eq!(dag.conclusion(t).render(&alg), "L(A) -> L(C)");
         let root = dag.check(&alg, &sigma).unwrap();
         assert_eq!(root.render(&alg), "L(A) -> L(C)");
-        // the expanded tree checks against the tree checker too
-        let tree = dag.to_tree(t);
-        assert_eq!(
-            check(&alg, &sigma, &tree).unwrap().render(&alg),
-            "L(A) -> L(C)"
-        );
         assert_eq!(dag.len(), 3);
         assert!(!dag.is_empty());
     }
@@ -649,13 +598,25 @@ mod tests {
         assert!(dag
             .render_governed(&alg, &Budget::unlimited().with_fuel(1))
             .is_err());
-        assert!(dag
-            .to_tree_governed(t, &Budget::unlimited().with_fuel(1))
-            .is_err());
 
-        // depth cap: the expanded tree has depth 1, a cap of 0 trips it
+        // depth cap: the tree of the same derivation has depth 1, a cap
+        // of 0 trips it
         let shallow = Budget::unlimited().with_max_depth(0);
-        let tree = dag.to_tree(t);
+        let tree = Proof::Step {
+            rule: Rule::FdTransitivity,
+            inputs: vec![
+                Proof::Premise {
+                    index: 0,
+                    dep: sigma[0].clone(),
+                },
+                Proof::Premise {
+                    index: 1,
+                    dep: sigma[1].clone(),
+                },
+            ],
+            params: vec![],
+            conclusion: dag.conclusion(t).clone(),
+        };
         assert!(matches!(
             check_governed(&alg, &sigma, &tree, &shallow),
             Err(ProofError::Resource(e)) if e.kind == ResourceKind::Depth
@@ -671,7 +632,6 @@ mod tests {
             dag.check(&alg, &sigma).unwrap()
         );
         assert_eq!(dag.render_governed(&alg, &ample).unwrap(), dag.render(&alg));
-        assert_eq!(dag.to_tree_governed(t, &ample).unwrap(), tree);
         assert_eq!(
             tree.render_governed(&alg, &ample).unwrap(),
             tree.render(&alg)

@@ -203,20 +203,7 @@ pub fn closure_and_basis_paper(
     sigma: &[CompiledDep],
     x: &AtomSet,
 ) -> DependencyBasis {
-    run(alg, sigma, x, None, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
-}
-
-/// [`closure_and_basis_paper`] under a resource [`Budget`] (one fuel unit
-/// per dependency step per pass). Checks the downward-closed
-/// precondition like [`closure_and_basis_governed`].
-pub fn closure_and_basis_paper_governed(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-    budget: &Budget,
-) -> Result<DependencyBasis, ClosureError> {
-    check_downward_closed(alg, x)?;
-    Ok(run(alg, sigma, x, None, budget)?)
+    run(alg, sigma, x, None)
 }
 
 /// Computes `X⁺` and `DepB(X)` and records the full per-step trace.
@@ -231,8 +218,7 @@ pub fn closure_and_basis_traced(
         order: Vec::new(),
         passes: Vec::new(),
     };
-    let basis = run(alg, sigma, x, Some(&mut trace), &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted");
+    let basis = run(alg, sigma, x, Some(&mut trace));
     (basis, trace)
 }
 
@@ -241,8 +227,7 @@ fn run(
     sigma: &[CompiledDep],
     x: &AtomSet,
     mut trace: Option<&mut Trace>,
-    budget: &Budget,
-) -> Result<DependencyBasis, ResourceExhausted> {
+) -> DependencyBasis {
     debug_assert!(alg.is_downward_closed(x), "X must be an element of Sub(N)");
 
     // the paper's loop processes all FDs, then all MVDs, per pass
@@ -274,7 +259,6 @@ fn run(
         let mut pass_steps: Vec<StepTrace> = Vec::new();
 
         for (k, &i) in order.iter().enumerate() {
-            budget.charge(1)?;
             let dep = &sigma[i];
             // Ū := ⊔{W ∈ DB | ∃ atom a possessed by W, a ∉ X_new, a ∈ SubB(U)}
             let mut ubar = AtomSet::empty(alg.atom_count());
@@ -354,11 +338,11 @@ fn run(
     for a in x_new.iter() {
         basis.insert(alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [a])));
     }
-    Ok(DependencyBasis {
+    DependencyBasis {
         closure: x_new,
         blocks: sorted(&db),
         basis: basis.into_iter().collect(),
-    })
+    }
 }
 
 /// Proposition 4.10 on width-exact words (see [`AtomSet::words`]),
@@ -607,9 +591,6 @@ mod tests {
         let err = closure_and_basis_governed(&alg, &sigma, &bad, &Budget::unlimited()).unwrap_err();
         assert_eq!(err, ClosureError::NotDownwardClosed { atom: 2 });
         assert!(err.to_string().contains("not downward closed"));
-        let err =
-            closure_and_basis_paper_governed(&alg, &sigma, &bad, &Budget::unlimited()).unwrap_err();
-        assert_eq!(err, ClosureError::NotDownwardClosed { atom: 2 });
         // a valid X still works and resource errors still convert
         let good = AtomSet::from_indices(5, [1, 2]);
         assert!(closure_and_basis_governed(&alg, &sigma, &good, &Budget::unlimited()).is_ok());

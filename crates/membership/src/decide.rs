@@ -2,12 +2,13 @@
 //! `σ`'s left-hand side and apply Proposition 4.10.
 //!
 //! [`Reasoner`] answers queries either one at a time or in parallel
-//! batches ([`Reasoner::implies_batch`]); batch workers share the per-LHS
-//! basis cache, which is sharded across mutexes so concurrent queries
-//! with distinct left-hand sides rarely contend. Batches are first run
-//! through a query *planner* that deduplicates items by left-hand side —
-//! each distinct LHS basis is computed exactly once per batch — and
-//! answers cache-warm LHSs before cold ones.
+//! batches ([`Reasoner::implies_batch_governed_with`]); batch workers
+//! share the per-LHS basis cache, one map behind one lock that no worker
+//! holds while it computes a basis. Batches are first run through a
+//! query *planner* that deduplicates items by left-hand side — each
+//! distinct LHS basis is computed exactly once per batch — and orders
+//! cache-warm LHSs before cold ones; workers then claim the planned
+//! groups in that order from one shared cursor.
 //!
 //! The reasoner is *incremental*: `Σ` edits ([`Reasoner::add`] /
 //! [`Reasoner::remove`]) no longer clear the cache. Each cached basis
@@ -16,12 +17,11 @@
 //! affect (see the soundness argument in [`crate::worklist`]), and a
 //! from-scratch recompute of every surviving entry is bit-identical.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -40,14 +40,6 @@ use crate::closure::{
 use crate::packed::PackedBasis;
 use crate::witness::WitnessError;
 use crate::worklist::step_would_change;
-
-/// Floor on the number of independently locked cache shards. The actual
-/// count is `max(available_parallelism, MIN_CACHE_SHARDS)`: matching the
-/// default worker count gives the batch scheduler shard *affinity* (a
-/// cold group is seeded onto the worker that owns its shard, so computes
-/// and inserts stay shard-local), while the floor keeps contention
-/// negligible when callers oversubscribe threads on a small machine.
-const MIN_CACHE_SHARDS: usize = 8;
 
 /// Most packed bytes ([`CacheStats::bytes`]) one reasoner's basis cache
 /// holds. An insert that would take the cache past it first flushes
@@ -109,126 +101,99 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// A thread-safe per-LHS dependency-basis cache, sharded by the hash of
-/// the left-hand side and bounded by [`MAX_CACHE_BYTES`].
+/// A thread-safe per-LHS dependency-basis cache behind one lock,
+/// bounded by [`MAX_CACHE_BYTES`].
 ///
-/// Lookups lock exactly one shard, and no lock is held while a basis is
-/// *computed*; within one batch the planner guarantees a distinct LHS is
-/// computed once, and concurrent *independent* callers racing on the
-/// same fresh LHS produce deterministic, idempotent inserts.
+/// No lock is held while a basis is *computed*; within one batch the
+/// planner guarantees a distinct LHS is computed once, and concurrent
+/// *independent* callers racing on the same fresh LHS produce
+/// deterministic, idempotent inserts.
 ///
-/// The bound is enforced by `insert`: an entry that would take the
-/// reasoner-wide byte total past it first flushes every shard, one lock
-/// at a time. The rule reads only the bytes held and the incoming
-/// entry's — not insertion order, hits or the shard count — so a
-/// reasoner restored from its snapshot, or cloned, evicts exactly as
-/// the live one does, and the counters do not depend on the CPU count.
-/// Entries are memos of complete fixpoints, so a flushed one recomputes
-/// bit-identically (Theorem 6.3). Concurrent inserters can each land
-/// one entry past the bound before the next insert flushes.
+/// The bound is enforced by `insert`: an entry that would take the byte
+/// total past it first flushes every entry, under the same lock as the
+/// insert, so the cache never holds more than the bound unless one
+/// entry alone is larger. The rule reads only the bytes held and the
+/// incoming entry's — not insertion order or hits — so a reasoner
+/// restored from its snapshot, or cloned, evicts exactly as the live
+/// one does. Entries are memos of complete fixpoints, so a flushed one
+/// recomputes bit-identically (Theorem 6.3).
 ///
 /// The same no-lock-while-computing discipline is what makes poison
-/// recovery sound: besides the map's own mutations, a shard lock only
+/// recovery sound: besides the map's own mutations, the lock only
 /// covers a hit's short read of one entry — a single query's
 /// Proposition 4.10 check, a `DepB` derivation, or a batch group's copy
 /// of the entry (its members are evaluated outside the lock) — and
 /// every entry is fully packed before `insert` takes the lock, so a
 /// poisoned mutex never guards half-written data and the cache simply
 /// keeps serving after a worker dies.
-#[derive(Debug)]
-struct BasisCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Sum of the live entries' [`PackedBasis::bytes`]. Changed only
-    /// under the lock of the shard whose entries changed, so a
-    /// subtraction never precedes the addition it undoes; it publishes
-    /// no other data, hence `Relaxed`.
-    bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    retained: AtomicU64,
-    evicted: AtomicU64,
-    capacity_evicted: AtomicU64,
+#[derive(Debug, Default)]
+struct BasisCache(Mutex<CacheState>);
+
+/// What the cache lock guards: the packed bases by left-hand side,
+/// their byte total and the counters [`CacheStats`] reports.
+#[derive(Debug, Default)]
+struct CacheState {
+    map: HashMap<AtomSet, PackedBasis>,
+    /// Sum of the live entries' [`PackedBasis::bytes`].
+    bytes: u64,
+    hits: u64,
+    misses: u64,
+    retained: u64,
+    evicted: u64,
+    capacity_evicted: u64,
 }
 
-impl Default for BasisCache {
-    /// Shard count: one per default batch worker, floored at
-    /// [`MIN_CACHE_SHARDS`] (see there for the affinity rationale).
-    fn default() -> Self {
-        BasisCache::with_shards(default_batch_threads().get().max(MIN_CACHE_SHARDS))
+impl CacheState {
+    /// Empties the map; returns how many entries it held.
+    fn flush(&mut self) -> u64 {
+        let dropped = self.map.len() as u64;
+        self.map.clear();
+        self.bytes = 0;
+        dropped
     }
 }
 
 impl Clone for BasisCache {
-    /// Deep copy: the clone owns independent shard storage (mutating
-    /// either side can never leak entries across), with the same shard
-    /// count and bytes, and counters reset.
+    /// Deep copy: the clone owns independent storage (mutating either
+    /// side can never leak entries across), with the same bytes, and
+    /// counters reset.
     fn clone(&self) -> Self {
-        let cloned = BasisCache::with_shards(self.shards.len());
-        for (src, dst) in self.shards.iter().zip(&cloned.shards) {
-            let src = src.lock().unwrap_or_else(PoisonError::into_inner);
-            let held: u64 = src.values().map(PackedBasis::bytes).sum();
-            *dst.lock().unwrap_or_else(PoisonError::into_inner) = src.clone();
-            cloned.bytes.fetch_add(held, Ordering::Relaxed);
-        }
-        cloned
+        let src = self.lock();
+        BasisCache(Mutex::new(CacheState {
+            map: src.map.clone(),
+            bytes: src.bytes,
+            ..CacheState::default()
+        }))
     }
 }
 
-/// One lock's worth of the cache: the packed bases by left-hand side.
-type Shard = HashMap<AtomSet, PackedBasis>;
-
 impl BasisCache {
-    fn with_shards(n: usize) -> Self {
-        BasisCache {
-            shards: (0..n.max(1)).map(|_| Mutex::default()).collect(),
-            bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            capacity_evicted: AtomicU64::new(0),
-        }
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Which shard `x` lives in — also the batch scheduler's affinity
-    /// key: a cold planner group for `x` is seeded onto worker
-    /// `shard_index(x) % workers`.
-    fn shard_index(&self, x: &AtomSet) -> usize {
-        let mut h = DefaultHasher::new();
-        x.hash(&mut h);
-        h.finish() as usize % self.shards.len()
-    }
-
-    fn shard(&self, x: &AtomSet) -> MutexGuard<'_, Shard> {
-        self.shards[self.shard_index(x)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs `read` on the cached basis of `x` in place, under its shard
-    /// lock — a hit copies nothing out of the cache.
+    /// Runs `read` on the cached basis of `x` in place, under the lock —
+    /// a hit copies nothing out of the cache.
     fn get<T>(&self, x: &AtomSet, read: impl FnOnce(&PackedBasis) -> T) -> Option<T> {
-        let hit = self.shard(x).get(x).map(read);
-        let counter = if hit.is_some() {
-            &self.hits
+        let mut state = self.lock();
+        let hit = state.map.get(x).map(read);
+        if hit.is_some() {
+            state.hits += 1;
         } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            state.misses += 1;
+        }
         hit
     }
 
     /// Warmth probe for the batch planner — no stats impact.
     fn contains(&self, x: &AtomSet) -> bool {
-        self.shard(x).contains_key(x)
+        self.lock().map.contains_key(x)
     }
 
     /// Does the cache hold no entry? Judged by entries, not bytes: an
     /// entry over a zero-atom schema packs to 0 bytes.
     fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.lock().unwrap_or_else(PoisonError::into_inner).is_empty())
+        self.lock().map.is_empty()
     }
 
     /// Caches `entry` for `x`. If it would take the cache past
@@ -236,15 +201,15 @@ impl BasisCache {
     /// many were.
     fn insert(&self, x: AtomSet, entry: PackedBasis) -> u64 {
         let size = entry.bytes();
-        let flushed = if self.bytes.load(Ordering::Relaxed) + size > MAX_CACHE_BYTES {
-            self.drain(&self.capacity_evicted)
+        let mut state = self.lock();
+        let flushed = if state.bytes + size > MAX_CACHE_BYTES {
+            state.flush()
         } else {
             0
         };
-        let mut shard = self.shard(&x);
-        let replaced = shard.insert(x, entry).map_or(0, |old| old.bytes());
-        self.bytes.fetch_add(size, Ordering::Relaxed);
-        self.bytes.fetch_sub(replaced, Ordering::Relaxed);
+        state.capacity_evicted += flushed;
+        let replaced = state.map.insert(x, entry).map_or(0, |old| old.bytes());
+        state.bytes = state.bytes + size - replaced;
         flushed
     }
 
@@ -253,62 +218,38 @@ impl BasisCache {
     /// sweep so callers can mirror the deltas into an observability
     /// recorder.
     fn retain(&self, mut keep: impl FnMut(&PackedBasis) -> bool) -> (u64, u64) {
-        let mut totals = (0u64, 0u64);
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = shard.len() as u64;
-            let mut freed = 0;
-            shard.retain(|_, e| {
-                let kept = keep(e);
-                if !kept {
-                    freed += e.bytes();
-                }
-                kept
-            });
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-            let after = shard.len() as u64;
-            self.retained.fetch_add(after, Ordering::Relaxed);
-            self.evicted.fetch_add(before - after, Ordering::Relaxed);
-            totals.0 += after;
-            totals.1 += before - after;
-        }
-        totals
-    }
-
-    /// Empties every shard, one lock at a time and never holding two,
-    /// and adds the entries dropped to `counter`. Returns how many there
-    /// were.
-    fn drain(&self, counter: &AtomicU64) -> u64 {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let freed: u64 = shard.values().map(PackedBasis::bytes).sum();
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-            dropped += shard.len() as u64;
-            shard.clear();
-        }
-        counter.fetch_add(dropped, Ordering::Relaxed);
-        dropped
+        let mut state = self.lock();
+        let before = state.map.len() as u64;
+        let mut freed = 0;
+        state.map.retain(|_, e| {
+            let kept = keep(e);
+            if !kept {
+                freed += e.bytes();
+            }
+            kept
+        });
+        let after = state.map.len() as u64;
+        state.bytes -= freed;
+        state.retained += after;
+        state.evicted += before - after;
+        (after, before - after)
     }
 
     fn clear(&self) {
-        self.drain(&self.evicted);
+        let mut state = self.lock();
+        state.evicted += state.flush();
     }
 
     fn stats(&self) -> CacheStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len() as u64)
-            .sum();
+        let state = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            retained: self.retained.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            capacity_evicted: self.capacity_evicted.load(Ordering::Relaxed),
-            entries,
-            bytes: self.bytes.load(Ordering::Relaxed),
+            hits: state.hits,
+            misses: state.misses,
+            retained: state.retained,
+            evicted: state.evicted,
+            capacity_evicted: state.capacity_evicted,
+            entries: state.map.len() as u64,
+            bytes: state.bytes,
         }
     }
 }
@@ -448,8 +389,8 @@ impl From<CertifyError> for ReasonerError {
     }
 }
 
-/// Per-item failure inside a batch call ([`Reasoner::implies_batch_governed`],
-/// [`Reasoner::dependency_basis_batch_governed`]): the failed query is
+/// Per-item failure inside a batch call
+/// ([`Reasoner::implies_batch_governed_with`]): the failed query is
 /// reported here while the rest of the batch completes normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -702,20 +643,12 @@ impl Reasoner {
 
     /// Runs `visit` on every live cache entry — LHS key and packed
     /// basis — sorted by LHS, so the visit is deterministic regardless of
-    /// shard count or hash order. This is the warm state a snapshot
-    /// persists. Every shard stays locked while `visit` runs, so the
-    /// entries are read in place, not copied.
+    /// hash order. This is the warm state a snapshot persists. The cache
+    /// stays locked while `visit` runs, so the entries are read in place,
+    /// not copied.
     pub fn with_cache_entries<T>(&self, visit: impl FnOnce(&[(&AtomSet, &PackedBasis)]) -> T) -> T {
-        // shards are only ever locked one at a time elsewhere, so taking
-        // them all in index order cannot deadlock
-        let shards: Vec<MutexGuard<'_, Shard>> = self
-            .cache
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let mut entries: Vec<(&AtomSet, &PackedBasis)> =
-            shards.iter().flat_map(|s| s.iter()).collect();
+        let state = self.cache.lock();
+        let mut entries: Vec<(&AtomSet, &PackedBasis)> = state.map.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         visit(&entries)
     }
@@ -833,59 +766,15 @@ impl Reasoner {
         self.with_basis(&c.lhs, budget, |basis| basis.implies(c))
     }
 
-    /// Decides `Σ ⊨ σ` for every dependency in `deps`, in parallel.
-    ///
-    /// Compilation errors are reported before any work is spawned; the
-    /// result vector is index-aligned with `deps`. Uses one worker per
-    /// available CPU (capped at the batch size); workers share the basis
-    /// cache, so duplicated left-hand sides are computed once.
-    pub fn implies_batch(&self, deps: &[Dependency]) -> Result<Vec<bool>, ReasonerError> {
-        self.implies_batch_with(deps, default_batch_threads())
-    }
-
-    /// [`Reasoner::implies_batch`] with an explicit worker count.
-    pub fn implies_batch_with(
-        &self,
-        deps: &[Dependency],
-        threads: NonZeroUsize,
-    ) -> Result<Vec<bool>, ReasonerError> {
-        let items = self.implies_batch_governed_with(deps, &Budget::unlimited(), threads)?;
-        Ok(items
-            .into_iter()
-            .map(|r| match r {
-                Ok(b) => b,
-                // Unreachable with an unlimited, failpoint-free budget.
-                Err(QueryError::Resource(e)) => {
-                    unreachable!("unlimited budget cannot be exhausted: {e}")
-                }
-                // Unreachable: compiled LHSs are downward closed.
-                Err(QueryError::Invalid { message }) => {
-                    unreachable!("compiled query cannot be invalid: {message}")
-                }
-                // An internal-invariant panic: re-surface it rather than
-                // silently degrading the infallible legacy signature.
-                Err(QueryError::Panicked { message }) => {
-                    panic!("batch worker panicked: {message}")
-                }
-            })
-            .collect())
-    }
-
-    /// Decides `Σ ⊨ σ` for every dependency in `deps` under a shared
-    /// resource [`Budget`], with **per-query fault isolation**: a query
-    /// that exhausts the budget or panics yields a per-item `Err` while
-    /// the rest of the batch completes — graceful degradation, not
-    /// all-or-nothing. Compilation errors (malformed queries) are still
-    /// reported up front, before any work is spawned.
-    pub fn implies_batch_governed(
-        &self,
-        deps: &[Dependency],
-        budget: &Budget,
-    ) -> Result<Vec<Result<bool, QueryError>>, ReasonerError> {
-        self.implies_batch_governed_with(deps, budget, default_batch_threads())
-    }
-
-    /// [`Reasoner::implies_batch_governed`] with an explicit worker count.
+    /// Decides `Σ ⊨ σ` for every dependency in `deps` on `threads`
+    /// workers (the calling thread among them), under a shared resource
+    /// [`Budget`], with **per-query fault isolation**: a query that
+    /// exhausts the budget or panics yields a per-item `Err` while the
+    /// rest of the batch completes — graceful degradation, not
+    /// all-or-nothing. Compilation errors (malformed queries) are
+    /// reported up front, before any work is spawned. The result vector
+    /// is index-aligned with `deps`; workers share the basis cache, and
+    /// duplicated left-hand sides are computed once.
     pub fn implies_batch_governed_with(
         &self,
         deps: &[Dependency],
@@ -897,67 +786,7 @@ impl Reasoner {
             .map(|d| d.compile(&self.alg).map_err(ReasonerError::Type))
             .collect::<Result<Vec<_>, _>>()?;
         let groups = self.plan_groups(compiled.iter().map(|c| &c.lhs));
-        Ok(
-            self.run_planned(&groups, compiled.len(), threads, budget, |basis, i| {
-                basis.implies(&compiled[i])
-            }),
-        )
-    }
-
-    /// Computes the dependency basis for every `X` in `xs`, in parallel
-    /// (one worker per available CPU, capped at the batch size). The
-    /// result is index-aligned with `xs`.
-    pub fn dependency_basis_batch(&self, xs: &[AtomSet]) -> Vec<DependencyBasis> {
-        self.dependency_basis_batch_with(xs, default_batch_threads())
-    }
-
-    /// [`Reasoner::dependency_basis_batch`] with an explicit worker
-    /// count.
-    pub fn dependency_basis_batch_with(
-        &self,
-        xs: &[AtomSet],
-        threads: NonZeroUsize,
-    ) -> Vec<DependencyBasis> {
-        self.dependency_basis_batch_governed_with(xs, &Budget::unlimited(), threads)
-            .into_iter()
-            .map(|r| match r {
-                Ok(b) => b,
-                Err(QueryError::Resource(e)) => {
-                    unreachable!("unlimited budget cannot be exhausted: {e}")
-                }
-                Err(QueryError::Invalid { message }) => {
-                    panic!("invalid batch query: {message}")
-                }
-                Err(QueryError::Panicked { message }) => {
-                    panic!("batch worker panicked: {message}")
-                }
-            })
-            .collect()
-    }
-
-    /// [`Reasoner::dependency_basis_batch`] under a shared resource
-    /// [`Budget`] with per-query fault isolation (see
-    /// [`Reasoner::implies_batch_governed`]).
-    pub fn dependency_basis_batch_governed(
-        &self,
-        xs: &[AtomSet],
-        budget: &Budget,
-    ) -> Vec<Result<DependencyBasis, QueryError>> {
-        self.dependency_basis_batch_governed_with(xs, budget, default_batch_threads())
-    }
-
-    /// [`Reasoner::dependency_basis_batch_governed`] with an explicit
-    /// worker count.
-    pub fn dependency_basis_batch_governed_with(
-        &self,
-        xs: &[AtomSet],
-        budget: &Budget,
-        threads: NonZeroUsize,
-    ) -> Vec<Result<DependencyBasis, QueryError>> {
-        let groups = self.plan_groups(xs.iter());
-        self.run_planned(&groups, xs.len(), threads, budget, |basis, _| {
-            basis.to_basis(&self.alg)
-        })
+        Ok(self.run_planned(&groups, &compiled, threads, budget))
     }
 
     /// The batch query planner: deduplicates batch items by left-hand
@@ -987,20 +816,20 @@ impl Reasoner {
         warm.into_iter().chain(cold).collect()
     }
 
-    /// Executes a planned batch: workers steal whole groups, compute the
-    /// group's basis once (panic- and budget-isolated), then fan the
-    /// packed basis out to every member item through `eval`. Per-item
-    /// slots keep the output index-aligned with the original batch.
-    fn run_planned<T: Send + Sync>(
+    /// Executes a planned batch: workers claim whole groups in plan
+    /// order from one shared cursor, compute the group's basis once
+    /// (panic- and budget-isolated), then decide every member item on
+    /// the packed basis. Per-item slots keep the output index-aligned
+    /// with the original batch.
+    fn run_planned(
         &self,
         groups: &[PlanGroup],
-        n_items: usize,
+        compiled: &[CompiledDep],
         threads: NonZeroUsize,
         budget: &Budget,
-        eval: impl Fn(&PackedBasis, usize) -> T + Sync,
-    ) -> Vec<Result<T, QueryError>> {
-        let slots: Vec<OnceLock<Result<T, QueryError>>> =
-            (0..n_items).map(|_| OnceLock::new()).collect();
+    ) -> Vec<Result<bool, QueryError>> {
+        let slots: Vec<OnceLock<Result<bool, QueryError>>> =
+            (0..compiled.len()).map(|_| OnceLock::new()).collect();
         let rec = self.recorder.as_ref();
         let fill = |g: &PlanGroup| {
             // span per planner group (enter: member count; exit: members
@@ -1013,7 +842,7 @@ impl Reasoner {
             let gstart = enabled.then(Instant::now);
             let mut ok_members = 0u64;
             // one copy of the packed entry per group, taken out of the
-            // cache so the members are evaluated outside the shard lock
+            // cache so the members are evaluated outside the cache lock
             // and the lookup span
             match self.isolated(|| self.with_basis(&g.x, budget, PackedBasis::clone)) {
                 Ok(basis) => {
@@ -1021,14 +850,12 @@ impl Reasoner {
                         let qtoken =
                             enabled.then(|| rec.enter(nalist_obs::site::BATCH_QUERY, i as u64));
                         let qstart = enabled.then(Instant::now);
-                        // `eval` is also confined per item: a panic while
-                        // deriving one member's answer must not take down
-                        // its LHS-mates.
-                        let r =
-                            catch_unwind(AssertUnwindSafe(|| eval(&basis, i))).map_err(|payload| {
-                                QueryError::Panicked {
-                                    message: panic_message(payload),
-                                }
+                        // each answer is also confined per item: a panic
+                        // while deriving one member's answer must not take
+                        // down its LHS-mates.
+                        let r = catch_unwind(AssertUnwindSafe(|| basis.implies(&compiled[i])))
+                            .map_err(|payload| QueryError::Panicked {
+                                message: panic_message(payload),
                             });
                         let item_ok = r.is_ok();
                         ok_members += u64::from(item_ok);
@@ -1062,43 +889,22 @@ impl Reasoner {
         if rec.enabled() {
             rec.add(Counter::BatchThreads, workers as u64);
         }
-        if workers <= 1 {
-            for g in groups {
+        // Which worker runs a group cannot affect its result: each group
+        // is claimed exactly once and lands in its own `OnceLock` slots,
+        // so batch output is bit-identical to sequential execution. The
+        // calling thread drains the cursor alongside the others.
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            while let Some(g) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 fill(g);
             }
-        } else {
-            // Work-stealing execution: warm groups go to a shared
-            // injector (drained first, preserving the planner's
-            // warm-before-cold order), cold groups to the local queue of
-            // the worker owning their cache shard. Which worker runs a
-            // group cannot affect its result — each group is claimed
-            // exactly once and lands in its own `OnceLock` slots — so
-            // stealing keeps batch output bit-identical to sequential
-            // execution while idle workers always find remaining work.
-            let sched = crate::steal::StealScheduler::new(workers);
-            for (gi, g) in groups.iter().enumerate() {
-                if g.warm {
-                    sched.push_shared(gi);
-                } else {
-                    sched.push_local(self.cache.shard_index(&g.x) % workers, gi);
-                }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(drain);
             }
-            std::thread::scope(|s| {
-                let sched = &sched;
-                let fill = &fill;
-                for w in 0..workers {
-                    s.spawn(move || {
-                        while let Some(gi) = sched.pop(w) {
-                            fill(&groups[gi]);
-                        }
-                    });
-                }
-            });
-            if rec.enabled() {
-                rec.add(Counter::BatchSteals, sched.steals());
-                rec.add(Counter::BatchLocalHits, sched.local_hits());
-            }
-        }
+            drain();
+        });
         slots
             .into_iter()
             .map(|s| {
@@ -1110,7 +916,7 @@ impl Reasoner {
 
     /// Runs one batch item with panic confinement: a panicking query
     /// becomes [`QueryError::Panicked`] instead of unwinding through the
-    /// worker (the sharded cache tolerates the poisoned shard — see
+    /// worker (the cache tolerates its poisoned lock — see
     /// [`BasisCache`]).
     fn isolated<T>(&self, f: impl FnOnce() -> Result<T, ClosureError>) -> Result<T, QueryError> {
         catch_unwind(AssertUnwindSafe(f))
@@ -1191,7 +997,7 @@ impl Reasoner {
     }
 
     /// The one cache access path: runs `read` on the packed basis of `x`
-    /// — in place under its shard lock on a hit, so a hit copies nothing
+    /// — in place under the cache lock on a hit, so a hit copies nothing
     /// out of the cache unless `read` does; on a miss it runs Algorithm
     /// 5.1, packs `X⁺`, the blocks and the fired ids, runs `read` on
     /// that, and caches it.
@@ -1236,58 +1042,11 @@ impl Reasoner {
             self.recorder.add(Counter::CacheCapacityEvicted, flushed);
         }
     }
-
-    /// Dependency basis for a subattribute given in abbreviated notation.
-    pub fn dependency_basis_str(&self, src: &str) -> Result<DependencyBasis, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of(&self.attr, src)
-            .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        Ok(self.dependency_basis(&xs))
-    }
-
-    /// [`Reasoner::dependency_basis_str`] under a resource [`Budget`].
-    pub fn dependency_basis_str_governed(
-        &self,
-        src: &str,
-        budget: &Budget,
-    ) -> Result<DependencyBasis, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of_with(
-            &self.attr,
-            src,
-            ParseLimits::from_budget(budget),
-        )
-        .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        Ok(self.dependency_basis_governed(&xs, budget)?)
-    }
-
-    /// Decides `Σ ⊨ σ` and returns evidence: a checkable derivation DAG
-    /// when implied, a verified counterexample instance when not.
-    pub fn decide_with_evidence(&self, src: &str) -> Result<Evidence, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        match crate::certify::certify(&self.alg, &self.compiled, &c)? {
-            Some(proof) => Ok(Evidence::Implied { proof }),
-            None => {
-                // Σ ⊭ σ, so the completeness construction yields a
-                // witness; a `None` here means the two procedures
-                // disagree — surface it as a typed error, not a panic.
-                match crate::witness::refute(&self.alg, &self.compiled, &c)
-                    .map_err(ReasonerError::Witness)?
-                {
-                    Some(witness) => Ok(Evidence::NotImplied {
-                        witness: Box::new(witness),
-                    }),
-                    None => Err(ReasonerError::Witness(WitnessError::Implied)),
-                }
-            }
-        }
-    }
 }
 
-/// Default batch-worker count: one per available CPU (what
-/// [`Reasoner::implies_batch`] and the `nalist batch` command use when
-/// no explicit `--threads` is given). Falls back to 1 when the platform
+/// Default batch-worker count: one per available CPU (what the
+/// `nalist batch` command and the service use when no explicit thread
+/// count is given). Falls back to 1 when the platform
 /// cannot report its parallelism.
 pub fn default_batch_threads() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
@@ -1298,27 +1057,9 @@ pub fn default_batch_threads() -> NonZeroUsize {
 struct PlanGroup {
     x: AtomSet,
     members: Vec<usize>,
-    /// Was `x` cached when the batch was planned? Warm groups are seeded
-    /// onto the shared injector; cold groups onto shard-affine local
-    /// queues (see [`crate::steal`]).
+    /// Was `x` cached when the batch was planned? Warm groups are
+    /// planned before cold ones.
     warm: bool,
-}
-
-/// Evidence accompanying a membership verdict (see
-/// [`Reasoner::decide_with_evidence`]).
-#[derive(Debug, Clone)]
-pub enum Evidence {
-    /// The dependency is implied; the proof DAG re-verifies against `Σ`.
-    Implied {
-        /// A machine-checkable derivation over the 14 rules.
-        proof: nalist_deps::ProofDag,
-    },
-    /// The dependency is not implied; the witness satisfies `Σ` and
-    /// violates the dependency.
-    NotImplied {
-        /// The verified counterexample.
-        witness: Box<crate::witness::Witness>,
-    },
 }
 
 #[cfg(test)]
@@ -1365,29 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn evidence_api() {
-        let n = parse_attr("L(A, B, C)").unwrap();
-        let mut r = Reasoner::new(&n);
-        r.add_str("L(A) -> L(B)").unwrap();
-        match r.decide_with_evidence("L(A) ->> L(B)").unwrap() {
-            Evidence::Implied { proof } => {
-                proof.check(r.algebra(), r.compiled_sigma()).unwrap();
-            }
-            Evidence::NotImplied { .. } => panic!("should be implied"),
-        }
-        match r.decide_with_evidence("L(A) -> L(C)").unwrap() {
-            Evidence::NotImplied { witness } => {
-                assert!(witness
-                    .instance
-                    .satisfies_all(r.algebra(), r.compiled_sigma()));
-            }
-            Evidence::Implied { .. } => panic!("should not be implied"),
-        }
-        let basis = r.dependency_basis_str("L(A)").unwrap();
-        assert!(basis.fd_derivable(&basis.closure));
-    }
-
-    #[test]
     fn basis_cache_invalidated_on_add() {
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
@@ -1431,6 +1149,19 @@ mod tests {
         assert!(!r2.implies_str("L(B) -> L(A)").unwrap());
     }
 
+    /// The verdicts of an unlimited batch, every item answered.
+    fn batch(r: &Reasoner, deps: &[Dependency], threads: usize) -> Vec<bool> {
+        r.implies_batch_governed_with(
+            deps,
+            &Budget::unlimited(),
+            NonZeroUsize::new(threads).unwrap(),
+        )
+        .unwrap()
+        .into_iter()
+        .map(Result::unwrap)
+        .collect()
+    }
+
     #[test]
     fn implies_batch_agrees_with_sequential() {
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
@@ -1451,12 +1182,8 @@ mod tests {
             .collect();
         let sequential: Vec<bool> = deps.iter().map(|d| r.implies(d).unwrap()).collect();
         for threads in [1, 2, 4] {
-            let batch = r
-                .implies_batch_with(&deps, NonZeroUsize::new(threads).unwrap())
-                .unwrap();
-            assert_eq!(batch, sequential, "threads = {threads}");
+            assert_eq!(batch(&r, &deps, threads), sequential, "threads = {threads}");
         }
-        assert_eq!(r.implies_batch(&deps).unwrap(), sequential);
     }
 
     #[test]
@@ -1467,63 +1194,63 @@ mod tests {
         let m = parse_attr("M(C)").unwrap();
         let foreign = Dependency::parse(&m, "M(C) -> M(C)").unwrap();
         assert!(matches!(
-            r.implies_batch(&[good, foreign]),
+            r.implies_batch_governed_with(
+                &[good, foreign],
+                &Budget::unlimited(),
+                NonZeroUsize::MIN
+            ),
             Err(ReasonerError::Type(_))
         ));
     }
 
-    #[test]
-    fn dependency_basis_batch_agrees_with_sequential() {
+    /// One query per left-hand side in `lhss`, each `X -> λ`, over
+    /// `L(A, B, C, D)` with `A ->> B` and `B -> C`.
+    fn lhs_queries(lhss: &[&str]) -> (Reasoner, Vec<Dependency>) {
         let n = parse_attr("L(A, B, C, D)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) ->> L(B)").unwrap();
         r.add_str("L(B) -> L(C)").unwrap();
-        let xs: Vec<AtomSet> = ["λ", "L(A)", "L(B)", "L(A, D)"]
+        let deps = lhss
             .iter()
-            .map(|s| {
-                let sub = nalist_types::parser::parse_subattr_of(&n, s).unwrap();
-                r.algebra().from_attr(&sub).unwrap()
-            })
+            .map(|x| Dependency::parse(&n, &format!("{x} -> λ")).unwrap())
             .collect();
-        let sequential: Vec<DependencyBasis> = xs.iter().map(|x| r.dependency_basis(x)).collect();
+        (r, deps)
+    }
+
+    #[test]
+    fn dependency_basis_batch_agrees_with_sequential() {
+        // the bases a batch caches are the ones sequential queries compute
+        let (r, deps) = lhs_queries(&["λ", "L(A)", "L(B)", "L(A, D)"]);
+        let lhss: Vec<AtomSet> = deps
+            .iter()
+            .map(|d| d.compile(r.algebra()).unwrap().lhs)
+            .collect();
+        let sequential: Vec<DependencyBasis> = lhss.iter().map(|x| r.dependency_basis(x)).collect();
         for threads in [1, 3] {
-            let batch = r.dependency_basis_batch_with(&xs, NonZeroUsize::new(threads).unwrap());
-            assert_eq!(batch, sequential, "threads = {threads}");
+            let warmed = r.clone();
+            warmed.clear_cache();
+            batch(&warmed, &deps, threads);
+            let cached: Vec<DependencyBasis> =
+                lhss.iter().map(|x| warmed.dependency_basis(x)).collect();
+            assert_eq!(cached, sequential, "threads = {threads}");
+            let stats = warmed.cache_stats();
+            assert_eq!((stats.misses, stats.hits), (4, 4), "threads = {threads}");
         }
-        assert_eq!(r.dependency_basis_batch(&xs), sequential);
     }
 
     #[test]
     fn batch_planner_computes_each_distinct_lhs_once() {
         // Regression for the duplicate-LHS double-compute race: before
         // the planner, two workers racing on the same cold LHS both ran
-        // Algorithm 5.1 (the shard lock is dropped during compute). The
+        // Algorithm 5.1 (the cache lock is dropped during compute). The
         // planner folds equal LHSs into one group, so `misses` — which
         // counts full basis computations — must equal the number of
         // *distinct* LHSs at any thread count.
-        let n = parse_attr("L(A, B, C, D)").unwrap();
-        let mut r = Reasoner::new(&n);
-        r.add_str("L(A) ->> L(B)").unwrap();
-        r.add_str("L(B) -> L(C)").unwrap();
-        let sub = |s: &str| {
-            let sub = nalist_types::parser::parse_subattr_of(&n, s).unwrap();
-            r.algebra().from_attr(&sub).unwrap()
-        };
-        let xs = vec![
-            sub("L(A)"),
-            sub("L(B)"),
-            sub("L(A)"),
-            sub("L(A)"),
-            sub("L(B)"),
-            sub("L(A)"),
-        ];
+        let (r, deps) = lhs_queries(&["L(A)", "L(B)", "L(A)", "L(A)", "L(B)", "L(A)"]);
         for threads in [1, 4] {
             let fresh = r.clone();
             fresh.clear_cache();
-            let batch = fresh.dependency_basis_batch_with(&xs, NonZeroUsize::new(threads).unwrap());
-            assert_eq!(batch.len(), xs.len());
-            assert_eq!(batch[0], batch[2]);
-            assert_eq!(batch[1], batch[4]);
+            assert_eq!(batch(&fresh, &deps, threads), vec![true; deps.len()]);
             let stats = fresh.cache_stats();
             assert_eq!(
                 stats.misses, 2,
@@ -1674,6 +1401,30 @@ mod tests {
             r.dependency_basis(&lhss[0]),
             fresh.dependency_basis(&lhss[0])
         );
+    }
+
+    #[test]
+    fn concurrent_inserts_never_pass_the_bound() {
+        // 64-byte entries, so 4096 fill the bound; eight threads insert
+        // distinct keys and read the byte total after every insert
+        let cache = BasisCache::default();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let cache = &cache;
+                s.spawn(move || {
+                    for i in 0..10_000u64 {
+                        let key = t << 32 | i;
+                        let x = AtomSet::from_indices(64, (0..64).filter(|b| key >> b & 1 == 1));
+                        cache.insert(x, entry_of(64, 8));
+                        let stats = cache.stats();
+                        assert!(stats.bytes <= MAX_CACHE_BYTES, "{stats:?}");
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.bytes, 64 * stats.entries);
+        assert_eq!(stats.entries + stats.capacity_evicted, 80_000);
     }
 
     #[test]
@@ -1970,12 +1721,6 @@ mod tests {
             r.dependency_basis_governed(&bad, &Budget::unlimited()),
             Err(ClosureError::NotDownwardClosed { atom: 1 })
         ));
-        // batch: the invalid item degrades per-item, valid items answer
-        let good = AtomSet::from_indices(5, [0, 1]);
-        let items = r.dependency_basis_batch_governed(&[bad, good.clone()], &Budget::unlimited());
-        assert!(matches!(&items[0], Err(QueryError::Invalid { message })
-            if message.contains("not downward closed")));
-        assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
     }
 
     #[test]
@@ -1992,13 +1737,6 @@ mod tests {
                 want: 5,
             }))
         ));
-        // batch: degrades per-item with a typed Invalid, valid items answer
-        let good = AtomSet::from_indices(5, [0, 1]);
-        let items =
-            r.dependency_basis_batch_governed(&[foreign, good.clone()], &Budget::unlimited());
-        assert!(matches!(&items[0], Err(QueryError::Invalid { message })
-            if message.contains("capacity")));
-        assert_eq!(*items[1].as_ref().unwrap(), r.dependency_basis(&good));
     }
 
     #[test]

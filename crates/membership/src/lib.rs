@@ -30,7 +30,6 @@ pub mod decide;
 pub mod packed;
 pub mod persist;
 pub mod reference;
-mod steal;
 pub mod trace;
 pub mod witness;
 pub mod worklist;
@@ -41,12 +40,11 @@ pub use certify::{
 };
 pub use closure::{
     closure_and_basis, closure_and_basis_governed, closure_and_basis_paper,
-    closure_and_basis_paper_governed, closure_and_basis_traced, ClosureError, DependencyBasis,
-    Trace,
+    closure_and_basis_traced, ClosureError, DependencyBasis, Trace,
 };
 pub use decide::{
-    default_batch_threads, implies, CacheStats, Evidence, QueryError, Reasoner, ReasonerError,
-    RestoreError, MAX_CACHE_BYTES,
+    default_batch_threads, implies, CacheStats, QueryError, Reasoner, ReasonerError, RestoreError,
+    MAX_CACHE_BYTES,
 };
 pub use packed::PackedBasis;
 pub use persist::{

@@ -105,11 +105,6 @@ pub enum Counter {
     ChaseTuples,
     /// Queries evaluated through the batch planner.
     BatchQueries,
-    /// Planner groups a batch worker took from another worker's queue.
-    BatchSteals,
-    /// Planner groups a batch worker took from its own local queue
-    /// (shard-affine work that stayed where it was seeded).
-    BatchLocalHits,
     /// Effective worker count, added once per planned batch run (the
     /// requested thread count clamped to the number of planner groups).
     BatchThreads,
@@ -164,7 +159,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (and serialization) order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 29] = [
         Counter::DepsFired,
         Counter::WorklistSteps,
         Counter::AtomsAllocated,
@@ -176,8 +171,6 @@ impl Counter {
         Counter::ChaseRounds,
         Counter::ChaseTuples,
         Counter::BatchQueries,
-        Counter::BatchSteals,
-        Counter::BatchLocalHits,
         Counter::BatchThreads,
         Counter::FuelSpent,
         Counter::CertNodes,
@@ -213,8 +206,6 @@ impl Counter {
             Counter::ChaseRounds => "chase_rounds",
             Counter::ChaseTuples => "chase_tuples",
             Counter::BatchQueries => "batch_queries",
-            Counter::BatchSteals => "batch_steals",
-            Counter::BatchLocalHits => "batch_local_hits",
             Counter::BatchThreads => "batch_threads",
             Counter::FuelSpent => "fuel_spent",
             Counter::CertNodes => "cert_nodes",

@@ -433,9 +433,16 @@ proptest! {
             .collect();
         for threads in [1usize, 2, 4] {
             let fresh = reasoner.clone();
-            let batch = fresh
-                .implies_batch_with(&deps, std::num::NonZeroUsize::new(threads).unwrap())
-                .expect("round-tripped deps compile");
+            let batch: Vec<bool> = fresh
+                .implies_batch_governed_with(
+                    &deps,
+                    &Budget::unlimited(),
+                    std::num::NonZeroUsize::new(threads).unwrap(),
+                )
+                .expect("round-tripped deps compile")
+                .into_iter()
+                .map(|v| v.expect("an unlimited batch answers every item"))
+                .collect();
             prop_assert_eq!(&batch, &sequential, "threads = {}", threads);
         }
     }

@@ -1,17 +1,19 @@
-//! Work-stealing batch determinism.
+//! Parallel batch determinism.
 //!
-//! The batch planner executes its groups through a work-stealing
-//! scheduler (shared injector for cache-warm groups, shard-affine local
-//! queues for cold ones). Scheduling order is nondeterministic by
-//! design; the *results* must not be. These tests pin that contract:
-//! identical verdicts, per-item errors and panic confinement across
-//! thread counts and repeated runs, and the planner's
-//! one-compute-per-distinct-LHS cache invariant under stealing.
+//! The batch planner's groups are claimed, warm before cold, from one
+//! shared cursor by the calling thread and its scoped workers. Which
+//! worker runs which group is nondeterministic by design; the *results*
+//! must not be. These tests pin that contract: identical verdicts,
+//! per-item errors and panic confinement across thread counts and
+//! repeated runs, the planner's one-compute-per-distinct-LHS cache
+//! invariant however the workers split the groups, and the basis
+//! cache's byte bound under concurrent inserts.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use nalist::guard::{Budget, FailAction, FailPoint};
+use nalist::membership::MAX_CACHE_BYTES;
 use nalist::obs::{Counter, MetricsRecorder};
 use nalist::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +21,16 @@ use rand::SeedableRng;
 
 fn threads(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
+}
+
+/// The verdicts of an unlimited batch on `t` threads, every item
+/// answered.
+fn batch(r: &Reasoner, queries: &[Dependency], t: usize) -> Vec<bool> {
+    r.implies_batch_governed_with(queries, &Budget::unlimited(), threads(t))
+        .expect("queries compile")
+        .into_iter()
+        .map(|v| v.expect("an unlimited batch answers every item"))
+        .collect()
 }
 
 /// Runs `f` with the default panic hook silenced, so intentionally
@@ -77,77 +89,98 @@ fn workload(
 #[test]
 fn verdicts_identical_across_thread_counts_and_runs() {
     let (r, queries) = workload(80, 24, 96, 12);
-    let baseline = r
-        .clone()
-        .implies_batch_with(&queries, threads(1))
-        .expect("queries compile");
+    let baseline = batch(&r.clone(), &queries, 1);
     for t in [1usize, 2, 8] {
         for run in 0..2 {
             // fresh clone: cold cache each time
-            let cold = r
-                .clone()
-                .implies_batch_with(&queries, threads(t))
-                .expect("queries compile");
+            let cold = batch(&r.clone(), &queries, t);
             assert_eq!(cold, baseline, "cold cache, threads = {t}, run = {run}");
         }
         // warm cache: same reasoner queried twice
         let warm_r = r.clone();
-        warm_r
-            .implies_batch_with(&queries, threads(t))
-            .expect("queries compile");
-        let warm = warm_r
-            .implies_batch_with(&queries, threads(t))
-            .expect("queries compile");
+        batch(&warm_r, &queries, t);
+        let warm = batch(&warm_r, &queries, t);
         assert_eq!(warm, baseline, "warm cache, threads = {t}");
     }
 }
 
-/// One Algorithm 5.1 run per distinct LHS, no matter how many workers
-/// steal from each other.
+/// One Algorithm 5.1 run per distinct LHS, however the workers split
+/// the groups between them.
 #[test]
 fn cache_misses_equal_distinct_lhss_under_stealing() {
     for t in [1usize, 2, 8] {
         let (r, queries) = workload(80, 24, 96, 12);
         let fresh = r.clone();
-        fresh
-            .implies_batch_with(&queries, threads(t))
-            .expect("queries compile");
+        batch(&fresh, &queries, t);
         let stats = fresh.cache_stats();
         assert_eq!(
             stats.misses, 12,
-            "threads = {t}: one miss per distinct LHS, even when stolen"
+            "threads = {t}: one miss per distinct LHS, whichever worker ran it"
         );
         assert_eq!(stats.entries, 12, "threads = {t}");
     }
 }
 
-/// Steal/local-hit counters are recorded when observability is on, and
-/// every cold group is accounted for exactly once.
+/// The batch counters are recorded when observability is on, and every
+/// cold group is computed exactly once.
 #[test]
-fn steal_counters_account_for_every_cold_group() {
+fn batch_counters_account_for_every_cold_group() {
     let (r, queries) = workload(80, 24, 96, 12);
     for t in [2usize, 8] {
         let rec = Arc::new(MetricsRecorder::new());
         let fresh = r.clone().with_recorder(rec.clone());
-        fresh
-            .implies_batch_with(&queries, threads(t))
-            .expect("queries compile");
-        let steals = rec.counter(Counter::BatchSteals);
-        let local = rec.counter(Counter::BatchLocalHits);
-        // 12 cold groups (nothing cached), all drained from local
-        // queues either by their owner or by a thief
-        assert_eq!(
-            steals + local,
-            12,
-            "threads = {t}: steals ({steals}) + local hits ({local})"
-        );
+        batch(&fresh, &queries, t);
         assert_eq!(
             rec.counter(Counter::BatchThreads),
             t as u64,
             "threads = {t}"
         );
         assert_eq!(rec.counter(Counter::BatchQueries), 96, "threads = {t}");
+        // 12 cold groups (nothing cached): one miss each, no hit
+        assert_eq!(rec.counter(Counter::CacheMisses), 12, "threads = {t}");
+        assert_eq!(rec.counter(Counter::CacheHits), 0, "threads = {t}");
     }
+}
+
+/// The basis cache holds at most [`MAX_CACHE_BYTES`] even while eight
+/// workers insert into it at once: the flush check and the insert run
+/// under one lock. Batches of never-repeating left-hand sides on the
+/// shape of perf_smoke's cache row (32 atoms, |Σ| = 64) take the cache
+/// past its bound twice.
+#[test]
+fn cache_stays_within_its_byte_bound_under_concurrent_inserts() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let n = nalist::gen::attr_with_atoms(&mut rng, 32);
+    let alg = Algebra::new(&n);
+    let mut r = Reasoner::new(&n);
+    for _ in 0..64 {
+        let d = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.05, 0.3, 0.1);
+        r.add(d.decompile(&alg)).expect("generated Σ compiles");
+    }
+    let mut seen = std::collections::HashSet::new();
+    let mut queries = Vec::new();
+    while queries.len() < 1500 {
+        let d = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.3, 0.3, 0.5);
+        if seen.insert(d.lhs.clone()) {
+            queries.push(d.decompile(&alg));
+        }
+    }
+    let sequential = r.clone();
+    for chunk in queries.chunks(125) {
+        let verdicts = batch(&r, chunk, 8);
+        assert_eq!(verdicts, batch(&sequential, chunk, 1));
+        let stats = r.cache_stats();
+        assert!(stats.bytes <= MAX_CACHE_BYTES, "{stats:?}");
+        assert_eq!(
+            stats.entries + stats.capacity_evicted,
+            stats.misses,
+            "{stats:?}"
+        );
+    }
+    assert!(
+        r.cache_stats().capacity_evicted > 0,
+        "the batches must pass the bound"
+    );
 }
 
 /// Panic confinement is per-item and deterministic in *which* items it
