@@ -69,16 +69,6 @@ impl WidthClass {
             WidthClass::Heap => "heap",
         }
     }
-
-    /// Number of inline words, or `None` for the heap fallback.
-    pub fn inline_words(self) -> Option<usize> {
-        match self {
-            WidthClass::W2 => Some(2),
-            WidthClass::W4 => Some(4),
-            WidthClass::W8 => Some(8),
-            WidthClass::Heap => None,
-        }
-    }
 }
 
 impl fmt::Display for WidthClass {
@@ -560,20 +550,19 @@ mod tests {
 
     #[test]
     fn width_class_by_capacity() {
-        for (cap, class, words) in [
-            (0usize, WidthClass::W2, Some(2)),
-            (1, WidthClass::W2, Some(2)),
-            (128, WidthClass::W2, Some(2)),
-            (129, WidthClass::W4, Some(4)),
-            (256, WidthClass::W4, Some(4)),
-            (257, WidthClass::W8, Some(8)),
-            (512, WidthClass::W8, Some(8)),
-            (513, WidthClass::Heap, None),
-            (100_000, WidthClass::Heap, None),
+        for (cap, class) in [
+            (0usize, WidthClass::W2),
+            (1, WidthClass::W2),
+            (128, WidthClass::W2),
+            (129, WidthClass::W4),
+            (256, WidthClass::W4),
+            (257, WidthClass::W8),
+            (512, WidthClass::W8),
+            (513, WidthClass::Heap),
+            (100_000, WidthClass::Heap),
         ] {
             assert_eq!(WidthClass::for_capacity(cap), class, "capacity {cap}");
             assert_eq!(AtomSet::empty(cap).width_class(), class);
-            assert_eq!(class.inline_words(), words);
         }
         assert_eq!(WidthClass::W4.name(), "w4");
         assert_eq!(WidthClass::Heap.to_string(), "heap");

@@ -85,20 +85,6 @@ impl Algebra {
         }
     }
 
-    /// Allocation-free `cc`: writes `X^CC` into `out`.
-    pub fn cc_into(&self, x: &AtomSet, out: &mut AtomSet) {
-        debug_assert_eq!(out.capacity(), self.atom_count());
-        out.clear();
-        for wi in 0..x.word_count() {
-            let mut w = x.word(wi) & self.max_mask().word(wi);
-            while w != 0 {
-                let a = wi * 64 + w.trailing_zeros() as usize;
-                out.union_with(&self.atom(a).below);
-                w &= w - 1;
-            }
-        }
-    }
-
     /// Allocation-free Brouwerian complement: writes `X^C = N ∸ X` into
     /// `out`.
     pub fn compl_into(&self, x: &AtomSet, out: &mut AtomSet) {
@@ -127,15 +113,6 @@ impl Algebra {
         self.atom(a).above.is_subset(w)
     }
 
-    /// The set of atoms possessed by `W`.
-    #[must_use]
-    pub fn possessed_set(&self, w: &AtomSet) -> AtomSet {
-        AtomSet::from_indices(
-            self.atom_count(),
-            w.iter().filter(|&a| self.possessed_by(a, w)),
-        )
-    }
-
     /// Is the FD `X → Y` trivial, i.e. `Y ≤ X` (Lemma 4.3)?
     pub fn fd_trivial(&self, x: &AtomSet, y: &AtomSet) -> bool {
         self.le(y, x)
@@ -155,7 +132,6 @@ impl Algebra {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::atoms::Algebra;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
@@ -243,8 +219,8 @@ mod tests {
         // atom ids: 0=K, 1=M, 2=A, 3=B, 4=C
         assert!(alg.possessed_by(1, &x));
         assert!(!alg.possessed_by(0, &x));
-        let possessed = alg.possessed_set(&x);
-        assert_eq!(possessed, AtomSet::from_indices(5, [1, 2, 3]));
+        let possessed: Vec<_> = x.iter().filter(|&a| alg.possessed_by(a, &x)).collect();
+        assert_eq!(possessed, [1, 2, 3]);
     }
 
     #[test]
@@ -296,8 +272,6 @@ mod tests {
             let elements = crate::lattice::enumerate_sets(&alg);
             let mut out = alg.bottom_set();
             for x in &elements {
-                alg.cc_into(x, &mut out);
-                assert_eq!(out, alg.cc(x), "cc in {src}");
                 alg.compl_into(x, &mut out);
                 assert_eq!(out, alg.compl(x), "compl in {src}");
                 for y in &elements {

@@ -414,7 +414,7 @@ fn certificates() {
     // cost of *checking* a certificate (nalist-check, no engine) vs
     // *proving* the answer from scratch
     use nalist::check::{verify, Certificate};
-    use nalist::membership::cert::{implied_certificate, refuted_certificate};
+    use nalist::membership::cert::answer;
     use nalist::prelude::Budget;
 
     let mut rng = StdRng::seed_from_u64(7);
@@ -430,31 +430,25 @@ fn certificates() {
     );
     let schema_src = n.to_string();
     let deps_src = nalist::gen::render_sigma(&alg, &sigma);
+    let budget = Budget::unlimited();
     let mut implied_targets = Vec::new();
     let mut docs = Vec::new();
     let (mut pos_bytes, mut neg_bytes, mut pos, mut neg) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..50 {
         let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-        let cert = match nalist::membership::refute(&alg, &sigma, &target)
-            .expect("benchmark workloads stay within witness limits")
-        {
-            Some(witness) => {
-                let c = refuted_certificate(&alg, &sigma, &target, &witness);
-                neg_bytes += c.to_json().len();
-                neg += 1;
-                c
-            }
-            None => {
-                let dag = nalist::membership::certify(&alg, &sigma, &target)
-                    .expect("implied targets certify")
-                    .expect("implied answers carry a proof");
-                let c = implied_certificate(&alg, &sigma, &target, &dag);
-                pos_bytes += c.to_json().len();
-                pos += 1;
-                implied_targets.push(target);
-                c
-            }
-        };
+        let answered = answer(&alg, &sigma, &target, &budget).expect("compiled targets");
+        let implied = answered.implied();
+        let cert = answered
+            .certificate(&budget)
+            .expect("benchmark workloads stay within witness limits");
+        if implied {
+            pos_bytes += cert.to_json().len();
+            pos += 1;
+            implied_targets.push(target);
+        } else {
+            neg_bytes += cert.to_json().len();
+            neg += 1;
+        }
         docs.push(cert);
     }
     println!(
@@ -463,7 +457,6 @@ fn certificates() {
         pos_bytes.checked_div(pos).unwrap_or(0),
         neg_bytes.checked_div(neg).unwrap_or(0)
     );
-    let budget = Budget::unlimited();
     let t_check = median_nanos(5, || {
         for cert in &docs {
             std::hint::black_box(

@@ -87,6 +87,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use nalist::membership::cert::{self, implied_certificate, refuted_certificate, EvidenceError};
 use nalist::membership::trace::{render_result, render_trace};
 use nalist::membership::{recover, write_reasoner_snapshot, WalOp};
 use nalist::obs::{
@@ -143,16 +144,10 @@ impl CliError {
     }
 
     /// Maps a [`ReasonerError`], routing resource exhaustion to exit
-    /// code 3, invalid certificate construction to exit code 2 (the
-    /// input never produced a sound derivation) and everything else to
-    /// the domain-error code.
+    /// code 3 and everything else to the domain-error code.
     fn reasoner(e: &ReasonerError) -> Self {
         match e {
             ReasonerError::Resource(r) => CliError::resource(r),
-            ReasonerError::Certify(c) => CliError {
-                message: c.to_string(),
-                code: 2,
-            },
             other => CliError::domain(other),
         }
     }
@@ -781,58 +776,35 @@ fn dispatch(
                 .compile(alg)
                 .map_err(CliError::domain)?;
             checkpoint(budget)?;
-            let refutation = nalist::membership::witness::refute_governed(
-                alg,
-                r.compiled_sigma(),
-                &target,
-                budget,
-            )
-            .map_err(witness_error)?;
-            match &refutation {
-                None => {
-                    writeln!(out, "IMPLIED: Σ ⊨ {}", target.render(alg)).unwrap();
+            let answer =
+                cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
+            if answer.implied() {
+                writeln!(out, "IMPLIED: Σ ⊨ {}", target.render(alg)).unwrap();
+                if let Some(path) = cert_path {
+                    let cert = answer.certificate(budget).map_err(evidence_error)?;
+                    write_certificate(files, path, &cert, &mut out)?;
                 }
-                Some(w) => {
-                    writeln!(out, "NOT IMPLIED: Σ ⊭ {}", target.render(alg)).unwrap();
-                    writeln!(
-                        out,
-                        "counterexample ({} tuples; satisfies Σ, violates the dependency):",
-                        w.instance.len()
-                    )
-                    .unwrap();
-                    for t in w.instance.iter() {
-                        writeln!(out, "  {t}").unwrap();
-                    }
+            } else {
+                let w = answer
+                    .witness(budget)
+                    .map_err(witness_error)?
+                    .ok_or_else(|| {
+                        CliError::domain("internal: not implied but no witness found")
+                    })?;
+                writeln!(out, "NOT IMPLIED: Σ ⊭ {}", target.render(alg)).unwrap();
+                writeln!(
+                    out,
+                    "counterexample ({} tuples; satisfies Σ, violates the dependency):",
+                    w.instance.len()
+                )
+                .unwrap();
+                for t in w.instance.iter() {
+                    writeln!(out, "  {t}").unwrap();
                 }
-            }
-            if let Some(path) = cert_path {
-                let cert = match &refutation {
-                    None => {
-                        let dag = nalist::membership::certify_governed(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            budget,
-                        )
-                        .map_err(certify_error)?
-                        .ok_or_else(|| {
-                            CliError::domain("internal: implied but no derivation found")
-                        })?;
-                        nalist::membership::cert::implied_certificate(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            &dag,
-                        )
-                    }
-                    Some(w) => nalist::membership::cert::refuted_certificate(
-                        alg,
-                        r.compiled_sigma(),
-                        &target,
-                        w,
-                    ),
-                };
-                write_certificate(files, path, &cert, &mut out)?;
+                if let Some(path) = cert_path {
+                    let cert = refuted_certificate(alg, r.compiled_sigma(), &target, &w);
+                    write_certificate(files, path, &cert, &mut out)?;
+                }
             }
         }
         ("check", [schema, deps, cert_file, flags @ ..]) => {
@@ -1122,57 +1094,36 @@ fn dispatch(
                 .compile(alg)
                 .map_err(CliError::domain)?;
             checkpoint(budget)?;
-            let proof =
-                nalist::membership::certify_governed(alg, r.compiled_sigma(), &target, budget)
-                    .map_err(certify_error)?;
-            match proof {
-                None => {
-                    writeln!(
-                        out,
-                        "NOT IMPLIED: Σ ⊭ {} (no derivation exists)",
-                        target.render(alg)
-                    )
-                    .unwrap();
-                    if let Some(path) = cert_path {
-                        let w = nalist::membership::witness::refute_governed(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            budget,
-                        )
-                        .map_err(witness_error)?
-                        .ok_or_else(|| {
-                            CliError::domain("internal: not implied but no witness found")
-                        })?;
-                        let cert = nalist::membership::cert::refuted_certificate(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            &w,
-                        );
-                        write_certificate(files, path, &cert, &mut out)?;
-                    }
+            let answer =
+                cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
+            if answer.implied() {
+                let dag = answer
+                    .derivation(budget)
+                    .map_err(certify_error)?
+                    .ok_or_else(|| CliError::domain("internal: implied but no derivation found"))?;
+                dag.check(alg, r.compiled_sigma())
+                    .map_err(|e| CliError::domain(format!("internal: certificate invalid: {e}")))?;
+                writeln!(
+                    out,
+                    "IMPLIED — machine-checked derivation ({} nodes):",
+                    dag.len()
+                )
+                .unwrap();
+                out.push_str(&dag.render(alg));
+                if let Some(path) = cert_path {
+                    let cert = implied_certificate(alg, r.compiled_sigma(), &target, &dag);
+                    write_certificate(files, path, &cert, &mut out)?;
                 }
-                Some(dag) => {
-                    dag.check(alg, r.compiled_sigma()).map_err(|e| {
-                        CliError::domain(format!("internal: certificate invalid: {e}"))
-                    })?;
-                    writeln!(
-                        out,
-                        "IMPLIED — machine-checked derivation ({} nodes):",
-                        dag.len()
-                    )
-                    .unwrap();
-                    out.push_str(&dag.render(alg));
-                    if let Some(path) = cert_path {
-                        let cert = nalist::membership::cert::implied_certificate(
-                            alg,
-                            r.compiled_sigma(),
-                            &target,
-                            &dag,
-                        );
-                        write_certificate(files, path, &cert, &mut out)?;
-                    }
+            } else {
+                writeln!(
+                    out,
+                    "NOT IMPLIED: Σ ⊭ {} (no derivation exists)",
+                    target.render(alg)
+                )
+                .unwrap();
+                if let Some(path) = cert_path {
+                    let cert = answer.certificate(budget).map_err(evidence_error)?;
+                    write_certificate(files, path, &cert, &mut out)?;
                 }
             }
         }
@@ -1214,10 +1165,7 @@ fn dispatch(
             } else {
                 let basis = r
                     .dependency_basis_governed(&xs, budget)
-                    .map_err(|e| match e {
-                        ClosureError::Resource(res) => CliError::resource(res),
-                        other => CliError::domain(other),
-                    })?;
+                    .map_err(closure_error)?;
                 writeln!(out, "X+ = {}", alg.render(&basis.closure)).unwrap();
                 writeln!(out, "DepB(X) ({} elements):", basis.basis.len()).unwrap();
                 for b in &basis.basis {
@@ -1519,6 +1467,24 @@ fn witness_error(e: WitnessError) -> CliError {
     match e {
         WitnessError::Resource(r) => CliError::resource(r),
         other => CliError::domain(other),
+    }
+}
+
+/// Maps a [`ClosureError`]: budget exhaustion exits 3; a left-hand side
+/// outside `Sub(N)` is a domain error.
+fn closure_error(e: ClosureError) -> CliError {
+    match e {
+        ClosureError::Resource(r) => CliError::resource(r),
+        other => CliError::domain(other),
+    }
+}
+
+/// Maps an [`EvidenceError`] as [`certify_error`] or [`witness_error`]
+/// maps the error it carries.
+fn evidence_error(e: EvidenceError) -> CliError {
+    match e {
+        EvidenceError::Derivation(e) => certify_error(e),
+        EvidenceError::Witness(e) => witness_error(e),
     }
 }
 
@@ -3082,9 +3048,9 @@ mod tests {
 
     #[test]
     fn invalid_certificate_step_maps_to_exit_code_2() {
-        let e = CliError::reasoner(&ReasonerError::Certify(CertifyError::InvalidInstance {
+        let e = certify_error(CertifyError::InvalidInstance {
             rule: "mixed meet rule",
-        }));
+        });
         assert_eq!(e.code, 2);
         assert!(e.message.contains("mixed meet rule"), "{}", e.message);
     }

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use nalist_deps::{
         chase, parse_sigma, ChaseError, ChaseResult, CompiledDep, DepKind, Dependency, Instance,
     };
-    pub use nalist_guard::{Budget, CancelToken, ResourceExhausted, ResourceKind};
+    pub use nalist_guard::{Budget, ResourceExhausted, ResourceKind};
     pub use nalist_membership::{
         certified_closure_and_basis, certify, closure_and_basis, closure_and_basis_governed,
         closure_and_basis_paper, closure_and_basis_traced, default_batch_threads, implies, refute,

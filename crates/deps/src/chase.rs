@@ -66,8 +66,8 @@ pub enum ChaseError {
         /// The configured bound.
         max_tuples: usize,
     },
-    /// The chase ran out of its resource [`Budget`] (fuel, deadline or
-    /// cancellation) before reaching a fixpoint.
+    /// The chase ran out of its resource [`Budget`] (fuel or deadline)
+    /// before reaching a fixpoint.
     Resource(ResourceExhausted),
 }
 

@@ -13,8 +13,7 @@
 //! > never panic on user input, never run more than a small constant
 //! > factor past the budget.
 //!
-//! A [`Budget`] bundles four independent limits plus a cooperative
-//! [`CancelToken`]:
+//! A [`Budget`] bundles four independent limits:
 //!
 //! * **fuel** — an abstract work counter; governed loops call
 //!   [`Budget::charge`] once per unit of work (one dependency step, one
@@ -44,8 +43,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which limit was exceeded.
@@ -61,8 +59,6 @@ pub enum ResourceKind {
     /// Attribute nesting is deeper than allowed
     /// ([`Budget::with_max_depth`]).
     Depth,
-    /// The [`CancelToken`] was triggered.
-    Cancelled,
 }
 
 impl fmt::Display for ResourceKind {
@@ -72,7 +68,6 @@ impl fmt::Display for ResourceKind {
             ResourceKind::Deadline => "deadline",
             ResourceKind::Atoms => "atoms",
             ResourceKind::Depth => "depth",
-            ResourceKind::Cancelled => "cancelled",
         })
     }
 }
@@ -113,37 +108,11 @@ impl fmt::Display for ResourceExhausted {
                 "nesting too deep: depth {} exceeds the limit of {}",
                 self.spent, self.limit
             ),
-            ResourceKind::Cancelled => write!(f, "computation cancelled"),
         }
     }
 }
 
 impl std::error::Error for ResourceExhausted {}
-
-/// A cooperative cancellation flag, cheap to clone and share across
-/// threads. Governed loops observe it on every [`Budget::charge`].
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, untriggered token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation; every budget carrying this token fails its
-    /// next check with [`ResourceKind::Cancelled`].
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has [`CancelToken::cancel`] been called?
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
 
 /// What an armed [`FailPoint`] does when hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,11 +173,6 @@ impl FailPoint {
         }
     }
 
-    /// Number of times this site has been hit so far.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
     /// The site name this fail point is armed at.
     pub fn site(&self) -> &str {
         &self.site
@@ -246,7 +210,6 @@ pub struct Budget {
     started: Option<Instant>,
     max_atoms: Option<u64>,
     max_depth: Option<u64>,
-    cancel: Option<CancelToken>,
     failpoints: Vec<FailPoint>,
     spent: AtomicU64,
 }
@@ -285,13 +248,6 @@ impl Budget {
     #[must_use]
     pub fn with_max_depth(mut self, d: u64) -> Self {
         self.max_depth = Some(d);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -341,15 +297,6 @@ impl Budget {
                 });
             }
         }
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(ResourceExhausted {
-                    kind: ResourceKind::Cancelled,
-                    spent,
-                    limit: 0,
-                });
-            }
-        }
         if self.deadline.is_some()
             && (before / DEADLINE_STRIDE != spent / DEADLINE_STRIDE || before == 0)
         {
@@ -358,18 +305,9 @@ impl Budget {
         Ok(())
     }
 
-    /// Checks only the wall clock (and cancellation) — for sites that do
-    /// a large amount of work per step and want an explicit check.
+    /// Checks only the wall clock — for sites that do a large amount of
+    /// work per step and want an explicit check.
     pub fn check_deadline(&self) -> Result<(), ResourceExhausted> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(ResourceExhausted {
-                    kind: ResourceKind::Cancelled,
-                    spent: self.spent(),
-                    limit: 0,
-                });
-            }
-        }
         if let Some(deadline) = self.deadline {
             if Instant::now() > deadline {
                 return Err(ResourceExhausted {
@@ -501,17 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_observed_on_charge() {
-        let token = CancelToken::new();
-        let b = Budget::unlimited().with_cancel(token.clone());
-        b.charge(1).unwrap();
-        token.cancel();
-        assert!(token.is_cancelled());
-        let e = b.charge(1).unwrap_err();
-        assert_eq!(e.kind, ResourceKind::Cancelled);
-    }
-
-    #[test]
     fn failpoint_exhaust_fires_on_matching_site_only() {
         let b =
             Budget::unlimited().with_failpoint(FailPoint::every("here", FailAction::ExhaustFuel));
@@ -554,6 +481,5 @@ mod tests {
     fn budget_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Budget>();
-        assert_send_sync::<CancelToken>();
     }
 }

@@ -36,7 +36,7 @@ use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, DepKind, ProofDag, Rule};
 use nalist_guard::{Budget, ResourceExhausted};
 
-use crate::closure::{derivable, ClosureError, DependencyBasis};
+use crate::closure::{ClosureError, DependencyBasis};
 use crate::worklist::WorklistRun;
 
 /// Error from certification: a recorded rule application was rejected by
@@ -459,20 +459,29 @@ pub fn certify(
     certify_governed(alg, sigma, dep, &Budget::unlimited())
 }
 
-/// Budget-governed twin of [`certify`]. The verdict comes from the
+/// Budget-governed twin of [`certify`]: [`crate::cert::answer`] then
+/// [`crate::cert::Answer::derivation`], so the verdict comes from the
 /// worklist run's `X⁺` and blocks (Proposition 4.10) before any proof
-/// node is built, so a target that is not implied costs one closure run.
+/// node is built, and a target that is not implied costs one closure run.
 pub fn certify_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<ProofDag>, CertifyError> {
-    let run = crate::worklist::run(alg, sigma, &dep.lhs, budget, nalist_obs::noop())?;
-    let blocks = run.blocks.iter().map(AtomSet::words);
-    if !derivable(dep.kind, run.closure.words(), blocks, dep.rhs.words()) {
-        return Ok(None);
-    }
+    crate::cert::answer(alg, sigma, dep, budget)?.derivation(budget)
+}
+
+/// The derivation of `dep` from `run`, a run for `dep.lhs` whose `X⁺`
+/// and blocks imply `dep`: the trail replayed, then `X → X⁺ ⊓ Y` and,
+/// for an MVD, the join with every block inside `Y`.
+pub(crate) fn derive(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    dep: &CompiledDep,
+    run: WorklistRun,
+    budget: &Budget,
+) -> Result<ProofDag, CertifyError> {
     let (mut dag, closure_node, block_nodes) = replay(alg, sigma, &dep.lhs, &run, budget)?;
     // X → X⁺ ⊓ Y by reflexivity and transitivity: the whole of an
     // implied FD's Y, the determined part of an MVD's
@@ -499,7 +508,7 @@ pub fn certify_governed(
             what: "assembled derivation does not match the target",
         });
     }
-    Ok(Some(dag))
+    Ok(dag)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use nalist_algebra::{Algebra, AlgebraError, AtomSet};
+use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, Dependency};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Hist, Recorder};
@@ -33,12 +33,10 @@ use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
 use nalist_types::parser::ParseLimits;
 
-use crate::certify::CertifyError;
 use crate::closure::{
-    closure_and_basis, closure_and_basis_governed, derivable, ClosureError, DependencyBasis,
+    closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis,
 };
 use crate::packed::PackedBasis;
-use crate::witness::WitnessError;
 use crate::worklist::step_would_change;
 
 /// Most packed bytes ([`CacheStats::bytes`]) one reasoner's basis cache
@@ -254,18 +252,12 @@ impl BasisCache {
     }
 }
 
-/// Decides `Σ ⊨ σ` on compiled inputs.
+/// Decides `Σ ⊨ σ` on compiled inputs ([`crate::cert::answer`] under an
+/// unlimited budget).
 pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    let run = crate::worklist::run(
-        alg,
-        sigma,
-        &dep.lhs,
-        &Budget::unlimited(),
-        nalist_obs::noop(),
-    )
-    .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed");
-    let blocks = run.blocks.iter().map(AtomSet::words);
-    derivable(dep.kind, run.closure.words(), blocks, dep.rhs.words())
+    crate::cert::answer(alg, sigma, dep, &Budget::unlimited())
+        .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed")
+        .implied()
 }
 
 /// A convenience engine bundling an ambient attribute, its algebra and a
@@ -329,24 +321,9 @@ pub enum ReasonerError {
     Parse(ParseError),
     /// Dependency sides are not subattributes of the ambient attribute.
     Type(TypeError),
-    /// The query ran out of its resource [`Budget`] (fuel, deadline,
-    /// size cap, or cooperative cancellation).
+    /// The query ran out of its resource [`Budget`] (fuel, deadline or
+    /// size cap).
     Resource(ResourceExhausted),
-    /// Witness construction failed while refuting a non-implied
-    /// dependency.
-    Witness(WitnessError),
-    /// Proof construction hit an invalid rule instance while certifying
-    /// an implied dependency (see [`CertifyError`]).
-    Certify(CertifyError),
-    /// A raw atom-set argument violated Algorithm 5.1's downward-closed
-    /// precondition (`X` is not an element of `Sub(N)`).
-    NotDownwardClosed {
-        /// A witness atom present without its list-node ancestors.
-        atom: usize,
-    },
-    /// A raw atom-set argument was built for a different universe than
-    /// this reasoner's algebra ([`AlgebraError::CapacityMismatch`]).
-    Algebra(AlgebraError),
 }
 
 impl std::fmt::Display for ReasonerError {
@@ -355,12 +332,6 @@ impl std::fmt::Display for ReasonerError {
             ReasonerError::Parse(e) => write!(f, "parse error: {e}"),
             ReasonerError::Type(e) => write!(f, "type error: {e}"),
             ReasonerError::Resource(e) => write!(f, "{e}"),
-            ReasonerError::Witness(e) => write!(f, "witness error: {e}"),
-            ReasonerError::Certify(e) => write!(f, "certify error: {e}"),
-            ReasonerError::NotDownwardClosed { atom } => {
-                ClosureError::NotDownwardClosed { atom: *atom }.fmt(f)
-            }
-            ReasonerError::Algebra(e) => e.fmt(f),
         }
     }
 }
@@ -373,19 +344,14 @@ impl From<ResourceExhausted> for ReasonerError {
     }
 }
 
-impl From<ClosureError> for ReasonerError {
-    fn from(e: ClosureError) -> Self {
-        match e {
-            ClosureError::Resource(r) => ReasonerError::Resource(r),
-            ClosureError::NotDownwardClosed { atom } => ReasonerError::NotDownwardClosed { atom },
-            ClosureError::Algebra(a) => ReasonerError::Algebra(a),
-        }
-    }
-}
-
-impl From<CertifyError> for ReasonerError {
-    fn from(e: CertifyError) -> Self {
-        ReasonerError::Certify(e)
+/// The one [`ClosureError`] the reasoner's own inputs can meet: every
+/// left-hand side it runs Algorithm 5.1 on is compiled or comes from
+/// [`Algebra::from_attr`], so it is downward closed and as wide as the
+/// reasoner's algebra, and only the budget can stop the run.
+fn exhausted(e: ClosureError) -> ResourceExhausted {
+    match e {
+        ClosureError::Resource(r) => r,
+        other => unreachable!("a compiled left-hand side was rejected: {other}"),
     }
 }
 
@@ -403,12 +369,6 @@ pub enum QueryError {
         /// [`panic_message`]).
         message: String,
     },
-    /// The query's input was invalid (e.g. a raw atom set that is not
-    /// downward closed).
-    Invalid {
-        /// Human-readable description of the violated precondition.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -416,7 +376,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Resource(e) => write!(f, "{e}"),
             QueryError::Panicked { message } => write!(f, "query panicked: {message}"),
-            QueryError::Invalid { message } => write!(f, "invalid query: {message}"),
         }
     }
 }
@@ -748,7 +707,8 @@ impl Reasoner {
         budget: &Budget,
     ) -> Result<bool, ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        Ok(self.implies_compiled_governed(&c, budget)?)
+        self.implies_compiled_governed(&c, budget)
+            .map_err(|e| ReasonerError::Resource(exhausted(e)))
     }
 
     fn implies_compiled(&self, c: &CompiledDep) -> bool {
@@ -919,18 +879,11 @@ impl Reasoner {
     /// worker (the cache tolerates its poisoned lock — see
     /// [`BasisCache`]).
     fn isolated<T>(&self, f: impl FnOnce() -> Result<T, ClosureError>) -> Result<T, QueryError> {
-        catch_unwind(AssertUnwindSafe(f))
+        catch_unwind(AssertUnwindSafe(|| f().map_err(exhausted)))
             .map_err(|payload| QueryError::Panicked {
                 message: panic_message(payload),
             })?
-            .map_err(|e| match e {
-                ClosureError::Resource(r) => QueryError::Resource(r),
-                invalid @ (ClosureError::NotDownwardClosed { .. } | ClosureError::Algebra(_)) => {
-                    QueryError::Invalid {
-                        message: invalid.to_string(),
-                    }
-                }
-            })
+            .map_err(QueryError::Resource)
     }
 
     /// Decides `Σ ⊨ σ` for a dependency written as text.
@@ -969,7 +922,8 @@ impl Reasoner {
         )
         .map_err(ReasonerError::Parse)?;
         let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        let b = closure_and_basis_governed(&self.alg, &self.compiled, &xs, budget)?;
+        let b = closure_and_basis_governed(&self.alg, &self.compiled, &xs, budget)
+            .map_err(exhausted)?;
         Ok(self.alg.to_attr(&b.closure))
     }
 
@@ -1065,6 +1019,7 @@ struct PlanGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nalist_algebra::AlgebraError;
     use nalist_types::parser::parse_attr;
 
     #[test]

@@ -11,6 +11,8 @@
 //! * [`witness`] — verified refutation certificates: when `Σ ⊭ σ`, a
 //!   concrete instance satisfying `Σ` and violating `σ` is constructed
 //!   from the completeness argument of Section 4.2;
+//! * [`cert`] — one run of Algorithm 5.1 per target, deciding it and
+//!   building its derivation, witness or portable certificate on request;
 //! * [`beeri`] — Beeri's classical relational algorithm, the baseline
 //!   Algorithm 5.1 generalises;
 //! * [`packed`] — the reasoner's cache entry: `X⁺` and the blocks

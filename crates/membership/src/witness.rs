@@ -15,12 +15,12 @@
 //! construction (or in Algorithm 5.1) cannot produce a bogus certificate.
 
 use nalist_algebra::{Algebra, AtomSet};
-use nalist_deps::{CompiledDep, DepKind, Instance};
+use nalist_deps::{CompiledDep, Instance};
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::value::Value;
 
-use crate::closure::{closure_and_basis_governed, ClosureError, DependencyBasis};
+use crate::closure::{ClosureError, DependencyBasis};
 
 /// Upper bound on free blocks: the instance has `2^k` tuples.
 pub const MAX_FREE_BLOCKS: usize = 16;
@@ -41,8 +41,6 @@ pub struct Witness {
 /// Errors from witness construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WitnessError {
-    /// The dependency is implied — no counterexample exists.
-    Implied,
     /// More than [`MAX_FREE_BLOCKS`] free blocks (instance would have
     /// more than `2^16` tuples).
     TooManyBlocks {
@@ -74,7 +72,6 @@ impl From<ResourceExhausted> for WitnessError {
 impl std::fmt::Display for WitnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WitnessError::Implied => write!(f, "dependency is implied; no counterexample"),
             WitnessError::TooManyBlocks { blocks } => {
                 write!(
                     f,
@@ -219,7 +216,8 @@ pub fn refute(
     refute_governed(alg, sigma, dep, &Budget::unlimited())
 }
 
-/// Budget-governed twin of [`refute`]: the closure run, the `2^k` tuple
+/// Budget-governed twin of [`refute`]: [`crate::cert::answer`] then
+/// [`crate::cert::Answer::witness`], so the closure run, the `2^k` tuple
 /// construction and the per-dependency instance verification all charge
 /// the same budget.
 pub fn refute_governed(
@@ -228,20 +226,27 @@ pub fn refute_governed(
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<Witness>, WitnessError> {
-    let basis = closure_and_basis_governed(alg, sigma, &dep.lhs, budget).map_err(|e| match e {
-        ClosureError::Resource(r) => WitnessError::Resource(r),
-        other => WitnessError::VerificationFailed {
-            reason: other.to_string(),
-        },
-    })?;
-    let implied = match dep.kind {
-        DepKind::Fd => basis.fd_derivable(&dep.rhs),
-        DepKind::Mvd => basis.mvd_derivable(&dep.rhs),
-    };
-    if implied {
-        return Ok(None);
-    }
-    let witness = combination_instance_governed(alg, &basis, budget)?;
+    crate::cert::answer(alg, sigma, dep, budget)
+        .map_err(|e| match e {
+            ClosureError::Resource(r) => WitnessError::Resource(r),
+            other => WitnessError::VerificationFailed {
+                reason: other.to_string(),
+            },
+        })?
+        .witness(budget)
+}
+
+/// The combination instance of `basis`, the basis of `dep`'s left-hand
+/// side, verified to satisfy every member of `Σ` and to violate `dep`.
+/// Verification charges the instance's size per dependency checked.
+pub(crate) fn verified(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    dep: &CompiledDep,
+    basis: &DependencyBasis,
+    budget: &Budget,
+) -> Result<Witness, WitnessError> {
+    let witness = combination_instance_governed(alg, basis, budget)?;
     // verify: r ⊨ Σ …
     for (i, d) in sigma.iter().enumerate() {
         budget.charge(witness.instance.len() as u64)?;
@@ -257,7 +262,7 @@ pub fn refute_governed(
             reason: format!("instance satisfies the target {}", dep.render(alg)),
         });
     }
-    Ok(Some(witness))
+    Ok(witness)
 }
 
 #[cfg(test)]

@@ -420,37 +420,6 @@ pub struct HistSnapshot {
     pub buckets: Vec<(usize, u64)>,
 }
 
-impl HistSnapshot {
-    /// Upper bound of the bucket holding the `q`-quantile observation
-    /// (`q` in `[0, 1]`), or `None` when the histogram is empty. Log2
-    /// buckets make this a ≤2× overestimate — good enough for coarse
-    /// latency bounds (smoke-test p99 checks), not for benchmarks,
-    /// which record exact samples instead.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        // bucket 0 holds the value 0; bucket k holds [2^(k-1), 2^k)
-        let upper = |ix: usize| -> u64 {
-            match ix {
-                0 => 0,
-                1..=63 => (1u64 << ix) - 1,
-                _ => u64::MAX,
-            }
-        };
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(ix, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return Some(upper(ix));
-            }
-        }
-        self.buckets.last().map(|&(ix, _)| upper(ix))
-    }
-}
-
 /// JSON string escape (quotes included) for the metrics document.
 /// Local to `obs` because the crate deliberately has no dependencies;
 /// the richer parser lives in `nalist-types`.

@@ -724,34 +724,16 @@ fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response
         .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?
         .compile(alg)
         .map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let proof = nalist_membership::certify_governed(alg, r.compiled_sigma(), &target, budget)
+    let answer = nalist_membership::cert::answer(alg, r.compiled_sigma(), &target, budget)
         .map_err(|e| match e {
-            nalist_membership::CertifyError::Resource(res) => ApiError::resource(res),
+            nalist_membership::ClosureError::Resource(res) => ApiError::resource(res),
             other => ApiError::internal(other.to_string()),
         })?;
-    let (implied, cert) = match proof {
-        Some(dag) => (
-            true,
-            nalist_membership::cert::implied_certificate(alg, r.compiled_sigma(), &target, &dag),
-        ),
-        None => {
-            let w = nalist_membership::witness::refute_governed(
-                alg,
-                r.compiled_sigma(),
-                &target,
-                budget,
-            )
-            .map_err(|e| match e {
-                nalist_membership::witness::WitnessError::Resource(res) => ApiError::resource(res),
-                other => ApiError::internal(other.to_string()),
-            })?
-            .ok_or_else(|| ApiError::internal("not implied but no witness found".to_string()))?;
-            (
-                false,
-                nalist_membership::cert::refuted_certificate(alg, r.compiled_sigma(), &target, &w),
-            )
-        }
-    };
+    let implied = answer.implied();
+    let cert = answer.certificate(budget).map_err(|e| match e.resource() {
+        Some(res) => ApiError::resource(res),
+        None => ApiError::internal(e.to_string()),
+    })?;
     Ok(Response::json(
         200,
         format!(

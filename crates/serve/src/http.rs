@@ -224,6 +224,111 @@ pub fn read_request(stream: &mut TcpStream, leftover: &mut Vec<u8>) -> Result<Re
     Ok(req)
 }
 
+/// Upper bound on a response head and on its body, bytes, for the
+/// clients in this crate (the load generator and a follower's fetches).
+/// The WAL endpoint caps itself at [`crate::api::MAX_WAL_SHIPMENT`];
+/// this guards the snapshot path and malformed peers.
+pub(crate) const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
+
+/// One response as read by [`read_response`].
+#[derive(Debug)]
+pub(crate) struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// Headers in arrival order, names lower-cased.
+    pub headers: Vec<(String, String)>,
+    /// The body.
+    pub body: Vec<u8>,
+    /// Whether the server asked to close the connection
+    /// (`connection: close`).
+    pub close: bool,
+}
+
+impl Reply {
+    /// First value of header `name` (lower-case), if present.
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Header `name` parsed as a number, if present and numeric.
+    pub(crate) fn header_u64(&self, name: &str) -> Option<u64> {
+        self.header(name).and_then(|v| v.parse().ok())
+    }
+}
+
+/// Reads one response from `stream`: the status line, the headers, and
+/// a body of `content-length` bytes or, without a length, everything up
+/// to EOF (a body the server ends by closing). The head and the body are
+/// each bounded by [`MAX_RESPONSE_BYTES`].
+pub(crate) fn read_response(stream: &mut impl Read) -> io::Result<Reply> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let eof = |msg: &str| io::Error::new(io::ErrorKind::UnexpectedEof, msg.to_string());
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    let head_end = loop {
+        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break i;
+        }
+        if buf.len() > MAX_RESPONSE_BYTES {
+            return Err(invalid("response head exceeds the fetch cap".to_string()));
+        }
+        match stream.read(&mut chunk)? {
+            0 => return Err(eof("connection closed before response head")),
+            n => buf.extend_from_slice(&chunk[..n]),
+        }
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    let mut lines = head.lines();
+    let status_line = lines.next().unwrap_or("");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
+    let headers = lines
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        .collect();
+    let mut reply = Reply {
+        status,
+        headers,
+        body: buf.split_off(head_end + 4),
+        close: false,
+    };
+    reply.close = reply
+        .header("connection")
+        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+    let length = match reply.header("content-length") {
+        None => None,
+        Some(v) => Some(
+            v.parse::<usize>()
+                .map_err(|_| invalid(format!("bad content-length {v:?}")))?,
+        ),
+    };
+    loop {
+        if let Some(len) = length {
+            if len > MAX_RESPONSE_BYTES {
+                return Err(invalid("declared body exceeds the fetch cap".to_string()));
+            }
+            if reply.body.len() >= len {
+                reply.body.truncate(len);
+                return Ok(reply);
+            }
+        }
+        if reply.body.len() > MAX_RESPONSE_BYTES {
+            return Err(invalid("body exceeds the fetch cap".to_string()));
+        }
+        match stream.read(&mut chunk)? {
+            0 if length.is_some() => return Err(eof("connection closed mid-body")),
+            0 => return Ok(reply),
+            n => reply.body.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
 /// One response about to be written.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -406,5 +511,25 @@ mod tests {
         assert_eq!(r.query(), Some("dep=x%20y"));
         assert_eq!(r.header("host"), Some("h"));
         assert_eq!(r.header("absent"), None);
+    }
+
+    #[test]
+    fn responses_end_at_their_length_or_at_eof() {
+        let mut sized = &b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nx-wal-end: 9\r\n\r\nokEXTRA"[..];
+        let r = read_response(&mut sized).unwrap();
+        assert_eq!(
+            (r.status, r.body.as_slice(), r.close),
+            (200, &b"ok"[..], false)
+        );
+        assert_eq!(r.header_u64("x-wal-end"), Some(9));
+        let mut closing = &b"HTTP/1.1 500 X\r\nconnection: close\r\n\r\nto eof"[..];
+        let r = read_response(&mut closing).unwrap();
+        assert_eq!(
+            (r.status, r.body.as_slice(), r.close),
+            (500, &b"to eof"[..], true)
+        );
+        let mut short = &b"HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nshort"[..];
+        let e = read_response(&mut short).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

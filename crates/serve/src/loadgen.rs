@@ -15,7 +15,7 @@
 //! long cold tail), mixed with add/remove churn that exercises
 //! selective eviction and WAL journaling.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,73 +300,15 @@ impl Client {
         );
         stream.write_all(req.as_bytes())?;
         stream.flush()?;
-        let (status, body, close) = read_response(stream)?;
-        if close {
+        let reply = crate::http::read_response(stream)?;
+        if reply.close {
             self.stream = None;
         }
-        Ok((status, body))
+        Ok((
+            reply.status,
+            String::from_utf8_lossy(&reply.body).into_owned(),
+        ))
     }
-}
-
-/// Reads one response; returns (status, body, server-asked-to-close).
-fn read_response(stream: &mut TcpStream) -> io::Result<(u16, String, bool)> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before response head",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.lines();
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-    let mut content_length = 0usize;
-    let mut close = false;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
-        } else if name == "connection" && value.eq_ignore_ascii_case("close") {
-            close = true;
-        }
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok((status, String::from_utf8_lossy(&body).into_owned(), close))
 }
 
 /// One tenant's generated workload material.

@@ -31,7 +31,7 @@
 //! instantaneous lag is always reported alongside).
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -43,12 +43,8 @@ use nalist_obs::{Counter, Recorder};
 use nalist_types::json::{escape, parse as parse_json};
 
 use crate::api::{ApiError, ServiceState, MAX_WAL_WAIT_MS};
+use crate::http::{read_response, Reply};
 use crate::server::{start_with_replication, Server, ServerConfig};
-
-/// Upper bound on one fetched response body (snapshot or WAL slice).
-/// The WAL endpoint caps itself at [`crate::api::MAX_WAL_SHIPMENT`];
-/// this guards the snapshot path and malformed peers.
-const MAX_FETCH_BYTES: usize = 256 * 1024 * 1024;
 
 /// Backoff between retries when the leader is unreachable or answers
 /// with an error the follower can only wait out.
@@ -220,32 +216,11 @@ impl ReplStatus {
     }
 }
 
-/// One fetched HTTP response: status, lower-cased headers, raw body.
-#[derive(Debug)]
-pub(crate) struct Fetched {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: Vec<u8>,
-}
-
-impl Fetched {
-    pub(crate) fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    pub(crate) fn header_u64(&self, name: &str) -> Option<u64> {
-        self.header(name).and_then(|v| v.parse().ok())
-    }
-}
-
 /// A blocking binary-capable `GET` on a fresh connection. Replication
 /// exchanges are infrequent relative to query traffic, so per-request
 /// connect cost is irrelevant next to not sharing a socket between the
 /// long-polling tailer and anything else.
-pub(crate) fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<Fetched, String> {
+pub(crate) fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<Reply, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(timeout))
@@ -259,78 +234,7 @@ pub(crate) fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<Fetc
     stream
         .write_all(req.as_bytes())
         .map_err(|e| format!("send {path}: {e}"))?;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i;
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        if n == 0 {
-            return Err(format!("{path}: connection closed before response head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.len() > MAX_FETCH_BYTES {
-            return Err(format!("{path}: response head exceeds the fetch cap"));
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.lines();
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{path}: bad status line {status_line:?}"))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().ok();
-        }
-        headers.push((name, value));
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    // `connection: close` lets EOF terminate the body; the declared
-    // length still bounds it when present.
-    loop {
-        if let Some(len) = content_length {
-            if len > MAX_FETCH_BYTES {
-                return Err(format!("{path}: declared body exceeds the fetch cap"));
-            }
-            if body.len() >= len {
-                body.truncate(len);
-                break;
-            }
-        }
-        if body.len() > MAX_FETCH_BYTES {
-            return Err(format!("{path}: body exceeds the fetch cap"));
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        if n == 0 {
-            if let Some(len) = content_length {
-                if body.len() < len {
-                    return Err(format!("{path}: connection closed mid-body"));
-                }
-            }
-            break;
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    Ok(Fetched {
-        status,
-        headers,
-        body,
-    })
+    read_response(&mut stream).map_err(|e| format!("read {path}: {e}"))
 }
 
 /// Follower configuration.

@@ -210,7 +210,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::with_base(&bytes[..5], 100);
         let err = r.u64().unwrap_err();
-        assert_eq!(err.corrupt_offset(), Some(100));
+        assert!(matches!(err, StoreError::Corrupt { offset: 100, .. }));
     }
 
     #[test]

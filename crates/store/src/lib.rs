@@ -112,14 +112,6 @@ impl StoreError {
             message: err.to_string(),
         }
     }
-
-    /// The corruption offset, when this is [`StoreError::Corrupt`].
-    pub fn corrupt_offset(&self) -> Option<u64> {
-        match self {
-            StoreError::Corrupt { offset, .. } => Some(*offset),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for StoreError {

@@ -62,21 +62,6 @@ impl NestedAttr {
         NestedAttr::List(label.into(), Box::new(inner))
     }
 
-    /// Is this the null attribute `λ`?
-    pub fn is_null(&self) -> bool {
-        matches!(self, NestedAttr::Null)
-    }
-
-    /// Is this a record-valued attribute?
-    pub fn is_record(&self) -> bool {
-        matches!(self, NestedAttr::Record(..))
-    }
-
-    /// Is this a list-valued attribute?
-    pub fn is_list(&self) -> bool {
-        matches!(self, NestedAttr::List(..))
-    }
-
     /// Is this a flat attribute?
     pub fn is_flat(&self) -> bool {
         matches!(self, NestedAttr::Flat(_))
@@ -221,9 +206,9 @@ mod tests {
             NestedAttr::Record(l, ch) => {
                 assert_eq!(l, "Pubcrawl");
                 assert_eq!(ch.len(), 2);
-                assert!(ch[0].is_null());
+                assert_eq!(ch[0], NestedAttr::Null);
                 // list component bottoms to λ, not to Visit[…]
-                assert!(ch[1].is_null());
+                assert_eq!(ch[1], NestedAttr::Null);
             }
             _ => panic!("expected record"),
         }

@@ -54,12 +54,6 @@ pub fn comparable(m: &NestedAttr, n: &NestedAttr) -> bool {
     is_subattr(m, n) || is_subattr(n, m)
 }
 
-/// The *generalised subset* pre-order `X ⊆_gen Y` on sets of nested
-/// attributes (Section 3.2): every `X ∈ X` has some `Y ∈ Y` with `X ≤ Y`.
-pub fn gen_subset(xs: &[NestedAttr], ys: &[NestedAttr]) -> bool {
-    xs.iter().all(|x| ys.iter().any(|y| is_subattr(x, y)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,15 +129,6 @@ mod tests {
         let mid = rec("L", vec![A::flat("A"), A::Null]);
         let bot = rec("L", vec![A::Null, A::Null]);
         assert!(is_subattr(&bot, &mid) && is_subattr(&mid, &top) && is_subattr(&bot, &top));
-    }
-
-    #[test]
-    fn gen_subset_works() {
-        let xs = vec![A::Null, A::flat("A")];
-        let ys = vec![A::flat("A")];
-        assert!(gen_subset(&xs, &ys));
-        assert!(!gen_subset(&ys, &[A::Null]));
-        assert!(gen_subset(&[], &ys));
     }
 
     #[test]

@@ -132,16 +132,6 @@ impl Universe {
         self.labels.keys().map(String::as_str)
     }
 
-    /// Number of flat attributes.
-    pub fn flat_count(&self) -> usize {
-        self.flats.len()
-    }
-
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Builds a universe by collecting every flat attribute and label that
     /// occurs in `attr` (all flat attributes get [`DomainKind::Any`]).
     ///
@@ -249,8 +239,8 @@ mod tests {
         let u = Universe::from_attr(&n).unwrap();
         assert!(u.is_flat("Person") && u.is_flat("Beer") && u.is_flat("Pub"));
         assert!(u.is_label("Pubcrawl") && u.is_label("Visit") && u.is_label("Drink"));
-        assert_eq!(u.flat_count(), 3);
-        assert_eq!(u.label_count(), 3);
+        assert_eq!(u.flats().count(), 3);
+        assert_eq!(u.labels().count(), 3);
         u.admits_attr(&n).unwrap();
     }
 

@@ -13,11 +13,13 @@
 //! intentional format change and review the diff.
 
 use nalist::check::{verify, Certificate, CheckError, Report, Verdict};
-use nalist::deps::CompiledDep;
+use nalist::deps::{CompiledDep, ProofDag};
 use nalist::gen::{certificate_defects, render_sigma, SigmaConfig};
-use nalist::membership::cert::{basis_certificate, implied_certificate, refuted_certificate};
+use nalist::membership::cert::{
+    answer, basis_certificate, implied_certificate, refuted_certificate,
+};
 use nalist::membership::{
-    certified_closure_and_basis, certify, certify_governed, closure_and_basis_paper, refute,
+    certified_closure_and_basis, certify_governed, closure_and_basis_paper, refute_governed,
 };
 use nalist::prelude::*;
 use proptest::prelude::*;
@@ -53,15 +55,110 @@ fn problem(rng: &mut StdRng) -> Problem {
 
 /// Asks the engine about `query` and emits the matching certificate.
 fn certificate_for(p: &Problem, query: &CompiledDep) -> Certificate {
-    match refute(&p.alg, &p.sigma, query).expect("refute") {
-        Some(witness) => refuted_certificate(&p.alg, &p.sigma, query, &witness),
-        None => {
-            let dag = certify(&p.alg, &p.sigma, query)
-                .expect("certify")
-                .expect("implied answers carry a proof");
-            implied_certificate(&p.alg, &p.sigma, query, &dag)
+    let unlimited = Budget::unlimited();
+    answer(&p.alg, &p.sigma, query, &unlimited)
+        .expect("compiled queries are downward closed")
+        .certificate(&unlimited)
+        .expect("every answer carries its evidence")
+}
+
+/// A schema of 32–64 atoms with `read-cold`'s densities, where
+/// dependencies fire: `Σ` of 32–64 dependencies with left-hand sides at
+/// 0.05, right-hand sides at 0.3 and FD share 0.1. Targets are drawn
+/// by [`firing_target`].
+fn firing_workload(rng: &mut StdRng) -> (Algebra, Vec<CompiledDep>) {
+    let atoms = rng.gen_range(32..=64);
+    let n = nalist::gen::attr_with_atoms(rng, atoms);
+    let alg = Algebra::new(&n);
+    let count = rng.gen_range(32..=64);
+    let sigma = (0..count)
+        .map(|_| nalist::gen::random_nontrivial_dep(rng, &alg, 0.05, 0.3, 0.1))
+        .collect();
+    (alg, sigma)
+}
+
+fn firing_target(rng: &mut StdRng, alg: &Algebra) -> CompiledDep {
+    nalist::gen::random_nontrivial_dep(rng, alg, 0.3, 0.3, 0.5)
+}
+
+/// What one of the two halves settled a target with.
+enum Evidence {
+    Derivation(ProofDag),
+    Witness(Witness),
+}
+
+/// The evidence the two halves give when combined: `certify_governed`,
+/// then `refute_governed` for a target it does not imply
+/// (`certify_first`, the order perfbench and `/cert` used), or the other
+/// way round (the order `decide --cert` used), each under `budget`.
+fn combination(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    target: &CompiledDep,
+    budget: &Budget,
+    certify_first: bool,
+) -> Evidence {
+    let prove = || {
+        certify_governed(alg, sigma, target, budget)
+            .expect("certify")
+            .map(Evidence::Derivation)
+    };
+    let refute = || {
+        refute_governed(alg, sigma, target, budget)
+            .expect("refute")
+            .map(Evidence::Witness)
+    };
+    let settled = if certify_first {
+        prove().or_else(refute)
+    } else {
+        refute().or_else(prove)
+    };
+    settled.expect("one half settles every target")
+}
+
+/// One decision per target, the same bytes: the answer path's
+/// certificate equals perfbench's combination
+/// (`certify_governed` → `implied_certificate`, else `refute_governed` →
+/// `refuted_certificate`), and in both orders the answer path spends
+/// exactly one worklist run's steps less wherever the combination ran
+/// Algorithm 5.1 twice (a refuted target certify-first, an implied one
+/// refute-first), and the same fuel elsewhere.
+fn assert_one_run_same_bytes(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    target: &CompiledDep,
+) -> Result<(), TestCaseError> {
+    let unlimited = Budget::unlimited();
+    let run =
+        nalist::membership::worklist::run(alg, sigma, &target.lhs, &unlimited, nalist::obs::noop());
+    let steps = run.expect("targets are downward closed").steps;
+    let budget = Budget::unlimited();
+    let answered = answer(alg, sigma, target, &budget).expect("targets are downward closed");
+    let implied = answered.implied();
+    let json = answered
+        .certificate(&budget)
+        .expect("certificate")
+        .to_json();
+    for certify_first in [true, false] {
+        let combined = Budget::unlimited();
+        let evidence = combination(alg, sigma, target, &combined, certify_first);
+        if certify_first {
+            let cert = match evidence {
+                Evidence::Derivation(dag) => implied_certificate(alg, sigma, target, &dag),
+                Evidence::Witness(w) => refuted_certificate(alg, sigma, target, &w),
+            };
+            prop_assert_eq!(&cert.to_json(), &json);
         }
+        let saved = if implied != certify_first { steps } else { 0 };
+        prop_assert_eq!(
+            combined.spent(),
+            budget.spent() + saved,
+            "certify_first {}, implied {}",
+            certify_first,
+            implied
+        );
     }
+    Ok(())
 }
 
 /// The checker must not accept any single-field mutation of an accepted
@@ -189,30 +286,22 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Certificates replay the worklist engine's firing trail, so they
-    /// are tested where dependencies fire: 32–64-atom schemas with
-    /// `read-cold`'s densities (`Σ` of 32–64 dependencies with left-hand
-    /// sides at 0.05, right-hand sides at 0.3 and FD share 0.1; targets
-    /// at 0.3). For every target the verdict matches `implies`, every
-    /// derivation checks and concludes its target, the certified basis is
-    /// the paper engine's with each node concluding `X → X⁺` or `X ↠ W`,
-    /// and the trail is what it claims: its distinct entries are the
-    /// fired set, and it is no longer than `|N| + |MaxB(N)|`, since each
-    /// firing grows `X⁺` or refines the partition.
+    /// are tested where dependencies fire ([`firing_workload`]). For every
+    /// target the verdict matches `implies`, every derivation checks and
+    /// concludes its target, the certified basis is the paper engine's
+    /// with each node concluding `X → X⁺` or `X ↠ W`, and the trail is
+    /// what it claims: its distinct entries are the fired set, and it is
+    /// no longer than `|N| + |MaxB(N)|`, since each firing grows `X⁺` or
+    /// refines the partition.
     #[test]
     fn certificates_replay_the_firing_trail_where_dependencies_fire(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let atoms = rng.gen_range(32..=64);
-        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
-        let alg = Algebra::new(&n);
-        let count = rng.gen_range(32..=64);
-        let sigma: Vec<CompiledDep> = (0..count)
-            .map(|_| nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.05, 0.3, 0.1))
-            .collect();
+        let (alg, sigma) = firing_workload(&mut rng);
         let max_trail = alg.atom_count() + alg.max_mask().count();
         let unlimited = Budget::unlimited();
         let mut fired = 0;
         for _ in 0..6 {
-            let target = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.3, 0.3, 0.5);
+            let target = firing_target(&mut rng, &alg);
             let x = &target.lhs;
 
             let run = nalist::membership::worklist::run(&alg, &sigma, x, &unlimited, nalist::obs::noop())
@@ -242,6 +331,33 @@ proptest! {
         }
         // the densities make dependencies fire, so the replay has work
         prop_assert!(fired > 0, "no dependency fired for any target");
+    }
+
+    /// The answer path decides each target with one run of Algorithm 5.1
+    /// and emits exactly the bytes of the two halves combined, on small
+    /// problems (both verdicts common) and where dependencies fire
+    /// ([`firing_workload`]). There, refuted targets with more than six
+    /// free blocks are skipped, as perfbench skips them: their `2^k`-tuple
+    /// witness is verified against every member of `Σ` on each of the
+    /// three paths.
+    #[test]
+    fn one_run_answers_match_the_combined_halves(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = problem(&mut rng);
+        for _ in 0..8 {
+            let query = nalist::gen::random_dep(&mut rng, &p.alg, 0.4, 0.5);
+            assert_one_run_same_bytes(&p.alg, &p.sigma, &query)?;
+        }
+        let (alg, sigma) = firing_workload(&mut rng);
+        for _ in 0..4 {
+            let target = firing_target(&mut rng, &alg);
+            let basis = nalist::membership::closure_and_basis(&alg, &sigma, &target.lhs);
+            let refuted = !implies(&alg, &sigma, &target);
+            if refuted && basis.free_blocks().len() > 6 {
+                continue;
+            }
+            assert_one_run_same_bytes(&alg, &sigma, &target)?;
+        }
     }
 }
 
