@@ -9,7 +9,7 @@
 //! 128, 256 and 512 atoms are stored inline as `[u64; 2]`, `[u64; 4]`
 //! and `[u64; 8]` respectively, and every binary operation dispatches
 //! once on the class pair into a width-specialized kernel
-//! ([`crate::kernels`]) whose loop trip count is a compile-time
+//! (the private `kernels` module) whose loop trip count is a compile-time
 //! constant — no heap traffic, no per-word bounds checks, and a loop
 //! body LLVM unrolls and autovectorizes. Larger universes fall back to a
 //! heap-allocated word vector with the same kernel shapes. Because the

@@ -59,7 +59,7 @@ fn bench_ops(c: &mut Criterion) {
             b.iter(|| {
                 i = (i + 1) % 63;
                 std::hint::black_box(
-                    nalist::algebra::treealg::tree_join(&trees[i], &trees[i + 1]).unwrap(),
+                    nalist_oracle::treealg::tree_join(&trees[i], &trees[i + 1]).unwrap(),
                 )
             });
         });
@@ -68,7 +68,7 @@ fn bench_ops(c: &mut Criterion) {
             b.iter(|| {
                 i = (i + 1) % 63;
                 std::hint::black_box(
-                    nalist::algebra::treealg::tree_pdiff(&trees[i], &trees[i + 1]).unwrap(),
+                    nalist_oracle::treealg::tree_pdiff(&trees[i], &trees[i + 1]).unwrap(),
                 )
             });
         });

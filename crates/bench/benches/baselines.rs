@@ -2,10 +2,10 @@
 //! (exponential) and against Beeri's classical relational algorithm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nalist::deps::naive::{NaiveClosure, NaiveConfig};
-use nalist::membership::beeri::{rel_dependency_basis, RelDep};
 use nalist::prelude::*;
 use nalist_bench::{flat_workload, run_closures};
+use nalist_oracle::beeri::{rel_dependency_basis, RelDep};
+use nalist_oracle::naive::{NaiveClosure, NaiveConfig};
 
 fn naive_vs_algorithm(c: &mut Criterion) {
     let mut group = c.benchmark_group("naive_vs_algorithm");
@@ -94,7 +94,7 @@ fn certified_vs_plain(c: &mut Criterion) {
 
 fn reference_vs_bitset(c: &mut Criterion) {
     // E-REF: the paper-literal SubB-set engine
-    use nalist::membership::reference::{decompile_sigma, reference_closure_and_basis};
+    use nalist_oracle::reference::{decompile_sigma, reference_closure_and_basis};
     let mut group = c.benchmark_group("reference_vs_bitset");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(200));

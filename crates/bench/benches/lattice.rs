@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nalist::algebra::lattice::{enumerate_sets, hasse_edges};
-use nalist::algebra::laws::verify_brouwerian;
 use nalist::prelude::*;
+use nalist_oracle::laws::verify_brouwerian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -6,9 +6,7 @@
 //! Run with `cargo run --release -p nalist-bench --bin experiments`.
 
 use nalist::algebra::lattice::{enumerate_sets, hasse_edges, sub_count};
-use nalist::algebra::laws::verify_brouwerian;
 use nalist::algebra::render::{basis_listing, full_lattice_dot};
-use nalist::deps::naive::{NaiveClosure, NaiveConfig};
 use nalist::membership::trace::{render_result, render_trace};
 use nalist::membership::witness::combination_instance;
 use nalist::membership::{read_reasoner_snapshot, recover, write_reasoner_snapshot, WalOp};
@@ -18,6 +16,8 @@ use nalist_bench::{
     flat_workload, fmt_nanos, loglog_slope, median_nanos, nested_workload, run_closures,
     run_closures_paper,
 };
+use nalist_oracle::laws::verify_brouwerian;
+use nalist_oracle::naive::{NaiveClosure, NaiveConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -542,7 +542,7 @@ fn reference_ablation() {
         "E-REF",
         "Engine ablation: bitset atom engine vs the paper-literal SubB-set engine",
     );
-    use nalist::membership::reference::{decompile_sigma, reference_closure_and_basis};
+    use nalist_oracle::reference::{decompile_sigma, reference_closure_and_basis};
     println!(
         "{:>6} {:>16} {:>16} {:>9}",
         "|N|", "paper-literal", "bitset engine", "speedup"
@@ -596,18 +596,6 @@ fn engine_speedup() {
         "{:>6} {:>6} {:>6} {:>14} {:>14} {:>9}",
         "|N|", "|Σ|", "width", "pass engine", "worklist", "speedup"
     );
-    // Pre-width-specialization worklist medians for the sizes that used
-    // to fall off the 128-atom inline representation onto Vec<u64> words
-    // (measured on this machine immediately before the kernel split;
-    // the old code path no longer exists to re-run).
-    let before_heap = |atoms: usize| -> Option<u128> {
-        match atoms {
-            256 => Some(2_511_468),
-            512 => Some(5_115_717),
-            1024 => Some(13_314_447),
-            _ => None,
-        }
-    };
     for (atoms, sigma_count) in [
         (16usize, 8usize),
         (32, 16),
@@ -640,15 +628,12 @@ fn engine_speedup() {
             fmt_nanos(t_fast),
             speedup
         );
-        let before = before_heap(atoms).map_or(String::new(), |b| {
-            format!(", \"median_ns_worklist_before_width_split\": {b}")
-        });
         json_rows.push(format!(
             "  {{\"id\": \"nested_workload(seed=7, atoms={atoms}, sigma={sigma_count})\", \
              \"atoms\": {atoms}, \"sigma\": {sigma_count}, \"width_class\": \"{width}\", \
              \"cpus\": {cpus}, \
              \"median_ns_pass_engine\": {t_paper}, \"median_ns_worklist\": {t_fast}, \
-             \"speedup\": {speedup:.2}{before}}}"
+             \"speedup\": {speedup:.2}}}"
         ));
     }
     println!("both engines produce identical output (asserted per query in tests/crossval.rs)");
@@ -957,7 +942,7 @@ fn vs_naive() {
     // E-BASE2: Beeri comparison on flat schemas
     println!("\nE-BASE2: Beeri's relational algorithm vs Algorithm 5.1 (flat width 12, |Σ| = 8)");
     let w = flat_workload(45, 12, 8);
-    use nalist::membership::beeri::{rel_dependency_basis, RelDep};
+    use nalist_oracle::beeri::{rel_dependency_basis, RelDep};
     let rel_sigma: Vec<RelDep> = w
         .sigma
         .iter()
@@ -1030,7 +1015,7 @@ fn ops() {
         let t_tree = median_nanos(9, || {
             for &(i, j) in &pairs {
                 std::hint::black_box(
-                    nalist::algebra::treealg::tree_join(&trees[i], &trees[j]).unwrap(),
+                    nalist_oracle::treealg::tree_join(&trees[i], &trees[j]).unwrap(),
                 );
             }
         }) / 32;

@@ -18,8 +18,8 @@
 //! graph of `nalist-check` must never reach `nalist-membership` — CI
 //! enforces this with `cargo tree`.
 //!
-//! Certificates are a versioned JSON format ([`format`]); verification
-//! ([`verify`]) is budget-governed so hostile certificates (depth/size
+//! Certificates are a versioned JSON format ([`mod@format`]); verification
+//! ([`verify()`]) is budget-governed so hostile certificates (depth/size
 //! bombs, dangling node references, capacity-mismatched attribute sets)
 //! are rejected with a typed, node-addressed [`CheckError`] instead of
 //! hanging the checker.

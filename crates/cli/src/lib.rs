@@ -543,9 +543,9 @@ pub fn run_with_budget(
     dispatch(args, files, budget, &rec)
 }
 
-/// [`run`] with injected [`FailPoint`]s folded into the budget parsed
-/// from the command line. This is how `main` arms the
-/// `NALIST_FAILPOINT` environment hook (and how the crash-recovery CI
+/// [`run`] with injected [`FailPoint`](nalist::guard::FailPoint)s folded
+/// into the budget parsed from the command line. This is how `main` arms
+/// the `NALIST_FAILPOINT` environment hook (and how the crash-recovery CI
 /// job crashes a release binary at a chosen store site) without any
 /// library code reading process environment.
 pub fn run_with_failpoints(
@@ -926,7 +926,10 @@ fn dispatch(
             // Write-ahead journal: the header names the (canonical)
             // schema, then every op is journaled *before* it is applied
             // — after a crash, `nalist recover --wal` replays exactly
-            // the operations the live process had committed to.
+            // the operations the live process had committed to. A record
+            // that cannot replay must never reach the log, so each line
+            // is decided first: parsed and compiled, and a removed
+            // dependency found in Σ.
             let mut journaled = 0u64;
             let mut wal = match wal_path {
                 None => None,
@@ -960,35 +963,39 @@ fn dispatch(
                     .split_once(char::is_whitespace)
                     .ok_or_else(|| here(&"expected '<op> <dependency>'"))?;
                 let payload = payload.trim();
-                let parse = || Dependency::parse_with(&n, payload, limits).map_err(|e| here(&e));
                 let wal_op = match op {
-                    "+" | "add" => Some(WalOp::Add(payload.to_string())),
-                    "-" | "remove" => Some(WalOp::Remove(payload.to_string())),
-                    "?" | "query" => Some(WalOp::Query(payload.to_string())),
-                    _ => None,
+                    "+" | "add" => WalOp::Add(payload.to_string()),
+                    "-" | "remove" => WalOp::Remove(payload.to_string()),
+                    "?" | "query" => WalOp::Query(payload.to_string()),
+                    other => {
+                        return Err(here(&format!(
+                            "unknown op '{other}' (expected +/add, -/remove or ?/query)"
+                        )))
+                    }
                 };
-                if let (Some(w), Some(wal_op)) = (wal.as_mut(), &wal_op) {
+                let dep = Dependency::parse_with(&n, payload, limits).map_err(|e| here(&e))?;
+                let compiled = dep.compile(r.algebra()).map_err(|e| here(&e))?;
+                let held = r.compiled_sigma().iter().position(|c| *c == compiled);
+                if let (WalOp::Remove(_), None) = (&wal_op, held) {
+                    return Err(here(&format!("dependency not in Σ: {payload}")));
+                }
+                if let Some(w) = wal.as_mut() {
                     w.append(&wal_op.encode(), budget, rec.as_ref())
                         .map_err(store_error)?;
                     journaled += 1;
                 }
-                match op {
-                    "+" | "add" => {
-                        let dep = parse()?;
+                match (wal_op, held) {
+                    (WalOp::Add(_), _) => {
                         r.add(dep).map_err(|e| here(&e))?;
                         adds += 1;
                         writeln!(out, "add          {payload}").unwrap();
                     }
-                    "-" | "remove" => {
-                        let dep = parse()?;
-                        if !r.remove(&dep).map_err(|e| here(&e))? {
-                            return Err(here(&format!("dependency not in Σ: {payload}")));
-                        }
+                    (WalOp::Remove(_), Some(i)) => {
+                        r.remove_at(i);
                         removes += 1;
                         writeln!(out, "remove       {payload}").unwrap();
                     }
-                    "?" | "query" => {
-                        let dep = parse()?;
+                    _ => {
                         let verdict = r.implies_governed(&dep, budget).map_err(|e| match e {
                             ReasonerError::Resource(res) => CliError::resource(res),
                             other => here(&other),
@@ -996,11 +1003,6 @@ fn dispatch(
                         queries += 1;
                         let tag = if verdict { "IMPLIED" } else { "NOT IMPLIED" };
                         writeln!(out, "{tag:<12} {payload}").unwrap();
-                    }
-                    other => {
-                        return Err(here(&format!(
-                            "unknown op '{other}' (expected +/add, -/remove or ?/query)"
-                        )))
                     }
                 }
             }

@@ -423,6 +423,59 @@ fn crash_mid_append_leaves_a_recoverable_journal() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `replay --wal` decides each line before journaling it, so a line it
+/// rejects never reaches the log: after a bad second line the journal
+/// still recovers, to a Σ holding exactly the first add.
+#[test]
+fn rejected_replay_lines_never_reach_the_journal() {
+    let dir = std::env::temp_dir().join(format!("nalist_chaos_reject_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("base.snap").to_str().unwrap().to_string();
+    let bad_lines = [
+        "+ L(A) -> L(Q)", // Q is not an attribute of the schema
+        "? L(A) ->",      // a query that does not parse
+        "- L(B) -> L(C)", // a remove of a dependency Σ does not hold
+    ];
+    let mut mem = BTreeMap::new();
+    mem.insert("empty.deps".to_string(), String::new());
+    for (i, bad) in bad_lines.iter().enumerate() {
+        mem.insert(format!("edits{i}.txt"), format!("+ L(A) -> L(B)\n{bad}\n"));
+    }
+    let files = MemFiles(mem);
+    let argv = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+    run(
+        &argv(&["snapshot", "L(A, B, C)", "empty.deps", &snap]),
+        &files,
+    )
+    .unwrap();
+    for (i, bad) in bad_lines.iter().enumerate() {
+        let script = format!("edits{i}.txt");
+        let wal = dir.join(format!("j{i}.wal")).to_str().unwrap().to_string();
+        let err = run(
+            &argv(&["replay", "L(A, B, C)", &script, "--wal", &wal]),
+            &files,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 1, "{bad}: {}", err.message);
+        assert!(
+            err.message.contains(&format!("{script}:2")),
+            "{bad}: {}",
+            err.message
+        );
+        let out = run(&argv(&["recover", &snap, "--wal", &wal]), &files)
+            .unwrap_or_else(|e| panic!("{bad}: recovery failed: {}", e.message));
+        assert!(
+            out.contains("Σ (1 dependencies):\n  [0] L(A) -> L(B)\n"),
+            "{bad}: {out}"
+        );
+        assert!(
+            out.contains("WAL: replayed 1 add(s), 0 remove(s), 0 query(ies)"),
+            "{bad}: {out}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The universal certificate really is universally accepted: emit-check
 /// round trip through the CLI for a handful of well-formed schemas.
 #[test]

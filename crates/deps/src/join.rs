@@ -57,11 +57,15 @@ pub fn merge_values(x: &NestedAttr, y: &NestedAttr, v1: &Value, v2: &Value) -> O
 /// all `t ∈ dom(X ⊔ Y)` with `π_X(t) ∈ r1` and `π_Y(t) ∈ r2`
 /// (Section 4 of the paper).
 ///
-/// Fails if the two instances do not live in a common `Sub(N)`.
-pub fn generalized_join(r1: &Instance, r2: &Instance) -> Result<Instance, TypeError> {
+/// Fails if `X` or `Y` is not a subattribute of `alg`'s `N`.
+pub fn generalized_join(
+    alg: &Algebra,
+    r1: &Instance,
+    r2: &Instance,
+) -> Result<Instance, TypeError> {
     let x = r1.attr();
     let y = r2.attr();
-    let xy = nalist_algebra::treealg::tree_join(x, y)?;
+    let xy = alg.to_attr(&alg.join(&alg.from_attr(x)?, &alg.from_attr(y)?));
     let mut out = Instance::new(xy);
     for t1 in r1.iter() {
         for t2 in r2.iter() {
@@ -98,7 +102,7 @@ pub fn lossless_decomposition(
     let right = alg.to_attr(&alg.join(x, &alg.compl(y)));
     let p1 = r.project(&left)?;
     let p2 = r.project(&right)?;
-    let joined = generalized_join(&p1, &p2)?;
+    let joined = generalized_join(alg, &p1, &p2)?;
     Ok(joined == *r)
 }
 
@@ -204,20 +208,22 @@ mod tests {
 
     #[test]
     fn join_of_incompatible_instances_fails() {
+        let alg = Algebra::new(&parse_attr("L(A, B)").unwrap());
         let r1 = Instance::new(parse_attr("L(A, λ)").unwrap());
         let r2 = Instance::new(parse_attr("M(B)").unwrap());
-        assert!(generalized_join(&r1, &r2).is_err());
+        assert!(generalized_join(&alg, &r1, &r2).is_err());
     }
 
     #[test]
     fn empty_join() {
         let n = parse_attr("L(A, B)").unwrap();
+        let alg = Algebra::new(&n);
         let x = parse_subattr_of(&n, "L(A, λ)").unwrap();
         let y = parse_subattr_of(&n, "L(λ, B)").unwrap();
         let mut r1 = Instance::new(x);
         let r2 = Instance::new(y);
-        assert!(generalized_join(&r1, &r2).unwrap().is_empty());
+        assert!(generalized_join(&alg, &r1, &r2).unwrap().is_empty());
         r1.insert_str("(a, ok)").unwrap();
-        assert!(generalized_join(&r1, &r2).unwrap().is_empty());
+        assert!(generalized_join(&alg, &r1, &r2).unwrap().is_empty());
     }
 }

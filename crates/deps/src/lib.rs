@@ -12,9 +12,7 @@
 //! * [`join`] — the generalised join and Fagin's lossless-join
 //!   characterisation of MVDs (Theorem 4.4);
 //! * [`rules`] — the 14 inference rules of Theorem 4.6 (including the
-//!   novel *mixed meet rule*), [`proof`] — checkable derivation trees;
-//! * [`naive`] — the exponential enumeration of `Σ⁺` used as the baseline
-//!   and ground truth for the membership algorithm.
+//!   novel *mixed meet rule*), [`proof`] — checkable derivation DAGs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +22,6 @@ pub mod dependency;
 pub mod footprint;
 pub mod instance;
 pub mod join;
-pub mod naive;
 pub mod proof;
 pub mod rules;
 
@@ -33,5 +30,5 @@ pub use dependency::{parse_sigma, CompiledDep, Dependency};
 pub use footprint::PreparedDep;
 pub use instance::Instance;
 pub use nalist_types::parser::DepKind;
-pub use proof::{DagNode, Proof, ProofDag};
+pub use proof::{DagNode, ProofDag};
 pub use rules::Rule;

@@ -31,7 +31,8 @@
 //!
 //! Soundness of every rule is property-tested against random instances in
 //! the integration suite; completeness is validated empirically by
-//! comparing the naive closure under these rules with Algorithm 5.1.
+//! comparing the naive closure under these rules (in `nalist-oracle`)
+//! with Algorithm 5.1.
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_types::parser::DepKind;

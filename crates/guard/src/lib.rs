@@ -283,7 +283,7 @@ impl Budget {
     /// Records `units` of work and fails if any limit has been reached.
     ///
     /// This is the one call governed loops make per step. The deadline is
-    /// sampled every [`DEADLINE_STRIDE`] charges (and on the first), so a
+    /// sampled every `DEADLINE_STRIDE` charges (and on the first), so a
     /// loop overruns its deadline by at most that many steps.
     pub fn charge(&self, units: u64) -> Result<(), ResourceExhausted> {
         let before = self.spent.fetch_add(units, Ordering::Relaxed);

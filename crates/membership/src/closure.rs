@@ -28,19 +28,24 @@
 //!
 //! ## Two engines, one semantics
 //!
-//! This module keeps the *paper-faithful* pass engine ([`run`], public as
+//! This module keeps the *paper-faithful* pass engine (public as
 //! [`closure_and_basis_paper`]): every pass processes every dependency in
 //! FD-then-MVD order and the fixpoint is detected by comparing cloned
 //! state. The traced variant [`closure_and_basis_traced`] always uses it,
 //! so traces reproduce Example 5.1 and Figures 3–4 of the paper pass for
-//! pass, step for step.
+//! pass, step for step. That is why it ships: `nalist trace` prints every
+//! dependency of every pass, including the steps that change nothing and
+//! the final idle pass, while the worklist engine's firing trail records
+//! only the steps that fire, in worklist order, and cannot replay that.
 //!
 //! The untraced entry point [`closure_and_basis`] instead delegates to
 //! the change-driven worklist engine in [`crate::worklist`], which skips
 //! dependency steps that are provably no-ops. Both engines produce
 //! bit-for-bit identical [`DependencyBasis`] values (see the invariant
 //! argument in [`crate::worklist`]); the `crossval` test suite checks
-//! this on randomised workloads.
+//! this on randomised workloads, and ties both to the paper-literal
+//! `SubB`-set transcription in `nalist-oracle`, which ships in no
+//! binary.
 
 use std::collections::BTreeSet;
 

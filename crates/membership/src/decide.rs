@@ -366,7 +366,7 @@ pub enum QueryError {
     Panicked {
         /// The rendered panic payload: string payloads verbatim, typed
         /// payloads with their type name preserved (see
-        /// [`panic_message`]).
+        /// `panic_message`).
         message: String,
     },
 }

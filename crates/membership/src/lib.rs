@@ -13,8 +13,6 @@
 //!   from the completeness argument of Section 4.2;
 //! * [`cert`] — one run of Algorithm 5.1 per target, deciding it and
 //!   building its derivation, witness or portable certificate on request;
-//! * [`beeri`] — Beeri's classical relational algorithm, the baseline
-//!   Algorithm 5.1 generalises;
 //! * [`packed`] — the reasoner's cache entry: `X⁺` and the blocks
 //!   packed as width-exact words, read in place by queries;
 //! * [`persist`] — the snapshot/WAL payload encodings and crash
@@ -24,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod beeri;
 pub mod cert;
 pub mod certify;
 pub mod closure;
 pub mod decide;
 pub mod packed;
 pub mod persist;
-pub mod reference;
 pub mod trace;
 pub mod witness;
 pub mod worklist;

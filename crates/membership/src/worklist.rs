@@ -1,5 +1,5 @@
 //! The change-driven worklist engine behind [`crate::closure_and_basis`],
-//! the reasoner's cache and the certificates of [`crate::certify`].
+//! the reasoner's cache and the certificates of [`mod@crate::certify`].
 //!
 //! Semantically this is exactly Algorithm 5.1 (see [`crate::closure`]); it
 //! differs from the paper-faithful pass loop only in *which steps it
@@ -58,7 +58,7 @@
 //! untouched.
 //!
 //! * The trail alone, replayed from the initial state, retraces the run.
-//!   [`crate::certify`] replays it to emit one derivation per state
+//!   [`mod@crate::certify`] replays it to emit one derivation per state
 //!   change (Lemma 6.1's induction runs over exactly these steps).
 //! * `fired` is the footprint index behind the incremental
 //!   [`crate::Reasoner`]: a cached basis stays valid under `Σ ∖ {d}`

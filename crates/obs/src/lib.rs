@@ -70,7 +70,7 @@ pub mod site {
     /// snapshot). Requests get no span of their own: the request path
     /// reports through counters and the `request_ns` histogram, and
     /// the daemon caps its span buffer
-    /// ([`MetricsRecorder::with_span_cap`]).
+    /// ([`crate::MetricsRecorder::with_span_cap`]).
     pub const SERVE_TENANT: &str = "serve::tenant";
 }
 

@@ -48,7 +48,7 @@ pub fn verify_lossless(
     let mut acc = r.project(&alg.to_attr(&components[0]))?;
     for c in &components[1..] {
         let p = r.project(&alg.to_attr(c))?;
-        acc = generalized_join(&acc, &p)?;
+        acc = generalized_join(alg, &acc, &p)?;
     }
     // compare against r projected onto the union of components
     let mut union = alg.bottom_set();

@@ -3,10 +3,10 @@
 //! E-EX51/E-FIG3/E-FIG4 of DESIGN.md).
 
 use nalist::algebra::lattice::{enumerate_sets, hasse_edges, sub_count};
-use nalist::algebra::laws::verify_brouwerian;
 use nalist::algebra::render::{basis_listing, full_lattice_dot};
 use nalist::membership::trace::{render_result, render_trace};
 use nalist::prelude::*;
+use nalist_oracle::laws::verify_brouwerian;
 
 // ---------------------------------------------------------------- Figure 1
 

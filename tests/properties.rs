@@ -62,9 +62,9 @@ proptest! {
             let b = sub(&mut rng, &alg);
             let at = alg.to_attr(&a);
             let bt = alg.to_attr(&b);
-            let join = nalist::algebra::treealg::tree_join(&at, &bt).unwrap();
-            let meet = nalist::algebra::treealg::tree_meet(&at, &bt).unwrap();
-            let pdiff = nalist::algebra::treealg::tree_pdiff(&at, &bt).unwrap();
+            let join = nalist_oracle::treealg::tree_join(&at, &bt).unwrap();
+            let meet = nalist_oracle::treealg::tree_meet(&at, &bt).unwrap();
+            let pdiff = nalist_oracle::treealg::tree_pdiff(&at, &bt).unwrap();
             prop_assert_eq!(alg.from_attr(&join).unwrap(), alg.join(&a, &b));
             prop_assert_eq!(alg.from_attr(&meet).unwrap(), alg.meet(&a, &b));
             prop_assert_eq!(alg.from_attr(&pdiff).unwrap(), alg.pdiff(&a, &b));

@@ -26,9 +26,9 @@
 //!   mixed meet) and ours (generalised coalescence) are two different
 //!   axiomatisations of the same closure.
 
-use nalist::deps::naive::{NaiveClosure, NaiveConfig};
 use nalist::deps::rules::{Rule, ALL_RULES};
 use nalist::prelude::*;
+use nalist_oracle::naive::{NaiveClosure, NaiveConfig};
 use std::collections::BTreeSet;
 
 fn battery() -> Vec<(Algebra, Vec<CompiledDep>)> {
