@@ -36,10 +36,8 @@ pub mod atoms;
 pub mod bitset;
 mod kernels;
 pub mod lattice;
-pub mod partition;
 pub mod render;
 pub mod subset;
 
 pub use atoms::{Algebra, AlgebraError, AtomId, AtomInfo, AtomKind};
 pub use bitset::{AtomSet, WidthClass};
-pub use partition::BlockPartition;

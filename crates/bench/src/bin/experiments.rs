@@ -215,7 +215,8 @@ fn ex51() {
     let x = alg
         .from_attr(&parse_subattr_of(&n, "L1(L7(F, L8[L9(L10[H])]))").unwrap())
         .unwrap();
-    let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x);
+    let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited())
+        .expect("X is downward closed and the budget unlimited");
     print!("{}", render_trace(&alg, &sigma, &trace));
     print!("{}", render_result(&alg, &basis));
     println!(

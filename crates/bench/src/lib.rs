@@ -366,7 +366,7 @@ pub fn run_closures_observed(w: &Workload, rec: &dyn nalist::obs::Recorder) -> u
 pub fn run_closures_paper(w: &Workload) -> usize {
     let mut acc = 0usize;
     for q in &w.queries {
-        let b = nalist::membership::closure_and_basis_paper(&w.alg, &w.sigma, q);
+        let b = nalist_oracle::passes::closure_and_basis_paper(&w.alg, &w.sigma, q);
         acc += b.closure.count() + b.blocks.len();
     }
     acc

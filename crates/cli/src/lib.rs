@@ -1161,9 +1161,12 @@ fn dispatch(
             let xs = alg.from_attr(&x).map_err(CliError::domain)?;
             checkpoint(budget)?;
             if cmd == "trace" {
-                let (basis, trace) = closure_and_basis_traced(alg, r.compiled_sigma(), &xs);
+                let (basis, trace) = closure_and_basis_traced(alg, r.compiled_sigma(), &xs, budget)
+                    .map_err(closure_error)?;
                 out.push_str(&render_trace(alg, r.compiled_sigma(), &trace));
                 out.push_str(&render_result(alg, &basis));
+                // rendering a long trace can take longer than the run
+                checkpoint(budget)?;
             } else {
                 let basis = r
                     .dependency_basis_governed(&xs, budget)

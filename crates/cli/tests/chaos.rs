@@ -198,6 +198,28 @@ fn injected_fuel_exhaustion_in_closure_is_exit_code_3() {
     assert_eq!(e.code, 3);
 }
 
+/// `nalist trace` runs Algorithm 5.1 under the command's budget, like
+/// `closure`: a budget that runs out inside the traced run exits 3
+/// instead of printing the trace.
+#[test]
+fn injected_fuel_exhaustion_in_trace_is_exit_code_3() {
+    let mut files = BTreeMap::new();
+    files.insert("deps.txt".to_string(), "L(A) -> L(B)\n".to_string());
+    let files = MemFiles(files);
+    let argv: Vec<String> = ["trace", "L(A, B)", "deps.txt", "L(A)"]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+    let out = run_with_budget(&argv, &files, &Budget::unlimited()).unwrap();
+    assert!(out.contains("pass 1:"), "{out}");
+    let budget = Budget::unlimited().with_failpoint(FailPoint::every(
+        "membership::closure",
+        FailAction::ExhaustFuel,
+    ));
+    let e = run_with_budget(&argv, &files, &budget).unwrap_err();
+    assert_eq!(e.code, 3, "{}", e.message);
+}
+
 /// `--metrics` must leave behind a parseable JSON document carrying the
 /// right exit code for *every* failure class: domain error (1), usage
 /// error (2) and resource exhaustion (3).
@@ -473,6 +495,58 @@ fn rejected_replay_lines_never_reach_the_journal() {
             "{bad}: {out}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journaled `-` whose dependency Σ does not hold cannot apply, so
+/// recovery stops at it with exit 1 (replay rejection) instead of
+/// counting a remove that changed nothing. `replay --wal` no longer
+/// journals such a line, so the log is written record by record.
+#[test]
+fn recovery_rejects_a_remove_of_a_dependency_not_in_sigma() {
+    use nalist::membership::WalOp;
+    let dir = std::env::temp_dir().join(format!("nalist_chaos_absent_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("base.snap").to_str().unwrap().to_string();
+    let wal = dir.join("absent.wal");
+    let mut mem = BTreeMap::new();
+    mem.insert("empty.deps".to_string(), String::new());
+    let files = MemFiles(mem);
+    let argv = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+    run(
+        &argv(&["snapshot", "L(A, B, C)", "empty.deps", &snap]),
+        &files,
+    )
+    .unwrap();
+    let schema = nalist::prelude::parse_attr("L(A, B, C)").unwrap();
+    let mut writer = nalist::store::WalWriter::create(&wal, false).unwrap();
+    for op in [
+        WalOp::Header {
+            schema: schema.to_string(),
+        },
+        WalOp::Add("L(A) -> L(B)".to_string()),
+        WalOp::Remove("L(B) -> L(C)".to_string()),
+    ] {
+        writer
+            .append(
+                &op.encode(),
+                &Budget::unlimited(),
+                &nalist::obs::NoopRecorder,
+            )
+            .unwrap();
+    }
+    drop(writer);
+    let err = run(
+        &argv(&["recover", &snap, "--wal", wal.to_str().unwrap()]),
+        &files,
+    )
+    .unwrap_err();
+    assert_eq!(err.code, 1, "{}", err.message);
+    assert!(
+        err.message.contains("WAL record 2") && err.message.contains("not in Σ"),
+        "{}",
+        err.message
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -84,9 +84,9 @@ pub mod prelude {
     pub use nalist_guard::{Budget, ResourceExhausted, ResourceKind};
     pub use nalist_membership::{
         certified_closure_and_basis, certify, closure_and_basis, closure_and_basis_governed,
-        closure_and_basis_paper, closure_and_basis_traced, default_batch_threads, implies, refute,
-        snapshot_payload, CertifiedBasis, CertifyError, ClosureError, DependencyBasis,
-        PersistError, QueryError, Reasoner, ReasonerError, Witness, WitnessError,
+        closure_and_basis_traced, default_batch_threads, implies, refute, snapshot_payload,
+        CertifiedBasis, CertifyError, ClosureError, DependencyBasis, PersistError, QueryError,
+        Reasoner, ReasonerError, Witness, WitnessError,
     };
     pub use nalist_schema::{
         binary_split, candidate_keys, decompose_4nf, equivalent, is_fourth_nf, is_superkey,

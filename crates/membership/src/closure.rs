@@ -26,28 +26,23 @@
 //! (Theorem 6.3); every pass is `O(|N|³·|Σ|)`, giving the
 //! `O(|N|⁴·|Σ|)` bound of Theorem 6.4.
 //!
-//! ## Two engines, one semantics
+//! ## One engine, two schedules
 //!
-//! This module keeps the *paper-faithful* pass engine (public as
-//! [`closure_and_basis_paper`]): every pass processes every dependency in
-//! FD-then-MVD order and the fixpoint is detected by comparing cloned
-//! state. The traced variant [`closure_and_basis_traced`] always uses it,
-//! so traces reproduce Example 5.1 and Figures 3–4 of the paper pass for
-//! pass, step for step. That is why it ships: `nalist trace` prints every
-//! dependency of every pass, including the steps that change nothing and
-//! the final idle pass, while the worklist engine's firing trail records
-//! only the steps that fire, in worklist order, and cannot replay that.
-//!
-//! The untraced entry point [`closure_and_basis`] instead delegates to
-//! the change-driven worklist engine in [`crate::worklist`], which skips
-//! dependency steps that are provably no-ops. Both engines produce
+//! The step itself has one implementation, in [`crate::worklist`], and
+//! two drivers run it. The untraced entry points [`closure_and_basis`]
+//! and [`closure_and_basis_governed`] use the change-driven worklist
+//! ([`crate::worklist::run`]), which skips dependency steps that are
+//! provably no-ops. The traced variant
+//! [`closure_and_basis_traced`](crate::closure_and_basis_traced) runs
+//! the paper's own schedule instead — every pass processes every
+//! dependency in FD-then-MVD order until a pass changes nothing — and
+//! records each step, so `nalist trace` reproduces Example 5.1 and
+//! Figures 3–4 of the paper pass for pass, step for step. Both produce
 //! bit-for-bit identical [`DependencyBasis`] values (see the invariant
 //! argument in [`crate::worklist`]); the `crossval` test suite checks
-//! this on randomised workloads, and ties both to the paper-literal
-//! `SubB`-set transcription in `nalist-oracle`, which ships in no
-//! binary.
-
-use std::collections::BTreeSet;
+//! this, step for step, against the paper's clone-and-compare pass
+//! engine and the paper-literal `SubB`-set transcription in
+//! `nalist-oracle`, which ships in no binary.
 
 use nalist_algebra::{Algebra, AlgebraError, AtomSet};
 use nalist_deps::{CompiledDep, DepKind};
@@ -140,7 +135,7 @@ pub struct DependencyBasis {
 }
 
 /// One dependency-processing step inside a pass (recorded for the trace).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepTrace {
     /// Index of the processed dependency in the *reordered* sequence
     /// (FDs first, then MVDs — the paper's loop order); see
@@ -160,7 +155,7 @@ pub struct StepTrace {
 
 /// A full run trace of Algorithm 5.1 (regenerates Example 5.1 and
 /// Figures 3–4 of the paper).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// `X_new` after initialisation.
     pub init_x: AtomSet,
@@ -172,14 +167,11 @@ pub struct Trace {
     pub passes: Vec<Vec<StepTrace>>,
 }
 
-fn sorted(db: &BTreeSet<AtomSet>) -> Vec<AtomSet> {
-    db.iter().cloned().collect()
-}
-
 /// Computes `X⁺` and `DepB(X)` (Algorithm 5.1), discarding the trace.
 ///
 /// Runs the change-driven worklist engine ([`crate::worklist::run`]);
-/// the output is identical to [`closure_and_basis_paper`].
+/// the output is identical to
+/// [`closure_and_basis_traced`](crate::closure_and_basis_traced)'s.
 pub fn closure_and_basis(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> DependencyBasis {
     closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
         .expect("unlimited budget cannot be exhausted and X must be downward closed")
@@ -197,157 +189,6 @@ pub fn closure_and_basis_governed(
 ) -> Result<DependencyBasis, ClosureError> {
     let run = crate::worklist::run(alg, sigma, x, budget, nalist_obs::noop())?;
     Ok(DependencyBasis::derive(alg, run.closure, run.blocks))
-}
-
-/// Computes `X⁺` and `DepB(X)` with the paper-faithful pass engine
-/// (process every dependency every pass, clone-and-compare fixpoint
-/// detection). Kept as the reference baseline for benchmarks and
-/// cross-validation.
-pub fn closure_and_basis_paper(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> DependencyBasis {
-    run(alg, sigma, x, None)
-}
-
-/// Computes `X⁺` and `DepB(X)` and records the full per-step trace.
-pub fn closure_and_basis_traced(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> (DependencyBasis, Trace) {
-    let mut trace = Trace {
-        init_x: AtomSet::empty(alg.atom_count()),
-        init_db: Vec::new(),
-        order: Vec::new(),
-        passes: Vec::new(),
-    };
-    let basis = run(alg, sigma, x, Some(&mut trace));
-    (basis, trace)
-}
-
-fn run(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-    mut trace: Option<&mut Trace>,
-) -> DependencyBasis {
-    debug_assert!(alg.is_downward_closed(x), "X must be an element of Sub(N)");
-
-    // the paper's loop processes all FDs, then all MVDs, per pass
-    let order: Vec<usize> = (0..sigma.len())
-        .filter(|&i| sigma[i].kind == DepKind::Fd)
-        .chain((0..sigma.len()).filter(|&i| sigma[i].kind == DepKind::Mvd))
-        .collect();
-
-    let mut x_new = x.clone();
-    let mut db: BTreeSet<AtomSet> = BTreeSet::new();
-    // DB_new := MaxB(X^CC) ∪ {X^C}
-    for m in alg.maximal_atoms_of(x).iter() {
-        db.insert(alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [m])));
-    }
-    let xc = alg.compl(x);
-    if !xc.is_empty() {
-        db.insert(xc);
-    }
-
-    if let Some(t) = trace.as_deref_mut() {
-        t.init_x = x_new.clone();
-        t.init_db = sorted(&db);
-        t.order = order.clone();
-    }
-
-    loop {
-        let x_old = x_new.clone();
-        let db_old = db.clone();
-        let mut pass_steps: Vec<StepTrace> = Vec::new();
-
-        for (k, &i) in order.iter().enumerate() {
-            let dep = &sigma[i];
-            // Ū := ⊔{W ∈ DB | ∃ atom a possessed by W, a ∉ X_new, a ∈ SubB(U)}
-            let mut ubar = AtomSet::empty(alg.atom_count());
-            for w in &db {
-                let anchored = dep
-                    .lhs
-                    .iter()
-                    .any(|a| !x_new.contains(a) && alg.possessed_by(a, w));
-                if anchored {
-                    ubar.union_with(w);
-                }
-            }
-            let vtilde = alg.pdiff(&dep.rhs, &ubar);
-            let mut changed = false;
-            if !vtilde.is_empty() {
-                match dep.kind {
-                    DepKind::Fd => {
-                        let x_next = alg.join(&x_new, &vtilde);
-                        let mut db_next: BTreeSet<AtomSet> = BTreeSet::new();
-                        for w in &db {
-                            let reduced = alg.cc(&alg.pdiff(w, &vtilde));
-                            if !reduced.is_empty() {
-                                db_next.insert(reduced);
-                            }
-                        }
-                        for m in alg.maximal_atoms_of(&vtilde).iter() {
-                            db_next.insert(
-                                alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [m])),
-                            );
-                        }
-                        changed = x_next != x_new || db_next != db;
-                        x_new = x_next;
-                        db = db_next;
-                    }
-                    DepKind::Mvd => {
-                        // mixed meet rule: X_new ⊔= Ṽ ⊓ Ṽ^C
-                        let x_next = alg.join(&x_new, &alg.meet(&vtilde, &alg.compl(&vtilde)));
-                        let mut db_next: BTreeSet<AtomSet> = BTreeSet::new();
-                        for w in &db {
-                            let inter = alg.cc(&alg.meet(&vtilde, w));
-                            if !inter.is_empty() && inter != *w {
-                                db_next.insert(inter);
-                                db_next.insert(alg.cc(&alg.pdiff(w, &vtilde)));
-                            } else {
-                                db_next.insert(w.clone());
-                            }
-                        }
-                        changed = x_next != x_new || db_next != db;
-                        x_new = x_next;
-                        db = db_next;
-                    }
-                }
-            }
-            if trace.is_some() {
-                pass_steps.push(StepTrace {
-                    dep_index: k,
-                    ubar,
-                    vtilde,
-                    changed,
-                    x_after: x_new.clone(),
-                    db_after: sorted(&db),
-                });
-            }
-        }
-
-        if let Some(t) = trace.as_deref_mut() {
-            t.passes.push(pass_steps);
-        }
-        if x_new == x_old && db == db_old {
-            break;
-        }
-    }
-
-    // DepB(X) := SubB(X⁺) ∪ DB_new, straight from the definition: this
-    // engine is the reference the shared derivation is checked against
-    let mut basis: BTreeSet<AtomSet> = db.clone();
-    for a in x_new.iter() {
-        basis.insert(alg.downward_closure(&AtomSet::from_indices(alg.atom_count(), [a])));
-    }
-    DependencyBasis {
-        closure: x_new,
-        blocks: sorted(&db),
-        basis: basis.into_iter().collect(),
-    }
 }
 
 /// Proposition 4.10 on width-exact words (see [`AtomSet::words`]),
@@ -407,9 +248,10 @@ impl DependencyBasis {
     /// `below` set of a list-node atom is never `^CC`-closed, so never a
     /// block. `DepB(X)` is therefore the blocks interleaved with the
     /// `below` sets of the non-maximal atoms of `X⁺`, merged in sorted
-    /// order. The worklist engine and the reasoner's cache build their
-    /// [`DependencyBasis`] here; the paper engine builds `DepB(X)` from
-    /// its definition and is the reference this is checked against.
+    /// order. Both engine drivers and the reasoner's cache build their
+    /// [`DependencyBasis`] here; the pass engine in `nalist-oracle`
+    /// builds `DepB(X)` from its definition and is the reference this
+    /// is checked against.
     pub(crate) fn derive(alg: &Algebra, closure: AtomSet, blocks: Vec<AtomSet>) -> Self {
         debug_assert!(blocks.windows(2).all(|p| p[0] < p[1]), "blocks are sorted");
         let lists = closure.difference(alg.max_mask());
@@ -457,6 +299,7 @@ impl DependencyBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worklist::closure_and_basis_traced;
     use nalist_deps::Dependency;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
@@ -544,7 +387,7 @@ mod tests {
     #[test]
     fn trace_records_initialisation() {
         let (alg, sigma, x) = setup("L(A, B, C)", &["L(A) -> L(B)"], "L(A)");
-        let (b, t) = closure_and_basis_traced(&alg, &sigma, &x);
+        let (b, t) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
         assert_eq!(t.init_x, x);
         assert_eq!(t.init_db.len(), 2); // {A} and X^C = {B, C}
         assert!(t.passes.len() >= 2); // one changing pass + one fixpoint pass
@@ -566,7 +409,7 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let (_, t) = closure_and_basis_traced(&alg, &sigma, &x);
+        let (_, t) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
         // order maps trace position 0 to Σ index 1 (the FD)
         assert_eq!(t.order, vec![1, 0]);
     }

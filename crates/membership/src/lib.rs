@@ -4,8 +4,10 @@
 //! (Section 5 of Hartmann & Link, ENTCS 91, 2004):
 //!
 //! * [`closure`] — Algorithm 5.1: attribute-set closure `X⁺` and
-//!   dependency basis `DepB(X)`, with optional per-step tracing
-//!   (reproducing the paper's Example 5.1 and Figures 3–4);
+//!   dependency basis `DepB(X)`;
+//! * [`worklist`] — the engine that runs Algorithm 5.1's step, on the
+//!   change-driven worklist or, with per-step tracing, on the paper's
+//!   pass schedule (reproducing Example 5.1 and Figures 3–4);
 //! * [`decide`]/[`Reasoner`] — the membership decision `Σ ⊨ σ`
 //!   (Proposition 4.10, Theorem 6.4), in `O(|N|⁴·|Σ|)`;
 //! * [`witness`] — verified refutation certificates: when `Σ ⊭ σ`, a
@@ -37,8 +39,7 @@ pub use certify::{
     CertifiedBasis, CertifyError,
 };
 pub use closure::{
-    closure_and_basis, closure_and_basis_governed, closure_and_basis_paper,
-    closure_and_basis_traced, ClosureError, DependencyBasis, Trace,
+    closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis, Trace,
 };
 pub use decide::{
     default_batch_threads, implies, CacheStats, QueryError, Reasoner, ReasonerError, RestoreError,
@@ -50,4 +51,4 @@ pub use persist::{
     write_reasoner_snapshot, PersistError, RecoveryReport, ReplayCounts, WalOp,
 };
 pub use witness::{refute, refute_governed, Witness, WitnessError};
-pub use worklist::{step_would_change, WorklistRun};
+pub use worklist::{closure_and_basis_traced, step_would_change, WorklistRun};

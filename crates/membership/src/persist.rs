@@ -393,8 +393,10 @@ pub struct ReplayCounts {
 /// compiled form the reasoner keeps as its only copy of the dependency:
 /// a `+` pushes the memoized compiled form through the step
 /// [`Reasoner::add`] ends in, and a `-` removes the first `Σ` member
-/// with the same compiled form, exactly as [`Reasoner::remove`] does.
-/// `?` records are parsed every time, under `budget`'s limits.
+/// with the same compiled form, as [`Reasoner::remove`] does. A `-`
+/// whose dependency `Σ` does not hold cannot apply, so it fails like a
+/// record that does not parse. `?` records are parsed every time, under
+/// `budget`'s limits.
 ///
 /// Replay stops at the first record that fails to decode or apply;
 /// `counts` then holds what was applied before it. Record indices in
@@ -442,9 +444,15 @@ pub fn replay_wal<'a>(
                     reasoner.add_compiled(c.clone());
                     counts.adds += 1;
                 } else {
-                    if let Some(i) = reasoner.compiled_sigma().iter().position(|have| have == c) {
-                        reasoner.remove_at(i);
-                    }
+                    let i = reasoner
+                        .compiled_sigma()
+                        .iter()
+                        .position(|have| have == c)
+                        .ok_or_else(|| PersistError::Replay {
+                            index,
+                            message: format!("dependency not in Σ: {text}"),
+                        })?;
+                    reasoner.remove_at(i);
                     counts.removes += 1;
                 }
             }

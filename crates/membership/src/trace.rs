@@ -65,8 +65,9 @@ pub fn render_result(alg: &Algebra, basis: &DependencyBasis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::closure_and_basis_traced;
+    use crate::worklist::closure_and_basis_traced;
     use nalist_deps::Dependency;
+    use nalist_guard::Budget;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
 
     #[test]
@@ -80,7 +81,8 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap();
-        let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x);
+        let (basis, trace) =
+            closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
         let rendered = render_trace(&alg, &sigma, &trace);
         assert!(rendered.contains("initialisation:"));
         assert!(rendered.contains("X_new = L(A)"));

@@ -1,10 +1,20 @@
-//! The change-driven worklist engine behind [`crate::closure_and_basis`],
-//! the reasoner's cache and the certificates of [`mod@crate::certify`].
+//! The engine of Algorithm 5.1 — the one implementation of its step —
+//! and the two drivers that schedule that step:
 //!
-//! Semantically this is exactly Algorithm 5.1 (see [`crate::closure`]); it
-//! differs from the paper-faithful pass loop only in *which steps it
-//! skips*, and every skipped step is provably a no-op, so the two engines
-//! traverse identical state trajectories and produce identical output.
+//! * [`run`], the change-driven worklist behind
+//!   [`crate::closure_and_basis`], the reasoner's cache and the
+//!   certificates of [`mod@crate::certify`];
+//! * [`closure_and_basis_traced`], the paper's own REPEAT-UNTIL
+//!   schedule, which records every step so that `nalist trace` prints
+//!   Example 5.1 and Figures 3–4 pass for pass.
+//!
+//! [`step_would_change`] runs the same step once on a cached fixpoint.
+//!
+//! Semantically the worklist is exactly Algorithm 5.1 (see
+//! [`crate::closure`]); it differs from the paper's pass schedule only in
+//! *which steps it skips*, and every skipped step is provably a no-op,
+//! so both drivers traverse identical state trajectories and produce
+//! identical output.
 //!
 //! ## Why skipping is sound
 //!
@@ -46,8 +56,8 @@
 //! a reused scratch set (`pdiff_into`/`compl_into`) or build the
 //! replacement block directly, the `X_new`/dirty-set updates are the
 //! fused single-pass word kernels `union_with_changed`/`union_andnot`,
-//! and the partition is a [`BlockPartition`] of inline bitsets instead
-//! of a `BTreeSet` that must be cloned to detect change.
+//! and the partition is a plain `Vec` of inline bitsets instead of a
+//! `BTreeSet` that must be cloned to detect change.
 //!
 //! ## The firing trail
 //!
@@ -69,12 +79,12 @@
 //!   operators is *the* dependency basis (Theorem 6.3), which has a
 //!   canonical representation.
 
-use nalist_algebra::{Algebra, AtomSet, BlockPartition};
+use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, DepKind, PreparedDep};
 use nalist_guard::Budget;
 use nalist_obs::{Counter, Hist, Recorder};
 
-use crate::closure::{check_downward_closed, ClosureError};
+use crate::closure::{check_downward_closed, ClosureError, DependencyBasis, StepTrace, Trace};
 use crate::packed::PackedBasis;
 
 /// The output of one worklist run: `X⁺` and the blocks `X^M` — all that
@@ -143,37 +153,8 @@ fn fixpoint(
     x: &AtomSet,
     budget: &Budget,
 ) -> Result<WorklistRun, ClosureError> {
-    check_downward_closed(alg, x)?;
-    budget.failpoint("membership::closure")?;
-    let n = alg.atom_count();
-
-    // FDs first, then MVDs — the paper's processing order; `order` maps
-    // each worklist slot back to its index in the caller's Σ
-    let order: Vec<usize> = (0..sigma.len())
-        .filter(|&i| sigma[i].kind == DepKind::Fd)
-        .chain((0..sigma.len()).filter(|&i| sigma[i].kind == DepKind::Mvd))
-        .collect();
-    let prepared: Vec<PreparedDep> = order.iter().map(|&i| sigma[i].prepare(alg)).collect();
-
-    let mut engine = Engine {
-        alg,
-        x_new: x.clone(),
-        part: BlockPartition::new(n),
-        ubar: AtomSet::empty(n),
-        vtilde: AtomSet::empty(n),
-        scratch: AtomSet::empty(n),
-        delta: AtomSet::empty(n),
-    };
-
-    // DB_new := MaxB(X^CC) ∪ {X^C}
-    for m in alg.maximal_atoms_of(x).iter() {
-        engine.part.push_unique(alg.atom(m).below.clone());
-    }
-    let xc = alg.compl(x);
-    if !xc.is_empty() {
-        engine.part.push_unique(xc);
-    }
-
+    let mut engine = Engine::start(alg, x, budget)?;
+    let (order, prepared) = schedule(alg, sigma);
     let k = prepared.len();
     let mut dirty = vec![true; k];
     let mut trail = Vec::new();
@@ -204,88 +185,103 @@ fn fixpoint(
     let mut fired = trail.clone();
     fired.sort_unstable();
     fired.dedup();
+    let (closure, blocks) = engine.finish();
     Ok(WorklistRun {
-        closure: engine.x_new,
-        blocks: engine.part.sorted_sets(),
+        closure,
+        blocks,
         trail,
         fired,
         steps,
     })
 }
 
+/// Computes `X⁺` and `DepB(X)` on the paper's own schedule and records
+/// every step: each pass runs every dependency of Σ in FD-then-MVD
+/// order, and the run stops after a pass in which no step changed
+/// anything. The [`Trace`] therefore holds the steps [`run`] skips — the
+/// no-op steps and the final idle pass — and regenerates Example 5.1 and
+/// Figures 3–4 of the paper. Both schedules drive the same step from the
+/// same initial state, so by Theorem 6.3 they reach the same fixpoint.
+///
+/// Checks the same preconditions and fail point as [`run`] and charges
+/// one fuel unit per step; a truncated run surfaces as
+/// [`ClosureError::Resource`], never as a partial trace.
+pub fn closure_and_basis_traced(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+    budget: &Budget,
+) -> Result<(DependencyBasis, Trace), ClosureError> {
+    let mut engine = Engine::start(alg, x, budget)?;
+    let (order, prepared) = schedule(alg, sigma);
+    let mut trace = Trace {
+        init_x: engine.x_new.clone(),
+        init_db: engine.sorted_blocks(),
+        order,
+        passes: Vec::new(),
+    };
+    loop {
+        let mut pass = Vec::with_capacity(prepared.len());
+        for (dep_index, dep) in prepared.iter().enumerate() {
+            budget.charge(1)?;
+            let changed = engine.step(dep);
+            pass.push(StepTrace {
+                dep_index,
+                ubar: engine.ubar.clone(),
+                vtilde: engine.vtilde.clone(),
+                changed,
+                x_after: engine.x_new.clone(),
+                db_after: engine.sorted_blocks(),
+            });
+        }
+        let idle = pass.iter().all(|step| !step.changed);
+        trace.passes.push(pass);
+        if idle {
+            break;
+        }
+    }
+    let (closure, blocks) = engine.finish();
+    Ok((DependencyBasis::derive(alg, closure, blocks), trace))
+}
+
+/// Σ in the paper's processing order, FDs first, then MVDs: the `k`-th
+/// dependency processed is `sigma[order[k]]`, prepared as `prepared[k]`.
+fn schedule(alg: &Algebra, sigma: &[CompiledDep]) -> (Vec<usize>, Vec<PreparedDep>) {
+    let order: Vec<usize> = (0..sigma.len())
+        .filter(|&i| sigma[i].kind == DepKind::Fd)
+        .chain((0..sigma.len()).filter(|&i| sigma[i].kind == DepKind::Mvd))
+        .collect();
+    let prepared = order.iter().map(|&i| sigma[i].prepare(alg)).collect();
+    (order, prepared)
+}
+
 /// Would processing `dep` change the fixpoint state recorded in `basis`?
 ///
-/// This replays exactly the change test of one engine step (anchoring
-/// via the precomputed masks, `Ṽ = V ∸ Ū`, then the FD/MVD mutation
-/// conditions) against the packed `X⁺` and blocks, read in place,
-/// without mutating anything. At a fixpoint of `Σ` it is `false` for
-/// every `d ∈ Σ` by definition; for a *new* dependency it decides
-/// whether a cached basis survives `Σ ∪ {dep}` — `false` means the
-/// cached state is a fixpoint of the larger Σ as well, hence still the
-/// (canonical) dependency basis.
+/// Loads the packed `X⁺` and blocks into an engine and runs `dep`'s one
+/// step on them. At a fixpoint of `Σ` it is `false` for every `d ∈ Σ`
+/// by definition; for a *new* dependency it decides whether a cached
+/// basis survives `Σ ∪ {dep}` — `false` means the cached state is a
+/// fixpoint of the larger Σ as well, hence still the (canonical)
+/// dependency basis.
 pub fn step_would_change(alg: &Algebra, dep: &PreparedDep, basis: &PackedBasis) -> bool {
     let set = |w: &[u64]| {
         AtomSet::from_words(alg.atom_count(), w).expect("a packed basis holds checked sets")
     };
-    let closure = &set(basis.closure());
-    let mut blocks = basis.blocks().map(set);
-    // Ū := ⊔{W ∈ DB | W anchors an un-determined LHS atom}
-    let mut ubar = AtomSet::empty(alg.atom_count());
-    for w in blocks.clone() {
-        if dep.anchors(closure, &w) {
-            ubar.union_with(&w);
-        }
-    }
-    let vtilde = alg.pdiff(&dep.rhs, &ubar);
-    if vtilde.is_empty() {
-        return false;
-    }
-    match dep.kind {
-        DepKind::Fd => {
-            if !vtilde.is_subset(closure) {
-                return true;
-            }
-            let vt_max = alg.maximal_atoms_of(&vtilde);
-            let mut present = AtomSet::empty(alg.atom_count());
-            for w in blocks {
-                let wmax = alg.maximal_atoms_of(&w);
-                if !wmax.intersects(&vt_max) {
-                    continue;
-                }
-                if wmax.is_subset(&vtilde) && wmax.count() == 1 {
-                    present.union_with(&wmax);
-                    continue;
-                }
-                // a block would genuinely be reduced by Ṽ
-                return true;
-            }
-            // a maximal atom of Ṽ still lacks its singleton block
-            !vt_max.is_subset(&present)
-        }
-        DepKind::Mvd => {
-            // mixed meet: Ṽ ⊓ Ṽ^C must already be inside X_new …
-            let mut mixed = alg.compl(&vtilde);
-            mixed.intersect_with(&vtilde);
-            if !mixed.is_subset(closure) {
-                return true;
-            }
-            // … and no block may straddle Ṽ
-            blocks.any(|w| {
-                let wmax = alg.maximal_atoms_of(&w);
-                wmax.intersects(&vtilde) && !wmax.is_subset(&vtilde)
-            })
-        }
-    }
+    let blocks = basis.blocks().map(set).collect();
+    Engine::new(alg, set(basis.closure()), blocks).step(dep)
 }
 
+/// The state of one run of Algorithm 5.1, `X_new` and `DB_new`, and the
+/// step that refines it.
 struct Engine<'a> {
     alg: &'a Algebra,
     x_new: AtomSet,
-    part: BlockPartition,
+    /// `DB_new`, unsorted while refining: the blocks' maximal atoms are
+    /// disjoint, so no two blocks are equal and no dedup structure is
+    /// needed.
+    blocks: Vec<AtomSet>,
     // scratch sets, reused across steps so the hot path never allocates
-    // (block replacements are built owned — they live on in the
-    // partition anyway, so building in place saves the old
-    // scratch-then-clone dance)
+    // (block replacements are built owned: they live on in `blocks`)
     ubar: AtomSet,
     vtilde: AtomSet,
     scratch: AtomSet,
@@ -294,13 +290,69 @@ struct Engine<'a> {
     delta: AtomSet,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    fn new(alg: &'a Algebra, x_new: AtomSet, blocks: Vec<AtomSet>) -> Self {
+        let n = alg.atom_count();
+        Engine {
+            alg,
+            x_new,
+            blocks,
+            ubar: AtomSet::empty(n),
+            vtilde: AtomSet::empty(n),
+            scratch: AtomSet::empty(n),
+            delta: AtomSet::empty(n),
+        }
+    }
+
+    /// Checks Algorithm 5.1's preconditions on `X` and the
+    /// `membership::closure` fail point, then sets up the initial state
+    /// `X_new := X`, `DB_new := MaxB(X^CC) ∪ {X^C}`.
+    fn start(alg: &'a Algebra, x: &AtomSet, budget: &Budget) -> Result<Self, ClosureError> {
+        check_downward_closed(alg, x)?;
+        budget.failpoint("membership::closure")?;
+        let mut blocks: Vec<AtomSet> = alg
+            .maximal_atoms_of(x)
+            .iter()
+            .map(|m| alg.atom(m).below.clone())
+            .collect();
+        // X^C can coincide with a MaxB(X^CC) singleton only on
+        // degenerate inputs
+        let xc = alg.compl(x);
+        if !xc.is_empty() && !blocks.contains(&xc) {
+            blocks.push(xc);
+        }
+        Ok(Engine::new(alg, x.clone(), blocks))
+    }
+
+    /// The blocks in sorted order, the order every output lists them in.
+    fn sorted_blocks(&self) -> Vec<AtomSet> {
+        let mut blocks = self.blocks.clone();
+        blocks.sort_unstable();
+        blocks
+    }
+
+    /// `X_new` and the sorted blocks.
+    fn finish(mut self) -> (AtomSet, Vec<AtomSet>) {
+        self.blocks.sort_unstable();
+        (self.x_new, self.blocks)
+    }
+
+    /// Appends a new block; a debug assertion checks it is distinct from
+    /// every existing one.
+    fn push(&mut self, block: AtomSet) {
+        debug_assert!(
+            !self.blocks.contains(&block),
+            "duplicate block pushed: {block:?}"
+        );
+        self.blocks.push(block);
+    }
+
     /// Runs one dependency step; returns whether it changed anything
     /// (with the change's atom footprint left in `self.delta`).
     fn step(&mut self, dep: &PreparedDep) -> bool {
         // Ū := ⊔{W ∈ DB | W anchors an un-determined LHS atom}
         self.ubar.clear();
-        for w in self.part.iter() {
+        for w in &self.blocks {
             if dep.anchors(&self.x_new, w) {
                 self.ubar.union_with(w);
             }
@@ -324,14 +376,13 @@ impl Engine<'_> {
         // grew-flag — no temp set, no separate subset probe
         self.delta.union_andnot(&self.vtilde, &self.x_new);
         let mut changed = self.x_new.union_with_changed(&self.vtilde);
-        self.part.bump();
         // vt_max: maximal atoms of Ṽ — the singleton blocks this FD creates
         let vt_max = self.alg.maximal_atoms_of(&self.vtilde);
         // singletons b(m)^↓ that already exist and survive unchanged
-        let mut present = AtomSet::empty(self.part.universe());
+        let mut present = AtomSet::empty(self.alg.atom_count());
         let mut i = 0;
-        while i < self.part.len() {
-            let w = self.part.get(i);
+        while i < self.blocks.len() {
+            let w = &self.blocks[i];
             let wmax = self.alg.maximal_atoms_of(w);
             if !wmax.intersects(&vt_max) {
                 // reduction removes no maximal atom: (W ∸ Ṽ)^CC = W
@@ -355,10 +406,10 @@ impl Engine<'_> {
             self.alg.pdiff_into(w, &self.vtilde, &mut self.scratch);
             let reduced = self.alg.cc(&self.scratch);
             if reduced.is_empty() {
-                self.part.swap_remove(i);
+                self.blocks.swap_remove(i);
                 // the swapped-in block is processed at the same index
             } else {
-                self.part.replace(i, reduced);
+                self.blocks[i] = reduced;
                 i += 1;
             }
         }
@@ -367,7 +418,7 @@ impl Engine<'_> {
                 changed = true;
                 let singleton = self.alg.atom(m).below.clone();
                 self.delta.union_with(&singleton);
-                self.part.push(singleton);
+                self.push(singleton);
             }
         }
         changed
@@ -381,10 +432,9 @@ impl Engine<'_> {
         self.scratch.intersect_with(&self.vtilde);
         self.delta.union_andnot(&self.scratch, &self.x_new);
         let mut changed = self.x_new.union_with_changed(&self.scratch);
-        self.part.bump();
-        let n0 = self.part.len();
+        let n0 = self.blocks.len();
         for i in 0..n0 {
-            let w = self.part.get(i);
+            let w = &self.blocks[i];
             let wmax = self.alg.maximal_atoms_of(w);
             // split only blocks straddling Ṽ: (Ṽ ⊓ W)^CC ∉ {λ, W}
             if !wmax.intersects(&self.vtilde) || wmax.is_subset(&self.vtilde) {
@@ -397,8 +447,8 @@ impl Engine<'_> {
             let inter = self.alg.cc(&self.scratch); // (Ṽ ⊓ W)^CC
             self.alg.pdiff_into(w, &self.vtilde, &mut self.scratch);
             let rest = self.alg.cc(&self.scratch); // (W ∸ Ṽ)^CC
-            self.part.replace(i, inter);
-            self.part.push(rest);
+            self.blocks[i] = inter;
+            self.push(rest);
         }
         changed
     }
@@ -407,74 +457,9 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::{closure_and_basis, closure_and_basis_paper};
+    use crate::closure::closure_and_basis;
     use nalist_deps::Dependency;
     use nalist_types::parser::{parse_attr, parse_subattr_of};
-
-    fn check(attr: &str, deps: &[&str], xs: &[&str]) {
-        let n = parse_attr(attr).unwrap();
-        let alg = Algebra::new(&n);
-        let sigma: Vec<CompiledDep> = deps
-            .iter()
-            .map(|s| Dependency::parse(&n, s).unwrap().compile(&alg).unwrap())
-            .collect();
-        for x in xs {
-            let set = alg.from_attr(&parse_subattr_of(&n, x).unwrap()).unwrap();
-            let fast = closure_and_basis(&alg, &sigma, &set);
-            let paper = closure_and_basis_paper(&alg, &sigma, &set);
-            assert_eq!(fast, paper, "X = {x} on {attr} with {deps:?}");
-        }
-    }
-
-    #[test]
-    fn agrees_with_paper_engine_on_relational_schemas() {
-        check(
-            "L(A, B, C, D)",
-            &["L(A) -> L(B)", "L(B) ->> L(C)", "L(C, D) -> L(A)"],
-            &["λ", "L(A)", "L(B)", "L(C, D)", "L(A, B, C, D)"],
-        );
-    }
-
-    #[test]
-    fn agrees_with_paper_engine_on_nested_schemas() {
-        check(
-            "Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
-            &[
-                "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])",
-                "Pubcrawl(Visit[λ]) -> Pubcrawl(Person)",
-            ],
-            &["λ", "Pubcrawl(Person)", "Pubcrawl(Visit[λ])"],
-        );
-        check(
-            "A'(B, C[D(E, F[G])])",
-            &[
-                "A'(B) ->> A'(C[D(E)])",
-                "A'(C[λ]) -> A'(B)",
-                "A'(C[D(F[λ])]) ->> A'(B, C[D(E)])",
-            ],
-            &["λ", "A'(B)", "A'(C[λ])", "A'(B, C[D(E, F[λ])])"],
-        );
-    }
-
-    #[test]
-    fn agrees_on_the_paper_running_example() {
-        check(
-            "L1(L2[L3[L4(A, B, C)]], L5[L6(D, E)], L7(F, L8[L9(G, L10[H])], I))",
-            &[
-                "L1(L2[λ]) -> L1(L5[L6(D, λ)])",
-                "L1(L5[L6(D, E)]) ->> L1(L7(F, λ, λ))",
-                "L1(L7(λ, L8[λ], λ)) ->> L1(L2[L3[λ]])",
-                "L1(L7(F, λ, I)) -> L1(L7(λ, L8[L9(G, λ)], λ))",
-            ],
-            &["λ", "L1(L2[λ])", "L1(L5[L6(D, E)])", "L1(L7(F, λ, I))"],
-        );
-    }
-
-    #[test]
-    fn empty_sigma_and_top_bottom() {
-        check("L(A, B, C)", &[], &["λ", "L(A)", "L(A, B, C)"]);
-        check("L[A]", &["λ ->> L[λ]"], &["λ", "L[λ]", "L[A]"]);
-    }
 
     fn run_for(attr: &str, deps: &[&str], x: &str) -> (Algebra, Vec<CompiledDep>, WorklistRun) {
         let n = parse_attr(attr).unwrap();

@@ -12,6 +12,9 @@
 //!   laws of Theorem 3.9 exhaustively on small lattices;
 //! * [`naive`] — the exponential enumeration of `Σ⁺` that Section 5
 //!   dismisses as impractical, with proof search over its provenance;
+//! * [`passes`] — Algorithm 5.1 on the paper's REPEAT-UNTIL schedule
+//!   with clone-and-compare change detection, recording the same
+//!   per-step trace as the shipped engine;
 //! * [`mod@reference`] — Algorithm 5.1 and the Section 6 pseudo-code on
 //!   explicit `SubB` sets of basis-attribute trees;
 //! * [`beeri`] — Beeri's relational membership algorithm, which
@@ -23,5 +26,6 @@
 pub mod beeri;
 pub mod laws;
 pub mod naive;
+pub mod passes;
 pub mod reference;
 pub mod treealg;

@@ -10,7 +10,8 @@
 //!    admission is recorded in the `queue_depth` histogram, so the
 //!    overload point is visible in `/metrics` before it is hit.
 //! 2. **per-request budgets** — each request runs under a fresh
-//!    [`Budget`] built from the server-wide fuel/deadline caps; an
+//!    [`Budget`](nalist_guard::Budget) built from the server-wide
+//!    fuel/deadline caps ([`ServiceState::request_budget`]); an
 //!    exhausted budget answers `429`.
 //!
 //! A request that panics is confined by `catch_unwind`: the worker
@@ -28,7 +29,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use nalist_guard::Budget;
 use nalist_obs::{Counter, Hist, Recorder};
 
 use crate::api::{self, ApiError, ServiceState};
@@ -327,18 +327,4 @@ fn handle_connection(
             return;
         }
     }
-}
-
-/// Convenience used by the CLI and tests: a per-request budget
-/// equivalent to what the server builds, for answer-parity checks.
-#[must_use]
-pub fn request_budget(cfg: &ServerConfig) -> Budget {
-    let mut b = Budget::unlimited();
-    if let Some(fuel) = cfg.fuel {
-        b = b.with_fuel(fuel);
-    }
-    if let Some(ms) = cfg.deadline_ms {
-        b = b.with_deadline_in(Duration::from_millis(ms));
-    }
-    b
 }

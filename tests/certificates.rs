@@ -18,10 +18,9 @@ use nalist::gen::{certificate_defects, render_sigma, SigmaConfig};
 use nalist::membership::cert::{
     answer, basis_certificate, implied_certificate, refuted_certificate,
 };
-use nalist::membership::{
-    certified_closure_and_basis, certify_governed, closure_and_basis_paper, refute_governed,
-};
+use nalist::membership::{certified_closure_and_basis, certify_governed, refute_governed};
 use nalist::prelude::*;
+use nalist_oracle::passes::closure_and_basis_paper;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

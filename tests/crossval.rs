@@ -9,13 +9,16 @@
 //!   record schemas;
 //! * refutation witnesses re-verified against the naive closure;
 //! * the change-driven worklist engine against the paper-order pass
-//!   engine (bit-for-bit) and the paper-literal `SubB`-set reference, on
-//!   randomised workloads from `nalist-gen` (property tests at the
-//!   bottom of this file).
+//!   engine of `nalist-oracle` (bit-for-bit) and the paper-literal
+//!   `SubB`-set reference, and the shipped traced run against the pass
+//!   engine's trace (step for step), on randomised workloads from
+//!   `nalist-gen` (property tests at the bottom of this file).
 
+use nalist::membership::trace::{render_result, render_trace};
 use nalist::prelude::*;
 use nalist_oracle::beeri::{rel_dependency_basis, RelDep};
 use nalist_oracle::naive::{NaiveClosure, NaiveConfig};
+use nalist_oracle::passes::{closure_and_basis_paper, closure_and_basis_paper_traced};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -377,8 +380,41 @@ proptest! {
                 alg.render(&x)
             );
             // the traced variant must keep the paper engine's semantics
-            let (traced, _) = closure_and_basis_traced(&alg, &sigma, &x);
+            let (traced, _) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
             prop_assert_eq!(&traced, &paper);
+        }
+    }
+
+    /// The shipped traced run — the engine's one step driven on the
+    /// paper's pass schedule — records exactly the trace of the oracle's
+    /// clone-and-compare pass engine: every field of every step, the
+    /// same basis, and the same rendered text, byte for byte.
+    #[test]
+    fn traced_engine_matches_pass_engine_trace(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(4..=48);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let count = rng.gen_range(1..=16);
+        let sigma = nalist::gen::random_sigma(
+            &mut rng,
+            &alg,
+            &nalist::gen::SigmaConfig {
+                count,
+                ..Default::default()
+            },
+        );
+        for _ in 0..6 {
+            let x = nalist::gen::random_subattr(&mut rng, &alg, 0.3);
+            let (basis, trace) =
+                closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
+            let (want_basis, want) = closure_and_basis_paper_traced(&alg, &sigma, &x);
+            prop_assert_eq!(&basis, &want_basis, "N = {}, X = {}", n, alg.render(&x));
+            prop_assert_eq!(&trace, &want, "N = {}, X = {}", n, alg.render(&x));
+            prop_assert_eq!(
+                render_trace(&alg, &sigma, &trace) + &render_result(&alg, &basis),
+                render_trace(&alg, &sigma, &want) + &render_result(&alg, &want_basis)
+            );
         }
     }
 

@@ -409,18 +409,20 @@ fn pick(rng: &mut StdRng, pool: &[Vec<String>]) -> String {
 }
 
 /// A record replay must stop at: unparsable text, a dependency over
-/// another schema, a header naming another schema, an unknown tag, or
-/// text that is not UTF-8.
-fn bad_record(rng: &mut StdRng) -> Vec<u8> {
+/// another schema, a header naming another schema, an unknown tag,
+/// text that is not UTF-8, or a remove of a dependency `Σ` does not
+/// hold (`absent`, when the schema has one outside the pool).
+fn bad_record(rng: &mut StdRng, absent: Option<String>) -> Vec<u8> {
     let tag = [b'+', b'-', b'?'][rng.gen_range(0..3usize)];
-    match rng.gen_range(0..5) {
-        0 => [&[tag][..], b"L0(A0 ->"].concat(),
-        1 => [&[tag][..], b"Elsewhere(Z) -> Elsewhere(Z)"].concat(),
-        2 => WalOp::Header {
+    match (rng.gen_range(0..6), absent) {
+        (0, _) => [&[tag][..], b"L0(A0 ->"].concat(),
+        (1, _) => [&[tag][..], b"Elsewhere(Z) -> Elsewhere(Z)"].concat(),
+        (2, _) => WalOp::Header {
             schema: "Elsewhere(Z)".to_string(),
         }
         .encode(),
-        3 => b"!L0 -> L0".to_vec(),
+        (3, _) => b"!L0 -> L0".to_vec(),
+        (5, Some(text)) => WalOp::Remove(text).encode(),
         _ => vec![tag, 0xff, 0xfe],
     }
 }
@@ -462,7 +464,12 @@ fn oracle_recover(snap: &Path, wal: &Path, budget: &Budget) -> (Outcome, u64) {
                     counts.0 += 1;
                 }
                 WalOp::Remove(text) => {
-                    r.remove_str(&text).map_err(fail)?;
+                    if !r.remove_str(&text).map_err(fail)? {
+                        return Err(PersistError::Replay {
+                            index,
+                            message: format!("dependency not in Σ: {text}"),
+                        });
+                    }
                     counts.1 += 1;
                 }
                 WalOp::Query(text) => {
@@ -501,12 +508,32 @@ fn replay_matches_oracle(seed: u64) -> Result<&'static str, TestCaseError> {
         schema: n.to_string(),
     }
     .encode()];
+    let compile = |text: &str| {
+        let d = Dependency::parse(&n, text).expect("pool texts parse");
+        d.compile(&alg).expect("pool texts compile")
+    };
+    // what Σ holds after the records so far
+    let mut held = live.compiled_sigma().to_vec();
     for _ in 0..rng.gen_range(0..=48) {
         let text = pick(&mut rng, &pool);
         records.push(
             match rng.gen_range(0..10) {
-                0..=3 => WalOp::Add(text),
-                4..=6 => WalOp::Remove(text),
+                0..=3 => {
+                    held.push(compile(&text));
+                    WalOp::Add(text)
+                }
+                // a remove names, in any spelling, a dependency Σ then
+                // holds, as every writer journals it, and is a query
+                // while Σ holds none (a remove of a dependency Σ lacks
+                // is a bad record, below)
+                4..=6 if !held.is_empty() => {
+                    let want = held.swap_remove(rng.gen_range(0..held.len()));
+                    let spellings = pool
+                        .iter()
+                        .find(|s| compile(&s[0]) == want)
+                        .expect("Σ holds pool dependencies only");
+                    WalOp::Remove(spellings[rng.gen_range(0..spellings.len())].clone())
+                }
                 _ => WalOp::Query(text),
             }
             .encode(),
@@ -514,8 +541,13 @@ fn replay_matches_oracle(seed: u64) -> Result<&'static str, TestCaseError> {
     }
     let flavor = rng.gen_range(0..4u8);
     if flavor == 1 {
+        // a dependency outside the pool, which Σ never holds
+        let absent = (0..64)
+            .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5))
+            .find(|d| pool.iter().all(|s| compile(&s[0]) != *d))
+            .map(|d| d.decompile(&alg).display_in(&n));
         let at = rng.gen_range(0..=records.len());
-        records.insert(at, bad_record(&mut rng));
+        records.insert(at, bad_record(&mut rng, absent));
     }
 
     let dir = temp_dir("oracle", seed);

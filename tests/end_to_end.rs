@@ -139,7 +139,9 @@ fn traced_run_is_consistent_with_untraced() {
         let alg = r.algebra();
         for d in r.compiled_sigma() {
             let plain = closure_and_basis(alg, r.compiled_sigma(), &d.lhs);
-            let (traced, trace) = closure_and_basis_traced(alg, r.compiled_sigma(), &d.lhs);
+            let (traced, trace) =
+                closure_and_basis_traced(alg, r.compiled_sigma(), &d.lhs, &Budget::unlimited())
+                    .unwrap();
             assert_eq!(plain, traced);
             assert!(!trace.passes.is_empty());
             // last pass is always a fixpoint confirmation

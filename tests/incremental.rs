@@ -252,7 +252,7 @@ fn check_against_paper(
     stage: &str,
 ) -> Result<(), TestCaseError> {
     for q in queries {
-        let want = nalist::membership::closure_and_basis_paper(alg, live, &q.lhs);
+        let want = nalist_oracle::passes::closure_and_basis_paper(alg, live, &q.lhs);
         // DepB(X) = SubB(X⁺) ∪ X^M, deduplicated and sorted, by definition
         let mut depb: std::collections::BTreeSet<AtomSet> = want.blocks.iter().cloned().collect();
         depb.extend(want.closure.iter().map(|a| alg.atom(a).below.clone()));

@@ -227,7 +227,7 @@ fn example_51_full_trace() {
     // Figure 3 (initialisation), both passes' intermediate states, and
     // Figure 4 (final state), compared against the paper's text.
     let (_, alg, sigma, x) = example_51();
-    let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x);
+    let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
     let rendered = render_trace(&alg, &sigma, &trace);
 
     // initialisation (Figure 3): X_new = X and the three initial blocks
@@ -261,6 +261,23 @@ fn example_51_full_trace() {
     // final result (Figure 4)
     let result = render_result(&alg, &basis);
     assert!(result.starts_with("X+ = L1(L2[L3[L4(A)]], L5[λ], L7(F, L8[L9(G, L10[H])], I))"));
+
+    // and the whole text, pass for pass, string for string: regenerate
+    // with `UPDATE_GOLDENS=1 cargo test -p nalist --test paper_examples`
+    // after an intentional change and review the diff
+    let text = rendered + &result;
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/cli_fixtures/example_51_trace.golden");
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &text).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert_eq!(
+        text, expected,
+        "Example 5.1 trace changed; rerun with UPDATE_GOLDENS=1 if intentional"
+    );
 }
 
 #[test]

@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 
 use nalist::prelude::*;
+use nalist_oracle::passes::closure_and_basis_paper;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
