@@ -28,6 +28,7 @@ use nalist_types::attr::NestedAttr;
 use nalist_types::error::TypeError;
 
 use crate::bitset::{AtomSet, WidthClass};
+use crate::notation::{flatten, SchemaNode};
 
 /// Typed error for atom sets that cannot belong to an [`Algebra`]'s
 /// universe — the public-boundary check that lets every kernel below it
@@ -90,8 +91,6 @@ pub struct AtomInfo {
     pub kind: AtomKind,
     /// The name at this position (flat attribute name or list label).
     pub name: String,
-    /// The basis attribute `b(a)` as a canonical subattribute tree of `N`.
-    pub attr: NestedAttr,
     /// `SubB(b(a))`: this atom plus its list-node ancestors.
     pub below: AtomSet,
     /// All atoms `q` with `b(a) ≤ b(q)`: this atom plus all atoms in its
@@ -123,6 +122,8 @@ pub struct Algebra {
     /// here, at construction, so the whole engine dispatches into one
     /// kernel family (see `crate::bitset::WidthClass`).
     width: WidthClass,
+    /// `N` flattened in pre-order, which [`Algebra::render`] walks.
+    pub(crate) schema: Vec<SchemaNode>,
 }
 
 impl Algebra {
@@ -137,8 +138,8 @@ impl Algebra {
     /// per-atom `below`/`above` masks occupy `O(atoms²)` bits, so an
     /// adversarial schema with hundreds of thousands of atoms would OOM
     /// long before any reasoning starts. The budget's `max_atoms` cap is
-    /// checked before the masks are allocated, one fuel unit is charged
-    /// per atom, and the deadline is sampled along the way.
+    /// checked before the masks are allocated, three fuel units are
+    /// charged per atom, and the deadline is sampled along the way.
     pub fn try_new(n: &NestedAttr, budget: &Budget) -> Result<Self, ResourceExhausted> {
         Algebra::try_new_observed(n, budget, nalist_obs::noop())
     }
@@ -181,7 +182,6 @@ impl Algebra {
             atoms.push(AtomInfo {
                 kind: *kind,
                 name: name.clone(),
-                attr: NestedAttr::Null, // filled below once `above` is known
                 below,
                 above: AtomSet::empty(count),
                 maximal: false,
@@ -203,19 +203,15 @@ impl Algebra {
             }
         }
         budget.check_deadline()?;
-        let mut alg = Algebra {
+        // construction is priced at three fuel units per atom
+        budget.charge(count as u64)?;
+        Ok(Algebra {
             attr: n.clone(),
             atoms,
             max_mask,
             width: WidthClass::for_capacity(count),
-        };
-        // basis attribute trees: b(a) = to_attr(below(a))
-        for id in 0..count {
-            budget.charge(1)?;
-            let below = alg.atoms[id].below.clone();
-            alg.atoms[id].attr = alg.to_attr(&below);
-        }
-        Ok(alg)
+            schema: flatten(n),
+        })
     }
 
     /// The ambient attribute `N`.
@@ -336,7 +332,9 @@ fn collect_atoms(
     }
 }
 
-fn to_attr_walk(n: &NestedAttr, set: &AtomSet, cursor: &mut usize) -> NestedAttr {
+/// The subtree of [`Algebra::to_attr`] for the subtree `n` of `N` whose
+/// first atom is `*cursor`; advances `cursor` past its atoms.
+pub(crate) fn to_attr_walk(n: &NestedAttr, set: &AtomSet, cursor: &mut usize) -> NestedAttr {
     match n {
         NestedAttr::Null => NestedAttr::Null,
         NestedAttr::Flat(name) => {
@@ -438,7 +436,7 @@ mod tests {
         let rendered: Vec<String> = alg
             .atoms()
             .iter()
-            .map(|a| nalist_types::display::abbreviate(&a.attr, &n))
+            .map(|a| nalist_types::display::abbreviate(&alg.to_attr(&a.below), &n))
             .collect();
         assert_eq!(
             rendered,
@@ -525,7 +523,7 @@ mod tests {
         assert_eq!(alg.atom(0).name, "K");
         // b(K) = K[λ]
         assert_eq!(
-            nalist_types::display::abbreviate(&alg.atom(0).attr, &n),
+            nalist_types::display::abbreviate(&alg.to_attr(&alg.atom(0).below), &n),
             "K[λ]"
         );
         // everything is above the root list atom

@@ -36,6 +36,7 @@ pub mod atoms;
 pub mod bitset;
 mod kernels;
 pub mod lattice;
+mod notation;
 pub mod render;
 pub mod subset;
 

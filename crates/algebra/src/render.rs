@@ -44,10 +44,7 @@ pub fn basis_listing(alg: &Algebra, x: Option<&AtomSet>) -> String {
         } else {
             "non-maximal"
         };
-        out.push_str(&format!(
-            "  b{id}: {} [{m}]",
-            nalist_types::display::abbreviate(&atom.attr, alg.attr())
-        ));
+        out.push_str(&format!("  b{id}: {} [{m}]", alg.render(&atom.below)));
         if let Some(x) = x {
             if x.contains(id) {
                 let p = if alg.possessed_by(id, x) {

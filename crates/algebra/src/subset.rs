@@ -123,11 +123,6 @@ impl Algebra {
     pub fn mvd_trivial(&self, x: &AtomSet, y: &AtomSet) -> bool {
         self.le(y, x) || self.join(x, y) == self.top_set()
     }
-
-    /// Renders a subattribute set in the paper's abbreviated notation.
-    pub fn render(&self, x: &AtomSet) -> String {
-        nalist_types::display::abbreviate(&self.to_attr(x), self.attr())
-    }
 }
 
 #[cfg(test)]

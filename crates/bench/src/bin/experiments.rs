@@ -217,7 +217,9 @@ fn ex51() {
         .unwrap();
     let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited())
         .expect("X is downward closed and the budget unlimited");
-    print!("{}", render_trace(&alg, &sigma, &trace));
+    let rendered = render_trace(&alg, &sigma, &trace, &Budget::unlimited())
+        .expect("an unlimited budget has no deadline");
+    print!("{rendered}");
     print!("{}", render_result(&alg, &basis));
     println!(
         "paper: X+ = L1(L2[L3[L4(A)]], L5[λ], L7(F, L8[L9(G, L10[H])], I)) and a \

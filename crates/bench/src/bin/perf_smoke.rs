@@ -37,6 +37,14 @@
 //! REPEAT-UNTIL passes and recorded 111,331 nodes on this row, so a
 //! return to the pass loop fails here.
 //!
+//! The rendering row prints every `Σ` member and both sides of every
+//! query of the certification row's workload in the paper's notation
+//! (`render_ns`, same 3x limit). `Algebra::render` walks the flattened
+//! schema once per set. The earlier renderer built each set's tree and
+//! recounted the resolutions of the whole text at every record: on a
+//! 2-vCPU VM it took 7–11 ms on this row against 0.3–0.5 ms, so a
+//! return to it fails here.
+//!
 //! The same run asserts the observability seam's disabled cost: the
 //! pinned closure workload through the observed entry point with the
 //! no-op recorder must not be measurably slower than the plain path.
@@ -234,6 +242,20 @@ fn main() {
         cert_targets.len(),
         fmt_nanos(cert_ns)
     );
+    // the rendering row: the same Σ and targets, printed
+    let render_all = || {
+        let sides = cert_sigma.iter().chain(&cert_targets);
+        sides.map(|d| d.render(cert_alg).len()).sum::<usize>()
+    };
+    let render_ns = median_nanos(7, || {
+        std::hint::black_box(render_all());
+    });
+    println!(
+        "rendering row: {} dependencies, {} bytes of text, in {}",
+        cert_sigma.len() + cert_targets.len(),
+        render_all(),
+        fmt_nanos(render_ns)
+    );
     let work = [
         closure_rec.counter(Counter::WorklistSteps),
         closure_rec.counter(Counter::DepsFired),
@@ -260,7 +282,7 @@ fn main() {
 
     if std::env::var_os("UPDATE_PERF_BASELINE").is_some() {
         let mut json = format!(
-            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns},\n  \"cert_ns\": {cert_ns}"
+            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns},\n  \"cert_ns\": {cert_ns},\n  \"render_ns\": {render_ns}"
         );
         for (name, value) in WORK_COUNTERS.iter().zip(work) {
             json.push_str(&format!(",\n  \"{name}\": {value}"));
@@ -302,6 +324,7 @@ fn main() {
         ("parse_ns", "notation parsing", parse_ns),
         ("recover_ns", "WAL replay", recover_ns),
         ("cert_ns", "certification", cert_ns),
+        ("render_ns", "rendering", render_ns),
     ] {
         let row_baseline = parse_field(&text, field).unwrap_or_else(|| {
             eprintln!("no \"{field}\" field in {BASELINE_PATH}");

@@ -344,7 +344,7 @@ pub fn verify(
             check_basis(&alg, x, cert, &conclusions, budget)?;
             Ok(Report {
                 verdict: cert.verdict,
-                statement: nalist_types::display::abbreviate(&alg.to_attr(x), &n),
+                statement: alg.render(x),
                 nodes: conclusions.len(),
                 tuples: 0,
             })

@@ -510,6 +510,17 @@ fn load_reasoner(
     Ok(r)
 }
 
+/// Parses `sub` as a subattribute of the reasoner's `N`, as its atom set.
+fn parse_sub(r: &Reasoner, sub: &str, budget: &Budget) -> Result<AtomSet, CliError> {
+    let x = nalist::types::parser::parse_subattr_of_with(
+        r.attr(),
+        sub,
+        ParseLimits::from_budget(budget),
+    )
+    .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))?;
+    r.algebra().from_attr(&x).map_err(CliError::domain)
+}
+
 fn checkpoint(budget: &Budget) -> Result<(), CliError> {
     budget.check_deadline().map_err(CliError::resource)
 }
@@ -1131,16 +1142,11 @@ fn dispatch(
         }
         ("closure", [schema, deps, sub]) => {
             let r = load_reasoner(files, schema, deps, budget, rec)?;
-            let c = r
-                .closure_str_governed(sub, budget)
-                .map_err(|e| CliError::reasoner(&e))?;
-            writeln!(
-                out,
-                "{}+ = {}",
-                sub,
-                nalist::types::display::abbreviate(&c, r.attr())
-            )
-            .unwrap();
+            let xs = parse_sub(&r, sub, budget)?;
+            let basis = r
+                .dependency_basis_governed(&xs, budget)
+                .map_err(closure_error)?;
+            writeln!(out, "{}+ = {}", sub, r.algebra().render(&basis.closure)).unwrap();
         }
         ("basis" | "trace", [schema, deps, sub, flags @ ..]) => {
             let cert_path = if cmd == "basis" {
@@ -1152,21 +1158,15 @@ fn dispatch(
             };
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let x = nalist::types::parser::parse_subattr_of_with(
-                r.attr(),
-                sub,
-                ParseLimits::from_budget(budget),
-            )
-            .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))?;
-            let xs = alg.from_attr(&x).map_err(CliError::domain)?;
+            let xs = parse_sub(&r, sub, budget)?;
             checkpoint(budget)?;
             if cmd == "trace" {
                 let (basis, trace) = closure_and_basis_traced(alg, r.compiled_sigma(), &xs, budget)
                     .map_err(closure_error)?;
-                out.push_str(&render_trace(alg, r.compiled_sigma(), &trace));
+                let rendered = render_trace(alg, r.compiled_sigma(), &trace, budget)
+                    .map_err(CliError::resource)?;
+                out.push_str(&rendered);
                 out.push_str(&render_result(alg, &basis));
-                // rendering a long trace can take longer than the run
-                checkpoint(budget)?;
             } else {
                 let basis = r
                     .dependency_basis_governed(&xs, budget)

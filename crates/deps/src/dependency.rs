@@ -149,16 +149,14 @@ impl CompiledDep {
 
     /// Renders in abbreviated notation.
     pub fn render(&self, alg: &Algebra) -> String {
-        let arrow = match self.kind {
-            DepKind::Fd => "->",
-            DepKind::Mvd => "->>",
-        };
-        format!(
-            "{} {} {}",
-            alg.render(&self.lhs),
-            arrow,
-            alg.render(&self.rhs)
-        )
+        let mut out = String::new();
+        alg.render_into(&self.lhs, &mut out);
+        out.push_str(match self.kind {
+            DepKind::Fd => " -> ",
+            DepKind::Mvd => " ->> ",
+        });
+        alg.render_into(&self.rhs, &mut out);
+        out
     }
 }
 

@@ -58,6 +58,35 @@ pub fn attr_with_atoms(rng: &mut impl Rng, atoms: usize) -> NestedAttr {
     )
 }
 
+/// The flat names of [`repetitive_attr`]: a pool of two, so that
+/// siblings repeat them.
+pub const REPEATED_NAMES: [&str; 2] = ["A", "B"];
+
+/// The record and list labels of [`repetitive_attr`], a pool of two.
+pub const REPEATED_LABELS: [&str; 2] = ["L", "M"];
+
+/// A random attribute of depth at most `depth` over [`REPEATED_NAMES`]
+/// and [`REPEATED_LABELS`], so that siblings repeat names and labels as
+/// Definition 3.2 allows and [`random_attr`] never does. Leaving out a
+/// bottom can then make a text name two subattributes, as `L(A)` does in
+/// `L(A, A)` (§3.3).
+pub fn repetitive_attr(rng: &mut impl Rng, depth: u32) -> NestedAttr {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return NestedAttr::flat(pick(rng, &REPEATED_NAMES));
+    }
+    let label = pick(rng, &REPEATED_LABELS);
+    if rng.gen_bool(0.25) {
+        return NestedAttr::list(label, repetitive_attr(rng, depth - 1));
+    }
+    let k = rng.gen_range(1..=4);
+    let children = (0..k).map(|_| repetitive_attr(rng, depth - 1)).collect();
+    NestedAttr::record(label, children).expect("k ≥ 1")
+}
+
+fn pick(rng: &mut impl Rng, pool: &[&str]) -> String {
+    pool[rng.gen_range(0..pool.len())].to_owned()
+}
+
 /// A flat relational schema `L(A0, …, A{n-1})` (the RDM special case).
 pub fn flat_attr(atoms: usize) -> NestedAttr {
     NestedAttr::record(

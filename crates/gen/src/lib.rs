@@ -29,7 +29,7 @@ pub mod instance_gen;
 pub mod scenarios;
 pub mod sigma_gen;
 
-pub use attr_gen::{attr_with_atoms, flat_attr, random_attr, AttrConfig};
+pub use attr_gen::{attr_with_atoms, flat_attr, random_attr, repetitive_attr, AttrConfig};
 pub use chaos::{durability_corpus, wire_corpus, ChaosCase, DurabilityCase, Expectation, WireCase};
 pub use defects::{
     certificate_defects, render_sigma, seed_duplicate, seed_inflated_lhs, seed_trivial,

@@ -33,9 +33,7 @@ use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
 use nalist_types::parser::ParseLimits;
 
-use crate::closure::{
-    closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis,
-};
+use crate::closure::{closure_and_basis, ClosureError, DependencyBasis};
 use crate::packed::PackedBasis;
 use crate::worklist::step_would_change;
 
@@ -909,24 +907,6 @@ impl Reasoner {
         Ok(self.alg.to_attr(&b.closure))
     }
 
-    /// [`Reasoner::closure_str`] under a resource [`Budget`].
-    pub fn closure_str_governed(
-        &self,
-        src: &str,
-        budget: &Budget,
-    ) -> Result<NestedAttr, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of_with(
-            &self.attr,
-            src,
-            ParseLimits::from_budget(budget),
-        )
-        .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
-        let b = closure_and_basis_governed(&self.alg, &self.compiled, &xs, budget)
-            .map_err(exhausted)?;
-        Ok(self.alg.to_attr(&b.closure))
-    }
-
     /// Full dependency basis for a subattribute `X`. Results are cached
     /// per left-hand side, and `Σ` edits evict only the entries they can
     /// affect, so repeated queries with the same `X` (common in
@@ -1760,10 +1740,6 @@ mod tests {
         assert_eq!(
             r.implies_str_governed(q, &roomy).unwrap(),
             r.implies_str(q).unwrap()
-        );
-        assert_eq!(
-            r.closure_str_governed("Pubcrawl(Person)", &roomy).unwrap(),
-            r.closure_str("Pubcrawl(Person)").unwrap()
         );
         // the budget's max_depth also guards the query text
         let shallow = Budget::unlimited().with_max_depth(1);

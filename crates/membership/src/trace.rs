@@ -4,6 +4,7 @@
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::CompiledDep;
+use nalist_guard::{Budget, ResourceExhausted};
 
 use crate::closure::{DependencyBasis, Trace};
 
@@ -15,7 +16,16 @@ fn render_db(alg: &Algebra, db: &[AtomSet]) -> String {
 }
 
 /// Renders a full trace, one line per dependency-processing step.
-pub fn render_trace(alg: &Algebra, sigma: &[CompiledDep], trace: &Trace) -> String {
+///
+/// Each dependency is rendered once, and `budget`'s deadline is checked
+/// after every pass: a long trace can take longer to print than to run.
+pub fn render_trace(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    trace: &Trace,
+    budget: &Budget,
+) -> Result<String, ResourceExhausted> {
+    let deps: Vec<String> = sigma.iter().map(|d| d.render(alg)).collect();
     let mut out = String::new();
     out.push_str(&format!(
         "initialisation:\n  X_new = {}\n  DB_new = {{{}}}\n",
@@ -26,11 +36,10 @@ pub fn render_trace(alg: &Algebra, sigma: &[CompiledDep], trace: &Trace) -> Stri
         out.push_str(&format!("pass {}:\n", p + 1));
         for step in pass {
             let sigma_index = trace.order[step.dep_index];
-            let dep = &sigma[sigma_index];
             out.push_str(&format!(
                 "  [{}] {}\n    Ū = {}, Ṽ = {}\n",
                 sigma_index + 1,
-                dep.render(alg),
+                deps[sigma_index],
                 alg.render(&step.ubar),
                 alg.render(&step.vtilde),
             ));
@@ -44,8 +53,9 @@ pub fn render_trace(alg: &Algebra, sigma: &[CompiledDep], trace: &Trace) -> Stri
                 out.push_str("    no changes\n");
             }
         }
+        budget.check_deadline()?;
     }
-    out
+    Ok(out)
 }
 
 /// Renders the final output (`X⁺` and `DepB(X)`) in the paper's notation.
@@ -83,7 +93,7 @@ mod tests {
             .unwrap();
         let (basis, trace) =
             closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
-        let rendered = render_trace(&alg, &sigma, &trace);
+        let rendered = render_trace(&alg, &sigma, &trace, &Budget::unlimited()).unwrap();
         assert!(rendered.contains("initialisation:"));
         assert!(rendered.contains("X_new = L(A)"));
         assert!(rendered.contains("pass 1:"));
@@ -91,5 +101,11 @@ mod tests {
         let result = render_result(&alg, &basis);
         assert!(result.starts_with("X+ = L(A, B)"));
         assert!(result.contains("DepB(X)"));
+
+        // an expired deadline stops the rendering
+        let expired = Budget::unlimited().with_deadline_in(std::time::Duration::ZERO);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let err = render_trace(&alg, &sigma, &trace, &expired).unwrap_err();
+        assert_eq!(err.kind, nalist_guard::ResourceKind::Deadline);
     }
 }

@@ -229,6 +229,11 @@ pub fn decompile_sigma(
         .collect()
 }
 
+/// The basis attribute `b(a)` of atom `a`, as a subattribute tree of `N`.
+fn basis_attr(alg: &Algebra, a: usize) -> NestedAttr {
+    alg.to_attr(&alg.atom(a).below)
+}
+
 /// Asserts the reference engine agrees with the bitset engine for the
 /// given input; returns the shared `(closure, blocks)` rendered via the
 /// bitset algebra. Panics on disagreement (used by tests and the
@@ -242,11 +247,7 @@ pub fn crosscheck(
     let tree_sigma = decompile_sigma(alg, sigma);
     let reference = reference_closure_and_basis(alg.attr(), &tree_sigma, &alg.to_attr(x));
     // compare closures
-    let fast_closure_set: SubbSet = fast
-        .closure
-        .iter()
-        .map(|a| alg.atom(a).attr.clone())
-        .collect();
+    let fast_closure_set: SubbSet = fast.closure.iter().map(|a| basis_attr(alg, a)).collect();
     assert_eq!(
         fast_closure_set, reference.closure,
         "closure mismatch between engines"
@@ -255,7 +256,7 @@ pub fn crosscheck(
     let fast_blocks: BTreeSet<SubbSet> = fast
         .blocks
         .iter()
-        .map(|w| w.iter().map(|a| alg.atom(a).attr.clone()).collect())
+        .map(|w| w.iter().map(|a| basis_attr(alg, a)).collect())
         .collect();
     assert_eq!(
         fast_blocks, reference.blocks,
@@ -279,7 +280,7 @@ mod tests {
         ] {
             let n = parse_attr(src).unwrap();
             let alg = Algebra::new(&n);
-            let expected: SubbSet = alg.atoms().iter().map(|a| a.attr.clone()).collect();
+            let expected: SubbSet = (0..alg.atom_count()).map(|a| basis_attr(&alg, a)).collect();
             assert_eq!(subb(&n), expected, "{src}");
         }
     }
@@ -291,22 +292,18 @@ mod tests {
         let top = subb(&n);
         for xs in nalist_algebra::lattice::enumerate_sets(&alg) {
             for ys in nalist_algebra::lattice::enumerate_sets(&alg) {
-                let x: SubbSet = xs.iter().map(|a| alg.atom(a).attr.clone()).collect();
-                let y: SubbSet = ys.iter().map(|a| alg.atom(a).attr.clone()).collect();
+                let x: SubbSet = xs.iter().map(|a| basis_attr(&alg, a)).collect();
+                let y: SubbSet = ys.iter().map(|a| basis_attr(&alg, a)).collect();
                 let got = pdiff(&x, &y);
                 let want: SubbSet = alg
                     .pdiff(&xs, &ys)
                     .iter()
-                    .map(|a| alg.atom(a).attr.clone())
+                    .map(|a| basis_attr(&alg, a))
                     .collect();
                 assert_eq!(got, want);
                 // and the double complement
                 let got_cc = cc(&top, &x);
-                let want_cc: SubbSet = alg
-                    .cc(&xs)
-                    .iter()
-                    .map(|a| alg.atom(a).attr.clone())
-                    .collect();
+                let want_cc: SubbSet = alg.cc(&xs).iter().map(|a| basis_attr(&alg, a)).collect();
                 assert_eq!(got_cc, want_cc);
             }
         }
@@ -419,9 +416,9 @@ mod tests {
         let alg = Algebra::new(&n);
         let top = subb(&n);
         for ws in nalist_algebra::lattice::enumerate_sets(&alg) {
-            let w: SubbSet = ws.iter().map(|a| alg.atom(a).attr.clone()).collect();
+            let w: SubbSet = ws.iter().map(|a| basis_attr(&alg, a)).collect();
             for id in 0..alg.atom_count() {
-                let u = alg.atom(id).attr.clone();
+                let u = basis_attr(&alg, id);
                 let fast = ws.contains(id) && alg.possessed_by(id, &ws);
                 assert_eq!(possessed(&top, &w, &u), fast);
             }

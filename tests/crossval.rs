@@ -412,8 +412,10 @@ proptest! {
             prop_assert_eq!(&basis, &want_basis, "N = {}, X = {}", n, alg.render(&x));
             prop_assert_eq!(&trace, &want, "N = {}, X = {}", n, alg.render(&x));
             prop_assert_eq!(
-                render_trace(&alg, &sigma, &trace) + &render_result(&alg, &basis),
-                render_trace(&alg, &sigma, &want) + &render_result(&alg, &want_basis)
+                render_trace(&alg, &sigma, &trace, &Budget::unlimited()).unwrap()
+                    + &render_result(&alg, &basis),
+                render_trace(&alg, &sigma, &want, &Budget::unlimited()).unwrap()
+                    + &render_result(&alg, &want_basis)
             );
         }
     }

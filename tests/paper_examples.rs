@@ -54,7 +54,7 @@ fn fig2_possession() {
     let rendered: Vec<String> = alg
         .atoms()
         .iter()
-        .map(|a| nalist::types::display::abbreviate(&a.attr, &n))
+        .map(|a| nalist::types::display::abbreviate(&alg.to_attr(&a.below), &n))
         .collect();
     assert_eq!(
         rendered,
@@ -144,7 +144,7 @@ fn ex48_basis() {
     let rendered: Vec<String> = alg
         .atoms()
         .iter()
-        .map(|a| nalist::types::display::abbreviate(&a.attr, &n))
+        .map(|a| nalist::types::display::abbreviate(&alg.to_attr(&a.below), &n))
         .collect();
     // paper: SubB = {A(B), A(C[λ]), A(C[D(F[λ])]), A(C[D(E)]), A(C[D(F[G])])}
     assert_eq!(rendered.len(), 5);
@@ -165,7 +165,7 @@ fn ex48_basis() {
         .atoms()
         .iter()
         .filter(|a| a.maximal)
-        .map(|a| nalist::types::display::abbreviate(&a.attr, &n))
+        .map(|a| nalist::types::display::abbreviate(&alg.to_attr(&a.below), &n))
         .collect();
     assert_eq!(maximal, vec!["A'(B)", "A'(C[D(E)])", "A'(C[D(F[G])])"]);
 }
@@ -228,7 +228,7 @@ fn example_51_full_trace() {
     // Figure 4 (final state), compared against the paper's text.
     let (_, alg, sigma, x) = example_51();
     let (basis, trace) = closure_and_basis_traced(&alg, &sigma, &x, &Budget::unlimited()).unwrap();
-    let rendered = render_trace(&alg, &sigma, &trace);
+    let rendered = render_trace(&alg, &sigma, &trace, &Budget::unlimited()).unwrap();
 
     // initialisation (Figure 3): X_new = X and the three initial blocks
     assert!(rendered.contains("X_new = L1(L7(F, L8[L9(L10[H])]))"));

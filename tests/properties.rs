@@ -7,6 +7,7 @@
 //! the deterministic generators in `nalist-gen`.
 
 use nalist::deps::rules::{apply, Rule, ALL_RULES};
+use nalist::gen::attr_gen::{REPEATED_LABELS, REPEATED_NAMES};
 use nalist::prelude::*;
 use nalist::types::display::Loose;
 use proptest::prelude::*;
@@ -71,20 +72,32 @@ proptest! {
         }
     }
 
-    /// Parser/printer round-trip: abbreviate then re-resolve any random
-    /// subattribute.
+    /// Parser/printer round-trip: `Algebra::render` prints what the
+    /// tree-level `abbreviate` prints, and the parser reads it back, for
+    /// random subattributes of schemas of 1–128 atoms.
     #[test]
     fn abbreviation_round_trips(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let atoms = rng.gen_range(1..=20);
+        let atoms = rng.gen_range(1..=128);
         let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
         let alg = Algebra::new(&n);
         for _ in 0..10 {
+            let density = rng.gen_range(0.05..0.9);
+            let a = nalist::gen::random_subattr(&mut rng, &alg, density);
+            render_agrees(&n, &alg, &a)?;
+        }
+    }
+
+    /// The same on schemas whose siblings repeat labels, where a record
+    /// whose abbreviation is ambiguous prints every component.
+    #[test]
+    fn abbreviation_round_trips_with_repeated_labels(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = nalist::gen::repetitive_attr(&mut rng, 3);
+        let alg = Algebra::new(&n);
+        for _ in 0..10 {
             let a = sub(&mut rng, &alg);
-            let tree = alg.to_attr(&a);
-            let printed = nalist::types::display::abbreviate(&tree, &n);
-            let reparsed = parse_subattr_of(&n, &printed).unwrap();
-            prop_assert_eq!(&reparsed, &tree, "printed form {}", printed);
+            render_agrees(&n, &alg, &a)?;
         }
     }
 
@@ -486,28 +499,44 @@ proptest! {
     }
 }
 
-/// Names and labels for the resolver oracle, drawn from pools of two so
-/// that siblings repeat them and abbreviations turn ambiguous.
-const ORACLE_NAMES: [&str; 2] = ["A", "B"];
-const ORACLE_LABELS: [&str; 2] = ["L", "M"];
+/// `Algebra::render` of `x` against the tree-level reference
+/// `abbreviate`, with the parser reading the text back. Returns whether
+/// the text is not the maximal abbreviation, that is, whether some
+/// record fell back to printing every component.
+fn render_agrees(n: &NestedAttr, alg: &Algebra, x: &AtomSet) -> Result<bool, TestCaseError> {
+    use nalist::types::display::{abbreviate, to_loose};
+    let tree = alg.to_attr(x);
+    let text = alg.render(x);
+    prop_assert_eq!(&text, &abbreviate(&tree, n), "in {}", n);
+    prop_assert_eq!(
+        parse_subattr_of(n, &text),
+        Ok(tree.clone()),
+        "{} in {}",
+        text,
+        n
+    );
+    Ok(text != to_loose(&tree, n).to_string())
+}
+
+/// The repeated-label schemas reach the full-arity fallback, so the
+/// property above cannot pass with the fallback deleted.
+#[test]
+fn renderer_oracle_takes_the_fallback() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut fallbacks = 0;
+    for _ in 0..64 {
+        let n = nalist::gen::repetitive_attr(&mut rng, 3);
+        let alg = Algebra::new(&n);
+        for _ in 0..8 {
+            let x = sub(&mut rng, &alg);
+            fallbacks += usize::from(render_agrees(&n, &alg, &x).unwrap());
+        }
+    }
+    assert!(fallbacks > 0);
+}
 
 fn pick(rng: &mut StdRng, pool: &[&str]) -> String {
     pool[rng.gen_range(0..pool.len())].to_owned()
-}
-
-/// A random schema over the tiny name pools (repeated names and labels
-/// allowed, as Definition 3.2 allows them).
-fn repetitive_attr(rng: &mut StdRng, depth: u32) -> NestedAttr {
-    if depth == 0 || rng.gen_bool(0.3) {
-        return NestedAttr::flat(pick(rng, &ORACLE_NAMES));
-    }
-    let label = pick(rng, &ORACLE_LABELS);
-    if rng.gen_bool(0.25) {
-        return NestedAttr::list(label, repetitive_attr(rng, depth - 1));
-    }
-    let k = rng.gen_range(1..=4);
-    let children = (0..k).map(|_| repetitive_attr(rng, depth - 1)).collect();
-    NestedAttr::record(label, children).expect("k ≥ 1")
 }
 
 /// A random loose term shaped mostly like `n`: λs, subsequences of record
@@ -516,14 +545,14 @@ fn repetitive_attr(rng: &mut StdRng, depth: u32) -> NestedAttr {
 fn loose_near(rng: &mut StdRng, n: &NestedAttr) -> Loose {
     match rng.gen_range(0..12) {
         0 => return Loose::Lambda,
-        1 => return Loose::Flat(pick(rng, &ORACLE_NAMES)),
+        1 => return Loose::Flat(pick(rng, &REPEATED_NAMES)),
         _ => {}
     }
     let label = |rng: &mut StdRng, l: &str| {
         if rng.gen_bool(0.9) {
             l.to_owned()
         } else {
-            pick(rng, &ORACLE_LABELS)
+            pick(rng, &REPEATED_LABELS)
         }
     };
     match n {
@@ -631,7 +660,7 @@ proptest! {
     #[test]
     fn one_pass_resolver_matches_the_enumeration_oracle(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = repetitive_attr(&mut rng, 3);
+        let n = nalist::gen::repetitive_attr(&mut rng, 3);
         for _ in 0..40 {
             let d = loose_near(&mut rng, &n);
             resolver_agrees_with_oracle(&n, &d)?;
@@ -657,7 +686,7 @@ fn resolver_oracle_covers_every_outcome() {
     let mut seen = std::collections::BTreeSet::new();
     let mut rng = StdRng::seed_from_u64(13);
     for _ in 0..64 {
-        let n = repetitive_attr(&mut rng, 3);
+        let n = nalist::gen::repetitive_attr(&mut rng, 3);
         for _ in 0..8 {
             let d = loose_near(&mut rng, &n);
             seen.insert(resolver_agrees_with_oracle(&n, &d).unwrap());
