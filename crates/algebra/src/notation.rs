@@ -20,9 +20,16 @@
 //!
 //! The walk reads each node's kind and label from `N` itself, in step
 //! with the flattened nodes, which add what `N` does not hold.
+//!
+//! Reading goes the other way without a tree as well:
+//! [`Algebra::parse_subattr`] resolves the text with the parser's one
+//! counting pass and takes the resolution's atoms from its atom emitter
+//! (`nalist_types::display::first_resolution_atoms`).
 
 use nalist_types::attr::NestedAttr;
 use nalist_types::display::abbreviate;
+use nalist_types::error::ParseError;
+use nalist_types::parser::{parse_loose_with, resolve_loose_atoms, ParseLimits};
 
 use crate::atoms::{to_attr_walk, Algebra};
 use crate::bitset::AtomSet;
@@ -123,6 +130,27 @@ impl Algebra {
         }
     }
 
+    /// Reads a subattribute in the paper's abbreviated notation straight
+    /// into its atom set: [`Algebra::from_attr`] of the tree
+    /// `nalist_types::parser::parse_subattr_of_with` returns, and that
+    /// function's error for every text it rejects, with no tree built.
+    ///
+    /// ```
+    /// use nalist_algebra::Algebra;
+    /// use nalist_types::parser::{parse_attr, ParseLimits};
+    ///
+    /// let alg = Algebra::new(&parse_attr("A'(B, C[D(E, F[G])])").unwrap());
+    /// let x = alg.parse_subattr("A'(C[D(F[λ])])", ParseLimits::default()).unwrap();
+    /// assert_eq!(x.iter().collect::<Vec<_>>(), [1, 3]);
+    /// assert_eq!(alg.render(&x), "A'(C[D(F[λ])])");
+    /// ```
+    pub fn parse_subattr(&self, src: &str, limits: ParseLimits) -> Result<AtomSet, ParseError> {
+        let d = parse_loose_with(src, limits)?;
+        let mut set = AtomSet::empty(self.atom_count());
+        resolve_loose_atoms(self.attr(), &d, src, |a| set.insert(a))?;
+        Ok(set)
+    }
+
     /// Is the subtree at node `i` not bottom in the set?
     fn kept(&self, i: usize, x: &AtomSet) -> bool {
         let node = &self.schema[i];
@@ -172,22 +200,43 @@ impl Algebra {
 mod tests {
     use super::*;
     use crate::lattice::enumerate_sets;
-    use nalist_types::parser::{parse_attr, parse_subattr_of};
+    use nalist_types::parser::{parse_attr, parse_subattr_of, parse_subattr_of_with};
 
     /// Every element of `Sub(N)`, rendered; each text is checked against
-    /// the tree-level reference and read back by the parser.
+    /// the tree-level reference and read back by the parser, as a tree
+    /// and as atoms, and so is the canonical text of its tree.
     fn all_renders(src: &str) -> Vec<String> {
         let n = parse_attr(src).unwrap();
         let alg = Algebra::new(&n);
+        let limits = ParseLimits::default();
         enumerate_sets(&alg)
             .iter()
             .map(|x| {
                 let text = alg.render(x);
                 assert_eq!(text, abbreviate(&alg.to_attr(x), &n), "in {src}");
                 assert_eq!(parse_subattr_of(&n, &text).unwrap(), alg.to_attr(x));
+                assert_eq!(alg.parse_subattr(&text, limits).as_ref(), Ok(x), "{text}");
+                let full = alg.to_attr(x).to_string();
+                assert_eq!(alg.parse_subattr(&full, limits).as_ref(), Ok(x), "{full}");
                 text
             })
             .collect()
+    }
+
+    #[test]
+    fn rejected_texts_fail_as_the_tree_parser_fails() {
+        let n = parse_attr("L(A, A, M[B])").unwrap();
+        let alg = Algebra::new(&n);
+        let limits = ParseLimits { max_depth: 1 };
+        for src in [
+            "L(A)", "L(B)", "K(A)", "L(M(B))", "L(A", "L(M[B])", "", "L(A) x",
+        ] {
+            assert_eq!(
+                alg.parse_subattr(src, limits),
+                parse_subattr_of_with(&n, src, limits).map(|t| alg.from_attr(&t).unwrap()),
+                "{src}"
+            );
+        }
     }
 
     fn sorted(mut v: Vec<String>) -> Vec<String> {

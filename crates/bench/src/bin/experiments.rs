@@ -1448,9 +1448,9 @@ fn durability() {
     }
     println!(
         "recovery loads the cache warm from the snapshot and replays only the WAL tail:\n\
-         it wins when cached bases are expensive to recompute (chain) and breaks even\n\
-         when recomputing them costs about what parsing the snapshot does (easy random\n\
-         workloads);\n\
+         it wins most when cached bases are expensive to recompute (chain), and on the\n\
+         easy random workloads it wins by reading the snapshot's texts straight to atom\n\
+         sets, where the cold replay recomputes every basis;\n\
          bit-identity with the live process is proptest-asserted in tests/durability.rs"
     );
 

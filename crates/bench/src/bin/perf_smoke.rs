@@ -14,7 +14,13 @@
 //! A separate row times `Dependency::parse_with` over 256 dependency
 //! texts on a 32-atom schema against its own baseline field
 //! (`parse_ns`) with the same 3x limit, so a return to a resolver that
-//! enumerates resolutions fails here. Another times
+//! enumerates resolutions fails here. The compiled parsing row times
+//! `CompiledDep::parse` over the same texts (`compiled_parse_ns`, same
+//! limit), the path recovery and single queries take: borrowed names,
+//! one counting pass per side and atoms emitted in pre-order, with no
+//! tree built. On a 2-vCPU VM it read 1.5–2.3 ms where the tree path
+//! read 2.6–3.9 ms in the same runs, so the 3x limit catches an
+//! order-of-magnitude slip, not a return to the tree path. Another times
 //! `membership::recover` of a snapshot plus a 2000-record WAL tail
 //! toggling 32 texts on a 32-atom schema (`recover_ns`, same limit), so
 //! a replay that re-parses every record fails here; its
@@ -60,7 +66,8 @@ use nalist::membership::{certify_governed, recover, MAX_CACHE_BYTES};
 use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
 use nalist_bench::{
     cold_query_workload, fmt_nanos, incremental_edit_workload, median_nanos, nested_workload,
-    parse_workload, recovery_workload, run_closures, run_closures_observed, run_parses,
+    parse_workload, recovery_workload, run_closures, run_closures_observed, run_compiled_parses,
+    run_parses,
 };
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/perf_baseline.json");
@@ -154,6 +161,19 @@ fn main() {
         "notation parsing: {} dependency texts in {}",
         pw.texts.len(),
         fmt_nanos(parse_ns)
+    );
+    assert_eq!(
+        run_compiled_parses(&pw),
+        pw.texts.len(),
+        "printer output must parse"
+    );
+    let compiled_parse_ns = median_nanos(7, || {
+        std::hint::black_box(run_compiled_parses(&pw));
+    });
+    println!(
+        "compiled notation parsing: {} dependency texts in {}",
+        pw.texts.len(),
+        fmt_nanos(compiled_parse_ns)
     );
     // WAL replay: most records repeat one of the 32 texts
     let dir = std::env::temp_dir().join(format!("nalist-perf-smoke-{}", std::process::id()));
@@ -282,7 +302,7 @@ fn main() {
 
     if std::env::var_os("UPDATE_PERF_BASELINE").is_some() {
         let mut json = format!(
-            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns},\n  \"cert_ns\": {cert_ns},\n  \"render_ns\": {render_ns}"
+            "{{\n  \"closure_ns\": {closure_ns},\n  \"edit_ns\": {edit_ns},\n  \"total_ns\": {total_ns},\n  \"parse_ns\": {parse_ns},\n  \"recover_ns\": {recover_ns},\n  \"cert_ns\": {cert_ns},\n  \"render_ns\": {render_ns},\n  \"compiled_parse_ns\": {compiled_parse_ns}"
         );
         for (name, value) in WORK_COUNTERS.iter().zip(work) {
             json.push_str(&format!(",\n  \"{name}\": {value}"));
@@ -325,6 +345,11 @@ fn main() {
         ("recover_ns", "WAL replay", recover_ns),
         ("cert_ns", "certification", cert_ns),
         ("render_ns", "rendering", render_ns),
+        (
+            "compiled_parse_ns",
+            "compiled notation parsing",
+            compiled_parse_ns,
+        ),
     ] {
         let row_baseline = parse_field(&text, field).unwrap_or_else(|| {
             eprintln!("no \"{field}\" field in {BASELINE_PATH}");

@@ -212,10 +212,12 @@ pub fn cold_query_workload(
 }
 
 /// Dependency texts in the paper's abbreviated notation over one schema:
-/// the input of the notation-parsing row of `perf_smoke`.
+/// the input of the notation-parsing rows of `perf_smoke`.
 pub struct ParseWorkload {
     /// The ambient attribute the texts resolve against.
     pub attr: NestedAttr,
+    /// Its algebra, which the compiled parse emits atoms of.
+    pub alg: Algebra,
     /// `X -> Y` / `X ->> Y` lines as the printer renders them.
     pub texts: Vec<String>,
 }
@@ -229,7 +231,7 @@ pub fn parse_workload(seed: u64, atoms: usize, count: usize) -> ParseWorkload {
     let texts = (0..count)
         .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5).render(&alg))
         .collect();
-    ParseWorkload { attr, texts }
+    ParseWorkload { attr, alg, texts }
 }
 
 /// Parses every text of `w` once (the unit of work of the parsing row)
@@ -238,6 +240,16 @@ pub fn run_parses(w: &ParseWorkload) -> usize {
     w.texts
         .iter()
         .filter(|t| Dependency::parse_with(&w.attr, t, ParseLimits::default()).is_ok())
+        .count()
+}
+
+/// Parses every text of `w` once straight to its compiled form (the
+/// unit of work of the compiled parsing row) and returns how many
+/// resolved.
+pub fn run_compiled_parses(w: &ParseWorkload) -> usize {
+    w.texts
+        .iter()
+        .filter(|t| CompiledDep::parse(&w.alg, t, ParseLimits::default()).is_ok())
         .count()
 }
 

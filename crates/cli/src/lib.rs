@@ -510,15 +510,18 @@ fn load_reasoner(
     Ok(r)
 }
 
+/// Parses `dep` as a dependency over the reasoner's `N`, as its
+/// compiled pair.
+fn parse_target(r: &Reasoner, dep: &str, budget: &Budget) -> Result<CompiledDep, CliError> {
+    CompiledDep::parse(r.algebra(), dep, ParseLimits::from_budget(budget))
+        .map_err(|e| CliError::domain(format!("bad dependency: {e}")))
+}
+
 /// Parses `sub` as a subattribute of the reasoner's `N`, as its atom set.
 fn parse_sub(r: &Reasoner, sub: &str, budget: &Budget) -> Result<AtomSet, CliError> {
-    let x = nalist::types::parser::parse_subattr_of_with(
-        r.attr(),
-        sub,
-        ParseLimits::from_budget(budget),
-    )
-    .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))?;
-    r.algebra().from_attr(&x).map_err(CliError::domain)
+    r.algebra()
+        .parse_subattr(sub, ParseLimits::from_budget(budget))
+        .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))
 }
 
 fn checkpoint(budget: &Budget) -> Result<(), CliError> {
@@ -782,10 +785,7 @@ fn dispatch(
             let cert_path = parse_cert_flag("decide", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let target = Dependency::parse_with(r.attr(), dep, ParseLimits::from_budget(budget))
-                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?
-                .compile(alg)
-                .map_err(CliError::domain)?;
+            let target = parse_target(&r, dep, budget)?;
             checkpoint(budget)?;
             let answer =
                 cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
@@ -1102,10 +1102,7 @@ fn dispatch(
             let cert_path = parse_cert_flag("prove", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let target = Dependency::parse_with(r.attr(), dep, ParseLimits::from_budget(budget))
-                .map_err(|e| CliError::domain(format!("bad dependency: {e}")))?
-                .compile(alg)
-                .map_err(CliError::domain)?;
+            let target = parse_target(&r, dep, budget)?;
             checkpoint(budget)?;
             let answer =
                 cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
@@ -2183,6 +2180,27 @@ mod tests {
         )
         .unwrap();
         assert!(out.starts_with("IMPLIED"));
+    }
+
+    #[test]
+    fn arrow_written_right_after_a_flat_name_exits_zero() {
+        // the name used to take the arrow's `-`, so `A->A` exited 1 with
+        // "found '>', expected '->', …"
+        let mut f = MemFiles(BTreeMap::new());
+        f.0.insert("empty.txt".to_string(), String::new());
+        f.0.insert("deps.txt".to_string(), "A-B->>A-B\n".to_string());
+        for (schema, deps, query) in [
+            ("A", "empty.txt", "A->A"),
+            ("A", "empty.txt", "A->>A"),
+            ("A", "empty.txt", "A -> A"),
+            ("A-B", "deps.txt", "A-B->A-B"),
+        ] {
+            let out = run(&args(&["decide", schema, deps, query]), &f)
+                .unwrap_or_else(|e| panic!("{query}: exit {}: {}", e.code, e.message));
+            assert!(out.starts_with("IMPLIED"), "{query}: {out}");
+        }
+        let err = run(&args(&["decide", "A", "empty.txt", "A->"]), &f).unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
     }
 
     #[test]

@@ -6,7 +6,10 @@ use std::fmt;
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
-use nalist_types::parser::{parse_dependency_of, parse_dependency_of_with, DepKind, ParseLimits};
+use nalist_types::parser::{
+    parse_dependency_atoms_with, parse_dependency_of, parse_dependency_of_with, DepKind,
+    ParseLimits,
+};
 
 /// A dependency `X → Y` (FD) or `X ↠ Y` (MVD) with tree-level sides.
 ///
@@ -128,6 +131,39 @@ impl CompiledDep {
             lhs,
             rhs,
         }
+    }
+
+    /// Parses `"X -> Y"` / `"X ->> Y"` (or `→`/`↠`) straight to its
+    /// compiled form over `alg`: [`Dependency::parse_with`] followed by
+    /// [`Dependency::compile`], with the same [`ParseError`] for every text
+    /// that fails, but no tree built. The text is read once, with names
+    /// borrowed from it, and each side is decided by the parser's one
+    /// counting pass and emitted as atoms
+    /// ([`nalist_types::parser::parse_dependency_atoms_with`]).
+    ///
+    /// ```
+    /// use nalist_algebra::Algebra;
+    /// use nalist_deps::{CompiledDep, Dependency};
+    /// use nalist_types::parser::{parse_attr, ParseLimits};
+    ///
+    /// let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
+    /// let alg = Algebra::new(&n);
+    /// let src = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])";
+    /// let c = CompiledDep::parse(&alg, src, ParseLimits::default()).unwrap();
+    /// assert_eq!(c, Dependency::parse(&n, src).unwrap().compile(&alg).unwrap());
+    /// assert_eq!(c.render(&alg), src);
+    /// ```
+    pub fn parse(alg: &Algebra, src: &str, limits: ParseLimits) -> Result<Self, ParseError> {
+        let mut lhs = AtomSet::empty(alg.atom_count());
+        let mut rhs = lhs.clone();
+        let kind = parse_dependency_atoms_with(
+            alg.attr(),
+            src,
+            limits,
+            |a| lhs.insert(a),
+            |a| rhs.insert(a),
+        )?;
+        Ok(CompiledDep { kind, lhs, rhs })
     }
 
     /// Converts back to tree-level form.

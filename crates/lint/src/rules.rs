@@ -295,7 +295,7 @@ fn l004_extraneous_lhs(ctx: &LintCtx) -> Vec<Diagnostic> {
             out.push(Diagnostic {
                 code: "L004",
                 severity: Severity::Warning,
-                span: ctx.entries[i].spanned.lhs.span,
+                span: ctx.entries[i].lhs_span,
                 message: format!(
                     "extraneous LHS subattributes: the spec still implies this dependency with the LHS reduced to {}",
                     ctx.alg.render(&reduced)
@@ -353,7 +353,7 @@ fn l006_non_possessed_rhs(ctx: &LintCtx) -> Vec<Diagnostic> {
         out.push(Diagnostic {
             code: "L006",
             severity: Severity::Warning,
-            span: ctx.entries[i].spanned.rhs.span,
+            span: ctx.entries[i].rhs_span,
             message: format!(
                 "RHS mentions basis attributes it does not possess (Definition 4.11): {} — the MVD silently implies the FD `{hidden_fd}`",
                 ctx.alg.render(&hidden)

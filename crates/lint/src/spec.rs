@@ -15,8 +15,7 @@ use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::ParseError;
 use nalist_types::parser::{
-    parse_attr_with, parse_dependency_spanned_with, resolve_loose, ParseLimits, SpannedDependency,
-    SpannedLoose,
+    parse_attr_with, parse_dependency_spanned_with, resolve_loose, ParseLimits, SpannedLoose,
 };
 use nalist_types::Span;
 
@@ -69,8 +68,12 @@ pub const UNRESOLVED: &str = "L007";
 pub struct Entry {
     /// 1-based line number in the dependency file.
     pub line: usize,
-    /// The parse with spans lifted to file-global byte offsets.
-    pub spanned: SpannedDependency,
+    /// File-global byte span of the left-hand side's text.
+    pub lhs_span: Span,
+    /// File-global byte span of the arrow token.
+    pub arrow: Span,
+    /// File-global byte span of the right-hand side's text.
+    pub rhs_span: Span,
     /// The resolved tree-level dependency.
     pub dep: Dependency,
     /// The atom-set compilation of `dep`.
@@ -80,7 +83,7 @@ pub struct Entry {
 impl Entry {
     /// File-global span of the whole dependency text.
     pub fn span(&self) -> Span {
-        self.spanned.span()
+        self.lhs_span.to(self.rhs_span)
     }
 }
 
@@ -157,11 +160,15 @@ fn load_line(
     offset: usize,
     limits: ParseLimits,
 ) -> Result<Entry, Diagnostic> {
-    let mut spanned = parse_dependency_spanned_with(line, limits)
+    let spanned = parse_dependency_spanned_with(line, limits)
         .map_err(|e| syntax_diagnostic(&e, line, offset))?;
     let lhs = resolve_side(n, &spanned.lhs, line, offset)?;
     let rhs = resolve_side(n, &spanned.rhs, line, offset)?;
-    shift_spans(&mut spanned, offset);
+    let (lhs_span, arrow, rhs_span) = (
+        spanned.lhs.span.shifted(offset),
+        spanned.arrow.shifted(offset),
+        spanned.rhs.span.shifted(offset),
+    );
     let dep = Dependency {
         kind: spanned.kind,
         lhs,
@@ -170,26 +177,18 @@ fn load_line(
     let compiled = dep.compile(alg).map_err(|e| Diagnostic {
         code: UNRESOLVED,
         severity: Severity::Error,
-        span: spanned.span(),
+        span: lhs_span.to(rhs_span),
         message: format!("dependency does not type-check against the schema: {e}"),
         suggestion: None,
     })?;
     Ok(Entry {
         line: line_no,
-        spanned,
+        lhs_span,
+        arrow,
+        rhs_span,
         dep,
         compiled,
     })
-}
-
-fn shift_spans(d: &mut SpannedDependency, offset: usize) {
-    d.arrow = d.arrow.shifted(offset);
-    for side in [&mut d.lhs, &mut d.rhs] {
-        side.span = side.span.shifted(offset);
-        for (_, span) in &mut side.idents {
-            *span = span.shifted(offset);
-        }
-    }
 }
 
 fn syntax_diagnostic(e: &ParseError, line: &str, offset: usize) -> Diagnostic {
@@ -237,7 +236,10 @@ fn resolution_diagnostic(
     let known = known_names(n);
     // Blame the first identifier that names nothing in N, if any: that
     // token (rather than the whole side) is what the user got wrong.
-    let unknown = side.idents.iter().find(|(name, _)| !known.contains(name));
+    let unknown = side
+        .idents
+        .iter()
+        .find(|(name, _)| !known.iter().any(|k| k == name));
     let (span, message, suggestion) = match (e, unknown) {
         (ParseError::Ambiguous { count, .. }, _) => (
             side.span,
@@ -345,7 +347,7 @@ mod tests {
             e.span().text(deps),
             "Pubcrawl(Person) -> Pubcrawl(Visit[λ])"
         );
-        assert_eq!(e.spanned.arrow.text(deps), "->");
+        assert_eq!(e.arrow.text(deps), "->");
     }
 
     #[test]

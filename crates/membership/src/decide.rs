@@ -75,10 +75,6 @@ pub struct CacheStats {
 /// Errors from [`Reasoner::restore_parts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// A persisted dependency no longer typechecks against the schema.
-    Type(TypeError),
-    /// The resource [`Budget`] was exhausted rebuilding the algebra.
-    Resource(ResourceExhausted),
     /// A structural invariant of the persisted state is broken
     /// (non-ascending ids or left-hand sides, fired-set naming an
     /// unknown dependency, atom sets of the wrong capacity, …).
@@ -88,8 +84,6 @@ pub enum RestoreError {
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestoreError::Type(e) => write!(f, "{e}"),
-            RestoreError::Resource(e) => write!(f, "{e}"),
             RestoreError::Invalid(msg) => write!(f, "invalid persisted state: {msg}"),
         }
     }
@@ -274,7 +268,6 @@ pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool 
 /// ```
 #[derive(Debug)]
 pub struct Reasoner {
-    attr: NestedAttr,
     alg: Algebra,
     /// `Σ`, held once: each dependency as its compiled atom-set pair,
     /// which determines its canonical tree and text
@@ -301,7 +294,6 @@ impl Clone for Reasoner {
     /// restart at zero on the clone.
     fn clone(&self) -> Self {
         Reasoner {
-            attr: self.attr.clone(),
             alg: self.alg.clone(),
             compiled: self.compiled.clone(),
             ids: self.ids.clone(),
@@ -429,15 +421,20 @@ impl Reasoner {
         budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, ResourceExhausted> {
-        Ok(Reasoner {
-            attr: n.clone(),
-            alg: Algebra::try_new_observed(n, budget, rec.as_ref())?,
+        let alg = Algebra::try_new_observed(n, budget, rec.as_ref())?;
+        Ok(Reasoner::over(alg, rec))
+    }
+
+    /// A reasoner with empty `Σ` over an algebra already built.
+    fn over(alg: Algebra, rec: Arc<dyn Recorder>) -> Self {
+        Reasoner {
+            alg,
             compiled: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
             cache: BasisCache::default(),
             recorder: rec,
-        })
+        }
     }
 
     /// Replaces the observability recorder (builder style).
@@ -454,7 +451,7 @@ impl Reasoner {
 
     /// The ambient attribute.
     pub fn attr(&self) -> &NestedAttr {
-        &self.attr
+        self.alg.attr()
     }
 
     /// The underlying algebra.
@@ -504,8 +501,15 @@ impl Reasoner {
 
     /// Adds a dependency written as `"X -> Y"` / `"X ->> Y"`.
     pub fn add_str(&mut self, src: &str) -> Result<(), ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.add(dep)
+        let c = self.parse_compiled(src, ParseLimits::default())?;
+        self.add_compiled(c);
+        Ok(())
+    }
+
+    /// Reads a dependency text straight to its compiled pair over this
+    /// reasoner's algebra ([`CompiledDep::parse`]).
+    fn parse_compiled(&self, src: &str, limits: ParseLimits) -> Result<CompiledDep, ReasonerError> {
+        CompiledDep::parse(&self.alg, src, limits).map_err(ReasonerError::Parse)
     }
 
     /// Removes the first dependency of `Σ` equal to `dep` (compiled
@@ -519,20 +523,23 @@ impl Reasoner {
     /// basis.
     pub fn remove(&mut self, dep: &Dependency) -> Result<bool, ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        match self.compiled.iter().position(|have| *have == c) {
-            Some(i) => {
-                self.remove_at(i);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.remove_compiled(&c))
     }
 
     /// [`Reasoner::remove`] for a dependency written as `"X -> Y"` /
     /// `"X ->> Y"`.
     pub fn remove_str(&mut self, src: &str) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.remove(&dep)
+        let c = self.parse_compiled(src, ParseLimits::default())?;
+        Ok(self.remove_compiled(&c))
+    }
+
+    /// Removes the first member of `Σ` equal to `c`, if there is one.
+    fn remove_compiled(&mut self, c: &CompiledDep) -> bool {
+        let found = self.compiled.iter().position(|have| have == c);
+        if let Some(i) = found {
+            self.remove_at(i);
+        }
+        found.is_some()
     }
 
     /// Removes `compiled_sigma()[i]`, evicting only the cached bases it
@@ -610,7 +617,8 @@ impl Reasoner {
         visit(&entries)
     }
 
-    /// Rebuilds a reasoner from persisted parts: `Σ` with *pinned*
+    /// Rebuilds a reasoner from persisted parts: the algebra of its
+    /// schema, `Σ` as compiled pairs over that algebra with *pinned*
     /// stable ids, the id counter, and previously warm cache entries in
     /// strictly ascending LHS order (inserted verbatim — no eviction
     /// sweep, no hit or miss), so the result is bit-identical to the
@@ -624,16 +632,15 @@ impl Reasoner {
     /// corruption but not against a well-formed file encoding broken
     /// invariants.
     pub fn restore_parts(
-        n: &NestedAttr,
-        sigma: Vec<(u64, Dependency)>,
+        alg: Algebra,
+        sigma: Vec<(u64, CompiledDep)>,
         next_id: u64,
         cache: Vec<(AtomSet, PackedBasis)>,
-        budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, RestoreError> {
-        let mut r = Reasoner::try_new_observed(n, budget, rec).map_err(RestoreError::Resource)?;
+        let mut r = Reasoner::over(alg, rec);
         let mut prev: Option<u64> = None;
-        for (id, dep) in sigma {
+        for (id, c) in sigma {
             if prev.is_some_and(|p| p >= id) {
                 return Err(RestoreError::Invalid(
                     "dependency ids are not strictly ascending".to_string(),
@@ -645,7 +652,13 @@ impl Reasoner {
                 )));
             }
             prev = Some(id);
-            let c = dep.compile(&r.alg).map_err(RestoreError::Type)?;
+            for (side, set) in [("left", &c.lhs), ("right", &c.rhs)] {
+                if r.alg.check_capacity(set).is_err() || !r.alg.is_downward_closed(set) {
+                    return Err(RestoreError::Invalid(format!(
+                        "dependency id {id}: its {side}-hand side is not a subattribute of the schema"
+                    )));
+                }
+            }
             r.compiled.push(c);
             r.ids.push(id);
         }
@@ -886,23 +899,24 @@ impl Reasoner {
 
     /// Decides `Σ ⊨ σ` for a dependency written as text.
     pub fn implies_str(&self, src: &str) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse(&self.attr, src).map_err(ReasonerError::Parse)?;
-        self.implies(&dep)
+        let c = self.parse_compiled(src, ParseLimits::default())?;
+        Ok(self.implies_compiled(&c))
     }
 
     /// [`Reasoner::implies_str`] under a resource [`Budget`]: the budget's
     /// `max_depth` also caps the query text's nesting.
     pub fn implies_str_governed(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
-        let dep = Dependency::parse_with(&self.attr, src, ParseLimits::from_budget(budget))
-            .map_err(ReasonerError::Parse)?;
-        self.implies_governed(&dep, budget)
+        let c = self.parse_compiled(src, ParseLimits::from_budget(budget))?;
+        self.implies_compiled_governed(&c, budget)
+            .map_err(|e| ReasonerError::Resource(exhausted(e)))
     }
 
     /// Attribute-set closure `X⁺` of a subattribute given as text.
     pub fn closure_str(&self, src: &str) -> Result<NestedAttr, ReasonerError> {
-        let x = nalist_types::parser::parse_subattr_of(&self.attr, src)
+        let xs = self
+            .alg
+            .parse_subattr(src, ParseLimits::default())
             .map_err(ReasonerError::Parse)?;
-        let xs = self.alg.from_attr(&x).map_err(ReasonerError::Type)?;
         let b = closure_and_basis(&self.alg, &self.compiled, &xs);
         Ok(self.alg.to_attr(&b.closure))
     }
@@ -1410,11 +1424,10 @@ mod tests {
         }
         assert!(flushed > 0, "the entries must pass the bound");
         let r = Reasoner::restore_parts(
-            &flat16(),
+            Algebra::new(&flat16()),
             Vec::new(),
             0,
             entries,
-            &Budget::unlimited(),
             Arc::new(nalist_obs::NoopRecorder),
         )
         .unwrap();
@@ -1426,6 +1439,33 @@ mod tests {
             (stats.entries, stats.bytes, stats.capacity_evicted),
             (kept.len() as u64, held, flushed)
         );
+    }
+
+    #[test]
+    fn restore_rejects_sides_outside_the_schema() {
+        let n = parse_attr("L(A, M[B])").unwrap();
+        let restore = |c: CompiledDep| {
+            Reasoner::restore_parts(
+                Algebra::new(&n),
+                vec![(0, c)],
+                1,
+                Vec::new(),
+                Arc::new(nalist_obs::NoopRecorder),
+            )
+            .map(|r| r.compiled_sigma().to_vec())
+        };
+        // atoms: A 0, M 1, B 2; B alone is not downward closed
+        let ok = CompiledDep::fd(
+            AtomSet::from_indices(3, [0]),
+            AtomSet::from_indices(3, [1, 2]),
+        );
+        assert_eq!(restore(ok.clone()), Ok(vec![ok]));
+        for bad in [
+            CompiledDep::fd(AtomSet::from_indices(3, [0]), AtomSet::from_indices(3, [2])),
+            CompiledDep::mvd(AtomSet::from_indices(4, [0]), AtomSet::empty(3)),
+        ] {
+            assert!(matches!(restore(bad), Err(RestoreError::Invalid(_))));
+        }
     }
 
     #[test]

@@ -37,13 +37,12 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-use nalist_algebra::{AlgebraError, AtomSet, WidthClass};
-use nalist_deps::{CompiledDep, Dependency};
+use nalist_algebra::{Algebra, AlgebraError, AtomSet, WidthClass};
+use nalist_deps::CompiledDep;
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Recorder};
 use nalist_store::{self as store, StoreError};
-use nalist_types::error::TypeError;
-use nalist_types::parser::parse_attr;
+use nalist_types::parser::{parse_attr, ParseLimits};
 
 use crate::decide::{Reasoner, ReasonerError, RestoreError};
 use crate::packed::PackedBasis;
@@ -54,10 +53,9 @@ pub enum PersistError {
     /// The store layer failed: I/O, corruption, or an unreadable format.
     Store(StoreError),
     /// The payload decoded but encodes an impossible state (schema
-    /// mismatch, out-of-range atom index, broken id invariants, …).
+    /// mismatch, out-of-range atom index, broken id invariants, a
+    /// dependency text that does not parse back, …).
     Invalid(String),
-    /// A persisted dependency no longer typechecks against its schema.
-    Type(TypeError),
     /// A WAL operation failed to apply during recovery: record `index`
     /// replayed into a reasoner that rejected it.
     Replay {
@@ -75,7 +73,6 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Store(e) => write!(f, "{e}"),
             PersistError::Invalid(msg) => write!(f, "invalid persisted state: {msg}"),
-            PersistError::Type(e) => write!(f, "persisted dependency no longer typechecks: {e}"),
             PersistError::Replay { index, message } => {
                 write!(f, "WAL record {index} failed to replay: {message}")
             }
@@ -104,8 +101,6 @@ impl From<ResourceExhausted> for PersistError {
 impl From<RestoreError> for PersistError {
     fn from(e: RestoreError) -> Self {
         match e {
-            RestoreError::Type(t) => PersistError::Type(t),
-            RestoreError::Resource(r) => PersistError::Resource(r),
             RestoreError::Invalid(msg) => PersistError::Invalid(msg),
         }
     }
@@ -173,28 +168,27 @@ pub fn snapshot_payload(r: &Reasoner) -> Vec<u8> {
 
 /// Rebuilds a reasoner from a snapshot payload (the inverse of
 /// [`snapshot_payload`]), validating the schema round-trip, the
-/// declared algebra identity and every structural invariant.
+/// declared algebra identity and every structural invariant. Once the
+/// payload has decoded, the algebra is built under `budget` and each
+/// dependency text is read straight to its compiled pair
+/// ([`CompiledDep::parse`]).
 pub fn restore_reasoner(
     payload: &[u8],
     budget: &Budget,
     rec: Arc<dyn Recorder>,
 ) -> Result<Reasoner, PersistError> {
     let mut r = store::Reader::new(payload);
-    let schema_text = r.str()?.to_string();
+    let schema_text = r.str()?;
     let declared_atoms = r.u32()? as usize;
-    let declared_width = r.str()?.to_string();
+    let declared_width = r.str()?;
     let next_id = r.u64()?;
     let sigma_count = r.u32()? as usize;
-    let attr = parse_attr(&schema_text)
+    let attr = parse_attr(schema_text)
         .map_err(|e| PersistError::Invalid(format!("schema does not parse back: {e}")))?;
-    let mut sigma = Vec::with_capacity(sigma_count.min(payload.len()));
+    let mut texts = Vec::with_capacity(sigma_count.min(payload.len()));
     for _ in 0..sigma_count {
         let id = r.u64()?;
-        let text = r.str()?;
-        let dep = Dependency::parse(&attr, text).map_err(|e| {
-            PersistError::Invalid(format!("dependency {text:?} does not parse back: {e}"))
-        })?;
-        sigma.push((id, dep));
+        texts.push((id, r.str()?));
     }
     // the declared identity is checked before any cache entry is read,
     // so every set below is decoded at the schema's own width
@@ -236,9 +230,19 @@ pub fn restore_reasoner(
         cache.push((lhs, entry));
     }
     r.finish()?;
-    Ok(Reasoner::restore_parts(
-        &attr, sigma, next_id, cache, budget, rec,
-    )?)
+    let alg = Algebra::try_new_observed(&attr, budget, rec.as_ref())?;
+    let sigma = texts
+        .into_iter()
+        .map(
+            |(id, text)| match CompiledDep::parse(&alg, text, ParseLimits::default()) {
+                Ok(c) => Ok((id, c)),
+                Err(e) => Err(PersistError::Invalid(format!(
+                    "dependency {text:?} does not parse back: {e}"
+                ))),
+            },
+        )
+        .collect::<Result<_, _>>()?;
+    Ok(Reasoner::restore_parts(alg, sigma, next_id, cache, rec)?)
 }
 
 /// Writes a snapshot of `r` to `path` (atomically, via the store
@@ -432,11 +436,9 @@ pub fn replay_wal<'a>(
                 let c = match memo.entry(text) {
                     Entry::Occupied(seen) => seen.into_mut(),
                     Entry::Vacant(first) => {
-                        let dep = Dependency::parse(reasoner.attr(), text)
-                            .map_err(|e| fail(ReasonerError::Parse(e)))?;
-                        let c = dep
-                            .compile(reasoner.algebra())
-                            .map_err(|e| fail(ReasonerError::Type(e)))?;
+                        let c =
+                            CompiledDep::parse(reasoner.algebra(), text, ParseLimits::default())
+                                .map_err(|e| fail(ReasonerError::Parse(e)))?;
                         first.insert(c)
                     }
                 };

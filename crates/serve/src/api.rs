@@ -720,10 +720,8 @@ fn handle_edit(
 fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response, ApiError> {
     let limits = nalist_types::parser::ParseLimits::from_budget(budget);
     let alg = r.algebra();
-    let target = nalist_deps::Dependency::parse_with(r.attr(), dep_text, limits)
-        .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?
-        .compile(alg)
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
+    let target = nalist_deps::CompiledDep::parse(alg, dep_text, limits)
+        .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?;
     let answer = nalist_membership::cert::answer(alg, r.compiled_sigma(), &target, budget)
         .map_err(|e| match e {
             nalist_membership::ClosureError::Resource(res) => ApiError::resource(res),

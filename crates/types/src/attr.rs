@@ -156,7 +156,12 @@ impl NestedAttr {
     /// (Section 6): the number of basis attributes, which equals the number
     /// of flat leaves plus the number of list nodes.
     pub fn basis_size(&self) -> usize {
-        self.flat_leaf_count() + self.list_node_count()
+        match self {
+            NestedAttr::Null => 0,
+            NestedAttr::Flat(_) => 1,
+            NestedAttr::Record(_, children) => children.iter().map(NestedAttr::basis_size).sum(),
+            NestedAttr::List(_, inner) => 1 + inner.basis_size(),
+        }
     }
 }
 

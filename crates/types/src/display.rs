@@ -18,9 +18,13 @@
 //! The intermediate [`Loose`] representation (an abbreviated attribute
 //! whose record components are a subsequence of the context's components)
 //! is shared with the parser, which resolves user-written abbreviated
-//! forms back into canonical subattributes.
+//! forms back into canonical subattributes. One counting pass decides a
+//! term; its first resolution is then emitted either as a tree
+//! ([`first_resolution`]) or as the atoms of `SubB` in pre-order
+//! ([`first_resolution_atoms`]).
 
 use std::fmt;
+use std::iter::Peekable;
 
 use crate::attr::NestedAttr;
 use crate::subattr::is_subattr;
@@ -49,23 +53,24 @@ impl fmt::Display for NestedAttr {
 
 /// An *abbreviated* nested attribute: record components are a subsequence
 /// of the components of the context attribute, `λ` stands for an omitted
-/// bottom. Produced by the parser and by [`to_loose`]; resolved against a
-/// context attribute by [`first_resolution`], with [`count_resolutions`]
-/// and [`resolutions`] as the reference.
+/// bottom. Names are borrowed: from the text the parser read, or from the
+/// tree [`to_loose`] abbreviates. Resolved against a context attribute by
+/// [`first_resolution`], with [`count_resolutions`] and [`resolutions`] as
+/// the reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Loose {
+pub enum Loose<'a> {
     /// `λ` — resolves to the bottom `λ_N` of the context.
     Lambda,
     /// A flat attribute name.
-    Flat(String),
+    Flat(&'a str),
     /// `L(d1, …, dm)` where the `di` match a subsequence of the context's
     /// components (omitted components are bottom).
-    Record(String, Vec<Loose>),
+    Record(&'a str, Vec<Loose<'a>>),
     /// `L[d]`.
-    List(String, Box<Loose>),
+    List(&'a str, Box<Loose<'a>>),
 }
 
-impl fmt::Display for Loose {
+impl fmt::Display for Loose<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Loose::Lambda => write!(f, "λ"),
@@ -87,13 +92,13 @@ impl fmt::Display for Loose {
 
 /// Maximally abbreviated loose form of `x ≤ n` (may be ambiguous; see
 /// [`loose_unambiguous`]).
-pub fn to_loose(x: &NestedAttr, n: &NestedAttr) -> Loose {
+pub fn to_loose<'a>(x: &'a NestedAttr, n: &NestedAttr) -> Loose<'a> {
     debug_assert!(is_subattr(x, n), "to_loose requires x ≤ n");
     if x.is_bottom() {
         return Loose::Lambda;
     }
     match (x, n) {
-        (NestedAttr::Flat(a), _) => Loose::Flat(a.clone()),
+        (NestedAttr::Flat(a), _) => Loose::Flat(a),
         (NestedAttr::Record(l, xcs), NestedAttr::Record(_, ncs)) => {
             let kept: Vec<Loose> = xcs
                 .iter()
@@ -101,13 +106,13 @@ pub fn to_loose(x: &NestedAttr, n: &NestedAttr) -> Loose {
                 .filter(|(xc, nc)| **xc != nc.bottom())
                 .map(|(xc, nc)| to_loose(xc, nc))
                 .collect();
-            Loose::Record(l.clone(), kept)
+            Loose::Record(l, kept)
         }
         (NestedAttr::List(l, xi), NestedAttr::List(_, ni)) => {
             if **xi == ni.bottom() {
-                Loose::List(l.clone(), Box::new(Loose::Lambda))
+                Loose::List(l, Box::new(Loose::Lambda))
             } else {
-                Loose::List(l.clone(), Box::new(to_loose(xi, ni)))
+                Loose::List(l, Box::new(to_loose(xi, ni)))
             }
         }
         _ => unreachable!("x ≤ n guarantees matching shapes for non-bottom x"),
@@ -116,8 +121,8 @@ pub fn to_loose(x: &NestedAttr, n: &NestedAttr) -> Loose {
 
 /// Counts the subattributes of `n` whose abbreviated form matches `d`
 /// (saturating at `u64::MAX`).
-pub fn count_resolutions(d: &Loose, n: &NestedAttr) -> u64 {
-    count_into(d, n, &mut Tape::default()).0
+pub fn count_resolutions(d: &Loose<'_>, n: &NestedAttr) -> u64 {
+    count_into(d, n, &mut Tape::new()).0
 }
 
 /// Resolves `d` against `n` with one counting pass and one walk down the
@@ -135,15 +140,66 @@ pub fn count_resolutions(d: &Loose, n: &NestedAttr) -> u64 {
 /// use nalist_types::parser::parse_attr;
 ///
 /// let n = parse_attr("L(A, A)").unwrap();
-/// let d = Loose::Record("L".into(), vec![Loose::Flat("A".into())]);
+/// let d = Loose::Record("L", vec![Loose::Flat("A")]);
 /// let (count, first) = first_resolution(&d, &n);
 /// assert_eq!(count, 2);
 /// assert_eq!(first.unwrap().to_string(), "L(A, λ)");
 /// ```
-pub fn first_resolution(d: &Loose, n: &NestedAttr) -> (u64, Option<NestedAttr>) {
-    let mut tape = Tape::default();
-    let (count, at) = count_into(d, n, &mut tape);
-    let first = (count > 0).then(|| first_on_path(d, n, &tape.paths, at));
+pub fn first_resolution(d: &Loose<'_>, n: &NestedAttr) -> (u64, Option<NestedAttr>) {
+    resolve_with(&mut Tape::new(), d, n, |paths, at| {
+        first_on_path(d, n, paths, at)
+    })
+}
+
+/// [`first_resolution`] with the atom emitter: returns the same count
+/// and, when it is non-zero, hands `atom` the atoms of `SubB` of the
+/// first resolution — one per flat and list node it keeps, numbered in
+/// pre-order of `n` as `nalist_algebra` numbers them — in ascending
+/// order, without building the tree.
+///
+/// ```
+/// use nalist_types::display::{first_resolution_atoms, Loose};
+/// use nalist_types::parser::parse_attr;
+///
+/// // atoms of A'(B, C[D(E, F[G])]): B 0, C 1, E 2, F 3, G 4
+/// let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
+/// let d = Loose::Record("A'", vec![Loose::List("C", Box::new(Loose::Record(
+///     "D", vec![Loose::List("F", Box::new(Loose::Lambda))],
+/// )))]);
+/// let mut atoms = Vec::new();
+/// assert_eq!(first_resolution_atoms(&d, &n, |a| atoms.push(a)), 1);
+/// assert_eq!(atoms, [1, 3]);
+/// ```
+pub fn first_resolution_atoms(d: &Loose<'_>, n: &NestedAttr, atom: impl FnMut(usize)) -> u64 {
+    first_resolution_atoms_in(&mut Tape::new(), d, n, atom)
+}
+
+/// [`first_resolution_atoms`] in the working memory `tape`, which one
+/// caller can lend to several terms in turn.
+pub(crate) fn first_resolution_atoms_in(
+    tape: &mut Tape,
+    d: &Loose<'_>,
+    n: &NestedAttr,
+    mut atom: impl FnMut(usize),
+) -> u64 {
+    let (count, _) = resolve_with(tape, d, n, |paths, at| {
+        atoms_on_path(d, n, paths, at, &mut 0, &mut atom);
+    });
+    count
+}
+
+/// The counting pass, then `emit` on the paths it recorded when the
+/// count is non-zero: the one place a term is decided, whichever form
+/// its resolution is emitted in. Leaves `tape` empty.
+fn resolve_with<T>(
+    tape: &mut Tape,
+    d: &Loose<'_>,
+    n: &NestedAttr,
+    emit: impl FnOnce(&[usize], usize) -> T,
+) -> (u64, Option<T>) {
+    let (count, at) = count_into(d, n, tape);
+    let first = (count > 0).then(|| emit(&tape.paths, at));
+    tape.paths.clear();
     (count, first)
 }
 
@@ -152,8 +208,7 @@ pub fn first_resolution(d: &Loose, n: &NestedAttr) -> (u64, Option<NestedAttr>) 
 const LEAF: usize = usize::MAX;
 
 /// Working memory of the counting pass.
-#[derive(Default)]
-struct Tape {
+pub(crate) struct Tape {
     /// The assignment tables of the record pairs being counted, as a
     /// stack: a pair pushes its table, its components push theirs above
     /// it, and each pops its own before returning.
@@ -174,6 +229,17 @@ struct Cell {
     count: u64,
     /// Where that pair's first path is recorded.
     path: usize,
+}
+
+impl Tape {
+    /// Room for the tables and paths of a few nested records, so that
+    /// most terms are counted without growing either.
+    pub(crate) fn new() -> Self {
+        Tape {
+            tables: Vec::with_capacity(64),
+            paths: Vec::with_capacity(32),
+        }
+    }
 }
 
 /// A record pair's assignment table of `m` loose over `k` context
@@ -200,10 +266,10 @@ impl Table<'_> {
 /// returns its saturating resolution count plus the offset of its first
 /// path in `tape.paths` ([`LEAF`] when it records none; a list pair
 /// shares its content's path).
-fn count_into(d: &Loose, n: &NestedAttr, tape: &mut Tape) -> (u64, usize) {
+fn count_into(d: &Loose<'_>, n: &NestedAttr, tape: &mut Tape) -> (u64, usize) {
     match (d, n) {
         (Loose::Lambda, _) => (1, LEAF), // resolves to bottom(n)
-        (Loose::Flat(a), NestedAttr::Flat(b)) => (u64::from(a == b), LEAF),
+        (Loose::Flat(a), NestedAttr::Flat(b)) => (u64::from(*a == b), LEAF),
         (Loose::Record(l, ds), NestedAttr::Record(k, ns)) if l == k && ds.len() <= ns.len() => {
             let (at, w) = push_table(ds, ns, tape);
             let table = Table {
@@ -238,7 +304,7 @@ fn count_into(d: &Loose, n: &NestedAttr, tape: &mut Tape) -> (u64, usize) {
 /// A component pair is counted only where `f[i+1][j+1] > 0`, and one
 /// without resolutions gives back the paths it recorded, so the paths
 /// kept are those of pairs that can lie on an assignment.
-fn push_table(ds: &[Loose], ns: &[NestedAttr], tape: &mut Tape) -> (usize, usize) {
+fn push_table(ds: &[Loose<'_>], ns: &[NestedAttr], tape: &mut Tape) -> (usize, usize) {
     let (m, w) = (ds.len(), ns.len() - ds.len() + 1);
     let at = tape.tables.len();
     tape.tables.resize(at + (m + 1) * w, Cell::default());
@@ -272,15 +338,12 @@ fn push_table(ds: &[Loose], ns: &[NestedAttr], tape: &mut Tape) -> (usize, usize
 
 /// Builds the first resolution of a pair with a non-zero count from the
 /// paths the counting pass recorded.
-fn first_on_path(d: &Loose, n: &NestedAttr, paths: &[usize], at: usize) -> NestedAttr {
+fn first_on_path(d: &Loose<'_>, n: &NestedAttr, paths: &[usize], at: usize) -> NestedAttr {
     match (d, n) {
         (Loose::Lambda, _) => n.bottom(),
         (Loose::Flat(_), _) => n.clone(),
-        (Loose::Record(l, ds), NestedAttr::Record(_, ns)) => {
-            let mut matched = paths[at..at + 2 * ds.len()]
-                .chunks_exact(2)
-                .zip(ds)
-                .peekable();
+        (Loose::Record(_, ds), NestedAttr::Record(l, ns)) => {
+            let mut matched = matches_on_path(ds, paths, at);
             let components = ns
                 .iter()
                 .enumerate()
@@ -291,23 +354,73 @@ fn first_on_path(d: &Loose, n: &NestedAttr, paths: &[usize], at: usize) -> Neste
                 .collect();
             NestedAttr::Record(l.clone(), components)
         }
-        (Loose::List(l, di), NestedAttr::List(_, ni)) => {
+        (Loose::List(_, di), NestedAttr::List(l, ni)) => {
             NestedAttr::List(l.clone(), Box::new(first_on_path(di, ni, paths, at)))
         }
         _ => unreachable!("only pairs with a resolution are walked"),
     }
 }
 
+/// The atom emitter: walks `n` in pre-order along the same path as
+/// [`first_on_path`], with `next` the first atom of `n`. A kept flat or
+/// list takes the next atom; a subtree the resolution leaves at bottom
+/// advances `next` past its atoms. So `atom` sees exactly the atoms
+/// `SubB` of the tree [`first_on_path`] builds, in ascending order.
+fn atoms_on_path(
+    d: &Loose<'_>,
+    n: &NestedAttr,
+    paths: &[usize],
+    at: usize,
+    next: &mut usize,
+    atom: &mut impl FnMut(usize),
+) {
+    match (d, n) {
+        (Loose::Lambda, _) => *next += n.basis_size(),
+        (Loose::Flat(_), _) => {
+            atom(*next);
+            *next += 1;
+        }
+        (Loose::Record(_, ds), NestedAttr::Record(_, ns)) => {
+            let mut matched = matches_on_path(ds, paths, at);
+            for (j, nj) in ns.iter().enumerate() {
+                match matched.next_if(|(step, _)| step[0] == j) {
+                    Some((step, di)) => atoms_on_path(di, nj, paths, step[1], next, atom),
+                    None => *next += nj.basis_size(),
+                }
+            }
+        }
+        (Loose::List(_, di), NestedAttr::List(_, ni)) => {
+            atom(*next);
+            *next += 1;
+            atoms_on_path(di, ni, paths, at, next, atom);
+        }
+        _ => unreachable!("only pairs with a resolution are walked"),
+    }
+}
+
+/// A record pair's first path as `([context position, path offset],
+/// loose component)` steps, in order.
+fn matches_on_path<'p, 'd, 'a>(
+    ds: &'d [Loose<'a>],
+    paths: &'p [usize],
+    at: usize,
+) -> Peekable<impl Iterator<Item = (&'p [usize], &'d Loose<'a>)>> {
+    paths[at..at + 2 * ds.len()]
+        .chunks_exact(2)
+        .zip(ds)
+        .peekable()
+}
+
 /// All subattributes of `n` matching the loose form `d`, in deterministic
 /// order. The reference enumeration behind [`first_resolution`]; bounded
 /// callers only (the count can be exponential for adversarial inputs —
 /// use [`count_resolutions`] first).
-pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
+pub fn resolutions(d: &Loose<'_>, n: &NestedAttr) -> Vec<NestedAttr> {
     match (d, n) {
         (Loose::Lambda, _) => vec![n.bottom()],
-        (Loose::Flat(a), NestedAttr::Flat(b)) if a == b => vec![n.clone()],
+        (Loose::Flat(a), NestedAttr::Flat(b)) if *a == b => vec![n.clone()],
         (Loose::Record(l, ds), NestedAttr::Record(k, ncs)) if l == k && ds.len() <= ncs.len() => {
-            let mut tape = Tape::default();
+            let mut tape = Tape::new();
             let (at, w) = push_table(ds, ncs, &mut tape);
             let ways = Table {
                 cells: &tape.tables[at..],
@@ -316,12 +429,12 @@ pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
             let mut out = Vec::new();
             assign(ds, ncs, 0, 0, &ways, &mut Vec::new(), &mut out);
             out.into_iter()
-                .map(|components| NestedAttr::Record(l.clone(), components))
+                .map(|components| NestedAttr::Record(k.clone(), components))
                 .collect()
         }
         (Loose::List(l, di), NestedAttr::List(k, ni)) if l == k => resolutions(di, ni)
             .into_iter()
-            .map(|inner| NestedAttr::List(l.clone(), Box::new(inner)))
+            .map(|inner| NestedAttr::List(k.clone(), Box::new(inner)))
             .collect(),
         _ => Vec::new(),
     }
@@ -333,7 +446,7 @@ pub fn resolutions(d: &Loose, n: &NestedAttr) -> Vec<NestedAttr> {
 /// canonical rendering of a 200-component record, where every prefix of
 /// λs embeds everywhere).
 fn assign(
-    ds: &[Loose],
+    ds: &[Loose<'_>],
     ns: &[NestedAttr],
     i: usize,
     j: usize,
@@ -368,13 +481,13 @@ fn assign(
 /// Abbreviated loose form of `x ≤ n` that is guaranteed to resolve
 /// uniquely: where maximal omission would be ambiguous (the paper's
 /// `L(A, A)` case), the record is printed with all components explicit.
-pub fn loose_unambiguous(x: &NestedAttr, n: &NestedAttr) -> Loose {
+pub fn loose_unambiguous<'a>(x: &'a NestedAttr, n: &NestedAttr) -> Loose<'a> {
     debug_assert!(is_subattr(x, n), "loose_unambiguous requires x ≤ n");
     if x.is_bottom() {
         return Loose::Lambda;
     }
     match (x, n) {
-        (NestedAttr::Flat(a), _) => Loose::Flat(a.clone()),
+        (NestedAttr::Flat(a), _) => Loose::Flat(a),
         (NestedAttr::Record(l, xcs), NestedAttr::Record(_, ncs)) => {
             let kept: Vec<Loose> = xcs
                 .iter()
@@ -382,7 +495,7 @@ pub fn loose_unambiguous(x: &NestedAttr, n: &NestedAttr) -> Loose {
                 .filter(|(xc, nc)| **xc != nc.bottom())
                 .map(|(xc, nc)| loose_unambiguous(xc, nc))
                 .collect();
-            let candidate = Loose::Record(l.clone(), kept);
+            let candidate = Loose::Record(l, kept);
             if count_resolutions(&candidate, n) == 1 {
                 candidate
             } else {
@@ -398,14 +511,14 @@ pub fn loose_unambiguous(x: &NestedAttr, n: &NestedAttr) -> Loose {
                         }
                     })
                     .collect();
-                Loose::Record(l.clone(), explicit)
+                Loose::Record(l, explicit)
             }
         }
         (NestedAttr::List(l, xi), NestedAttr::List(_, ni)) => {
             if **xi == ni.bottom() {
-                Loose::List(l.clone(), Box::new(Loose::Lambda))
+                Loose::List(l, Box::new(Loose::Lambda))
             } else {
-                Loose::List(l.clone(), Box::new(loose_unambiguous(xi, ni)))
+                Loose::List(l, Box::new(loose_unambiguous(xi, ni)))
             }
         }
         _ => unreachable!("x ≤ n guarantees matching shapes for non-bottom x"),
@@ -526,7 +639,7 @@ mod tests {
     #[test]
     fn count_resolutions_detects_ambiguity() {
         let n = rec("L", vec![A::flat("A"), A::flat("A")]);
-        let d = Loose::Record("L".into(), vec![Loose::Flat("A".into())]);
+        let d = Loose::Record("L", vec![Loose::Flat("A")]);
         assert_eq!(count_resolutions(&d, &n), 2);
         let rs = resolutions(&d, &n);
         assert_eq!(rs.len(), 2);
@@ -540,16 +653,17 @@ mod tests {
         // backtracking wanders through exponentially many λ-prefix
         // embeddings that all die at the right edge
         let n = rec("W", (0..200).map(|i| A::flat(format!("A{i}"))).collect());
+        let names: Vec<String> = (0..200).map(|i| format!("A{i}")).collect();
         let ds: Vec<Loose> = (0..200)
             .map(|i| {
                 if i == 7 || i == 193 {
-                    Loose::Flat(format!("A{i}"))
+                    Loose::Flat(&names[i])
                 } else {
                     Loose::Lambda
                 }
             })
             .collect();
-        let d = Loose::Record("W".into(), ds);
+        let d = Loose::Record("W", ds);
         assert_eq!(count_resolutions(&d, &n), 1);
         let rs = resolutions(&d, &n);
         assert_eq!(rs.len(), 1);
@@ -601,7 +715,7 @@ mod tests {
 
     #[test]
     fn no_match_counts_zero() {
-        let d = Loose::Flat("Z".into());
+        let d = Loose::Flat("Z");
         assert_eq!(count_resolutions(&d, &A::flat("A")), 0);
         assert!(resolutions(&d, &A::flat("A")).is_empty());
     }

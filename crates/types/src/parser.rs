@@ -13,12 +13,16 @@
 //!   rejected with [`ParseError::Ambiguous`].
 //! * **Dependencies** ([`parse_dependency_of`]): `X -> Y` (FD) and
 //!   `X ->> Y` (MVD), with `→` and `↠` accepted as well.
+//!   [`parse_dependency_atoms_with`] runs the same resolution but emits
+//!   each side as the atoms of `SubB` instead of as a tree.
 //! * **Values** ([`parse_value`]): `ok`, integers, booleans, bare or
 //!   quoted strings, tuples `( … )` and lists `[ … ]`, e.g. the paper's
 //!   `(Sven, [(Lübzer, Deanos), (Kindl, Highflyers)])`.
 
 use crate::attr::NestedAttr;
-use crate::display::{first_resolution, Loose};
+use crate::display::{
+    first_resolution, first_resolution_atoms, first_resolution_atoms_in, Loose, Tape,
+};
 use crate::error::ParseError;
 use crate::span::Span;
 use crate::value::Value;
@@ -108,13 +112,27 @@ impl<'a> Cursor<'a> {
         &self.src[self.pos..]
     }
 
+    /// Skips whitespace (`char::is_whitespace`), ASCII a byte at a time.
     fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.src.len() - trimmed.len();
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'\t'..=b'\r' | b' ' => self.pos += 1,
+                0x80.. => {
+                    let trimmed = self.rest().trim_start();
+                    self.pos = self.src.len() - trimmed.len();
+                    return;
+                }
+                _ => return,
+            }
+        }
     }
 
     fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+        match self.src.as_bytes().get(self.pos) {
+            Some(&b) if b.is_ascii() => Some(char::from(b)),
+            _ => self.rest().chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -155,14 +173,27 @@ impl<'a> Cursor<'a> {
     }
 
     /// An identifier (a run of alphanumerics, `_`, `'`, `-`, `.`)
-    /// together with its byte span.
+    /// together with its byte span. A `-` followed by `>` is not part of
+    /// it: it begins an arrow, so `A->B` reads `A`, `->`, `B`, while
+    /// `A-B` stays one name.
     fn ident_spanned(&mut self) -> Result<(&'a str, Span), ParseError> {
         self.skip_ws();
         let start = self.pos;
-        let rest = self.rest();
-        self.pos += rest
-            .find(|c: char| !(c.is_alphanumeric() || matches!(c, '_' | '\'' | '-' | '.')))
-            .unwrap_or(rest.len());
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if b.is_ascii() {
+                let ident = b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'-' | b'.');
+                if !ident || (b == b'-' && bytes.get(self.pos + 1) == Some(&b'>')) {
+                    break;
+                }
+                self.pos += 1;
+            } else {
+                match self.peek() {
+                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
+                    _ => break,
+                }
+            }
+        }
         if self.pos == start {
             Err(self.unexpected("identifier"))
         } else {
@@ -190,22 +221,23 @@ fn is_lambda_name(s: &str) -> bool {
 /// source order). The ident list is what powers did-you-mean diagnostics
 /// — an unresolvable path can be blamed on the exact unknown token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedLoose {
+pub struct SpannedLoose<'a> {
     /// The parsed term.
-    pub node: Loose,
+    pub node: Loose<'a>,
     /// Byte span of the whole term.
     pub span: Span,
     /// Every identifier in the term with its span, in source order
     /// (`λ` / `lambda` are not identifiers and are not recorded).
-    pub idents: Vec<(String, Span)>,
+    pub idents: Vec<(&'a str, Span)>,
 }
 
 /// Parses one loose term, pushing its identifiers onto `idents` when
 /// given (only diagnostics read them, so resolution paths pass `None`).
-fn parse_loose_spanned_inner(
-    cur: &mut Cursor<'_>,
-    mut idents: Option<&mut Vec<(String, Span)>>,
-) -> Result<(Loose, Span), ParseError> {
+/// Names are borrowed from the text, so no identifier is copied.
+fn parse_loose_spanned_inner<'a>(
+    cur: &mut Cursor<'a>,
+    mut idents: Option<&mut Vec<(&'a str, Span)>>,
+) -> Result<(Loose<'a>, Span), ParseError> {
     cur.skip_ws();
     let start = cur.pos;
     if cur.peek() == Some('λ') {
@@ -217,7 +249,7 @@ fn parse_loose_spanned_inner(
         return Ok((Loose::Lambda, name_span));
     }
     if let Some(ids) = idents.as_deref_mut() {
-        ids.push((name.to_owned(), name_span));
+        ids.push((name, name_span));
     }
     cur.skip_ws();
     match cur.peek() {
@@ -236,7 +268,7 @@ fn parse_loose_spanned_inner(
             }
             cur.ascend();
             Ok((
-                Loose::Record(name.to_owned(), components),
+                Loose::Record(name, components),
                 Span::new(name_span.start, cur.pos),
             ))
         }
@@ -247,22 +279,22 @@ fn parse_loose_spanned_inner(
             cur.expect(']')?;
             cur.ascend();
             Ok((
-                Loose::List(name.to_owned(), Box::new(inner)),
+                Loose::List(name, Box::new(inner)),
                 Span::new(name_span.start, cur.pos),
             ))
         }
-        _ => Ok((Loose::Flat(name.to_owned()), name_span)),
+        _ => Ok((Loose::Flat(name), name_span)),
     }
 }
 
 /// Parses a loose (possibly abbreviated) attribute term without resolving
 /// it against a context.
-pub fn parse_loose(src: &str) -> Result<Loose, ParseError> {
+pub fn parse_loose(src: &str) -> Result<Loose<'_>, ParseError> {
     parse_loose_spanned(src).map(|s| s.node)
 }
 
 /// [`parse_loose`] with explicit [`ParseLimits`].
-pub fn parse_loose_with(src: &str, limits: ParseLimits) -> Result<Loose, ParseError> {
+pub fn parse_loose_with(src: &str, limits: ParseLimits) -> Result<Loose<'_>, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let (node, _) = parse_loose_spanned_inner(&mut cur, None)?;
     cur.done()?;
@@ -277,10 +309,10 @@ pub fn parse_loose_with(src: &str, limits: ParseLimits) -> Result<Loose, ParseEr
 ///
 /// let s = parse_loose_spanned("  L1(A, L2[λ])").unwrap();
 /// assert_eq!(s.span.text("  L1(A, L2[λ])"), "L1(A, L2[λ])");
-/// let names: Vec<&str> = s.idents.iter().map(|(n, _)| n.as_str()).collect();
+/// let names: Vec<&str> = s.idents.iter().map(|(n, _)| *n).collect();
 /// assert_eq!(names, ["L1", "A", "L2"]);
 /// ```
-pub fn parse_loose_spanned(src: &str) -> Result<SpannedLoose, ParseError> {
+pub fn parse_loose_spanned(src: &str) -> Result<SpannedLoose<'_>, ParseError> {
     parse_loose_spanned_with(src, ParseLimits::default())
 }
 
@@ -288,7 +320,7 @@ pub fn parse_loose_spanned(src: &str) -> Result<SpannedLoose, ParseError> {
 pub fn parse_loose_spanned_with(
     src: &str,
     limits: ParseLimits,
-) -> Result<SpannedLoose, ParseError> {
+) -> Result<SpannedLoose<'_>, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let mut idents = Vec::new();
     let (node, span) = parse_loose_spanned_inner(&mut cur, Some(&mut idents))?;
@@ -296,18 +328,18 @@ pub fn parse_loose_spanned_with(
     Ok(SpannedLoose { node, span, idents })
 }
 
-fn loose_to_attr(d: &Loose) -> Result<NestedAttr, ParseError> {
+fn loose_to_attr(d: &Loose<'_>) -> Result<NestedAttr, ParseError> {
     match d {
         Loose::Lambda => Ok(NestedAttr::Null),
-        Loose::Flat(a) => Ok(NestedAttr::Flat(a.clone())),
+        Loose::Flat(a) => Ok(NestedAttr::flat(*a)),
         Loose::Record(l, ds) => {
             let children = ds
                 .iter()
                 .map(loose_to_attr)
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(NestedAttr::Record(l.clone(), children))
+            Ok(NestedAttr::Record((*l).to_owned(), children))
         }
-        Loose::List(l, di) => Ok(NestedAttr::List(l.clone(), Box::new(loose_to_attr(di)?))),
+        Loose::List(l, di) => Ok(NestedAttr::list(*l, loose_to_attr(di)?)),
     }
 }
 
@@ -356,18 +388,42 @@ pub fn parse_subattr_of_with(
 
 /// Resolves an already-parsed loose term against `n` (one pass; see
 /// [`first_resolution`]).
-pub fn resolve_loose(n: &NestedAttr, d: &Loose, src: &str) -> Result<NestedAttr, ParseError> {
+pub fn resolve_loose(n: &NestedAttr, d: &Loose<'_>, src: &str) -> Result<NestedAttr, ParseError> {
     match first_resolution(d, n) {
         (1, Some(x)) => Ok(x),
-        (0, _) => Err(ParseError::NoMatch {
+        (count, _) => Err(unresolved(n, src, count)),
+    }
+}
+
+/// [`resolve_loose`] with the atom emitter: on success `atom` has been
+/// handed the atoms of `SubB` of the resolution, in ascending order
+/// ([`first_resolution_atoms`]), and the error for every other outcome
+/// is the one [`resolve_loose`] returns.
+pub fn resolve_loose_atoms(
+    n: &NestedAttr,
+    d: &Loose<'_>,
+    src: &str,
+    atom: impl FnMut(usize),
+) -> Result<(), ParseError> {
+    match first_resolution_atoms(d, n, atom) {
+        1 => Ok(()),
+        count => Err(unresolved(n, src, count)),
+    }
+}
+
+/// The error for a term of `src` with `count` ≠ 1 resolutions in `n`.
+fn unresolved(n: &NestedAttr, src: &str, count: u64) -> ParseError {
+    if count == 0 {
+        ParseError::NoMatch {
             input: src.to_owned(),
             context: n.to_string(),
-        }),
-        (c, _) => Err(ParseError::Ambiguous {
+        }
+    } else {
+        ParseError::Ambiguous {
             input: src.to_owned(),
             context: n.to_string(),
-            count: c as usize,
-        }),
+            count: count as usize,
+        }
     }
 }
 
@@ -398,14 +454,64 @@ pub fn parse_dependency_of_with(
     src: &str,
     limits: ParseLimits,
 ) -> Result<(DepKind, NestedAttr, NestedAttr), ParseError> {
+    let (kind, lhs, rhs) = parse_dependency_loose_with(src, limits)?;
+    let x = resolve_loose(n, &lhs, src)?;
+    let y = resolve_loose(n, &rhs, src)?;
+    Ok((kind, x, y))
+}
+
+/// [`parse_dependency_of_with`] with the atom emitter: the same kind,
+/// `lhs` and `rhs` handed the atoms of `SubB` of the two sides in
+/// ascending order ([`first_resolution_atoms`]), and the same error for
+/// every text it rejects. No tree is built, names are borrowed from
+/// `src`, and one working memory serves both sides.
+///
+/// ```
+/// use nalist_types::parser::{parse_attr, parse_dependency_atoms_with, DepKind, ParseLimits};
+///
+/// // atoms of A'(B, C[D(E, F[G])]): B 0, C 1, E 2, F 3, G 4
+/// let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
+/// let (mut x, mut y) = (Vec::new(), Vec::new());
+/// let kind = parse_dependency_atoms_with(
+///     &n, "A'(B)->>A'(C[D(E)])", ParseLimits::default(), |a| x.push(a), |a| y.push(a),
+/// );
+/// assert_eq!(kind, Ok(DepKind::Mvd));
+/// assert_eq!((x, y), (vec![0], vec![1, 2]));
+/// ```
+pub fn parse_dependency_atoms_with(
+    n: &NestedAttr,
+    src: &str,
+    limits: ParseLimits,
+    lhs: impl FnMut(usize),
+    rhs: impl FnMut(usize),
+) -> Result<DepKind, ParseError> {
+    let (kind, x, y) = parse_dependency_loose_with(src, limits)?;
+    let mut tape = Tape::new();
+    match first_resolution_atoms_in(&mut tape, &x, n, lhs) {
+        1 => {}
+        count => return Err(unresolved(n, src, count)),
+    }
+    match first_resolution_atoms_in(&mut tape, &y, n, rhs) {
+        1 => Ok(kind),
+        count => Err(unresolved(n, src, count)),
+    }
+}
+
+/// Reads a dependency text into its kind and its two loose sides, whose
+/// names borrow from `src`, without resolving them: the syntax half of
+/// [`parse_dependency_of_with`] and [`parse_dependency_atoms_with`],
+/// which then resolve the left side and then the right, each against
+/// the whole text `src`.
+fn parse_dependency_loose_with(
+    src: &str,
+    limits: ParseLimits,
+) -> Result<(DepKind, Loose<'_>, Loose<'_>), ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let (lhs, _) = parse_loose_spanned_inner(&mut cur, None)?;
     let (kind, _) = parse_arrow(&mut cur)?;
     let (rhs, _) = parse_loose_spanned_inner(&mut cur, None)?;
     cur.done()?;
-    let x = resolve_loose(n, &lhs, src)?;
-    let y = resolve_loose(n, &rhs, src)?;
-    Ok((kind, x, y))
+    Ok((kind, lhs, rhs))
 }
 
 /// A parsed but *unresolved* dependency with full span information: the
@@ -414,18 +520,18 @@ pub fn parse_dependency_of_with(
 /// attribute is left to the caller (see [`resolve_loose`]) so that
 /// resolution failures can be reported with precise source locations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedDependency {
+pub struct SpannedDependency<'a> {
     /// FD or MVD.
     pub kind: DepKind,
     /// Byte span of the arrow token (`->`, `->>`, `→`, `↠`).
     pub arrow: Span,
     /// Left-hand side with spans.
-    pub lhs: SpannedLoose,
+    pub lhs: SpannedLoose<'a>,
     /// Right-hand side with spans.
-    pub rhs: SpannedLoose,
+    pub rhs: SpannedLoose<'a>,
 }
 
-impl SpannedDependency {
+impl SpannedDependency<'_> {
     /// The span of the whole dependency text (LHS through RHS).
     pub fn span(&self) -> Span {
         self.lhs.span.to(self.rhs.span)
@@ -445,7 +551,7 @@ impl SpannedDependency {
 /// assert_eq!(d.lhs.span.text(src), "L(A)");
 /// assert_eq!(d.rhs.span.text(src), "L(B, C[λ])");
 /// ```
-pub fn parse_dependency_spanned(src: &str) -> Result<SpannedDependency, ParseError> {
+pub fn parse_dependency_spanned(src: &str) -> Result<SpannedDependency<'_>, ParseError> {
     parse_dependency_spanned_with(src, ParseLimits::default())
 }
 
@@ -453,7 +559,7 @@ pub fn parse_dependency_spanned(src: &str) -> Result<SpannedDependency, ParseErr
 pub fn parse_dependency_spanned_with(
     src: &str,
     limits: ParseLimits,
-) -> Result<SpannedDependency, ParseError> {
+) -> Result<SpannedDependency<'_>, ParseError> {
     let mut cur = Cursor::with_limits(src, limits);
     let mut lhs_idents = Vec::new();
     let (lhs_node, lhs_span) = parse_loose_spanned_inner(&mut cur, Some(&mut lhs_idents))?;
@@ -685,6 +791,42 @@ mod tests {
     }
 
     #[test]
+    fn arrow_right_after_a_flat_name_is_an_arrow() {
+        let a = parse_attr("A").unwrap();
+        for (src, kind, arrow) in [
+            ("A->A", DepKind::Fd, (1, 3)),
+            ("A->>A", DepKind::Mvd, (1, 4)),
+        ] {
+            let d = parse_dependency_spanned(src).unwrap();
+            assert_eq!((d.kind, d.arrow), (kind, Span::new(arrow.0, arrow.1)));
+            assert_eq!(d.lhs.node, Loose::Flat("A"));
+            assert_eq!(d.rhs.node, Loose::Flat("A"));
+            assert_eq!(
+                parse_dependency_of(&a, src).unwrap(),
+                (kind, a.clone(), a.clone())
+            );
+        }
+        // an inner `-` stays part of the name
+        let ab = parse_attr("A-B").unwrap();
+        assert_eq!(ab, A::flat("A-B"));
+        let src = "A-B->A-B";
+        let d = parse_dependency_spanned(src).unwrap();
+        assert_eq!(d.arrow, Span::new(3, 5));
+        assert_eq!(d.arrow.text(src), "->");
+        assert_eq!((d.lhs.span.text(src), d.rhs.span.text(src)), ("A-B", "A-B"));
+        assert_eq!(
+            parse_dependency_of(&ab, src).unwrap(),
+            (DepKind::Fd, ab.clone(), ab.clone())
+        );
+        // a `-` that does not begin an arrow is still a name character
+        assert_eq!(parse_loose("A--").unwrap(), Loose::Flat("A--"));
+        assert_eq!(
+            parse_dependency_spanned("A-->B").unwrap().lhs.node,
+            Loose::Flat("A-")
+        );
+    }
+
+    #[test]
     fn parse_value_notation() {
         let v = parse_value("(Sven, [(Lübzer, Deanos), (Kindl, Highflyers)])").unwrap();
         assert_eq!(
@@ -745,13 +887,13 @@ mod tests {
         assert_eq!(d.arrow.text(src), "->>");
         assert_eq!(d.rhs.span.text(src), "Pubcrawl(Visit[Drink(Pub)])");
         assert_eq!(d.span().text(src), src);
-        let lhs_names: Vec<&str> = d.lhs.idents.iter().map(|(n, _)| n.as_str()).collect();
+        let lhs_names: Vec<&str> = d.lhs.idents.iter().map(|(n, _)| *n).collect();
         assert_eq!(lhs_names, ["Pubcrawl", "Person"]);
-        let rhs_names: Vec<&str> = d.rhs.idents.iter().map(|(n, _)| n.as_str()).collect();
+        let rhs_names: Vec<&str> = d.rhs.idents.iter().map(|(n, _)| *n).collect();
         assert_eq!(rhs_names, ["Pubcrawl", "Visit", "Drink", "Pub"]);
         // every ident span slices back to its own text
         for (name, span) in d.lhs.idents.iter().chain(&d.rhs.idents) {
-            assert_eq!(span.text(src), name);
+            assert_eq!(span.text(src), *name);
         }
     }
 
@@ -849,7 +991,7 @@ mod tests {
         let src = " L1(A, L2[L3(B)]) ";
         let s = parse_loose_spanned(src).unwrap();
         assert_eq!(s.span.text(src), "L1(A, L2[L3(B)])");
-        let names: Vec<&str> = s.idents.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = s.idents.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["L1", "A", "L2", "L3", "B"]);
     }
 }

@@ -535,29 +535,29 @@ fn renderer_oracle_takes_the_fallback() {
     assert!(fallbacks > 0);
 }
 
-fn pick(rng: &mut StdRng, pool: &[&str]) -> String {
-    pool[rng.gen_range(0..pool.len())].to_owned()
+fn pick(rng: &mut StdRng, pool: &[&'static str]) -> &'static str {
+    pool[rng.gen_range(0..pool.len())]
 }
 
 /// A random loose term shaped mostly like `n`: λs, subsequences of record
 /// components, and now and then a name, label or extra component that
 /// does not fit.
-fn loose_near(rng: &mut StdRng, n: &NestedAttr) -> Loose {
+fn loose_near<'a>(rng: &mut StdRng, n: &'a NestedAttr) -> Loose<'a> {
     match rng.gen_range(0..12) {
         0 => return Loose::Lambda,
         1 => return Loose::Flat(pick(rng, &REPEATED_NAMES)),
         _ => {}
     }
-    let label = |rng: &mut StdRng, l: &str| {
+    let label = |rng: &mut StdRng, l: &'a str| {
         if rng.gen_bool(0.9) {
-            l.to_owned()
+            l
         } else {
             pick(rng, &REPEATED_LABELS)
         }
     };
     match n {
         NestedAttr::Null => Loose::Lambda,
-        NestedAttr::Flat(a) => Loose::Flat(a.clone()),
+        NestedAttr::Flat(a) => Loose::Flat(a),
         NestedAttr::List(l, inner) => Loose::List(label(rng, l), Box::new(loose_near(rng, inner))),
         NestedAttr::Record(l, cs) => {
             let mut kept = Vec::new();
@@ -586,12 +586,33 @@ enum Resolved {
 
 /// `resolve_loose` (one counting pass plus one DP walk) against the
 /// reference pair `count_resolutions` + `resolutions`; small counts are
-/// also enumerated in full, which checks the count independently.
+/// also enumerated in full, which checks the count independently. The
+/// atom emitter runs on every case too: on success its set is
+/// `from_attr` of the tree, on failure its error is the tree path's, and
+/// the first resolution's atoms are those of the first enumerated one.
 fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, TestCaseError> {
-    use nalist::types::display::{count_resolutions, first_resolution, resolutions};
+    use nalist::types::display::{
+        count_resolutions, first_resolution, first_resolution_atoms, resolutions,
+    };
+    use nalist::types::parser::resolve_loose_atoms;
     let src = d.to_string();
     let count = count_resolutions(d, n);
     let got = nalist::types::parser::resolve_loose(n, d, &src);
+    let alg = Algebra::new(n);
+    let tree_set = got
+        .clone()
+        .map(|x| alg.from_attr(&x).expect("resolutions are ≤ N"));
+    let mut set = AtomSet::empty(alg.atom_count());
+    let emitted = resolve_loose_atoms(n, d, &src, |a| set.insert(a)).map(|()| set);
+    prop_assert_eq!(&emitted, &tree_set, "{} in {}", src, n);
+    let limits = ParseLimits::default();
+    prop_assert_eq!(
+        alg.parse_subattr(&src, limits),
+        tree_set,
+        "{} in {}",
+        src,
+        n
+    );
     let class = match count {
         0 => {
             prop_assert!(
@@ -622,6 +643,12 @@ fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, Te
         let all = resolutions(d, n);
         prop_assert_eq!(all.len() as u64, count, "{} in {}", src, n);
         prop_assert_eq!(first_resolution(d, n), (count, all.first().cloned()));
+        let mut atoms = Vec::new();
+        prop_assert_eq!(first_resolution_atoms(d, n, |a| atoms.push(a)), count);
+        let first = all
+            .first()
+            .map(|x| alg.from_attr(x).unwrap().iter().collect::<Vec<_>>());
+        prop_assert_eq!(atoms, first.unwrap_or_default(), "{} in {}", src, n);
     }
     // the text path parses the printed term back to the same outcome
     prop_assert_eq!(parse_subattr_of(n, &src), got, "{} in {}", src, n);
@@ -630,7 +657,7 @@ fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, Te
 
 /// A wide record of mostly `A`s and a loose side of `A`s, `B`s and λs:
 /// the count ranges from 0 through C(96, 48) ≫ `u64::MAX`.
-fn wide_lambda_case(rng: &mut StdRng) -> (NestedAttr, Loose) {
+fn wide_lambda_case(rng: &mut StdRng) -> (NestedAttr, Loose<'static>) {
     let k: usize = rng.gen_range(1..=96);
     let children = (0..k)
         .map(|_| NestedAttr::flat(if rng.gen_bool(0.95) { "A" } else { "B" }))
@@ -644,11 +671,11 @@ fn wide_lambda_case(rng: &mut StdRng) -> (NestedAttr, Loose) {
     let ds = (0..m)
         .map(|_| match rng.gen_range(0..10) {
             0 => Loose::Lambda,
-            1 => Loose::Flat("B".into()),
-            _ => Loose::Flat("A".into()),
+            1 => Loose::Flat("B"),
+            _ => Loose::Flat("A"),
         })
         .collect();
-    (n, Loose::Record("W".into(), ds))
+    (n, Loose::Record("W", ds))
 }
 
 proptest! {
@@ -676,6 +703,188 @@ proptest! {
             resolver_agrees_with_oracle(&n, &d)?;
         }
     }
+}
+
+/// Every flat name and label of `n`, in pre-order.
+fn names_of(n: &NestedAttr) -> Vec<&str> {
+    fn walk<'a>(n: &'a NestedAttr, out: &mut Vec<&'a str>) {
+        match n {
+            NestedAttr::Null => {}
+            NestedAttr::Flat(a) => out.push(a),
+            NestedAttr::List(l, inner) => {
+                out.push(l);
+                walk(inner, out);
+            }
+            NestedAttr::Record(l, cs) => {
+                out.push(l);
+                for c in cs {
+                    walk(c, out);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(n, &mut out);
+    out
+}
+
+/// The deepest bracket nesting in `text`.
+fn nesting(text: &str) -> usize {
+    let (mut depth, mut max) = (0usize, 0usize);
+    for c in text.chars() {
+        match c {
+            '(' | '[' => {
+                depth += 1;
+                max = max.max(depth);
+            }
+            ')' | ']' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    max
+}
+
+/// A random edit of a printed dependency `text` over a schema with the
+/// given names, and the limits to read it under: a character deleted
+/// (or the text cut there) or doubled, an identifier swapped for another
+/// name, nesting one level
+/// past the depth limit, the Unicode or unspaced arrows, `lambda` for
+/// `λ`, or Unicode whitespace.
+fn mutate(rng: &mut StdRng, names: &[&str], text: &str) -> (String, ParseLimits) {
+    let limits = ParseLimits::default();
+    let chars: Vec<(usize, char)> = text.char_indices().collect();
+    let (at, c) = chars[rng.gen_range(0..chars.len())];
+    let edited = match rng.gen_range(0..7) {
+        0 if rng.gen_bool(0.2) => text[..at].to_owned(),
+        0 => format!("{}{}", &text[..at], &text[at + c.len_utf8()..]),
+        1 => format!("{}{c}{}", &text[..at], &text[at..]),
+        2 => {
+            let d = nalist::types::parser::parse_dependency_spanned(text).expect("printed");
+            let idents: Vec<_> = d.lhs.idents.iter().chain(&d.rhs.idents).collect();
+            if idents.is_empty() {
+                return (text.to_owned(), limits);
+            }
+            let (_, span) = idents[rng.gen_range(0..idents.len())];
+            let name = names[rng.gen_range(0..names.len())];
+            format!("{}{name}{}", &text[..span.start], &text[span.end..])
+        }
+        3 => {
+            let max_depth = nesting(text).saturating_sub(1);
+            return (text.to_owned(), ParseLimits { max_depth });
+        }
+        4 => {
+            let arrows = [("->>", "↠"), ("->", "→"), (" ->> ", "->>"), (" -> ", "->")];
+            let (from, to) = arrows[rng.gen_range(0..arrows.len())];
+            text.replacen(from, to, 1)
+        }
+        5 => text.replace(
+            'λ',
+            if rng.gen_bool(0.5) {
+                "lambda"
+            } else {
+                " lambda "
+            },
+        ),
+        _ => {
+            let spaces = ['\u{a0}', '\u{2003}', '\u{3000}', '\t', '\n'];
+            let space = spaces[rng.gen_range(0..spaces.len())];
+            let spread = text.replace(' ', &space.to_string());
+            let at = if at <= spread.len() && spread.is_char_boundary(at) {
+                at
+            } else {
+                0
+            };
+            format!("{}{space}{}", &spread[..at], &spread[at..])
+        }
+    };
+    (edited, limits)
+}
+
+/// `CompiledDep::parse` against `Dependency::parse_with` then `compile`
+/// on `text`: the same set pair, or the same error.
+fn compiled_parse_agrees(
+    n: &NestedAttr,
+    alg: &Algebra,
+    text: &str,
+    limits: ParseLimits,
+) -> Result<Result<(), ParseError>, TestCaseError> {
+    let tree = Dependency::parse_with(n, text, limits)
+        .map(|d| d.compile(alg).expect("a resolved dependency compiles"));
+    let compiled = CompiledDep::parse(alg, text, limits);
+    prop_assert_eq!(&compiled, &tree, "{:?} in {}", text, n);
+    Ok(compiled.map(drop))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The compiled parse reads every printed dependency back to the pair
+    /// it was printed from, and on edited texts agrees with the tree
+    /// path, errors included, on schemas of 1–128 atoms.
+    #[test]
+    fn compiled_parse_matches_the_tree_path(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let atoms = rng.gen_range(1..=128);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let names = names_of(&n);
+        for _ in 0..8 {
+            let density = rng.gen_range(0.05..0.9);
+            let c = nalist::gen::random_dep(&mut rng, &alg, density, 0.5);
+            let text = c.render(&alg);
+            prop_assert_eq!(
+                CompiledDep::parse(&alg, &text, ParseLimits::default()),
+                Ok(c),
+                "{} in {}",
+                text,
+                n
+            );
+            for _ in 0..8 {
+                let (edited, limits) = mutate(&mut rng, &names, &text);
+                let _ = compiled_parse_agrees(&n, &alg, &edited, limits)?;
+            }
+        }
+    }
+}
+
+/// The edits above reach success and every error the two paths can
+/// meet on schemas without repeated labels, so the property cannot pass
+/// on errors alone or on successes alone.
+#[test]
+fn compiled_parse_edits_reach_every_outcome() {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut rng = StdRng::seed_from_u64(29);
+    for _ in 0..64 {
+        let atoms = rng.gen_range(1..=128);
+        let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+        let alg = Algebra::new(&n);
+        let names = names_of(&n);
+        let text = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5).render(&alg);
+        for _ in 0..16 {
+            let (edited, limits) = mutate(&mut rng, &names, &text);
+            let outcome = compiled_parse_agrees(&n, &alg, &edited, limits).unwrap();
+            seen.insert(match outcome {
+                Ok(()) => "ok",
+                Err(ParseError::Unexpected { .. }) => "unexpected",
+                Err(ParseError::UnexpectedEnd { .. }) => "end",
+                Err(ParseError::NoMatch { .. }) => "no match",
+                Err(ParseError::Ambiguous { .. }) => "ambiguous",
+                Err(ParseError::TrailingInput { .. }) => "trailing",
+                Err(ParseError::TooDeep { .. }) => "too deep",
+            });
+        }
+    }
+    assert_eq!(
+        seen.into_iter().collect::<Vec<_>>(),
+        [
+            "end",
+            "no match",
+            "ok",
+            "too deep",
+            "trailing",
+            "unexpected"
+        ]
+    );
 }
 
 /// The oracle's generators reach every outcome class — unique, no
