@@ -142,15 +142,6 @@ impl CliError {
             code: EXIT_RESOURCE,
         }
     }
-
-    /// Maps a [`ReasonerError`], routing resource exhaustion to exit
-    /// code 3 and everything else to the domain-error code.
-    fn reasoner(e: &ReasonerError) -> Self {
-        match e {
-            ReasonerError::Resource(r) => CliError::resource(r),
-            other => CliError::domain(other),
-        }
-    }
 }
 
 /// One row of the command table: everything the dispatcher, the usage
@@ -497,17 +488,35 @@ fn load_reasoner(
     let mut r =
         Reasoner::try_new_observed(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
     let text = files.read(deps_path).map_err(CliError::file)?;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let dep = Dependency::parse_with(r.attr(), line, limits)
-            .map_err(|e| CliError::domain(format!("{deps_path}:{}: {e}", lineno + 1)))?;
-        r.add(dep)
-            .map_err(|e| CliError::domain(format!("{deps_path}:{}: {e}", lineno + 1)))?;
-    }
+    let (linenos, adds): (Vec<usize>, Vec<WalOp>) = content_lines(&text)
+        .map(|(lineno, line)| (lineno, WalOp::Add(line.to_string())))
+        .unzip();
+    let decided = r
+        .decide(&adds, budget)
+        .map_err(|(i, e)| at_line(deps_path, linenos[i], e))?;
+    r.commit(decided, None, budget)
+        .expect("adds with no log to write cannot fail");
     Ok(r)
+}
+
+/// The lines of an input file that carry content, trimmed, with their
+/// 1-based numbers: blank lines and `#` comments are skipped.
+fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .map(str::trim)
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(i, line)| (i + 1, line))
+}
+
+/// Maps a failure to read or apply line `lineno` of `path`: resource
+/// exhaustion exits 3, anything else is a domain error naming the line.
+fn at_line(path: &str, lineno: usize, e: ReasonerError) -> CliError {
+    match e {
+        ReasonerError::Resource(r) => CliError::resource(r),
+        ReasonerError::Parse(p) => CliError::domain(format!("{path}:{lineno}: {p}")),
+        other => CliError::domain(format!("{path}:{lineno}: {other}")),
+    }
 }
 
 /// Parses `dep` as a dependency over the reasoner's `N`, as its
@@ -782,7 +791,7 @@ fn dispatch(
     })?;
     match (cmd, rest) {
         ("decide", [schema, deps, dep, flags @ ..]) => {
-            let cert_path = parse_cert_flag("decide", flags)?;
+            let cert_path = trailing_flag("decide", "--cert", "<path>", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
             let target = parse_target(&r, dep, budget)?;
@@ -884,18 +893,14 @@ fn dispatch(
             let text = files.read(queries).map_err(CliError::file)?;
             let limits = ParseLimits::from_budget(budget);
             let mut targets = Vec::new();
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
+            for (lineno, line) in content_lines(&text) {
                 let dep = Dependency::parse_with(r.attr(), line, limits)
-                    .map_err(|e| CliError::domain(format!("{queries}:{}: {e}", lineno + 1)))?;
+                    .map_err(|e| CliError::domain(format!("{queries}:{lineno}: {e}")))?;
                 targets.push(dep);
             }
             let verdicts = r
                 .implies_batch_governed_with(&targets, budget, threads)
-                .map_err(|e| CliError::reasoner(&e))?;
+                .map_err(CliError::domain)?;
             let (mut implied, mut failed) = (0, 0);
             for (dep, verdict) in targets.iter().zip(&verdicts) {
                 let c = dep.compile(alg).expect("batch already compiled it");
@@ -929,7 +934,7 @@ fn dispatch(
             out.push('\n');
         }
         ("replay", [schema, script, flags @ ..]) => {
-            let wal_path = parse_wal_flag("replay", flags)?;
+            let wal_path = trailing_flag("replay", "--wal", "<log>", flags)?;
             let limits = ParseLimits::from_budget(budget);
             let n = parse_attr_with(schema, limits).map_err(|e| schema_error(&e))?;
             let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(rec))
@@ -939,83 +944,53 @@ fn dispatch(
             // — after a crash, `nalist recover --wal` replays exactly
             // the operations the live process had committed to. A record
             // that cannot replay must never reach the log, so each line
-            // is decided first: parsed and compiled, and a removed
-            // dependency found in Σ.
-            let mut journaled = 0u64;
-            let mut wal = match wal_path {
-                None => None,
-                Some(path) => {
-                    let mut w = WalWriter::create(Path::new(path), true).map_err(store_error)?;
-                    w.append(
-                        &WalOp::Header {
-                            schema: n.to_string(),
-                        }
-                        .encode(),
-                        budget,
-                        rec.as_ref(),
-                    )
-                    .map_err(store_error)?;
-                    journaled += 1;
-                    Some(w)
-                }
-            };
+            // is decided first (`Reasoner::decide`, the rule recovery
+            // replays by), then committed.
+            let mut wal = wal_path
+                .map(|path| {
+                    let header = WalOp::Header {
+                        schema: n.to_string(),
+                    };
+                    let mut w = WalWriter::create(Path::new(path), true)?;
+                    w.append(&header.encode(), budget, rec.as_ref())?;
+                    Ok(w)
+                })
+                .transpose()
+                .map_err(|e: StoreError| persist_error(e.into()))?;
             let text = files.read(script).map_err(CliError::file)?;
             let (mut adds, mut removes, mut queries) = (0u64, 0u64, 0u64);
-            for (lineno, raw) in text.lines().enumerate() {
-                let line = raw.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
+            for (lineno, line) in content_lines(&text) {
                 checkpoint(budget)?;
-                let here = |e: &dyn std::fmt::Display| {
-                    CliError::domain(format!("{script}:{}: {e}", lineno + 1))
-                };
+                let here =
+                    |e: &dyn std::fmt::Display| CliError::domain(format!("{script}:{lineno}: {e}"));
                 let (op, payload) = line
                     .split_once(char::is_whitespace)
                     .ok_or_else(|| here(&"expected '<op> <dependency>'"))?;
                 let payload = payload.trim();
-                let wal_op = match op {
-                    "+" | "add" => WalOp::Add(payload.to_string()),
-                    "-" | "remove" => WalOp::Remove(payload.to_string()),
-                    "?" | "query" => WalOp::Query(payload.to_string()),
+                let (kind, count, label): (fn(String) -> WalOp, &mut u64, &str) = match op {
+                    "+" | "add" => (WalOp::Add, &mut adds, "add"),
+                    "-" | "remove" => (WalOp::Remove, &mut removes, "remove"),
+                    "?" | "query" => (WalOp::Query, &mut queries, "query"),
                     other => {
                         return Err(here(&format!(
                             "unknown op '{other}' (expected +/add, -/remove or ?/query)"
                         )))
                     }
                 };
-                let dep = Dependency::parse_with(&n, payload, limits).map_err(|e| here(&e))?;
-                let compiled = dep.compile(r.algebra()).map_err(|e| here(&e))?;
-                let held = r.compiled_sigma().iter().position(|c| *c == compiled);
-                if let (WalOp::Remove(_), None) = (&wal_op, held) {
-                    return Err(here(&format!("dependency not in Σ: {payload}")));
-                }
-                if let Some(w) = wal.as_mut() {
-                    w.append(&wal_op.encode(), budget, rec.as_ref())
-                        .map_err(store_error)?;
-                    journaled += 1;
-                }
-                match (wal_op, held) {
-                    (WalOp::Add(_), _) => {
-                        r.add(dep).map_err(|e| here(&e))?;
-                        adds += 1;
-                        writeln!(out, "add          {payload}").unwrap();
-                    }
-                    (WalOp::Remove(_), Some(i)) => {
-                        r.remove_at(i);
-                        removes += 1;
-                        writeln!(out, "remove       {payload}").unwrap();
-                    }
-                    _ => {
-                        let verdict = r.implies_governed(&dep, budget).map_err(|e| match e {
-                            ReasonerError::Resource(res) => CliError::resource(res),
-                            other => here(&other),
-                        })?;
-                        queries += 1;
-                        let tag = if verdict { "IMPLIED" } else { "NOT IMPLIED" };
-                        writeln!(out, "{tag:<12} {payload}").unwrap();
-                    }
-                }
+                let line_op = [kind(payload.to_string())];
+                let decided = r
+                    .decide(&line_op, budget)
+                    .map_err(|(_, e)| at_line(script, lineno, e))?;
+                let verdicts = r
+                    .commit(decided, wal.as_mut(), budget)
+                    .map_err(persist_error)?;
+                *count += 1;
+                let label = match verdicts[..] {
+                    [true] => "IMPLIED",
+                    [false] => "NOT IMPLIED",
+                    _ => label,
+                };
+                writeln!(out, "{label:<12} {payload}").unwrap();
             }
             let stats = r.cache_stats();
             writeln!(
@@ -1032,27 +1007,21 @@ fn dispatch(
             .unwrap();
             if let Some(path) = wal_path {
                 drop(wal);
+                // the header, then one record per line
+                let journaled = 1 + adds + removes + queries;
                 writeln!(out, "WAL: journaled {journaled} record(s) to {path}").unwrap();
             }
         }
         ("snapshot", [schema, deps, out_path, flags @ ..]) => {
-            let warm = parse_warm_flag(flags)?;
+            let warm = trailing_flag("snapshot", "--warm", "<queries-file>", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             if let Some(queries_path) = warm {
                 let text = files.read(queries_path).map_err(CliError::file)?;
-                let limits = ParseLimits::from_budget(budget);
                 let mut warmed = 0u64;
-                for (lineno, line) in text.lines().enumerate() {
-                    let line = line.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        continue;
-                    }
+                for (lineno, line) in content_lines(&text) {
                     checkpoint(budget)?;
-                    let dep = Dependency::parse_with(r.attr(), line, limits).map_err(|e| {
-                        CliError::domain(format!("{queries_path}:{}: {e}", lineno + 1))
-                    })?;
-                    r.implies_governed(&dep, budget)
-                        .map_err(|e| CliError::reasoner(&e))?;
+                    r.implies_str_governed(line, budget)
+                        .map_err(|e| at_line(queries_path, lineno, e))?;
                     warmed += 1;
                 }
                 writeln!(out, "warmed the cache with {warmed} query(ies)").unwrap();
@@ -1070,7 +1039,7 @@ fn dispatch(
             .unwrap();
         }
         ("recover", [snap, flags @ ..]) => {
-            let wal_path = parse_wal_flag("recover", flags)?;
+            let wal_path = trailing_flag("recover", "--wal", "<log>", flags)?;
             checkpoint(budget)?;
             let report = recover(
                 Path::new(snap),
@@ -1099,7 +1068,7 @@ fn dispatch(
             writeln!(out, "cache: {} warm entries", r.cache_stats().entries).unwrap();
         }
         ("prove", [schema, deps, dep, flags @ ..]) => {
-            let cert_path = parse_cert_flag("prove", flags)?;
+            let cert_path = trailing_flag("prove", "--cert", "<path>", flags)?;
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
             let target = parse_target(&r, dep, budget)?;
@@ -1147,7 +1116,7 @@ fn dispatch(
         }
         ("basis" | "trace", [schema, deps, sub, flags @ ..]) => {
             let cert_path = if cmd == "basis" {
-                parse_cert_flag("basis", flags)?
+                trailing_flag("basis", "--cert", "<path>", flags)?
             } else if flags.is_empty() {
                 None
             } else {
@@ -1196,14 +1165,10 @@ fn dispatch(
             let alg = r.algebra();
             let mut instance = Instance::new(r.attr().clone());
             let text = files.read(data).map_err(CliError::file)?;
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
+            for (lineno, line) in content_lines(&text) {
                 instance
                     .insert_str(line)
-                    .map_err(|e| CliError::domain(format!("{data}:{}: {e}", lineno + 1)))?;
+                    .map_err(|e| CliError::domain(format!("{data}:{lineno}: {e}")))?;
             }
             match nalist::deps::chase::chase_observed(
                 alg,
@@ -1233,14 +1198,10 @@ fn dispatch(
             let alg = r.algebra();
             let mut instance = Instance::new(r.attr().clone());
             let text = files.read(data).map_err(CliError::file)?;
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
+            for (lineno, line) in content_lines(&text) {
                 instance
                     .insert_str(line)
-                    .map_err(|e| CliError::domain(format!("{data}:{}: {e}", lineno + 1)))?;
+                    .map_err(|e| CliError::domain(format!("{data}:{lineno}: {e}")))?;
             }
             writeln!(out, "instance: {} tuples", instance.len()).unwrap();
             let mut violated = 0;
@@ -1503,16 +1464,6 @@ fn certify_error(e: CertifyError) -> CliError {
     }
 }
 
-/// Maps a [`StoreError`]: budget exhaustion exits 3; I/O, corruption
-/// and format failures are file errors (exit 2) — the input never
-/// reached the reasoner.
-fn store_error(e: StoreError) -> CliError {
-    match e {
-        StoreError::Resource(r) => CliError::resource(r),
-        other => CliError::file(other),
-    }
-}
-
 /// Maps a [`PersistError`]: a WAL record the reasoner rejects on replay
 /// is a domain error (exit 1, like the same op in a `replay` script);
 /// store-layer and structural failures are file errors (exit 2); budget
@@ -1525,35 +1476,19 @@ fn persist_error(e: PersistError) -> CliError {
     }
 }
 
-/// Extracts the optional trailing `--wal <log>` flag.
-fn parse_wal_flag<'a>(cmd: &str, flags: &'a [String]) -> Result<Option<&'a String>, CliError> {
+/// Extracts `cmd`'s optional trailing `<flag> <value>` pair; `value`
+/// names the flag's argument in the usage error.
+fn trailing_flag<'a>(
+    cmd: &str,
+    flag: &str,
+    value: &str,
+    flags: &'a [String],
+) -> Result<Option<&'a String>, CliError> {
     match flags {
         [] => Ok(None),
-        [flag, path] if flag == "--wal" => Ok(Some(path)),
+        [f, path] if f == flag => Ok(Some(path)),
         _ => Err(CliError::usage(format!(
-            "unknown flags for {cmd} (expected --wal <log>)"
-        ))),
-    }
-}
-
-/// Extracts the optional trailing `--warm <queries-file>` flag.
-fn parse_warm_flag(flags: &[String]) -> Result<Option<&String>, CliError> {
-    match flags {
-        [] => Ok(None),
-        [flag, path] if flag == "--warm" => Ok(Some(path)),
-        _ => Err(CliError::usage(
-            "unknown flags for snapshot (expected --warm <queries-file>)",
-        )),
-    }
-}
-
-/// Extracts the optional trailing `--cert <path>` flag.
-fn parse_cert_flag<'a>(cmd: &str, flags: &'a [String]) -> Result<Option<&'a String>, CliError> {
-    match flags {
-        [] => Ok(None),
-        [flag, path] if flag == "--cert" => Ok(Some(path)),
-        _ => Err(CliError::usage(format!(
-            "unknown flags for {cmd} (expected --cert <path>)"
+            "unknown flags for {cmd} (expected {flag} {value})"
         ))),
     }
 }

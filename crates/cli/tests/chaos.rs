@@ -550,6 +550,61 @@ fn recovery_rejects_a_remove_of_a_dependency_not_in_sigma() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Recovery reads the persisted texts under the depth cap the writers
+/// parsed them under: a 130-level schema and dependency that `snapshot`
+/// and `replay --wal` wrote under `--max-depth 200` recover under the
+/// same flag, and without it recovery still refuses the schema (exit 2)
+/// at the default cap of 128.
+#[test]
+fn recovery_reads_persisted_texts_under_the_writers_depth_cap() {
+    let dir = std::env::temp_dir().join(format!("nalist_chaos_depth_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("deep.snap").to_str().unwrap().to_string();
+    let wal = dir.join("deep.wal").to_str().unwrap().to_string();
+    let list = (1..130)
+        .rev()
+        .fold("B".to_string(), |inner, i| format!("L{i}[{inner}]"));
+    let schema = format!("L0(A, {list})");
+    let dep = format!("L0(A) -> L0({list})");
+    let mut mem = BTreeMap::new();
+    mem.insert("empty.deps".to_string(), String::new());
+    mem.insert("script.txt".to_string(), format!("+ {dep}\n? {dep}\n"));
+    let files = MemFiles(mem);
+    let argv = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+    let deep = ["--max-depth", "200"];
+    run(
+        &argv(&[&["snapshot", &schema, "empty.deps", &snap][..], &deep].concat()),
+        &files,
+    )
+    .unwrap();
+    run(
+        &argv(&[&["replay", &schema, "script.txt", "--wal", &wal][..], &deep].concat()),
+        &files,
+    )
+    .unwrap();
+    let out = run(
+        &argv(&[&["recover", &snap, "--wal", &wal][..], &deep].concat()),
+        &files,
+    )
+    .unwrap_or_else(|e| panic!("exit {}: {}", e.code, e.message));
+    assert!(
+        out.contains("Σ (1 dependencies):\n  [0] L0(A) -> "),
+        "{out}"
+    );
+    assert!(
+        out.contains("WAL: replayed 1 add(s), 0 remove(s), 1 query(ies)"),
+        "{out}"
+    );
+    let err = run(&argv(&["recover", &snap, "--wal", &wal]), &files).unwrap_err();
+    assert_eq!(err.code, 2, "{}", err.message);
+    assert!(
+        err.message.contains("nesting deeper than the limit of 128"),
+        "{}",
+        err.message
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The universal certificate really is universally accepted: emit-check
 /// round trip through the CLI for a handful of well-formed schemas.
 #[test]

@@ -314,6 +314,9 @@ pub enum ReasonerError {
     /// The query ran out of its resource [`Budget`] (fuel, deadline or
     /// size cap).
     Resource(ResourceExhausted),
+    /// A `-` ([`Reasoner::decide`]) of a dependency `Σ` does not hold,
+    /// as the text it was written with.
+    NotHeld(String),
 }
 
 impl std::fmt::Display for ReasonerError {
@@ -322,6 +325,7 @@ impl std::fmt::Display for ReasonerError {
             ReasonerError::Parse(e) => write!(f, "parse error: {e}"),
             ReasonerError::Type(e) => write!(f, "type error: {e}"),
             ReasonerError::Resource(e) => write!(f, "{e}"),
+            ReasonerError::NotHeld(text) => write!(f, "dependency not in Σ: {text}"),
         }
     }
 }
@@ -718,23 +722,23 @@ impl Reasoner {
         budget: &Budget,
     ) -> Result<bool, ReasonerError> {
         let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        self.implies_compiled_governed(&c, budget)
-            .map_err(|e| ReasonerError::Resource(exhausted(e)))
+        Ok(self.implies_compiled_governed(&c, budget)?)
     }
 
     fn implies_compiled(&self, c: &CompiledDep) -> bool {
         self.implies_compiled_governed(c, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed")
+            .expect("unlimited budget cannot be exhausted")
     }
 
     /// Proposition 4.10 on the cached basis of `c`'s left-hand side, read
     /// in place: a hit allocates nothing and copies nothing.
-    fn implies_compiled_governed(
+    pub(crate) fn implies_compiled_governed(
         &self,
         c: &CompiledDep,
         budget: &Budget,
-    ) -> Result<bool, ClosureError> {
+    ) -> Result<bool, ResourceExhausted> {
         self.with_basis(&c.lhs, budget, |basis| basis.implies(c))
+            .map_err(exhausted)
     }
 
     /// Decides `Σ ⊨ σ` for every dependency in `deps` on `threads`
@@ -907,8 +911,7 @@ impl Reasoner {
     /// `max_depth` also caps the query text's nesting.
     pub fn implies_str_governed(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
         let c = self.parse_compiled(src, ParseLimits::from_budget(budget))?;
-        self.implies_compiled_governed(&c, budget)
-            .map_err(|e| ReasonerError::Resource(exhausted(e)))
+        Ok(self.implies_compiled_governed(&c, budget)?)
     }
 
     /// Attribute-set closure `X⁺` of a subattribute given as text.

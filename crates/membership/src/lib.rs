@@ -48,7 +48,7 @@ pub use decide::{
 pub use packed::PackedBasis;
 pub use persist::{
     read_reasoner_snapshot, recover, replay_wal, restore_reasoner, snapshot_payload,
-    write_reasoner_snapshot, PersistError, RecoveryReport, ReplayCounts, WalOp,
+    write_reasoner_snapshot, Decided, PersistError, RecoveryReport, ReplayCounts, WalOp,
 };
 pub use witness::{refute, refute_governed, Witness, WitnessError};
 pub use worklist::{closure_and_basis_traced, step_would_change, WorklistRun};

@@ -20,9 +20,13 @@
 //!   header record naming the schema. Queries are journaled too:
 //!   replaying them reproduces the cache warmth a crash destroyed.
 //!
-//! [`recover`] composes the two: load the snapshot (surviving cache
-//! entries land warm, no recomputation), then [`replay_wal`] the log
-//! tail through the ordinary incremental path — the step
+//! Every writer of `Σ` edits decides them with [`Reasoner::decide`] and
+//! journals and applies them with [`Reasoner::commit`], by the rule and
+//! the step [`replay_wal`] replays each record by.
+//!
+//! [`recover`] composes the two encodings: load the snapshot (surviving
+//! cache entries land warm, no recomputation), then [`replay_wal`] the
+//! log tail through the ordinary incremental path — the step
 //! [`Reasoner::add`] ends in, and [`Reasoner::remove_at`] — so eviction
 //! decisions during replay are the same code that made them live, which
 //! is what makes recovery bit-identical rather than merely equivalent.
@@ -41,8 +45,8 @@ use nalist_algebra::{Algebra, AlgebraError, AtomSet, WidthClass};
 use nalist_deps::CompiledDep;
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_obs::{Counter, Recorder};
-use nalist_store::{self as store, StoreError};
-use nalist_types::parser::{parse_attr, ParseLimits};
+use nalist_store::{self as store, StoreError, WalWriter};
+use nalist_types::parser::{parse_attr_with, ParseLimits};
 
 use crate::decide::{Reasoner, ReasonerError, RestoreError};
 use crate::packed::PackedBasis;
@@ -171,19 +175,20 @@ pub fn snapshot_payload(r: &Reasoner) -> Vec<u8> {
 /// declared algebra identity and every structural invariant. Once the
 /// payload has decoded, the algebra is built under `budget` and each
 /// dependency text is read straight to its compiled pair
-/// ([`CompiledDep::parse`]).
+/// ([`CompiledDep::parse`]), all texts under `budget`'s parse limits.
 pub fn restore_reasoner(
     payload: &[u8],
     budget: &Budget,
     rec: Arc<dyn Recorder>,
 ) -> Result<Reasoner, PersistError> {
+    let limits = ParseLimits::from_budget(budget);
     let mut r = store::Reader::new(payload);
     let schema_text = r.str()?;
     let declared_atoms = r.u32()? as usize;
     let declared_width = r.str()?;
     let next_id = r.u64()?;
     let sigma_count = r.u32()? as usize;
-    let attr = parse_attr(schema_text)
+    let attr = parse_attr_with(schema_text, limits)
         .map_err(|e| PersistError::Invalid(format!("schema does not parse back: {e}")))?;
     let mut texts = Vec::with_capacity(sigma_count.min(payload.len()));
     for _ in 0..sigma_count {
@@ -233,14 +238,12 @@ pub fn restore_reasoner(
     let alg = Algebra::try_new_observed(&attr, budget, rec.as_ref())?;
     let sigma = texts
         .into_iter()
-        .map(
-            |(id, text)| match CompiledDep::parse(&alg, text, ParseLimits::default()) {
-                Ok(c) => Ok((id, c)),
-                Err(e) => Err(PersistError::Invalid(format!(
-                    "dependency {text:?} does not parse back: {e}"
-                ))),
-            },
-        )
+        .map(|(id, text)| match CompiledDep::parse(&alg, text, limits) {
+            Ok(c) => Ok((id, c)),
+            Err(e) => Err(PersistError::Invalid(format!(
+                "dependency {text:?} does not parse back: {e}"
+            ))),
+        })
         .collect::<Result<_, _>>()?;
     Ok(Reasoner::restore_parts(alg, sigma, next_id, cache, rec)?)
 }
@@ -295,16 +298,18 @@ impl WalOp {
     /// Encodes this operation as a WAL record payload: a one-byte tag
     /// (`H`, `+`, `-`, `?`) followed by the raw UTF-8 text.
     pub fn encode(&self) -> Vec<u8> {
-        let (tag, text) = match self {
-            WalOp::Header { schema } => (b'H', schema.as_str()),
-            WalOp::Add(d) => (b'+', d.as_str()),
-            WalOp::Remove(d) => (b'-', d.as_str()),
-            WalOp::Query(d) => (b'?', d.as_str()),
-        };
-        let mut out = Vec::with_capacity(1 + text.len());
-        out.push(tag);
-        out.extend_from_slice(text.as_bytes());
-        out
+        let (tag, text) = self.parts();
+        tag.record(text)
+    }
+
+    /// The record kind and the text of this operation.
+    fn parts(&self) -> (Tag, &str) {
+        match self {
+            WalOp::Header { schema } => (Tag::Header, schema),
+            WalOp::Add(d) => (Tag::Add, d),
+            WalOp::Remove(d) => (Tag::Remove, d),
+            WalOp::Query(d) => (Tag::Query, d),
+        }
     }
 
     /// Decodes a WAL record payload. `offset` is the record's file
@@ -321,13 +326,21 @@ impl WalOp {
     }
 }
 
-/// A WAL record's kind, from its one-byte tag.
-#[derive(Clone, Copy)]
+/// A WAL record's kind; its discriminant is the record's one-byte tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum Tag {
-    Header,
-    Add,
-    Remove,
-    Query,
+    Header = b'H',
+    Add = b'+',
+    Remove = b'-',
+    Query = b'?',
+}
+
+impl Tag {
+    /// A record of this kind: the tag, then the raw UTF-8 `text`.
+    fn record(self, text: &str) -> Vec<u8> {
+        [&[self as u8], text.as_bytes()].concat()
+    }
 }
 
 /// Splits a WAL record payload into its kind and its text, borrowed
@@ -340,14 +353,134 @@ fn split_record(payload: &[u8], offset: u64) -> Result<(Tag, &str), StoreError> 
         .ok_or_else(|| corrupt("empty WAL record".to_string()))?;
     let text = std::str::from_utf8(rest)
         .map_err(|e| corrupt(format!("invalid UTF-8 in WAL record: {e}")))?;
-    let tag = match tag {
-        b'H' => Tag::Header,
-        b'+' => Tag::Add,
-        b'-' => Tag::Remove,
-        b'?' => Tag::Query,
-        other => return Err(corrupt(format!("unknown WAL op tag {other:#04x}"))),
-    };
+    let tag = [Tag::Header, Tag::Add, Tag::Remove, Tag::Query]
+        .into_iter()
+        .find(|t| *t as u8 == tag)
+        .ok_or_else(|| corrupt(format!("unknown WAL op tag {tag:#04x}")))?;
     Ok((tag, text))
+}
+
+/// A `+`, `-` or `?` [`Reasoner::decide`] read and found to apply, for
+/// [`Reasoner::commit`] to journal (its text) and apply (its pair).
+#[derive(Debug)]
+pub struct Decided<'t> {
+    tag: Tag,
+    text: &'t str,
+    dep: CompiledDep,
+    /// a `-`'s index in `Σ`, when no earlier edit of its sequence moved it
+    at: Option<usize>,
+}
+
+impl Reasoner {
+    /// Reads `ops` straight to compiled pairs under `budget`'s parse
+    /// limits and deadline, and checks that they apply to `Σ` in order:
+    /// a `-` must take a member `Σ` holds after the earlier edits of
+    /// `ops`. It changes nothing; [`replay_wal`] checks every record by
+    /// the same rule.
+    ///
+    /// # Errors
+    /// The first failing index, with why it fails.
+    ///
+    /// # Panics
+    /// On a [`WalOp::Header`], which is no operation on `Σ`.
+    pub fn decide<'t>(
+        &self,
+        ops: &'t [WalOp],
+        budget: &Budget,
+    ) -> Result<Vec<Decided<'t>>, (usize, ReasonerError)> {
+        let limits = ParseLimits::from_budget(budget);
+        let mut decided = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let (tag, text) = op.parts();
+            assert!(tag != Tag::Header, "a WAL header is no operation on Σ");
+            let read = || {
+                budget.check_deadline()?;
+                let dep = CompiledDep::parse(self.algebra(), text, limits)
+                    .map_err(ReasonerError::Parse)?;
+                let at = self.check(tag, text, &dep, &decided)?;
+                Ok(Decided { tag, text, dep, at })
+            };
+            let op = read().map_err(|e| (i, e))?;
+            decided.push(op);
+        }
+        Ok(decided)
+    }
+
+    /// Journals each decided operation to `wal`, when given, then applies
+    /// it by the step [`replay_wal`] applies a record by, on the `Σ` it
+    /// was decided against. Returns the `?` verdicts in order.
+    ///
+    /// # Errors
+    /// A failed append, or a `?` that ran out of `budget`; the operations
+    /// before it stay journaled and applied.
+    pub fn commit(
+        &mut self,
+        decided: Vec<Decided<'_>>,
+        mut wal: Option<&mut WalWriter>,
+        budget: &Budget,
+    ) -> Result<Vec<bool>, PersistError> {
+        let mut verdicts = Vec::new();
+        for op in decided {
+            if let Some(w) = wal.as_deref_mut() {
+                w.append(&op.tag.record(op.text), budget, self.recorder())?;
+            }
+            verdicts.extend(self.apply(op.tag, &op.dep, op.at, budget)?);
+        }
+        Ok(verdicts)
+    }
+
+    /// The rule: a `-` finds a copy of `dep` in `Σ` as the `earlier`
+    /// operations of its sequence leave it. Returns the `at` of its
+    /// [`Decided`].
+    fn check(
+        &self,
+        tag: Tag,
+        text: &str,
+        dep: &CompiledDep,
+        earlier: &[Decided<'_>],
+    ) -> Result<Option<usize>, ReasonerError> {
+        let mut at = None;
+        if tag == Tag::Remove {
+            // Σ must hold one more copy than the earlier removes of it
+            // take, net of the copies the earlier adds made
+            let (mut added, mut removed) = (0, 0);
+            for e in earlier.iter().filter(|e| e.dep == *dep) {
+                added += usize::from(e.tag == Tag::Add);
+                removed += usize::from(e.tag == Tag::Remove);
+            }
+            if added <= removed {
+                let copies = self.compiled_sigma().iter().enumerate();
+                let (i, _) = copies
+                    .filter(|(_, held)| *held == dep)
+                    .nth(removed - added)
+                    .ok_or_else(|| ReasonerError::NotHeld(text.to_string()))?;
+                at = earlier.iter().all(|e| e.tag == Tag::Query).then_some(i);
+            }
+        }
+        Ok(at)
+    }
+
+    /// The step every decided operation is applied by; a `?` returns its
+    /// verdict.
+    fn apply(
+        &mut self,
+        tag: Tag,
+        dep: &CompiledDep,
+        at: Option<usize>,
+        budget: &Budget,
+    ) -> Result<Option<bool>, ResourceExhausted> {
+        match tag {
+            Tag::Add => self.add_compiled(dep.clone()),
+            Tag::Remove => {
+                let sigma = self.compiled_sigma();
+                let i = at.or_else(|| sigma.iter().position(|held| held == dep));
+                self.remove_at(i.expect("a decided `-` takes a member Σ holds"));
+            }
+            Tag::Query => return self.implies_compiled_governed(dep, budget).map(Some),
+            Tag::Header => unreachable!("a WAL header is never decided"),
+        }
+        Ok(None)
+    }
 }
 
 /// What [`recover`] replayed, alongside the recovered reasoner.
@@ -388,41 +521,34 @@ pub struct ReplayCounts {
 /// Replays verified WAL records — `(file offset, payload)` pairs, as
 /// [`nalist_store::WalReplay::records`] and
 /// [`nalist_store::WalSegment::records`] borrow them from the log's
-/// bytes — into `reasoner` through the ordinary incremental edit path.
-/// This is the single replay primitive behind both crash [`recover`]y
-/// and replication followers tailing a leader's log, so both
-/// reconstruct bit-identical state by construction.
+/// bytes — into `reasoner`. This is the single replay primitive behind
+/// both crash [`recover`]y and replication followers tailing a leader's
+/// log, so both reconstruct bit-identical state by construction.
 ///
-/// Each distinct dependency text is resolved once per call, to the
-/// compiled form the reasoner keeps as its only copy of the dependency:
-/// a `+` pushes the memoized compiled form through the step
-/// [`Reasoner::add`] ends in, and a `-` removes the first `Σ` member
-/// with the same compiled form, as [`Reasoner::remove`] does. A `-`
-/// whose dependency `Σ` does not hold cannot apply, so it fails like a
-/// record that does not parse. `?` records are parsed every time, under
-/// `budget`'s limits.
-///
-/// Replay stops at the first record that fails to decode or apply;
-/// `counts` then holds what was applied before it. Record indices in
-/// [`PersistError::Replay`] are zero-based positions in `records`.
+/// Each distinct text is read once per call, under `budget`'s parse
+/// limits, to its compiled pair; each record then goes through the
+/// check of [`Reasoner::decide`] (a `-` of a dependency `Σ` does not
+/// hold fails like a text that does not parse) and the step of
+/// [`Reasoner::commit`]. Replay stops at the first record that fails to
+/// decode or apply; `counts` then holds what was applied before it.
+/// Record indices in [`PersistError::Replay`] are zero-based positions
+/// in `records`.
 pub fn replay_wal<'a>(
     reasoner: &mut Reasoner,
     records: impl IntoIterator<Item = (u64, &'a [u8])>,
     budget: &Budget,
     counts: &mut ReplayCounts,
 ) -> Result<(), PersistError> {
-    // text after the tag → compiled dependency, shared by `+` and `-`
+    let limits = ParseLimits::from_budget(budget);
+    // text after the tag → compiled dependency, shared by every kind
     let mut memo: HashMap<&'a str, CompiledDep> = HashMap::new();
     for (index, (offset, payload)) in records.into_iter().enumerate() {
-        let fail = |e: ReasonerError| match e {
-            ReasonerError::Resource(r) => PersistError::Resource(r),
-            other => PersistError::Replay {
-                index,
-                message: other.to_string(),
-            },
+        let fail = |e: ReasonerError| PersistError::Replay {
+            index,
+            message: e.to_string(),
         };
         let (tag, text) = split_record(payload, offset)?;
-        match tag {
+        let count = match tag {
             Tag::Header => {
                 let schema_text = reasoner.attr().to_string();
                 if text != schema_text {
@@ -431,38 +557,22 @@ pub fn replay_wal<'a>(
                     )));
                 }
                 counts.headers += 1;
+                continue;
             }
-            Tag::Add | Tag::Remove => {
-                let c = match memo.entry(text) {
-                    Entry::Occupied(seen) => seen.into_mut(),
-                    Entry::Vacant(first) => {
-                        let c =
-                            CompiledDep::parse(reasoner.algebra(), text, ParseLimits::default())
-                                .map_err(|e| fail(ReasonerError::Parse(e)))?;
-                        first.insert(c)
-                    }
-                };
-                if matches!(tag, Tag::Add) {
-                    reasoner.add_compiled(c.clone());
-                    counts.adds += 1;
-                } else {
-                    let i = reasoner
-                        .compiled_sigma()
-                        .iter()
-                        .position(|have| have == c)
-                        .ok_or_else(|| PersistError::Replay {
-                            index,
-                            message: format!("dependency not in Σ: {text}"),
-                        })?;
-                    reasoner.remove_at(i);
-                    counts.removes += 1;
-                }
-            }
-            Tag::Query => {
-                reasoner.implies_str_governed(text, budget).map_err(fail)?;
-                counts.queries += 1;
-            }
-        }
+            Tag::Add => &mut counts.adds,
+            Tag::Remove => &mut counts.removes,
+            Tag::Query => &mut counts.queries,
+        };
+        let dep = match memo.entry(text) {
+            Entry::Occupied(seen) => seen.into_mut(),
+            Entry::Vacant(first) => first.insert(
+                CompiledDep::parse(reasoner.algebra(), text, limits)
+                    .map_err(|e| fail(ReasonerError::Parse(e)))?,
+            ),
+        };
+        let at = reasoner.check(tag, text, dep, &[]).map_err(fail)?;
+        reasoner.apply(tag, dep, at, budget)?;
+        *count += 1;
     }
     Ok(())
 }
@@ -504,6 +614,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use nalist_obs::NoopRecorder;
+    use nalist_types::parser::parse_attr;
 
     fn reasoner_with(schema: &str, deps: &[&str]) -> Reasoner {
         let n = parse_attr(schema).unwrap();
@@ -784,20 +895,12 @@ mod tests {
             WalOp::Query("L(A) ->> L(C)".to_string()),
             WalOp::Remove("L(A) -> L(B)".to_string()),
         ];
-        for op in &ops {
-            wal.append(&op.encode(), &Budget::unlimited(), &NoopRecorder)
-                .unwrap();
-            match op {
-                WalOp::Add(t) => live.add_str(t).unwrap(),
-                WalOp::Remove(t) => {
-                    live.remove_str(t).unwrap();
-                }
-                WalOp::Query(t) => {
-                    live.implies_str(t).unwrap();
-                }
-                WalOp::Header { .. } => unreachable!(),
-            }
-        }
+        let budget = Budget::unlimited();
+        let decided = live.decide(&ops, &budget).unwrap();
+        assert_eq!(
+            live.commit(decided, Some(&mut wal), &budget).unwrap(),
+            [true]
+        );
         drop(wal);
         let rep = recover(
             &snap,

@@ -337,7 +337,7 @@ fn tenant_route(
             let body = parse_body(req)?;
             let mut r = t.reasoner.write().unwrap_or_else(PoisonError::into_inner);
             let mut wal = t.wal.lock().unwrap_or_else(PoisonError::into_inner);
-            handle_edit(state, &mut r, wal.as_mut(), &body, &budget)
+            handle_edit(&mut r, wal.as_mut(), &body, &budget)
         }
         "cert" => {
             require_method(req, "GET")?;
@@ -390,9 +390,7 @@ fn tenant_route(
             require_method(req, "POST")?;
             let body = parse_body(req)?;
             let text = body_str(&body, "deps")?;
-            let mut r = t.reasoner.write().unwrap_or_else(PoisonError::into_inner);
-            let mut wal = t.wal.lock().unwrap_or_else(PoisonError::into_inner);
-            handle_reload(state, tenant, &mut r, wal.as_mut(), text, &budget)
+            handle_reload(tenant, &t, text, &budget)
         }
         "snapshot" => {
             require_method(req, "GET")?;
@@ -461,19 +459,19 @@ fn handle_wal(state: &ServiceState, t: &Tenant, req: &Request) -> Result<Respons
 
 /// `POST /v1/{t}/reload` with `{"deps": "<whole deps file>"}`: validate
 /// the file *fully* — every line parsed, resolved and Σ-linted — and
-/// only then swap Σ under the already-held write lock, journaling each
-/// remove/add before applying it (the same WAL-first path as `/edit`).
-/// A file with any error changes nothing and answers `400` carrying
-/// the lint report's span diagnostics.
+/// only then swap Σ, journaling each remove/add before applying it (the
+/// same WAL-first path as `/edit`). The lint and the adds need only the
+/// schema, which never changes, so the write lock is taken after them.
+/// A file with any error changes nothing and answers `400` carrying the
+/// lint report's span diagnostics.
 fn handle_reload(
-    state: &ServiceState,
     tenant: &str,
-    r: &mut Reasoner,
-    mut wal: Option<&mut nalist_store::WalWriter>,
+    t: &Tenant,
     deps_src: &str,
     budget: &Budget,
 ) -> Result<Response, ApiError> {
-    let schema_src = r.attr().to_string();
+    let read = || t.reasoner.read().unwrap_or_else(PoisonError::into_inner);
+    let schema_src = read().attr().to_string();
     let report = nalist_lint::lint_spec_governed(&schema_src, deps_src, budget).map_err(|e| {
         match e {
             nalist_lint::SpecError::Resource(res) => ApiError::resource(res),
@@ -499,60 +497,36 @@ fn handle_reload(
             ),
         ));
     }
-    let limits = nalist_types::parser::ParseLimits::from_budget(budget);
-    let mut new_deps = Vec::new();
-    for (i, line) in deps_src.lines().enumerate() {
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| {
-            ApiError::internal(format!(
-                "line {}: linted clean but does not parse: {e}",
-                i + 1
-            ))
-        })?;
-        dep.compile(r.algebra()).map_err(|m| {
-            ApiError::internal(format!(
-                "line {}: linted clean but does not compile: {m}",
-                i + 1
-            ))
-        })?;
-        new_deps.push((text.to_string(), dep));
-    }
-    let rec = Arc::clone(state.recorder());
-    let append = |op: &WalOp, wal: &mut Option<&mut nalist_store::WalWriter>| {
-        if let Some(w) = wal.as_deref_mut() {
-            w.append(&op.encode(), budget, rec.as_ref())
-                .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
-        }
-        Ok::<(), ApiError>(())
-    };
-    let old: Vec<String> = r
+    let adds: Vec<WalOp> = deps_src
+        .lines()
+        .map(str::trim)
+        .filter(|text| !text.is_empty() && !text.starts_with('#'))
+        .map(|text| WalOp::Add(text.to_string()))
+        .collect();
+    let added = read()
+        .decide(&adds, budget)
+        .map_err(|(_, e)| ApiError::reasoner(&e))?;
+    let mut r = t.reasoner.write().unwrap_or_else(PoisonError::into_inner);
+    let mut wal = t.wal.lock().unwrap_or_else(PoisonError::into_inner);
+    let removes: Vec<WalOp> = r
         .compiled_sigma()
         .iter()
-        .map(|d| d.render(r.algebra()))
+        .map(|d| WalOp::Remove(d.render(r.algebra())))
         .collect();
-    let (removed, added) = (old.len(), new_deps.len());
-    for text in old {
-        append(&WalOp::Remove(text), &mut wal)?;
-        // every earlier member is gone, so the first Σ member equal to
-        // this one is the front: what `remove` would find
-        r.remove_at(0);
-    }
-    for (text, dep) in new_deps {
-        append(&WalOp::Add(text), &mut wal)?;
-        // Cannot fail for a compiled-clean dependency short of budget
-        // exhaustion, which leaves the log ahead of memory — the same
-        // recoverable invariant as /edit.
-        r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
-    }
+    let removed = r
+        .decide(&removes, budget)
+        .map_err(|(_, e)| ApiError::reasoner(&e))?;
+    r.commit(removed, wal.as_mut(), budget)
+        .and_then(|_| r.commit(added, wal.as_mut(), budget))
+        .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
     Ok(Response::json(
         200,
         format!(
-            "{{\"tenant\": {}, \"removed\": {removed}, \"added\": {added}, \
+            "{{\"tenant\": {}, \"removed\": {}, \"added\": {}, \
              \"sigma\": {}, \"warnings\": {}}}\n",
             escape(tenant),
+            removes.len(),
+            adds.len(),
             r.compiled_sigma().len(),
             report.warnings()
         ),
@@ -613,96 +587,60 @@ fn handle_query(
 }
 
 /// `POST /v1/{t}/edit` with `{"op", "dep"}` or `{"edits": [{"op", "dep"}, …]}`.
-/// The whole batch is validated before anything is journaled, since a
-/// record that cannot replay must never reach the log: every text
-/// parsed and compiled, every op named, every remove checked against Σ
-/// as the batch's earlier edits leave it, and the deadline checked per
-/// edit. So a batch that answers `400` or `429` changes nothing. Then
-/// each edit is journaled and applied in turn, from the dependencies
-/// the first pass parsed.
+/// The whole batch is decided ([`Reasoner::decide`]) before anything is
+/// journaled, so a batch that answers `400` or `429` changes nothing;
+/// then [`Reasoner::commit`] journals and applies each edit in turn.
 fn handle_edit(
-    state: &ServiceState,
     r: &mut Reasoner,
-    mut wal: Option<&mut nalist_store::WalWriter>,
+    wal: Option<&mut nalist_store::WalWriter>,
     body: &Json,
     budget: &Budget,
 ) -> Result<Response, ApiError> {
     // Accept both a single {"op", "dep"} and {"edits": [{...}]}.
-    let edits: Vec<(String, String)> = if let Some(arr) = body.get("edits") {
+    let edits: Vec<(&str, &str)> = if let Some(arr) = body.get("edits") {
         let arr = arr
             .as_arr()
             .ok_or_else(|| ApiError::bad_request("\"edits\" must be an array"))?;
         arr.iter()
             .enumerate()
             .map(|(i, e)| {
-                let op = e.get("op").and_then(Json::as_str).ok_or_else(|| {
-                    ApiError::bad_request(format!("edits[{i}]: missing string field \"op\""))
-                })?;
-                let dep = e.get("dep").and_then(Json::as_str).ok_or_else(|| {
-                    ApiError::bad_request(format!("edits[{i}]: missing string field \"dep\""))
-                })?;
-                Ok((op.to_string(), dep.to_string()))
+                let field = |key| {
+                    e.get(key).and_then(Json::as_str).ok_or_else(|| {
+                        ApiError::bad_request(format!("edits[{i}]: missing string field {key:?}"))
+                    })
+                };
+                Ok((field("op")?, field("dep")?))
             })
             .collect::<Result<_, ApiError>>()?
     } else {
-        vec![(
-            body_str(body, "op")?.to_string(),
-            body_str(body, "dep")?.to_string(),
-        )]
+        vec![(body_str(body, "op")?, body_str(body, "dep")?)]
     };
-    let limits = nalist_types::parser::ParseLimits::from_budget(budget);
-    // (is an add, parsed, compiled) per edit, in batch order
-    let mut checked: Vec<(bool, nalist_deps::Dependency, nalist_deps::CompiledDep)> =
-        Vec::with_capacity(edits.len());
-    for (i, (op, text)) in edits.iter().enumerate() {
-        budget.check_deadline().map_err(ApiError::resource)?;
-        let here = |e: &dyn std::fmt::Display| ApiError::bad_request(format!("edits[{i}]: {e}"));
-        let dep =
-            nalist_deps::Dependency::parse_with(r.attr(), text, limits).map_err(|e| here(&e))?;
-        let compiled = dep.compile(r.algebra()).map_err(|m| here(&m))?;
-        let add = match op.as_str() {
-            "add" => true,
-            "remove" => {
-                // Σ as the batch's earlier edits leave it must hold a
-                // copy: one more than the earlier removes take, net of
-                // the earlier adds
-                let earlier = |add: bool| {
-                    checked
-                        .iter()
-                        .filter(|(a, _, c)| *a == add && *c == compiled)
-                        .count()
-                };
-                let (added, removed) = (earlier(true), earlier(false));
-                let mut held = r.compiled_sigma().iter().filter(|c| **c == compiled);
-                if added <= removed && held.nth(removed - added).is_none() {
-                    return Err(here(&format!("dependency not in Σ: {text}")));
-                }
-                false
-            }
-            other => return Err(here(&format!("unknown op {other:?} (want add or remove)"))),
-        };
-        checked.push((add, dep, compiled));
+    // an unknown op ends the batch; its text is still read, as a query,
+    // so the deadline and the text are checked before the op
+    let unknown = edits
+        .iter()
+        .position(|(op, _)| !matches!(*op, "add" | "remove"));
+    let ops: Vec<WalOp> = edits[..unknown.map_or(edits.len(), |k| k + 1)]
+        .iter()
+        .map(|&(op, dep)| match op {
+            "add" => WalOp::Add(dep.to_string()),
+            "remove" => WalOp::Remove(dep.to_string()),
+            _ => WalOp::Query(dep.to_string()),
+        })
+        .collect();
+    let decided = r
+        .decide(&ops, budget)
+        .map_err(|(i, e)| decide_error("edits", i, e))?;
+    if let Some(k) = unknown {
+        return Err(ApiError::bad_request(format!(
+            "edits[{k}]: unknown op {:?} (want add or remove)",
+            edits[k].0
+        )));
     }
-    let rec = Arc::clone(state.recorder());
-    let (mut adds, mut removes) = (0u64, 0u64);
-    for ((add, dep, _), (_, text)) in checked.into_iter().zip(edits) {
-        let wal_op = if add {
-            WalOp::Add(text)
-        } else {
-            WalOp::Remove(text)
-        };
-        if let Some(w) = wal.as_deref_mut() {
-            w.append(&wal_op.encode(), budget, rec.as_ref())
-                .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
-        }
-        if add {
-            r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
-            adds += 1;
-        } else {
-            r.remove(&dep).map_err(|e| ApiError::reasoner(&e))?;
-            removes += 1;
-        }
-    }
+    let adds = ops.iter().filter(|op| matches!(op, WalOp::Add(_))).count();
+    let removes = ops.len() - adds;
+    r.commit(decided, wal, budget)
+        .map_err(|e| ApiError::internal(format!("WAL append failed: {e}")))?;
     let stats = r.cache_stats();
     Ok(Response::json(
         200,
@@ -715,6 +653,16 @@ fn handle_edit(
             stats.evicted
         ),
     ))
+}
+
+/// Maps the failure of [`Reasoner::decide`] at item `i` of the request's
+/// `field` list: a `429` when the deadline passed, else a `400`.
+pub(crate) fn decide_error(field: &str, i: usize, e: ReasonerError) -> ApiError {
+    match e {
+        ReasonerError::Resource(res) => ApiError::resource(res),
+        ReasonerError::Parse(p) => ApiError::bad_request(format!("{field}[{i}]: {p}")),
+        other => ApiError::bad_request(format!("{field}[{i}]: {other}")),
+    }
 }
 
 fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response, ApiError> {

@@ -20,7 +20,7 @@ use nalist_obs::{site, Recorder};
 use nalist_store::WalWriter;
 use nalist_types::parser::{parse_attr_with, ParseLimits};
 
-use crate::api::ApiError;
+use crate::api::{decide_error, ApiError};
 
 /// Longest accepted tenant name; names are path components, so the
 /// alphabet is restricted to `[A-Za-z0-9_-]`.
@@ -333,11 +333,13 @@ impl Registry {
             .map_err(|e| ApiError::bad_request(format!("bad schema: {e}")))?;
         let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(&self.rec))
             .map_err(ApiError::resource)?;
-        for (i, text) in deps.iter().enumerate() {
-            let dep = nalist_deps::Dependency::parse_with(&n, text, limits)
-                .map_err(|e| ApiError::bad_request(format!("deps[{i}]: {e}")))?;
-            r.add(dep).map_err(|e| ApiError::reasoner(&e))?;
-        }
+        let adds: Vec<WalOp> = deps.iter().cloned().map(WalOp::Add).collect();
+        let decided = r
+            .decide(&adds, budget)
+            .map_err(|(i, e)| decide_error("deps", i, e))?;
+        // the snapshot persist_fresh writes holds them: nothing to journal
+        r.commit(decided, None, budget)
+            .expect("adds with no log to write cannot fail");
         // The registry write lock is held across persistence: creates
         // are rare, and this makes insert + snapshot atomic. The name
         // itself is already ours — the reservation blocks every other

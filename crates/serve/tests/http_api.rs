@@ -318,3 +318,59 @@ fn failed_edit_batch_changes_nothing() {
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `/reload` lints and reads the posted file before it takes the
+/// tenant's write lock, so a query to the same tenant answers while a
+/// large file lints. The file is grown until linting it takes at least
+/// 1.5 s in this build (the lint's rule pass runs ungoverned).
+#[test]
+fn queries_answer_while_a_reload_lints() {
+    use std::time::{Duration, Instant};
+    let (srv, addr) = boot();
+    let attrs: Vec<String> = (0..16).map(|i| format!("A{i}")).collect();
+    let schema = format!("R({})", attrs.join(", "));
+    let create = format!(r#"{{"schema": "{schema}", "deps": []}}"#);
+    let (status, body) = request(addr, "POST", "/v1/r/create", Some(&create));
+    assert_eq!(status, 201, "{body}");
+
+    // two distinct attributes, in schema order, determine a third
+    let line = |k: usize| {
+        let (a, b) = (k % 16, (k % 16 + 1 + k / 16 % 15) % 16);
+        let c = (7 * k + 3) % 16;
+        format!("R(A{}, A{}) -> R(A{c})\n", a.min(b), a.max(b))
+    };
+    let mut lines = 64;
+    let (deps, linted) = loop {
+        let deps: String = (0..lines).map(line).collect();
+        let started = Instant::now();
+        nalist_lint::lint_spec(&schema, &deps).expect("the schema parses");
+        let linted = started.elapsed();
+        if linted >= Duration::from_millis(1_500) || lines >= 1 << 14 {
+            break (deps, linted);
+        }
+        lines = lines * 5 / 4;
+    };
+    let reload = format!(r#"{{"deps": "{}"}}"#, deps.replace('\n', "\\n"));
+    let started = Instant::now();
+    let reloading = std::thread::spawn(move || {
+        let (status, body) = request(addr, "POST", "/v1/r/reload", Some(&reload));
+        (status, body, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/r/query",
+        Some(r#"{"query": "R(A0) -> R(A0)"}"#),
+    );
+    let answered = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    let (status, body, reloaded) = reloading.join().expect("reload thread");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        answered < reloaded,
+        "the query answered after {answered:?}, behind the reload's {reloaded:?} \
+         ({lines} lines, linted alone in {linted:?})"
+    );
+    srv.shutdown();
+}

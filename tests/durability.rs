@@ -651,3 +651,189 @@ fn replay_oracle_covers_every_outcome() {
         );
     }
 }
+
+/// One generated operation of an edit batch: the operation as a writer
+/// posts it, and the pair its text denotes (`None` for a text that does
+/// not parse).
+type ModelOp = (WalOp, Option<CompiledDep>);
+
+/// A random edit batch of one to six operations against `held`, the `Σ`
+/// the batch meets: adds and queries of pool dependencies in any
+/// spelling, removes of held members, of members an earlier add of the
+/// batch made, twice of one copy and of dependencies `Σ` lacks, and
+/// texts that do not parse.
+fn edit_batch(
+    rng: &mut StdRng,
+    alg: &Algebra,
+    pool: &[CompiledDep],
+    held: &[CompiledDep],
+) -> Vec<ModelOp> {
+    let kinds: [fn(String) -> WalOp; 3] = [WalOp::Add, WalOp::Remove, WalOp::Query];
+    // Σ as the batch's earlier operations would leave it
+    let mut shadow = held.to_vec();
+    let mut last_removed: Option<CompiledDep> = None;
+    let mut batch = Vec::new();
+    for _ in 0..rng.gen_range(1..=6) {
+        let (kind, dep) = match rng.gen_range(0..10) {
+            3..=5 if !shadow.is_empty() => {
+                let d = shadow.swap_remove(rng.gen_range(0..shadow.len()));
+                last_removed = Some(d.clone());
+                (kinds[1], d)
+            }
+            // the copy the last remove took, once more
+            6 if last_removed.is_some() => (kinds[1], last_removed.clone().unwrap()),
+            7 => (kinds[1], nalist::gen::random_dep(rng, alg, 0.4, 0.5)),
+            8 => (kinds[2], pool[rng.gen_range(0..pool.len())].clone()),
+            9 => {
+                let text =
+                    ["L0(A0 ->", "Elsewhere(Z) -> Elsewhere(Z)", ""][rng.gen_range(0..3usize)];
+                batch.push((kinds[rng.gen_range(0..3usize)](text.to_string()), None));
+                continue;
+            }
+            _ => {
+                let d = pool[rng.gen_range(0..pool.len())].clone();
+                shadow.push(d.clone());
+                (kinds[0], d)
+            }
+        };
+        batch.push((kind(spell(rng, alg, &dep)), Some(dep)));
+    }
+    batch
+}
+
+/// `Σ` as `(members, ids, next id)`.
+type SigmaModel = (Vec<CompiledDep>, Vec<u64>, u64);
+
+/// Applies `batch` to the model in order: `Err(i)` for its first
+/// operation whose text does not parse or whose remove finds no copy.
+fn model_apply(model: &SigmaModel, batch: &[ModelOp]) -> Result<SigmaModel, usize> {
+    let (mut deps, mut ids, mut next) = model.clone();
+    for (i, (op, dep)) in batch.iter().enumerate() {
+        let dep = dep.as_ref().ok_or(i)?;
+        match op {
+            WalOp::Add(_) => {
+                deps.push(dep.clone());
+                ids.push(next);
+                next += 1;
+            }
+            WalOp::Remove(_) => {
+                let at = deps.iter().position(|d| d == dep).ok_or(i)?;
+                deps.remove(at);
+                ids.remove(at);
+            }
+            _ => {}
+        }
+    }
+    Ok((deps, ids, next))
+}
+
+/// Runs random edit batches through `decide`/`commit` into a WAL after a
+/// snapshot and checks them against the model; returns how each batch
+/// ended.
+fn one_edit_rule(seed: u64) -> Result<Vec<&'static str>, TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let atoms = rng.gen_range(4..=32);
+    let n = nalist::gen::attr_with_atoms(&mut rng, atoms);
+    let alg = Algebra::new(&n);
+    let pool: Vec<CompiledDep> = (0..rng.gen_range(1..=5))
+        .map(|_| nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5))
+        .collect();
+    let budget = Budget::unlimited();
+    let mut live = Reasoner::new(&n);
+    for _ in 0..rng.gen_range(0..=3) {
+        let d = &pool[rng.gen_range(0..pool.len())];
+        live.add_str(&spell(&mut rng, &alg, d))
+            .expect("pool texts parse");
+    }
+    let sigma = |r: &Reasoner| -> SigmaModel {
+        (
+            r.compiled_sigma().to_vec(),
+            r.dep_ids().to_vec(),
+            r.next_dep_id(),
+        )
+    };
+    let mut model = sigma(&live);
+
+    let dir = temp_dir("one_rule", seed);
+    let (snap, wal) = (dir.join("state.snap"), dir.join("ops.wal"));
+    write_reasoner_snapshot(&snap, &live, &budget, &NoopRecorder).unwrap();
+    let mut writer = WalWriter::create(&wal, false).unwrap();
+    let header = WalOp::Header {
+        schema: n.to_string(),
+    };
+    writer
+        .append(&header.encode(), &budget, &NoopRecorder)
+        .unwrap();
+    let mut outcomes = Vec::new();
+    for _ in 0..rng.gen_range(1..=8) {
+        let batch = edit_batch(&mut rng, &alg, &pool, &model.0);
+        let ops: Vec<WalOp> = batch.iter().map(|(op, _)| op.clone()).collect();
+        let logged = std::fs::read(&wal).unwrap();
+        match (live.decide(&ops, &budget), model_apply(&model, &batch)) {
+            (Ok(decided), Ok(want)) => {
+                live.commit(decided, Some(&mut writer), &budget).unwrap();
+                model = want;
+                prop_assert_eq!(&sigma(&live), &model, "{:?}", ops);
+                outcomes.push("accepted");
+            }
+            (Err((i, e)), Err(want)) => {
+                prop_assert_eq!(i, want, "{:?}: {}", ops, e);
+                let outcome = match (&e, &batch[i]) {
+                    (ReasonerError::Parse(_), (_, None)) => "parse",
+                    (ReasonerError::NotHeld(text), (WalOp::Remove(want), Some(_))) => {
+                        prop_assert_eq!(text, want);
+                        "not held"
+                    }
+                    _ => return Err(TestCaseError(format!("{ops:?}: {e}"))),
+                };
+                prop_assert_eq!(&sigma(&live), &model, "a rejected batch changed Σ");
+                prop_assert!(
+                    std::fs::read(&wal).unwrap() == logged,
+                    "a rejected batch reached the log"
+                );
+                outcomes.push(outcome);
+            }
+            (got, want) => {
+                return Err(TestCaseError(format!(
+                    "{ops:?}: decided {:?}, the model {want:?}",
+                    got.map(|d| d.len())
+                )))
+            }
+        }
+    }
+    drop(writer);
+    let recovered = recover(&snap, Some(&wal), &budget, Arc::new(NoopRecorder)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    prop_assert_eq!(
+        snapshot_payload(&recovered.reasoner),
+        snapshot_payload(&live),
+        "recovery diverged from the live reasoner"
+    );
+    Ok(outcomes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every writer's edit rule: a batch is accepted iff the model
+    /// applies it in order, and a rejection names its first failing
+    /// operation and changes neither `Σ` nor the log. Accepted batches
+    /// leave `Σ` (members, ids, next id) equal to the model, and
+    /// recovering snapshot plus log gives the live reasoner's bytes.
+    #[test]
+    fn edit_batches_follow_the_one_edit_rule(seed in any::<u64>()) {
+        one_edit_rule(seed)?;
+    }
+}
+
+/// The edit batches above reach every way a batch ends, so the property
+/// cannot pass vacuously.
+#[test]
+fn edit_batches_reach_every_outcome() {
+    let seen: std::collections::BTreeSet<_> = (0..32)
+        .flat_map(|seed| one_edit_rule(seed).unwrap())
+        .collect();
+    for outcome in ["accepted", "parse", "not held"] {
+        assert!(seen.contains(outcome), "no batch ended {outcome}: {seen:?}");
+    }
+}
