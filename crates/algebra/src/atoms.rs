@@ -272,8 +272,7 @@ impl Algebra {
             self.is_downward_closed(set),
             "atom set must be downward closed"
         );
-        let mut cursor = 0;
-        to_attr_walk(&self.attr, set, &mut cursor)
+        nalist_types::subattr::from_atoms(&self.attr, set.iter())
     }
 
     /// Converts a subattribute `x ≤ N` into its atom set `SubB(x)`.
@@ -328,40 +327,6 @@ fn collect_atoms(
             list_ancestors.push(id);
             collect_atoms(inner, list_ancestors, out);
             list_ancestors.pop();
-        }
-    }
-}
-
-/// The subtree of [`Algebra::to_attr`] for the subtree `n` of `N` whose
-/// first atom is `*cursor`; advances `cursor` past its atoms.
-pub(crate) fn to_attr_walk(n: &NestedAttr, set: &AtomSet, cursor: &mut usize) -> NestedAttr {
-    match n {
-        NestedAttr::Null => NestedAttr::Null,
-        NestedAttr::Flat(name) => {
-            let present = set.contains(*cursor);
-            *cursor += 1;
-            if present {
-                NestedAttr::Flat(name.clone())
-            } else {
-                NestedAttr::Null
-            }
-        }
-        NestedAttr::Record(l, children) => NestedAttr::Record(
-            l.clone(),
-            children
-                .iter()
-                .map(|c| to_attr_walk(c, set, cursor))
-                .collect(),
-        ),
-        NestedAttr::List(l, inner) => {
-            let present = set.contains(*cursor);
-            *cursor += 1;
-            if present {
-                NestedAttr::List(l.clone(), Box::new(to_attr_walk(inner, set, cursor)))
-            } else {
-                *cursor += inner.basis_size();
-                NestedAttr::Null
-            }
         }
     }
 }

@@ -23,15 +23,16 @@
 //!
 //! Reading goes the other way without a tree as well:
 //! [`Algebra::parse_subattr`] resolves the text with the parser's one
-//! counting pass and takes the resolution's atoms from its atom emitter
+//! counting pass and takes the resolution's atoms from its emitter
 //! (`nalist_types::display::first_resolution_atoms`).
 
 use nalist_types::attr::NestedAttr;
 use nalist_types::display::abbreviate;
 use nalist_types::error::ParseError;
 use nalist_types::parser::{parse_loose_with, resolve_loose_atoms, ParseLimits};
+use nalist_types::subattr::from_atoms;
 
-use crate::atoms::{to_attr_walk, Algebra};
+use crate::atoms::Algebra;
 use crate::bitset::AtomSet;
 
 /// One node of the schema `N`, flattened in pre-order.
@@ -174,8 +175,9 @@ impl Algebra {
             NestedAttr::Record(..) if self.schema[i].repeated => {
                 // the tree-level rule, on this subtree alone: its text
                 // depends on nothing outside it
-                let mut cursor = self.schema[i].lo;
-                out.push_str(&abbreviate(&to_attr_walk(n, x, &mut cursor), n));
+                let lo = self.schema[i].lo;
+                let atoms = x.iter().filter_map(|a| a.checked_sub(lo));
+                out.push_str(&abbreviate(&from_atoms(n, atoms), n));
             }
             NestedAttr::Record(l, cs) => {
                 out.push_str(l);

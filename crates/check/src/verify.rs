@@ -16,9 +16,10 @@
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::rules::{apply, Rule};
-use nalist_deps::{CompiledDep, Dependency, Instance};
+use nalist_deps::{CompiledDep, Instance};
 use nalist_guard::{Budget, ResourceExhausted};
-use nalist_types::parser::{parse_attr_with, parse_subattr_of_with, ParseLimits};
+use nalist_types::error::ParseError;
+use nalist_types::parser::{parse_attr_with, ParseLimits};
 
 use crate::format::{CertNode, Certificate, Statement, Verdict};
 
@@ -256,14 +257,9 @@ pub fn verify(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let dep = Dependency::parse_with(&n, line, limits)
-            .map_err(|e| CheckError::DepsParse {
-                detail: e.to_string(),
-            })?
-            .compile(&alg)
-            .map_err(|e| CheckError::DepsParse {
-                detail: e.to_string(),
-            })?;
+        let dep = CompiledDep::parse(&alg, line, limits).map_err(|e| CheckError::DepsParse {
+            detail: e.to_string(),
+        })?;
         sigma.push(dep);
     }
 
@@ -281,34 +277,21 @@ pub fn verify(
     }
     for (i, rendered) in cert.sigma.iter().enumerate() {
         budget.charge(1)?;
-        let embedded = Dependency::parse_with(&n, rendered, limits)
-            .ok()
-            .and_then(|d| d.compile(&alg).ok());
-        if embedded.as_ref() != Some(&sigma[i]) {
+        if CompiledDep::parse(&alg, rendered, limits).as_ref() != Ok(&sigma[i]) {
             return Err(CheckError::SigmaMismatch { index: i });
         }
     }
 
-    // 3. the statement, compiled against the trusted schema
-    let compile_sub = |src: &str| -> Result<AtomSet, String> {
-        let attr = parse_subattr_of_with(&n, src, limits).map_err(|e| e.to_string())?;
-        alg.from_attr(&attr).map_err(|e| e.to_string())
+    // 3. the statement, read against the trusted schema
+    let bad_statement = |e: ParseError| CheckError::BadStatement {
+        detail: e.to_string(),
     };
     let target = match (&cert.statement, cert.verdict) {
         (Statement::Implies { dep }, Verdict::Implied | Verdict::NotImplied) => {
-            let dep = Dependency::parse_with(&n, dep, limits)
-                .map_err(|e| CheckError::BadStatement {
-                    detail: e.to_string(),
-                })?
-                .compile(&alg)
-                .map_err(|e| CheckError::BadStatement {
-                    detail: e.to_string(),
-                })?;
-            StatementTarget::Dep(dep)
+            StatementTarget::Dep(CompiledDep::parse(&alg, dep, limits).map_err(bad_statement)?)
         }
         (Statement::Basis { lhs }, Verdict::Derived) => {
-            let x = compile_sub(lhs).map_err(|detail| CheckError::BadStatement { detail })?;
-            StatementTarget::Lhs(x)
+            StatementTarget::Lhs(alg.parse_subattr(lhs, limits).map_err(bad_statement)?)
         }
         _ => return Err(CheckError::VerdictMismatch),
     };
@@ -316,7 +299,7 @@ pub fn verify(
     // 4. replay
     match (&target, cert.verdict) {
         (StatementTarget::Dep(dep), Verdict::Implied) => {
-            let conclusions = replay(&alg, &n, &sigma, cert, budget, &compile_sub)?;
+            let conclusions = replay(&alg, &sigma, cert, budget)?;
             let last = conclusions.last().ok_or(CheckError::EmptyDerivation)?;
             if last != dep {
                 return Err(CheckError::GoalMismatch {
@@ -340,7 +323,7 @@ pub fn verify(
             })
         }
         (StatementTarget::Lhs(x), Verdict::Derived) => {
-            let conclusions = replay(&alg, &n, &sigma, cert, budget, &compile_sub)?;
+            let conclusions = replay(&alg, &sigma, cert, budget)?;
             check_basis(&alg, x, cert, &conclusions, budget)?;
             Ok(Report {
                 verdict: cert.verdict,
@@ -362,11 +345,9 @@ enum StatementTarget {
 /// conclusion.
 fn replay(
     alg: &Algebra,
-    n: &nalist_types::NestedAttr,
     sigma: &[CompiledDep],
     cert: &Certificate,
     budget: &Budget,
-    compile_sub: &dyn Fn(&str) -> Result<AtomSet, String>,
 ) -> Result<Vec<CompiledDep>, CheckError> {
     let limits = ParseLimits::from_budget(budget);
     let mut conclusions: Vec<CompiledDep> = Vec::with_capacity(cert.derivation.len());
@@ -398,23 +379,18 @@ fn replay(
                 }
                 let mut param_sets = Vec::with_capacity(params.len());
                 for p in params {
-                    param_sets.push(
-                        compile_sub(p).map_err(|detail| fail(NodeError::BadParam { detail }))?,
-                    );
+                    param_sets.push(alg.parse_subattr(p, limits).map_err(|e| {
+                        fail(NodeError::BadParam {
+                            detail: e.to_string(),
+                        })
+                    })?);
                 }
                 let param_refs: Vec<&AtomSet> = param_sets.iter().collect();
-                let recorded = Dependency::parse_with(n, conclusion, limits)
-                    .map_err(|e| {
-                        fail(NodeError::BadConclusion {
-                            detail: e.to_string(),
-                        })
-                    })?
-                    .compile(alg)
-                    .map_err(|e| {
-                        fail(NodeError::BadConclusion {
-                            detail: e.to_string(),
-                        })
-                    })?;
+                let recorded = CompiledDep::parse(alg, conclusion, limits).map_err(|e| {
+                    fail(NodeError::BadConclusion {
+                        detail: e.to_string(),
+                    })
+                })?;
                 let derived = apply(alg, rule, &premise_refs, &param_refs)
                     .ok_or_else(|| fail(NodeError::RuleRejected))?;
                 if derived != recorded {
@@ -511,14 +487,11 @@ fn check_basis(
 ) -> Result<(), CheckError> {
     let b = cert.basis.as_ref().ok_or(CheckError::MissingBasis)?;
     let invalid = |reason: String| CheckError::Basis { reason };
-    let n = alg.attr().clone();
     let limits = ParseLimits::from_budget(budget);
-    let compile_sub = |src: &str| -> Result<AtomSet, String> {
-        let attr = parse_subattr_of_with(&n, src, limits).map_err(|e| e.to_string())?;
-        alg.from_attr(&attr).map_err(|e| e.to_string())
-    };
 
-    let closure = compile_sub(&b.closure).map_err(|e| invalid(format!("closure: {e}")))?;
+    let closure = alg
+        .parse_subattr(&b.closure, limits)
+        .map_err(|e| invalid(format!("closure: {e}")))?;
     let closure_claim = conclusions
         .get(b.closure_node)
         .ok_or_else(|| invalid(format!("closure_node {} out of range", b.closure_node)))?;
@@ -540,7 +513,9 @@ fn check_basis(
     let mut covered = closure.clone();
     for (k, (block_src, &node)) in b.blocks.iter().zip(&b.block_nodes).enumerate() {
         budget.charge(1)?;
-        let block = compile_sub(block_src).map_err(|e| invalid(format!("block #{k}: {e}")))?;
+        let block = alg
+            .parse_subattr(block_src, limits)
+            .map_err(|e| invalid(format!("block #{k}: {e}")))?;
         if block.is_empty() {
             return Err(invalid(format!("block #{k} is λ")));
         }

@@ -87,6 +87,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use nalist::deps::instance::InstanceError;
 use nalist::membership::cert::{self, implied_certificate, refuted_certificate, EvidenceError};
 use nalist::membership::trace::{render_result, render_trace};
 use nalist::membership::{recover, write_reasoner_snapshot, WalOp};
@@ -96,6 +97,7 @@ use nalist::obs::{
 use nalist::prelude::*;
 use nalist::schema::cover::redundant_indices;
 use nalist::schema::normalform::fourth_nf_violations;
+use nalist::types::parser::parse_value_with;
 
 /// Exit code for resource exhaustion (deadline, fuel, atom or depth
 /// caps).
@@ -465,15 +467,18 @@ impl Files for OsFiles {
     }
 }
 
-/// An unparsable schema is a domain error (exit 1) — except depth-limit
-/// violations, which honour the resource contract `--max-depth`
-/// documents (exit 3).
-fn schema_error(e: &ParseError) -> CliError {
-    let message = format!("bad schema attribute: {e}");
+/// A text that does not parse is a domain error (exit 1) reported as
+/// `message` — except depth-limit violations, which honour the resource
+/// contract `--max-depth` documents (exit 3).
+fn parse_error(e: &ParseError, message: String) -> CliError {
     match e {
         ParseError::TooDeep { .. } => CliError::resource(message),
         _ => CliError::domain(message),
     }
+}
+
+fn schema_error(e: &ParseError) -> CliError {
+    parse_error(e, format!("bad schema attribute: {e}"))
 }
 
 fn load_reasoner(
@@ -510,11 +515,12 @@ fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
 }
 
 /// Maps a failure to read or apply line `lineno` of `path`: resource
-/// exhaustion exits 3, anything else is a domain error naming the line.
+/// exhaustion exits 3, anything else is a domain error naming the line
+/// ([`parse_error`] for a text that does not parse).
 fn at_line(path: &str, lineno: usize, e: ReasonerError) -> CliError {
     match e {
         ReasonerError::Resource(r) => CliError::resource(r),
-        ReasonerError::Parse(p) => CliError::domain(format!("{path}:{lineno}: {p}")),
+        ReasonerError::Parse(p) => parse_error(&p, format!("{path}:{lineno}: {p}")),
         other => CliError::domain(format!("{path}:{lineno}: {other}")),
     }
 }
@@ -523,14 +529,36 @@ fn at_line(path: &str, lineno: usize, e: ReasonerError) -> CliError {
 /// compiled pair.
 fn parse_target(r: &Reasoner, dep: &str, budget: &Budget) -> Result<CompiledDep, CliError> {
     CompiledDep::parse(r.algebra(), dep, ParseLimits::from_budget(budget))
-        .map_err(|e| CliError::domain(format!("bad dependency: {e}")))
+        .map_err(|e| parse_error(&e, format!("bad dependency: {e}")))
 }
 
 /// Parses `sub` as a subattribute of the reasoner's `N`, as its atom set.
 fn parse_sub(r: &Reasoner, sub: &str, budget: &Budget) -> Result<AtomSet, CliError> {
     r.algebra()
         .parse_subattr(sub, ParseLimits::from_budget(budget))
-        .map_err(|e| CliError::domain(format!("bad subattribute: {e}")))
+        .map_err(|e| parse_error(&e, format!("bad subattribute: {e}")))
+}
+
+/// Reads the data file `path`, one tuple per line, into an instance of
+/// the reasoner's `N`, parsing each under the budget's depth cap.
+fn read_instance(
+    files: &dyn Files,
+    r: &Reasoner,
+    path: &str,
+    budget: &Budget,
+) -> Result<Instance, CliError> {
+    let limits = ParseLimits::from_budget(budget);
+    let mut instance = Instance::new(r.attr().clone());
+    let text = files.read(path).map_err(CliError::file)?;
+    for (lineno, line) in content_lines(&text) {
+        let at = |e: InstanceError| format!("{path}:{lineno}: {e}");
+        let tuple = parse_value_with(line, limits)
+            .map_err(|e| parse_error(&e, at(InstanceError::Parse(e.clone()))))?;
+        instance
+            .insert(tuple)
+            .map_err(|e| CliError::domain(at(InstanceError::Type(e))))?;
+    }
+    Ok(instance)
 }
 
 fn checkpoint(budget: &Budget) -> Result<(), CliError> {
@@ -894,16 +922,15 @@ fn dispatch(
             let limits = ParseLimits::from_budget(budget);
             let mut targets = Vec::new();
             for (lineno, line) in content_lines(&text) {
-                let dep = Dependency::parse_with(r.attr(), line, limits)
-                    .map_err(|e| CliError::domain(format!("{queries}:{lineno}: {e}")))?;
+                let dep = CompiledDep::parse(alg, line, limits)
+                    .map_err(|e| parse_error(&e, format!("{queries}:{lineno}: {e}")))?;
                 targets.push(dep);
             }
             let verdicts = r
-                .implies_batch_governed_with(&targets, budget, threads)
+                .implies_batch(&targets, budget, threads)
                 .map_err(CliError::domain)?;
             let (mut implied, mut failed) = (0, 0);
-            for (dep, verdict) in targets.iter().zip(&verdicts) {
-                let c = dep.compile(alg).expect("batch already compiled it");
+            for (c, verdict) in targets.iter().zip(&verdicts) {
                 match verdict {
                     Ok(true) => {
                         implied += 1;
@@ -1134,42 +1161,36 @@ fn dispatch(
                 out.push_str(&rendered);
                 out.push_str(&render_result(alg, &basis));
             } else {
-                let basis = r
-                    .dependency_basis_governed(&xs, budget)
-                    .map_err(closure_error)?;
-                writeln!(out, "X+ = {}", alg.render(&basis.closure)).unwrap();
-                writeln!(out, "DepB(X) ({} elements):", basis.basis.len()).unwrap();
-                for b in &basis.basis {
-                    writeln!(out, "  {}", alg.render(b)).unwrap();
-                }
+                let list = |out: &mut String, basis: &DependencyBasis| {
+                    writeln!(out, "X+ = {}", alg.render(&basis.closure)).unwrap();
+                    writeln!(out, "DepB(X) ({} elements):", basis.basis.len()).unwrap();
+                    for b in &basis.basis {
+                        writeln!(out, "  {}", alg.render(b)).unwrap();
+                    }
+                };
                 if let Some(path) = cert_path {
+                    // the certified run's basis is the listing: Algorithm
+                    // 5.1 runs once, as for `decide` and `prove`
+                    let sigma = r.compiled_sigma();
                     let cb = nalist::membership::certified_closure_and_basis_governed(
-                        alg,
-                        r.compiled_sigma(),
-                        &xs,
-                        budget,
+                        alg, sigma, &xs, budget,
                     )
                     .map_err(certify_error)?;
-                    let cert = nalist::membership::cert::basis_certificate(
-                        alg,
-                        r.compiled_sigma(),
-                        &xs,
-                        &cb,
-                    );
+                    list(&mut out, &cb.basis);
+                    let cert = nalist::membership::cert::basis_certificate(alg, sigma, &xs, &cb);
                     write_certificate(files, path, &cert, &mut out)?;
+                } else {
+                    let basis = r
+                        .dependency_basis_governed(&xs, budget)
+                        .map_err(closure_error)?;
+                    list(&mut out, &basis);
                 }
             }
         }
         ("chase", [schema, deps, data]) => {
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let mut instance = Instance::new(r.attr().clone());
-            let text = files.read(data).map_err(CliError::file)?;
-            for (lineno, line) in content_lines(&text) {
-                instance
-                    .insert_str(line)
-                    .map_err(|e| CliError::domain(format!("{data}:{lineno}: {e}")))?;
-            }
+            let instance = read_instance(files, &r, data, budget)?;
             match nalist::deps::chase::chase_observed(
                 alg,
                 r.compiled_sigma(),
@@ -1196,13 +1217,7 @@ fn dispatch(
         ("verify", [schema, deps, data]) => {
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
-            let mut instance = Instance::new(r.attr().clone());
-            let text = files.read(data).map_err(CliError::file)?;
-            for (lineno, line) in content_lines(&text) {
-                instance
-                    .insert_str(line)
-                    .map_err(|e| CliError::domain(format!("{data}:{lineno}: {e}")))?;
-            }
+            let instance = read_instance(files, &r, data, budget)?;
             writeln!(out, "instance: {} tuples", instance.len()).unwrap();
             let mut violated = 0;
             for (i, d) in r.compiled_sigma().iter().enumerate() {
@@ -2601,6 +2616,99 @@ mod tests {
         assert!(e.message.contains("nesting deeper"), "{}", e.message);
     }
 
+    /// Runs `cmd` under `--max-depth 1` on `L(A, B)` with files whose
+    /// line 2 nests two levels deep, returning the exit code and message.
+    fn under_depth_cap_of_one(cmd: &[&str]) -> (i32, String) {
+        let mut m = BTreeMap::new();
+        for (path, text) in [
+            ("deps.txt", "L(A) -> L(B)\n"),
+            ("deep.txt", "L(A) -> L(B)\nL(A) -> L(M(N(A)))\n"),
+            ("queries.txt", "L(A) -> L(B)\nL(M(N(A))) -> L(B)\n"),
+            ("script.txt", "+ L(A) -> L(B)\n? L(M(N(A))) -> L(B)\n"),
+            ("data.txt", "(a, b)\n((a), b)\n"),
+        ] {
+            m.insert(path.to_string(), text.to_string());
+        }
+        let mut argv = vec!["--max-depth", "1"];
+        argv.extend(cmd);
+        let e = run(&args(&argv), &MemFiles(m)).unwrap_err();
+        (e.code, e.message)
+    }
+
+    fn too_deep(message: &str) -> (i32, String) {
+        (EXIT_RESOURCE, message.to_string())
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_deps_lines_with_exit_code_3() {
+        assert_eq!(
+            under_depth_cap_of_one(&["decide", "L(A, B)", "deep.txt", "L(A) -> L(B)"]),
+            too_deep("deep.txt:2: at byte 11: nesting deeper than the limit of 1")
+        );
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_targets_with_exit_code_3() {
+        for cmd in ["decide", "prove"] {
+            assert_eq!(
+                under_depth_cap_of_one(&[cmd, "L(A, B)", "deps.txt", "L(M(N(A))) -> L(B)"]),
+                too_deep("bad dependency: at byte 3: nesting deeper than the limit of 1")
+            );
+        }
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_batch_queries_with_exit_code_3() {
+        assert_eq!(
+            under_depth_cap_of_one(&["batch", "L(A, B)", "deps.txt", "queries.txt"]),
+            too_deep("queries.txt:2: at byte 3: nesting deeper than the limit of 1")
+        );
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_replay_lines_with_exit_code_3() {
+        assert_eq!(
+            under_depth_cap_of_one(&["replay", "L(A, B)", "script.txt"]),
+            too_deep("script.txt:2: at byte 3: nesting deeper than the limit of 1")
+        );
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_subattributes_with_exit_code_3() {
+        for cmd in ["closure", "basis", "trace"] {
+            assert_eq!(
+                under_depth_cap_of_one(&[cmd, "L(A, B)", "deps.txt", "L(M(N(A)))"]),
+                too_deep("bad subattribute: at byte 3: nesting deeper than the limit of 1")
+            );
+        }
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_warm_queries_with_exit_code_3() {
+        let cmd = [
+            "snapshot",
+            "L(A, B)",
+            "deps.txt",
+            "snap.out",
+            "--warm",
+            "queries.txt",
+        ];
+        assert_eq!(
+            under_depth_cap_of_one(&cmd),
+            too_deep("queries.txt:2: at byte 3: nesting deeper than the limit of 1")
+        );
+    }
+
+    #[test]
+    fn max_depth_flag_rejects_deep_tuples_with_exit_code_3() {
+        for cmd in ["verify", "chase"] {
+            assert_eq!(
+                under_depth_cap_of_one(&[cmd, "L(A, B)", "deps.txt", "data.txt"]),
+                too_deep("data.txt:2: parse error: at byte 1: nesting deeper than the limit of 1")
+            );
+        }
+    }
+
     #[test]
     fn expired_timeout_yields_exit_code_3() {
         let e = run(
@@ -3002,6 +3110,133 @@ mod tests {
         let doc = nalist::lint::json::parse(&rw2.written("m.json")).unwrap();
         let counters = doc.get("counters").unwrap();
         assert!(counters.get("cert_nodes").and_then(Json::as_usize).unwrap() > 0);
+    }
+
+    /// `nalist check`'s rejections of texts that do not parse, byte for
+    /// byte: a deps line, the statement, a node's parameter and
+    /// conclusion, and a basis claim's closure.
+    #[test]
+    fn check_pins_its_rejections_of_unparsable_texts() {
+        let cert_of = |cmd: &str, target: &str| {
+            let rw = RwFiles::new(files());
+            run(
+                &args(&[cmd, SCHEMA, "deps.txt", target, "--cert", "cert.json"]),
+                &rw,
+            )
+            .unwrap();
+            rw.written("cert.json")
+        };
+        let implied = cert_of("decide", "Pubcrawl(Person) -> Pubcrawl(Visit[λ])");
+        let derived = cert_of("basis", "Pubcrawl(Person)");
+        let n1 = "\"params\": [\"Pubcrawl(Person)\", \"Pubcrawl(Person)\"], \
+                  \"conclusion\": \"Pubcrawl(Person) -> Pubcrawl(Person)\"";
+        let check = |deps: &str, cert: String| {
+            let mut f = files();
+            f.0.insert(
+                "bad.txt".into(),
+                "Pubcrawl(Person) -> Pubcrawl(Zzz)\n".into(),
+            );
+            f.0.insert("cert.json".into(), cert);
+            let e = run(&args(&["check", SCHEMA, deps, "cert.json"]), &f).unwrap_err();
+            (e.code, e.message)
+        };
+        let cases = [
+            (
+                check("bad.txt", implied.clone()),
+                2,
+                "REJECTED: dependency file does not parse: Pubcrawl(Person) -> Pubcrawl(Zzz) \
+                 does not denote a subattribute of Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
+            ),
+            (
+                check(
+                    "deps.txt",
+                    implied.replace(
+                        "\"dep\": \"Pubcrawl(Person) -> Pubcrawl(Visit[λ])\"",
+                        "\"dep\": \"Pubcrawl(Person) -> \"",
+                    ),
+                ),
+                1,
+                "REJECTED: bad statement: unexpected end of input, expected identifier",
+            ),
+            (
+                check(
+                    "deps.txt",
+                    implied.replacen(
+                        n1,
+                        "\"params\": [\"Pubcrawl(Visit)\", \"Pubcrawl(Person)\"], \
+                         \"conclusion\": \"Pubcrawl(Person) -> Pubcrawl(Person)\"",
+                        1,
+                    ),
+                ),
+                1,
+                "REJECTED: node n1: bad parameter: Pubcrawl(Visit) does not denote a \
+                 subattribute of Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
+            ),
+            (
+                check(
+                    "deps.txt",
+                    implied.replacen(
+                        n1,
+                        "\"params\": [\"Pubcrawl(Person)\", \"Pubcrawl(Person)\"], \
+                         \"conclusion\": \"Pubcrawl(Persn) -> Pubcrawl(Person)\"",
+                        1,
+                    ),
+                ),
+                1,
+                "REJECTED: node n1: bad conclusion: Pubcrawl(Persn) -> Pubcrawl(Person) \
+                 does not denote a subattribute of Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
+            ),
+            (
+                check(
+                    "deps.txt",
+                    derived.replace(
+                        "\"closure\": \"Pubcrawl(Person, Visit[λ])\"",
+                        "\"closure\": \"Pubcrawl(Person, Visit[λ]\"",
+                    ),
+                ),
+                1,
+                "REJECTED: basis invalid: closure: unexpected end of input, expected ')'",
+            ),
+        ];
+        let got: Vec<_> = cases.iter().map(|c| c.0.clone()).collect();
+        let want: Vec<_> = cases.iter().map(|c| (c.1, c.2.to_string())).collect();
+        assert_eq!(got, want);
+    }
+
+    /// `nalist batch` names the file and line of a query it cannot read,
+    /// byte for byte.
+    #[test]
+    fn batch_pins_its_rejections_of_unreadable_queries() {
+        let mut f = files();
+        for (path, text) in [
+            (
+                "syntax.txt",
+                "Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n\nPubcrawl(Person ->\n",
+            ),
+            ("unknown.txt", "# one\nPubcrawl(Zzz) -> λ\n"),
+            ("ambiguous.txt", "L(A) -> L(A, A)\n"),
+            ("empty.txt", ""),
+        ] {
+            f.0.insert(path.into(), text.into());
+        }
+        let got: Vec<_> = [
+            (SCHEMA, "deps.txt", "syntax.txt"),
+            (SCHEMA, "deps.txt", "unknown.txt"),
+            ("L(A, A)", "empty.txt", "ambiguous.txt"),
+        ]
+        .into_iter()
+        .map(|(schema, deps, queries)| {
+            let e = run(&args(&["batch", schema, deps, queries]), &f).unwrap_err();
+            (e.code, e.message)
+        })
+        .collect();
+        let want = [
+            "syntax.txt:3: at byte 16: found '-', expected ')'",
+            "unknown.txt:2: Pubcrawl(Zzz) -> λ does not denote a subattribute of \
+             Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
+            "ambiguous.txt:1: L(A) -> L(A, A) is ambiguous in L(A, A): 2 distinct resolutions",
+        ];
+        assert_eq!(got, want.map(|m| (1, m.to_string())));
     }
 
     #[test]

@@ -6,10 +6,8 @@ use std::fmt;
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
-use nalist_types::parser::{
-    parse_dependency_atoms_with, parse_dependency_of, parse_dependency_of_with, DepKind,
-    ParseLimits,
-};
+use nalist_types::parser::{parse_dependency_atoms_with, DepKind, ParseLimits};
+use nalist_types::subattr::from_atoms;
 
 /// A dependency `X → Y` (FD) or `X ↠ Y` (MVD) with tree-level sides.
 ///
@@ -47,14 +45,20 @@ impl Dependency {
     /// Parses `"X -> Y"` / `"X ->> Y"` (or `→`/`↠`) with both sides in the
     /// abbreviated notation, resolved against the ambient attribute `n`.
     pub fn parse(n: &NestedAttr, src: &str) -> Result<Self, ParseError> {
-        let (kind, lhs, rhs) = parse_dependency_of(n, src)?;
-        Ok(Dependency { kind, lhs, rhs })
+        Dependency::parse_with(n, src, ParseLimits::default())
     }
 
-    /// [`Dependency::parse`] with explicit [`ParseLimits`].
+    /// [`Dependency::parse`] with explicit [`ParseLimits`]: the atoms
+    /// [`parse_dependency_atoms_with`] emits for each side, built into
+    /// trees by [`from_atoms`].
     pub fn parse_with(n: &NestedAttr, src: &str, limits: ParseLimits) -> Result<Self, ParseError> {
-        let (kind, lhs, rhs) = parse_dependency_of_with(n, src, limits)?;
-        Ok(Dependency { kind, lhs, rhs })
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let kind = parse_dependency_atoms_with(n, src, limits, |a| x.push(a), |a| y.push(a))?;
+        Ok(Dependency {
+            kind,
+            lhs: from_atoms(n, x),
+            rhs: from_atoms(n, y),
+        })
     }
 
     /// Compiles the sides into atom sets over `alg`.

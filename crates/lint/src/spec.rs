@@ -9,13 +9,13 @@
 //! offset, and the remaining lines still load so the Σ-level rules can
 //! run over everything that is well-formed.
 
-use nalist_algebra::Algebra;
-use nalist_deps::{CompiledDep, Dependency};
+use nalist_algebra::{Algebra, AtomSet};
+use nalist_deps::CompiledDep;
 use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::ParseError;
 use nalist_types::parser::{
-    parse_attr_with, parse_dependency_spanned_with, resolve_loose, ParseLimits, SpannedLoose,
+    parse_attr_with, parse_dependency_spanned_with, resolve_loose_atoms, ParseLimits, SpannedLoose,
 };
 use nalist_types::Span;
 
@@ -74,9 +74,7 @@ pub struct Entry {
     pub arrow: Span,
     /// File-global byte span of the right-hand side's text.
     pub rhs_span: Span,
-    /// The resolved tree-level dependency.
-    pub dep: Dependency,
-    /// The atom-set compilation of `dep`.
+    /// The dependency, its sides resolved to atom sets.
     pub compiled: CompiledDep,
 }
 
@@ -137,7 +135,7 @@ pub fn load_spec_governed(
         let line = line.strip_suffix('\r').unwrap_or(line);
         if !line.trim().is_empty() && !line.trim_start().starts_with('#') {
             budget.charge(1)?;
-            match load_line(&n, &alg, line, line_no, offset, limits) {
+            match load_line(&alg, line, line_no, offset, limits) {
                 Ok(entry) => entries.push(entry),
                 Err(d) => load_diagnostics.push(d),
             }
@@ -153,7 +151,6 @@ pub fn load_spec_governed(
 }
 
 fn load_line(
-    n: &NestedAttr,
     alg: &Algebra,
     line: &str,
     line_no: usize,
@@ -162,32 +159,18 @@ fn load_line(
 ) -> Result<Entry, Diagnostic> {
     let spanned = parse_dependency_spanned_with(line, limits)
         .map_err(|e| syntax_diagnostic(&e, line, offset))?;
-    let lhs = resolve_side(n, &spanned.lhs, line, offset)?;
-    let rhs = resolve_side(n, &spanned.rhs, line, offset)?;
-    let (lhs_span, arrow, rhs_span) = (
-        spanned.lhs.span.shifted(offset),
-        spanned.arrow.shifted(offset),
-        spanned.rhs.span.shifted(offset),
-    );
-    let dep = Dependency {
-        kind: spanned.kind,
-        lhs,
-        rhs,
-    };
-    let compiled = dep.compile(alg).map_err(|e| Diagnostic {
-        code: UNRESOLVED,
-        severity: Severity::Error,
-        span: lhs_span.to(rhs_span),
-        message: format!("dependency does not type-check against the schema: {e}"),
-        suggestion: None,
-    })?;
+    let lhs = resolve_side(alg, &spanned.lhs, line, offset)?;
+    let rhs = resolve_side(alg, &spanned.rhs, line, offset)?;
     Ok(Entry {
         line: line_no,
-        lhs_span,
-        arrow,
-        rhs_span,
-        dep,
-        compiled,
+        lhs_span: spanned.lhs.span.shifted(offset),
+        arrow: spanned.arrow.shifted(offset),
+        rhs_span: spanned.rhs.span.shifted(offset),
+        compiled: CompiledDep {
+            kind: spanned.kind,
+            lhs,
+            rhs,
+        },
     })
 }
 
@@ -213,26 +196,34 @@ fn syntax_diagnostic(e: &ParseError, line: &str, offset: usize) -> Diagnostic {
     }
 }
 
+/// Resolves one side to its atom set, or to the L007 diagnostic that
+/// explains why it names no subattribute, or more than one.
 fn resolve_side(
-    n: &NestedAttr,
+    alg: &Algebra,
     side: &SpannedLoose,
     line: &str,
     offset: usize,
-) -> Result<NestedAttr, Diagnostic> {
+) -> Result<AtomSet, Diagnostic> {
     let side_text = side.span.text(line);
-    match resolve_loose(n, &side.node, side_text) {
-        Ok(attr) => Ok(attr),
-        Err(e) => Err(resolution_diagnostic(n, side, side_text, &e, offset)),
+    let mut set = AtomSet::empty(alg.atom_count());
+    match resolve_loose_atoms(alg.attr(), &side.node, side_text, |a| set.insert(a)) {
+        Ok(()) => Ok(set),
+        // an ambiguous side has been handed its first resolution
+        Err(e) => Err(resolution_diagnostic(
+            alg, side, side_text, &e, &set, offset,
+        )),
     }
 }
 
 fn resolution_diagnostic(
-    n: &NestedAttr,
+    alg: &Algebra,
     side: &SpannedLoose,
     side_text: &str,
     e: &ParseError,
+    first: &AtomSet,
     offset: usize,
 ) -> Diagnostic {
+    let n = alg.attr();
     let known = known_names(n);
     // Blame the first identifier that names nothing in N, if any: that
     // token (rather than the whole side) is what the user got wrong.
@@ -244,9 +235,10 @@ fn resolution_diagnostic(
         (ParseError::Ambiguous { count, .. }, _) => (
             side.span,
             format!("`{side_text}` is ambiguous in {n}: {count} distinct resolutions"),
-            nalist_types::display::first_resolution(&side.node, n)
-                .1
-                .map(|r| format!("disambiguate by writing the subattribute in full, e.g. `{r}`")),
+            Some(format!(
+                "disambiguate by writing the subattribute in full, e.g. `{}`",
+                alg.to_attr(first)
+            )),
         ),
         (_, Some((name, span))) => (
             *span,

@@ -2,7 +2,7 @@
 //! `σ`'s left-hand side and apply Proposition 4.10.
 //!
 //! [`Reasoner`] answers queries either one at a time or in parallel
-//! batches ([`Reasoner::implies_batch_governed_with`]); batch workers
+//! batches ([`Reasoner::implies_batch`]); batch workers
 //! share the per-LHS basis cache, one map behind one lock that no worker
 //! holds while it computes a basis. Batches are first run through a
 //! query *planner* that deduplicates items by left-hand side — each
@@ -33,7 +33,7 @@ use nalist_types::attr::NestedAttr;
 use nalist_types::error::{ParseError, TypeError};
 use nalist_types::parser::ParseLimits;
 
-use crate::closure::{closure_and_basis, ClosureError, DependencyBasis};
+use crate::closure::{check_downward_closed, closure_and_basis, ClosureError, DependencyBasis};
 use crate::packed::PackedBasis;
 use crate::worklist::step_would_change;
 
@@ -339,9 +339,10 @@ impl From<ResourceExhausted> for ReasonerError {
 }
 
 /// The one [`ClosureError`] the reasoner's own inputs can meet: every
-/// left-hand side it runs Algorithm 5.1 on is compiled or comes from
-/// [`Algebra::from_attr`], so it is downward closed and as wide as the
-/// reasoner's algebra, and only the budget can stop the run.
+/// left-hand side it runs Algorithm 5.1 on is compiled, comes from
+/// [`Algebra::from_attr`] or passed [`Reasoner::implies_batch`]'s check,
+/// so it is downward closed and as wide as the reasoner's algebra, and
+/// only the budget can stop the run.
 fn exhausted(e: ClosureError) -> ResourceExhausted {
     match e {
         ClosureError::Resource(r) => r,
@@ -350,7 +351,7 @@ fn exhausted(e: ClosureError) -> ResourceExhausted {
 }
 
 /// Per-item failure inside a batch call
-/// ([`Reasoner::implies_batch_governed_with`]): the failed query is
+/// ([`Reasoner::implies_batch`]): the failed query is
 /// reported here while the rest of the batch completes normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -741,15 +742,38 @@ impl Reasoner {
             .map_err(exhausted)
     }
 
-    /// Decides `Σ ⊨ σ` for every dependency in `deps` on `threads`
+    /// Decides `Σ ⊨ σ` for every compiled pair in `deps` on `threads`
     /// workers (the calling thread among them), under a shared resource
     /// [`Budget`], with **per-query fault isolation**: a query that
     /// exhausts the budget or panics yields a per-item `Err` while the
     /// rest of the batch completes — graceful degradation, not
-    /// all-or-nothing. Compilation errors (malformed queries) are
-    /// reported up front, before any work is spawned. The result vector
-    /// is index-aligned with `deps`; workers share the basis cache, and
-    /// duplicated left-hand sides are computed once.
+    /// all-or-nothing. The result vector is index-aligned with `deps`;
+    /// workers share the basis cache, and duplicated left-hand sides are
+    /// computed once.
+    ///
+    /// Before any work, every side of every pair is checked against the
+    /// reasoner's algebra: a set of another width is
+    /// [`ClosureError::Algebra`], one that is not downward closed
+    /// [`ClosureError::NotDownwardClosed`], and nothing is computed.
+    /// Pairs read with [`CompiledDep::parse`] over [`Reasoner::algebra`]
+    /// always pass.
+    pub fn implies_batch(
+        &self,
+        deps: &[CompiledDep],
+        budget: &Budget,
+        threads: NonZeroUsize,
+    ) -> Result<Vec<Result<bool, QueryError>>, ClosureError> {
+        for c in deps {
+            check_downward_closed(&self.alg, &c.lhs)?;
+            check_downward_closed(&self.alg, &c.rhs)?;
+        }
+        let groups = self.plan_groups(deps.iter().map(|c| &c.lhs));
+        Ok(self.run_planned(&groups, deps, threads, budget))
+    }
+
+    /// [`Reasoner::implies_batch`] on tree-level dependencies: each is
+    /// compiled first, and one that is not over the reasoner's `N` is
+    /// [`ReasonerError::Type`], before any work.
     pub fn implies_batch_governed_with(
         &self,
         deps: &[Dependency],
@@ -760,8 +784,9 @@ impl Reasoner {
             .iter()
             .map(|d| d.compile(&self.alg).map_err(ReasonerError::Type))
             .collect::<Result<Vec<_>, _>>()?;
-        let groups = self.plan_groups(compiled.iter().map(|c| &c.lhs));
-        Ok(self.run_planned(&groups, &compiled, threads, budget))
+        Ok(self
+            .implies_batch(&compiled, budget, threads)
+            .expect("pairs compiled over the reasoner's algebra fit it"))
     }
 
     /// The batch query planner: deduplicates batch items by left-hand
@@ -1153,6 +1178,53 @@ mod tests {
             ),
             Err(ReasonerError::Type(_))
         ));
+    }
+
+    /// A compiled pair that does not fit the reasoner's algebra is a
+    /// typed error before any closure runs: no verdict, no panic and no
+    /// per-item `QueryError`, and the cache sees no lookup.
+    #[test]
+    fn compiled_batch_rejects_pairs_outside_the_algebra_before_any_work() {
+        let n = parse_attr("L(A, B[C])").unwrap();
+        let mut r = Reasoner::new(&n);
+        r.add_str("L(A) -> L(B[λ])").unwrap();
+        let good =
+            CompiledDep::parse(r.algebra(), "L(A) -> L(B[λ])", ParseLimits::default()).unwrap();
+        let wide = Reasoner::new(&parse_attr("L(A, B[C], D)").unwrap());
+        let foreign =
+            CompiledDep::parse(wide.algebra(), "L(A) -> L(D)", ParseLimits::default()).unwrap();
+        // atoms of L(A, B[C]): A 0, B 1, C 2; {C} lacks its list B
+        let open = AtomSet::from_indices(3, [2]);
+        let not_closed = CompiledDep::fd(open.clone(), good.rhs.clone());
+        let open_rhs = CompiledDep::mvd(good.lhs.clone(), open);
+        for (pairs, want) in [
+            (
+                vec![good.clone(), foreign],
+                ClosureError::Algebra(AlgebraError::CapacityMismatch { have: 4, want: 3 }),
+            ),
+            (
+                vec![good.clone(), not_closed],
+                ClosureError::NotDownwardClosed { atom: 2 },
+            ),
+            (
+                vec![open_rhs, good.clone()],
+                ClosureError::NotDownwardClosed { atom: 2 },
+            ),
+        ] {
+            let before = r.cache_stats();
+            for threads in [1, 2] {
+                let got = r.implies_batch(
+                    &pairs,
+                    &Budget::unlimited(),
+                    NonZeroUsize::new(threads).unwrap(),
+                );
+                assert_eq!(got, Err(want), "threads = {threads}");
+            }
+            assert_eq!(r.cache_stats(), before);
+        }
+        let verdicts = r.implies_batch(&[good], &Budget::unlimited(), NonZeroUsize::MIN);
+        assert_eq!(verdicts, Ok(vec![Ok(true)]));
+        assert_eq!(r.cache_stats().misses, 1);
     }
 
     /// One query per left-hand side in `lhss`, each `X -> λ`, over

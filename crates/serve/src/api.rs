@@ -557,14 +557,14 @@ fn handle_query(
     let limits = nalist_types::parser::ParseLimits::from_budget(budget);
     let mut targets = Vec::with_capacity(texts.len());
     for (i, text) in texts.iter().enumerate() {
-        let dep = nalist_deps::Dependency::parse_with(r.attr(), text, limits)
+        let dep = nalist_deps::CompiledDep::parse(r.algebra(), text, limits)
             .map_err(|e| ApiError::bad_request(format!("queries[{i}]: {e}")))?;
         targets.push(dep);
     }
     // The batch planner computes each distinct LHS once per request.
     let verdicts = r
-        .implies_batch_governed_with(&targets, budget, state.batch_threads)
-        .map_err(|e| ApiError::reasoner(&e))?;
+        .implies_batch(&targets, budget, state.batch_threads)
+        .map_err(|e| ApiError::internal(format!("a compiled query does not fit: {e}")))?;
     let mut any_resource = None;
     let rendered: Vec<String> = verdicts
         .iter()

@@ -209,6 +209,38 @@ fn reload_reports_an_astronomical_ambiguity_promptly() {
     srv.shutdown();
 }
 
+/// A `/query` batch with an entry that does not parse, or does not name
+/// one subattribute, answers 400 naming the entry, byte for byte, and
+/// decides none of the batch.
+#[test]
+fn query_batch_rejections_name_the_entry() {
+    let (srv, addr) = boot();
+    let create = r#"{"schema": "L(A, A, B)", "deps": ["L(B) -> L(A, λ, λ)"]}"#;
+    let (status, body) = request(addr, "POST", "/v1/t/create", Some(create));
+    assert_eq!(status, 201, "{body}");
+    let got: Vec<_> = [
+        r#"{"queries": ["L(B) -> L(B)", "L(B -> L(B)"]}"#,
+        r#"{"queries": ["L(B) -> L(B)", "L(A) -> L(B)", "L(Z) -> L(B)"]}"#,
+        r#"{"queries": ["L(B) -> L(B)", "L(B) -> L(B)", "L(B) -> L(Z)"]}"#,
+    ]
+    .into_iter()
+    .map(|batch| request(addr, "POST", "/v1/t/query", Some(batch)))
+    .collect();
+    let want = [
+        "queries[1]: at byte 4: found '-', expected ')'",
+        "queries[1]: L(A) -> L(B) is ambiguous in L(A, A, B): 2 distinct resolutions",
+        "queries[2]: L(B) -> L(Z) does not denote a subattribute of L(A, A, B)",
+    ];
+    let body = |message| {
+        format!(r#"{{"error": {{"status": 400, "kind": "bad_request", "message": "{message}"}}}}"#)
+    };
+    assert_eq!(got, want.map(|m| (400, body(m) + "\n")));
+    let (status, body) = request(addr, "GET", "/v1/t/sigma", None);
+    assert_eq!(status, 200);
+    assert!(body.contains("\"misses\": 0"), "{body}");
+    srv.shutdown();
+}
+
 /// A capped recorder keeps its first spans and counts the rest: the
 /// `/metrics` document keeps its `"spans": [` array, bounded by the cap,
 /// and reports what it left out in `spans_dropped`.

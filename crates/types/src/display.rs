@@ -19,9 +19,9 @@
 //! whose record components are a subsequence of the context's components)
 //! is shared with the parser, which resolves user-written abbreviated
 //! forms back into canonical subattributes. One counting pass decides a
-//! term; its first resolution is then emitted either as a tree
-//! ([`first_resolution`]) or as the atoms of `SubB` in pre-order
-//! ([`first_resolution_atoms`]).
+//! term, and its first resolution is emitted as the atoms of `SubB` in
+//! pre-order ([`first_resolution_atoms`]); a caller that wants the tree
+//! builds it from them ([`crate::subattr::from_atoms`]).
 
 use std::fmt;
 use std::iter::Peekable;
@@ -55,8 +55,8 @@ impl fmt::Display for NestedAttr {
 /// of the components of the context attribute, `λ` stands for an omitted
 /// bottom. Names are borrowed: from the text the parser read, or from the
 /// tree [`to_loose`] abbreviates. Resolved against a context attribute by
-/// [`first_resolution`], with [`count_resolutions`] and [`resolutions`] as
-/// the reference.
+/// [`first_resolution_atoms`], with [`count_resolutions`] and
+/// [`resolutions`] as the reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Loose<'a> {
     /// `λ` — resolves to the bottom `λ_N` of the context.
@@ -127,35 +127,16 @@ pub fn count_resolutions(d: &Loose<'_>, n: &NestedAttr) -> u64 {
 
 /// Resolves `d` against `n` with one counting pass and one walk down the
 /// assignment DP. Returns the saturating [`count_resolutions`] and, when
-/// it is non-zero, the first element of [`resolutions`] — the resolution
-/// itself when the count is 1 — without building any other.
+/// it is non-zero, hands `atom` the atoms of `SubB` of the first element
+/// of [`resolutions`] — the resolution itself when the count is 1 — one
+/// per flat and list node it keeps, numbered in pre-order of `n` as
+/// `nalist_algebra` numbers them, in ascending order, without building
+/// the tree or any other resolution.
 ///
 /// The walk prefers matching over skipping at every cell, which is the
 /// order [`resolutions`] enumerates in. When the count is 1 the choice is
 /// forced anyway: `f[i][j] = skip + here = 1` leaves exactly one of the
 /// two with a completion.
-///
-/// ```
-/// use nalist_types::display::{first_resolution, Loose};
-/// use nalist_types::parser::parse_attr;
-///
-/// let n = parse_attr("L(A, A)").unwrap();
-/// let d = Loose::Record("L", vec![Loose::Flat("A")]);
-/// let (count, first) = first_resolution(&d, &n);
-/// assert_eq!(count, 2);
-/// assert_eq!(first.unwrap().to_string(), "L(A, λ)");
-/// ```
-pub fn first_resolution(d: &Loose<'_>, n: &NestedAttr) -> (u64, Option<NestedAttr>) {
-    resolve_with(&mut Tape::new(), d, n, |paths, at| {
-        first_on_path(d, n, paths, at)
-    })
-}
-
-/// [`first_resolution`] with the atom emitter: returns the same count
-/// and, when it is non-zero, hands `atom` the atoms of `SubB` of the
-/// first resolution — one per flat and list node it keeps, numbered in
-/// pre-order of `n` as `nalist_algebra` numbers them — in ascending
-/// order, without building the tree.
 ///
 /// ```
 /// use nalist_types::display::{first_resolution_atoms, Loose};
@@ -169,38 +150,32 @@ pub fn first_resolution(d: &Loose<'_>, n: &NestedAttr) -> (u64, Option<NestedAtt
 /// let mut atoms = Vec::new();
 /// assert_eq!(first_resolution_atoms(&d, &n, |a| atoms.push(a)), 1);
 /// assert_eq!(atoms, [1, 3]);
+///
+/// // L(A) names L(A, λ) and L(λ, A) in L(A, A); the first keeps atom 0
+/// let n = parse_attr("L(A, A)").unwrap();
+/// let mut atoms = Vec::new();
+/// let d = Loose::Record("L", vec![Loose::Flat("A")]);
+/// assert_eq!(first_resolution_atoms(&d, &n, |a| atoms.push(a)), 2);
+/// assert_eq!(atoms, [0]);
 /// ```
 pub fn first_resolution_atoms(d: &Loose<'_>, n: &NestedAttr, atom: impl FnMut(usize)) -> u64 {
     first_resolution_atoms_in(&mut Tape::new(), d, n, atom)
 }
 
 /// [`first_resolution_atoms`] in the working memory `tape`, which one
-/// caller can lend to several terms in turn.
+/// caller can lend to several terms in turn. Leaves `tape` empty.
 pub(crate) fn first_resolution_atoms_in(
     tape: &mut Tape,
     d: &Loose<'_>,
     n: &NestedAttr,
     mut atom: impl FnMut(usize),
 ) -> u64 {
-    let (count, _) = resolve_with(tape, d, n, |paths, at| {
-        atoms_on_path(d, n, paths, at, &mut 0, &mut atom);
-    });
-    count
-}
-
-/// The counting pass, then `emit` on the paths it recorded when the
-/// count is non-zero: the one place a term is decided, whichever form
-/// its resolution is emitted in. Leaves `tape` empty.
-fn resolve_with<T>(
-    tape: &mut Tape,
-    d: &Loose<'_>,
-    n: &NestedAttr,
-    emit: impl FnOnce(&[usize], usize) -> T,
-) -> (u64, Option<T>) {
     let (count, at) = count_into(d, n, tape);
-    let first = (count > 0).then(|| emit(&tape.paths, at));
+    if count > 0 {
+        atoms_on_path(d, n, &tape.paths, at, &mut 0, &mut atom);
+    }
     tape.paths.clear();
-    (count, first)
+    count
 }
 
 /// Path offset of a pair that records no path (λ, a flat name, a
@@ -336,36 +311,11 @@ fn push_table(ds: &[Loose<'_>], ns: &[NestedAttr], tape: &mut Tape) -> (usize, u
     (at, w)
 }
 
-/// Builds the first resolution of a pair with a non-zero count from the
-/// paths the counting pass recorded.
-fn first_on_path(d: &Loose<'_>, n: &NestedAttr, paths: &[usize], at: usize) -> NestedAttr {
-    match (d, n) {
-        (Loose::Lambda, _) => n.bottom(),
-        (Loose::Flat(_), _) => n.clone(),
-        (Loose::Record(_, ds), NestedAttr::Record(l, ns)) => {
-            let mut matched = matches_on_path(ds, paths, at);
-            let components = ns
-                .iter()
-                .enumerate()
-                .map(|(j, nj)| match matched.next_if(|(step, _)| step[0] == j) {
-                    Some((step, di)) => first_on_path(di, nj, paths, step[1]),
-                    None => nj.bottom(),
-                })
-                .collect();
-            NestedAttr::Record(l.clone(), components)
-        }
-        (Loose::List(_, di), NestedAttr::List(l, ni)) => {
-            NestedAttr::List(l.clone(), Box::new(first_on_path(di, ni, paths, at)))
-        }
-        _ => unreachable!("only pairs with a resolution are walked"),
-    }
-}
-
-/// The atom emitter: walks `n` in pre-order along the same path as
-/// [`first_on_path`], with `next` the first atom of `n`. A kept flat or
-/// list takes the next atom; a subtree the resolution leaves at bottom
-/// advances `next` past its atoms. So `atom` sees exactly the atoms
-/// `SubB` of the tree [`first_on_path`] builds, in ascending order.
+/// The atom emitter: walks `n` in pre-order along the first path the
+/// counting pass recorded, with `next` the first atom of `n`. A kept
+/// flat or list takes the next atom; a subtree the resolution leaves at
+/// bottom advances `next` past its atoms. So `atom` sees exactly the
+/// atoms `SubB` of the first resolution, in ascending order.
 fn atoms_on_path(
     d: &Loose<'_>,
     n: &NestedAttr,
@@ -412,7 +362,7 @@ fn matches_on_path<'p, 'd, 'a>(
 }
 
 /// All subattributes of `n` matching the loose form `d`, in deterministic
-/// order. The reference enumeration behind [`first_resolution`]; bounded
+/// order. The reference enumeration behind [`first_resolution_atoms`]; bounded
 /// callers only (the count can be exponential for adversarial inputs —
 /// use [`count_resolutions`] first).
 pub fn resolutions(d: &Loose<'_>, n: &NestedAttr) -> Vec<NestedAttr> {

@@ -11,20 +11,18 @@
 //!   `L1(L5[λ], L7(F))` names a canonical element of `Sub(N)` with all
 //!   omitted components restored as bottoms. Ambiguous abbreviations are
 //!   rejected with [`ParseError::Ambiguous`].
-//! * **Dependencies** ([`parse_dependency_of`]): `X -> Y` (FD) and
-//!   `X ->> Y` (MVD), with `→` and `↠` accepted as well.
-//!   [`parse_dependency_atoms_with`] runs the same resolution but emits
-//!   each side as the atoms of `SubB` instead of as a tree.
+//! * **Dependencies** ([`parse_dependency_atoms_with`]): `X -> Y` (FD)
+//!   and `X ->> Y` (MVD), with `→` and `↠` accepted as well, each side
+//!   resolved against the context and emitted as the atoms of `SubB`.
 //! * **Values** ([`parse_value`]): `ok`, integers, booleans, bare or
 //!   quoted strings, tuples `( … )` and lists `[ … ]`, e.g. the paper's
 //!   `(Sven, [(Lübzer, Deanos), (Kindl, Highflyers)])`.
 
 use crate::attr::NestedAttr;
-use crate::display::{
-    first_resolution, first_resolution_atoms, first_resolution_atoms_in, Loose, Tape,
-};
+use crate::display::{first_resolution_atoms, first_resolution_atoms_in, Loose, Tape};
 use crate::error::ParseError;
 use crate::span::Span;
+use crate::subattr::from_atoms;
 use crate::value::Value;
 
 /// The two dependency classes of the paper.
@@ -386,19 +384,22 @@ pub fn parse_subattr_of_with(
     resolve_loose(n, &d, src)
 }
 
-/// Resolves an already-parsed loose term against `n` (one pass; see
-/// [`first_resolution`]).
+/// Resolves an already-parsed loose term against `n`: the tree
+/// [`from_atoms`] builds from the atoms [`resolve_loose_atoms`] emits,
+/// or its error.
 pub fn resolve_loose(n: &NestedAttr, d: &Loose<'_>, src: &str) -> Result<NestedAttr, ParseError> {
-    match first_resolution(d, n) {
-        (1, Some(x)) => Ok(x),
-        (count, _) => Err(unresolved(n, src, count)),
-    }
+    let mut atoms = Vec::new();
+    resolve_loose_atoms(n, d, src, |a| atoms.push(a))?;
+    Ok(from_atoms(n, atoms))
 }
 
-/// [`resolve_loose`] with the atom emitter: on success `atom` has been
-/// handed the atoms of `SubB` of the resolution, in ascending order
-/// ([`first_resolution_atoms`]), and the error for every other outcome
-/// is the one [`resolve_loose`] returns.
+/// Resolves an already-parsed loose term against `n` in one counting
+/// pass, emitting atoms ([`first_resolution_atoms`]): on success `atom`
+/// has been handed the atoms of `SubB` of the resolution, in ascending
+/// order. A term with no resolution is [`ParseError::NoMatch`]; one
+/// with several is [`ParseError::Ambiguous`], and `atom` has then been
+/// handed the atoms of the first of them, in the order
+/// [`crate::display::resolutions`] enumerates.
 pub fn resolve_loose_atoms(
     n: &NestedAttr,
     d: &Loose<'_>,
@@ -428,43 +429,12 @@ fn unresolved(n: &NestedAttr, src: &str, count: u64) -> ParseError {
 }
 
 /// Parses a dependency `X -> Y` (FD) or `X ->> Y` (MVD) whose sides are
-/// abbreviated subattributes of `n`. The Unicode arrows `→` and `↠` are
-/// also accepted.
-///
-/// ```
-/// use nalist_types::parser::{parse_attr, parse_dependency_of, DepKind};
-///
-/// let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
-/// let (kind, x, y) =
-///     parse_dependency_of(&n, "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
-/// assert_eq!(kind, DepKind::Mvd);
-/// assert_eq!(x.to_string(), "Pubcrawl(Person, λ)");
-/// assert_eq!(y.to_string(), "Pubcrawl(λ, Visit[Drink(λ, Pub)])");
-/// ```
-pub fn parse_dependency_of(
-    n: &NestedAttr,
-    src: &str,
-) -> Result<(DepKind, NestedAttr, NestedAttr), ParseError> {
-    parse_dependency_of_with(n, src, ParseLimits::default())
-}
-
-/// [`parse_dependency_of`] with explicit [`ParseLimits`].
-pub fn parse_dependency_of_with(
-    n: &NestedAttr,
-    src: &str,
-    limits: ParseLimits,
-) -> Result<(DepKind, NestedAttr, NestedAttr), ParseError> {
-    let (kind, lhs, rhs) = parse_dependency_loose_with(src, limits)?;
-    let x = resolve_loose(n, &lhs, src)?;
-    let y = resolve_loose(n, &rhs, src)?;
-    Ok((kind, x, y))
-}
-
-/// [`parse_dependency_of_with`] with the atom emitter: the same kind,
-/// `lhs` and `rhs` handed the atoms of `SubB` of the two sides in
-/// ascending order ([`first_resolution_atoms`]), and the same error for
-/// every text it rejects. No tree is built, names are borrowed from
-/// `src`, and one working memory serves both sides.
+/// abbreviated subattributes of `n`; the Unicode arrows `→` and `↠` are
+/// also accepted. Returns the kind, and hands `lhs` and `rhs` the atoms
+/// of `SubB` of the two sides in ascending order, each resolved as
+/// [`resolve_loose_atoms`] resolves it against the whole text `src`. No
+/// tree is built, names are borrowed from `src`, and one working memory
+/// serves both sides.
 ///
 /// ```
 /// use nalist_types::parser::{parse_attr, parse_dependency_atoms_with, DepKind, ParseLimits};
@@ -499,9 +469,7 @@ pub fn parse_dependency_atoms_with(
 
 /// Reads a dependency text into its kind and its two loose sides, whose
 /// names borrow from `src`, without resolving them: the syntax half of
-/// [`parse_dependency_of_with`] and [`parse_dependency_atoms_with`],
-/// which then resolve the left side and then the right, each against
-/// the whole text `src`.
+/// [`parse_dependency_atoms_with`].
 fn parse_dependency_loose_with(
     src: &str,
     limits: ParseLimits,
@@ -715,6 +683,14 @@ mod tests {
     use super::*;
     use crate::attr::NestedAttr as A;
 
+    /// A dependency's kind and its two sides as trees.
+    fn dependency_trees(n: &A, src: &str) -> Result<(DepKind, A, A), ParseError> {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let limits = ParseLimits::default();
+        let kind = parse_dependency_atoms_with(n, src, limits, |a| x.push(a), |a| y.push(a))?;
+        Ok((kind, from_atoms(n, x), from_atoms(n, y)))
+    }
+
     #[test]
     fn parse_flat_and_lambda() {
         assert_eq!(parse_attr("A").unwrap(), A::flat("A"));
@@ -775,18 +751,17 @@ mod tests {
     #[test]
     fn parse_fd_and_mvd() {
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
-        let (k1, x1, y1) =
-            parse_dependency_of(&n, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap();
+        let (k1, x1, y1) = dependency_trees(&n, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap();
         assert_eq!(k1, DepKind::Fd);
         assert_eq!(x1.to_string(), "Pubcrawl(Person, λ)");
         assert_eq!(y1.to_string(), "Pubcrawl(λ, Visit[Drink(λ, λ)])");
         let (k2, _, _) =
-            parse_dependency_of(&n, "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
+            dependency_trees(&n, "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
         assert_eq!(k2, DepKind::Mvd);
         let (k3, _, _) =
-            parse_dependency_of(&n, "Pubcrawl(Person) ↠ Pubcrawl(Visit[Drink(Beer)])").unwrap();
+            dependency_trees(&n, "Pubcrawl(Person) ↠ Pubcrawl(Visit[Drink(Beer)])").unwrap();
         assert_eq!(k3, DepKind::Mvd);
-        let (k4, _, _) = parse_dependency_of(&n, "λ → Pubcrawl(Person)").unwrap();
+        let (k4, _, _) = dependency_trees(&n, "λ → Pubcrawl(Person)").unwrap();
         assert_eq!(k4, DepKind::Fd);
     }
 
@@ -802,7 +777,7 @@ mod tests {
             assert_eq!(d.lhs.node, Loose::Flat("A"));
             assert_eq!(d.rhs.node, Loose::Flat("A"));
             assert_eq!(
-                parse_dependency_of(&a, src).unwrap(),
+                dependency_trees(&a, src).unwrap(),
                 (kind, a.clone(), a.clone())
             );
         }
@@ -815,7 +790,7 @@ mod tests {
         assert_eq!(d.arrow.text(src), "->");
         assert_eq!((d.lhs.span.text(src), d.rhs.span.text(src)), ("A-B", "A-B"));
         assert_eq!(
-            parse_dependency_of(&ab, src).unwrap(),
+            dependency_trees(&ab, src).unwrap(),
             (DepKind::Fd, ab.clone(), ab.clone())
         );
         // a `-` that does not begin an arrow is still a name character

@@ -16,6 +16,8 @@
 //! `C[D(λ, λ)]`) are display abbreviations handled by [`crate::display`]
 //! and [`crate::parser`].
 
+use std::iter::Peekable;
+
 use crate::attr::NestedAttr;
 
 /// Decides `m ≤ n` (Definition 3.4).
@@ -41,6 +43,61 @@ pub fn is_subattr(m: &NestedAttr, n: &NestedAttr) -> bool {
         }
         (NestedAttr::List(l, m), NestedAttr::List(k, n)) => l == k && is_subattr(m, n),
         _ => false,
+    }
+}
+
+/// Builds the canonical element of `Sub(n)` whose atoms of `SubB(n)`
+/// (one per flat and list node, numbered from 0 in pre-order of `n`)
+/// are `atoms`, given in ascending order: a kept flat keeps its name, a
+/// kept list its label and its content's kept atoms, and every other
+/// flat or list is `λ`. An atom inside a list that is not kept is
+/// ignored. This is the one place atoms become a tree: the parser's
+/// resolutions (`parser::resolve_loose`) and `nalist_algebra`'s
+/// `Algebra::to_attr` both end here.
+///
+/// ```
+/// use nalist_types::{parser::parse_attr, subattr::from_atoms};
+///
+/// // atoms of A'(B, C[D(E, F[G])]): B 0, C 1, E 2, F 3, G 4
+/// let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
+/// assert_eq!(from_atoms(&n, [1, 3]).to_string(), "A'(λ, C[D(λ, F[λ])])");
+/// assert_eq!(from_atoms(&n, [0, 2, 4]).to_string(), "A'(B, λ)");
+/// ```
+pub fn from_atoms(n: &NestedAttr, atoms: impl IntoIterator<Item = usize>) -> NestedAttr {
+    build(n, &mut atoms.into_iter().peekable(), &mut 0)
+}
+
+/// [`from_atoms`] on the subtree `n` whose first atom is `*next`;
+/// advances `next` past its atoms and `atoms` past those below `next`.
+fn build(
+    n: &NestedAttr,
+    atoms: &mut Peekable<impl Iterator<Item = usize>>,
+    next: &mut usize,
+) -> NestedAttr {
+    let atom = *next;
+    match n {
+        NestedAttr::Null => NestedAttr::Null,
+        NestedAttr::Record(l, children) => NestedAttr::Record(
+            l.clone(),
+            children.iter().map(|c| build(c, atoms, next)).collect(),
+        ),
+        NestedAttr::Flat(a) => {
+            *next += 1;
+            if atoms.next_if_eq(&atom).is_some() {
+                NestedAttr::Flat(a.clone())
+            } else {
+                NestedAttr::Null
+            }
+        }
+        NestedAttr::List(l, inner) => {
+            *next += 1;
+            if atoms.next_if_eq(&atom).is_some() {
+                return NestedAttr::List(l.clone(), Box::new(build(inner, atoms, next)));
+            }
+            *next += inner.basis_size();
+            while atoms.next_if(|&a| a < *next).is_some() {}
+            NestedAttr::Null
+        }
     }
 }
 

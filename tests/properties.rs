@@ -589,12 +589,12 @@ enum Resolved {
 /// also enumerated in full, which checks the count independently. The
 /// atom emitter runs on every case too: on success its set is
 /// `from_attr` of the tree, on failure its error is the tree path's, and
-/// the first resolution's atoms are those of the first enumerated one.
+/// the first resolution's atoms, and the tree `from_atoms` builds from
+/// them, are those of the first enumerated one.
 fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, TestCaseError> {
-    use nalist::types::display::{
-        count_resolutions, first_resolution, first_resolution_atoms, resolutions,
-    };
+    use nalist::types::display::{count_resolutions, first_resolution_atoms, resolutions};
     use nalist::types::parser::resolve_loose_atoms;
+    use nalist::types::subattr::from_atoms;
     let src = d.to_string();
     let count = count_resolutions(d, n);
     let got = nalist::types::parser::resolve_loose(n, d, &src);
@@ -642,9 +642,10 @@ fn resolver_agrees_with_oracle(n: &NestedAttr, d: &Loose) -> Result<Resolved, Te
     if count <= 64 {
         let all = resolutions(d, n);
         prop_assert_eq!(all.len() as u64, count, "{} in {}", src, n);
-        prop_assert_eq!(first_resolution(d, n), (count, all.first().cloned()));
         let mut atoms = Vec::new();
         prop_assert_eq!(first_resolution_atoms(d, n, |a| atoms.push(a)), count);
+        let built = (count > 0).then(|| from_atoms(n, atoms.iter().copied()));
+        prop_assert_eq!(built, all.first().cloned(), "{} in {}", src, n);
         let first = all
             .first()
             .map(|x| alg.from_attr(x).unwrap().iter().collect::<Vec<_>>());
