@@ -439,7 +439,8 @@ fn certificates() {
     let (mut pos_bytes, mut neg_bytes, mut pos, mut neg) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..50 {
         let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-        let answered = answer(&alg, &sigma, &target, &budget).expect("compiled targets");
+        let answered =
+            answer(&alg, &sigma, &target, &budget, nalist::obs::noop()).expect("compiled targets");
         let implied = answered.implied();
         let cert = answered
             .certificate(&budget)

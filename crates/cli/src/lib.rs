@@ -824,8 +824,8 @@ fn dispatch(
             let alg = r.algebra();
             let target = parse_target(&r, dep, budget)?;
             checkpoint(budget)?;
-            let answer =
-                cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
+            let answer = cert::answer(alg, r.compiled_sigma(), &target, budget, rec.as_ref())
+                .map_err(closure_error)?;
             if answer.implied() {
                 writeln!(out, "IMPLIED: Σ ⊨ {}", target.render(alg)).unwrap();
                 if let Some(path) = cert_path {
@@ -1100,8 +1100,8 @@ fn dispatch(
             let alg = r.algebra();
             let target = parse_target(&r, dep, budget)?;
             checkpoint(budget)?;
-            let answer =
-                cert::answer(alg, r.compiled_sigma(), &target, budget).map_err(closure_error)?;
+            let answer = cert::answer(alg, r.compiled_sigma(), &target, budget, rec.as_ref())
+                .map_err(closure_error)?;
             if answer.implied() {
                 let dag = answer
                     .derivation(budget)
@@ -1173,7 +1173,11 @@ fn dispatch(
                     // 5.1 runs once, as for `decide` and `prove`
                     let sigma = r.compiled_sigma();
                     let cb = nalist::membership::certified_closure_and_basis_governed(
-                        alg, sigma, &xs, budget,
+                        alg,
+                        sigma,
+                        &xs,
+                        budget,
+                        rec.as_ref(),
                     )
                     .map_err(certify_error)?;
                     list(&mut out, &cb.basis);
@@ -2830,6 +2834,33 @@ mod tests {
             spans[0].get("site").and_then(Json::as_str),
             Some(site::CLI_COMMAND)
         );
+    }
+
+    #[test]
+    fn certificate_commands_report_their_engine_work() {
+        // `basis` runs Algorithm 5.1 for `Pubcrawl(Person)` through the
+        // reasoner; `decide`, `prove` and `basis --cert` answer a target
+        // with that left-hand side by one run of their own
+        let work = |argv: &[&str]| {
+            let rw = RwFiles::new(files());
+            let argv = [argv, &["--metrics", "m.json"]].concat();
+            run(&args(&argv), &rw).unwrap();
+            let doc = nalist::lint::json::parse(&rw.written("m.json")).expect("valid JSON");
+            let counters = doc.get("counters").expect("counters object");
+            let count = |c: Counter| counters.get(c.name()).and_then(Json::as_usize);
+            (count(Counter::DepsFired), count(Counter::WorklistSteps))
+        };
+        let lhs = "Pubcrawl(Person)";
+        let basis = work(&["basis", SCHEMA, "deps.txt", lhs]);
+        assert!(basis.0 > Some(0), "the MVD fires: {basis:?}");
+        let target = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
+        for argv in [
+            &["decide", SCHEMA, "deps.txt", target][..],
+            &["prove", SCHEMA, "deps.txt", target],
+            &["basis", SCHEMA, "deps.txt", lhs, "--cert", "c.json"],
+        ] {
+            assert_eq!(work(argv), basis, "{}", argv[0]);
+        }
     }
 
     #[test]

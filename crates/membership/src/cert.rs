@@ -19,6 +19,7 @@ use nalist_check::{BasisData, CertNode, Certificate, Statement, Verdict, Witness
 use nalist_deps::proof::{DagNode, ProofDag};
 use nalist_deps::CompiledDep;
 use nalist_guard::{Budget, ResourceExhausted};
+use nalist_obs::Recorder;
 
 use crate::certify::{CertifiedBasis, CertifyError};
 use crate::closure::{derivable, ClosureError, DependencyBasis};
@@ -38,16 +39,19 @@ pub struct Answer<'a> {
 
 /// Decides `Σ ⊨ target`: runs Algorithm 5.1 once for `target.lhs` under
 /// `budget` and reads the verdict off the run's `X⁺` and blocks
-/// (Proposition 4.10). The run passes the no-op recorder, so answering
-/// moves no metrics counter. A left-hand side outside `Sub(N)` is a
-/// [`ClosureError`], reachable only with hand-built targets.
+/// (Proposition 4.10). The run reports to `rec` (a `membership::worklist`
+/// span and the `deps_fired` / `worklist_steps` counters); pass
+/// [`nalist_obs::noop()`] for an answer that moves no metric. A
+/// left-hand side outside `Sub(N)` is a [`ClosureError`], reachable only
+/// with hand-built targets.
 pub fn answer<'a>(
     alg: &'a Algebra,
     sigma: &'a [CompiledDep],
     target: &'a CompiledDep,
     budget: &Budget,
+    rec: &dyn Recorder,
 ) -> Result<Answer<'a>, ClosureError> {
-    let run = crate::worklist::run(alg, sigma, &target.lhs, budget, nalist_obs::noop())?;
+    let run = crate::worklist::run(alg, sigma, &target.lhs, budget, rec)?;
     let blocks = run.blocks.iter().map(AtomSet::words);
     let implied = derivable(target.kind, run.closure.words(), blocks, target.rhs.words());
     Ok(Answer {
@@ -325,9 +329,9 @@ mod tests {
     #[test]
     fn evidence_errors_keep_their_half_and_their_resource() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(B) -> L(C)"]);
-        let starved = Budget::unlimited().with_fuel(0);
+        let (unlimited, starved) = (Budget::unlimited(), Budget::unlimited().with_fuel(0));
         let implied = compile(&alg, "L(A) -> L(C)");
-        let e = answer(&alg, &sigma, &implied, &Budget::unlimited())
+        let e = answer(&alg, &sigma, &implied, &unlimited, nalist_obs::noop())
             .unwrap()
             .certificate(&starved)
             .unwrap_err();
@@ -337,7 +341,7 @@ mod tests {
         ));
         assert_eq!(e.resource().map(|r| r.kind), Some(ResourceKind::Fuel));
         let refuted = compile(&alg, "L(C) -> L(A)");
-        let e = answer(&alg, &sigma, &refuted, &Budget::unlimited())
+        let e = answer(&alg, &sigma, &refuted, &unlimited, nalist_obs::noop())
             .unwrap()
             .certificate(&starved)
             .unwrap_err();

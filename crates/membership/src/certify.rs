@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, DepKind, ProofDag, Rule};
 use nalist_guard::{Budget, ResourceExhausted};
+use nalist_obs::Recorder;
 
 use crate::closure::{ClosureError, DependencyBasis};
 use crate::worklist::WorklistRun;
@@ -411,19 +412,21 @@ pub fn certified_closure_and_basis(
     sigma: &[CompiledDep],
     x: &AtomSet,
 ) -> Result<CertifiedBasis, CertifyError> {
-    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited())
+    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited(), nalist_obs::noop())
 }
 
 /// Budget-governed twin of [`certified_closure_and_basis`]: the worklist
 /// run charges one fuel unit per step, as everywhere, and the replay one
-/// more per fired step.
+/// more per fired step. The run reports to `rec`, as
+/// [`crate::cert::answer`]'s does.
 pub fn certified_closure_and_basis_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
     budget: &Budget,
+    rec: &dyn Recorder,
 ) -> Result<CertifiedBasis, CertifyError> {
-    let run = crate::worklist::run(alg, sigma, x, budget, nalist_obs::noop())?;
+    let run = crate::worklist::run(alg, sigma, x, budget, rec)?;
     let (dag, closure_node, block_nodes) = replay(alg, sigma, x, &run, budget)?;
     Ok(CertifiedBasis {
         basis: DependencyBasis::derive(alg, run.closure, run.blocks),
@@ -469,7 +472,7 @@ pub fn certify_governed(
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<ProofDag>, CertifyError> {
-    crate::cert::answer(alg, sigma, dep, budget)?.derivation(budget)
+    crate::cert::answer(alg, sigma, dep, budget, nalist_obs::noop())?.derivation(budget)
 }
 
 /// The derivation of `dep` from `run`, a run for `dep.lhs` whose `X⁺`

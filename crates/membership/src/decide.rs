@@ -247,7 +247,7 @@ impl BasisCache {
 /// Decides `Σ ⊨ σ` on compiled inputs ([`crate::cert::answer`] under an
 /// unlimited budget).
 pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    crate::cert::answer(alg, sigma, dep, &Budget::unlimited())
+    crate::cert::answer(alg, sigma, dep, &Budget::unlimited(), nalist_obs::noop())
         .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed")
         .implied()
 }

@@ -37,7 +37,7 @@
 //! validation in [`Reasoner::restore_parts`] and surfaces as a typed
 //! error, never a panic or a wrong answer.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -347,17 +347,38 @@ impl Tag {
 /// from `payload`. `offset` is the record's file offset, used in
 /// corruption errors.
 fn split_record(payload: &[u8], offset: u64) -> Result<(Tag, &str), StoreError> {
-    let corrupt = |detail: String| StoreError::Corrupt { offset, detail };
-    let (&tag, rest) = payload
-        .split_first()
-        .ok_or_else(|| corrupt("empty WAL record".to_string()))?;
-    let text = std::str::from_utf8(rest)
-        .map_err(|e| corrupt(format!("invalid UTF-8 in WAL record: {e}")))?;
-    let tag = [Tag::Header, Tag::Add, Tag::Remove, Tag::Query]
+    let (tag, text) = split_tag(payload, offset)?;
+    Ok((tag_of(tag, offset)?, utf8(text, offset)?))
+}
+
+/// A record's tag byte and its text bytes; an empty record is corrupt.
+fn split_tag(payload: &[u8], offset: u64) -> Result<(u8, &[u8]), StoreError> {
+    match payload.split_first() {
+        Some((&tag, text)) => Ok((tag, text)),
+        None => Err(StoreError::Corrupt {
+            offset,
+            detail: "empty WAL record".to_string(),
+        }),
+    }
+}
+
+/// A record's text, which must be UTF-8.
+fn utf8(text: &[u8], offset: u64) -> Result<&str, StoreError> {
+    std::str::from_utf8(text).map_err(|e| StoreError::Corrupt {
+        offset,
+        detail: format!("invalid UTF-8 in WAL record: {e}"),
+    })
+}
+
+/// The record kind a tag byte names.
+fn tag_of(tag: u8, offset: u64) -> Result<Tag, StoreError> {
+    [Tag::Header, Tag::Add, Tag::Remove, Tag::Query]
         .into_iter()
         .find(|t| *t as u8 == tag)
-        .ok_or_else(|| corrupt(format!("unknown WAL op tag {tag:#04x}")))?;
-    Ok((tag, text))
+        .ok_or_else(|| StoreError::Corrupt {
+            offset,
+            detail: format!("unknown WAL op tag {tag:#04x}"),
+        })
 }
 
 /// A `+`, `-` or `?` [`Reasoner::decide`] read and found to apply, for
@@ -397,7 +418,7 @@ impl Reasoner {
                 budget.check_deadline()?;
                 let dep = CompiledDep::parse(self.algebra(), text, limits)
                     .map_err(ReasonerError::Parse)?;
-                let at = self.check(tag, text, &dep, &decided)?;
+                let at = self.check(tag, text.as_bytes(), &dep, &decided)?;
                 Ok(Decided { tag, text, dep, at })
             };
             let op = read().map_err(|e| (i, e))?;
@@ -431,11 +452,12 @@ impl Reasoner {
 
     /// The rule: a `-` finds a copy of `dep` in `Σ` as the `earlier`
     /// operations of its sequence leave it. Returns the `at` of its
-    /// [`Decided`].
+    /// [`Decided`]. `text` is the operation's text, UTF-8 however it
+    /// is held, which a refusal quotes.
     fn check(
         &self,
         tag: Tag,
-        text: &str,
+        text: &[u8],
         dep: &CompiledDep,
         earlier: &[Decided<'_>],
     ) -> Result<Option<usize>, ReasonerError> {
@@ -453,7 +475,9 @@ impl Reasoner {
                 let (i, _) = copies
                     .filter(|(_, held)| *held == dep)
                     .nth(removed - added)
-                    .ok_or_else(|| ReasonerError::NotHeld(text.to_string()))?;
+                    .ok_or_else(|| {
+                        ReasonerError::NotHeld(String::from_utf8_lossy(text).into_owned())
+                    })?;
                 at = earlier.iter().all(|e| e.tag == Tag::Query).then_some(i);
             }
         }
@@ -519,10 +543,9 @@ pub struct ReplayCounts {
 }
 
 /// Replays verified WAL records — `(file offset, payload)` pairs, as
-/// [`nalist_store::WalReplay::records`] and
-/// [`nalist_store::WalSegment::records`] borrow them from the log's
-/// bytes — into `reasoner`. This is the single replay primitive behind
-/// both crash [`recover`]y and replication followers tailing a leader's
+/// [`nalist_store::WalSegment::records`] borrows them from a shipped
+/// segment — into `reasoner`. Followers tailing a leader's log call
+/// this; crash [`recover`]y runs the same step inside its scan of the
 /// log, so both reconstruct bit-identical state by construction.
 ///
 /// Each distinct text is read once per call, under `budget`'s parse
@@ -539,17 +562,64 @@ pub fn replay_wal<'a>(
     budget: &Budget,
     counts: &mut ReplayCounts,
 ) -> Result<(), PersistError> {
-    let limits = ParseLimits::from_budget(budget);
-    // text after the tag → compiled dependency, shared by every kind
-    let mut memo: HashMap<&'a str, CompiledDep> = HashMap::new();
-    for (index, (offset, payload)) in records.into_iter().enumerate() {
+    let mut replay = Replay::new(budget);
+    for (offset, payload) in records {
+        replay.step(reasoner, offset, payload, budget, counts)?;
+    }
+    Ok(())
+}
+
+/// One replay of a log's records, in order: the next record's index and
+/// the compiled pair of every text seen so far.
+struct Replay {
+    limits: ParseLimits,
+    index: usize,
+    /// text after the tag → compiled dependency, shared by every kind.
+    /// The keys are owned, since a scanned record lives only as long as
+    /// the read buffer holds it; a key was checked to be UTF-8 when its
+    /// first record was read, and keys come from clients, so the map
+    /// keeps std's keyed hasher.
+    memo: HashMap<Box<[u8]>, CompiledDep>,
+}
+
+impl Replay {
+    fn new(budget: &Budget) -> Replay {
+        Replay {
+            limits: ParseLimits::from_budget(budget),
+            index: 0,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Decodes the record at `offset` and applies it to `reasoner` by
+    /// the check and step every writer decides and applies an edit by.
+    /// Each record costs one lookup in the memo; a text's first record
+    /// is checked to be UTF-8 and read to its compiled pair.
+    fn step(
+        &mut self,
+        reasoner: &mut Reasoner,
+        offset: u64,
+        payload: &[u8],
+        budget: &Budget,
+        counts: &mut ReplayCounts,
+    ) -> Result<(), PersistError> {
+        let index = self.index;
+        self.index += 1;
         let fail = |e: ReasonerError| PersistError::Replay {
             index,
             message: e.to_string(),
         };
-        let (tag, text) = split_record(payload, offset)?;
+        let (tag, bytes) = split_tag(payload, offset)?;
+        // a text seen before is UTF-8; a new one is checked here, before
+        // its tag, in the order `split_record` checks them
+        let seen = match self.memo.get(bytes) {
+            Some(dep) => Ok(dep),
+            None => Err(utf8(bytes, offset)?),
+        };
+        let tag = tag_of(tag, offset)?;
         let count = match tag {
             Tag::Header => {
+                let text = utf8(bytes, offset)?;
                 let schema_text = reasoner.attr().to_string();
                 if text != schema_text {
                     return Err(PersistError::Invalid(format!(
@@ -557,31 +627,35 @@ pub fn replay_wal<'a>(
                     )));
                 }
                 counts.headers += 1;
-                continue;
+                return Ok(());
             }
             Tag::Add => &mut counts.adds,
             Tag::Remove => &mut counts.removes,
             Tag::Query => &mut counts.queries,
         };
-        let dep = match memo.entry(text) {
-            Entry::Occupied(seen) => seen.into_mut(),
-            Entry::Vacant(first) => first.insert(
-                CompiledDep::parse(reasoner.algebra(), text, limits)
-                    .map_err(|e| fail(ReasonerError::Parse(e)))?,
-            ),
+        let dep = match seen {
+            Ok(dep) => dep,
+            Err(text) => {
+                let dep = CompiledDep::parse(reasoner.algebra(), text, self.limits)
+                    .map_err(|e| fail(ReasonerError::Parse(e)))?;
+                self.memo.entry(bytes.into()).or_insert(dep)
+            }
         };
-        let at = reasoner.check(tag, text, dep, &[]).map_err(fail)?;
+        let at = reasoner.check(tag, bytes, dep, &[]).map_err(fail)?;
         reasoner.apply(tag, dep, at, budget)?;
         *count += 1;
+        Ok(())
     }
-    Ok(())
 }
 
 /// Crash recovery: loads the snapshot at `snapshot` (cache entries land
-/// warm) and, when `wal` is given, replays its operations through
-/// [`replay_wal`]. A torn WAL tail is truncated and reported; mid-log
-/// corruption is a hard error (see [`nalist_store::wal`] for the
-/// policy).
+/// warm) and, when `wal` is given, replays each record of the log as
+/// one streaming pass over it reads and verifies the record
+/// ([`nalist_store::scan_wal`]), by the step of [`replay_wal`]. A torn
+/// WAL tail is truncated and reported; corruption anywhere in the log
+/// is a hard error, even after an earlier record failed to replay, and
+/// a log that fails verification adds nothing to
+/// `recovery_replayed_ops` (see [`nalist_store::wal`] for the policy).
 pub fn recover(
     snapshot: &Path,
     wal: Option<&Path>,
@@ -592,14 +666,14 @@ pub fn recover(
     let mut counts = ReplayCounts::default();
     let mut truncated_at = None;
     if let Some(wal_path) = wal {
-        let log = store::read_wal(wal_path)?;
-        truncated_at = log.truncated_at;
-        let replayed = replay_wal(&mut reasoner, log.records(), budget, &mut counts);
-        rec.add(
-            Counter::RecoveryReplayedOps,
-            counts.headers + counts.adds + counts.removes + counts.queries,
-        );
-        replayed?;
+        let mut replay = Replay::new(budget);
+        let scan = store::scan_wal(wal_path, |offset, payload| {
+            replay.step(&mut reasoner, offset, payload, budget, &mut counts)
+        })?;
+        let replayed = counts.headers + counts.adds + counts.removes + counts.queries;
+        rec.add(Counter::RecoveryReplayedOps, replayed);
+        scan.visited?;
+        truncated_at = scan.truncated_at;
     }
     Ok(RecoveryReport {
         reasoner,
@@ -876,6 +950,99 @@ mod tests {
         let rep = recover(&snap, None, &Budget::unlimited(), Arc::new(NoopRecorder)).unwrap();
         assert_eq!(rep.replayed(), 0);
         assert_eq!(snapshot_payload(&rep.reasoner), snapshot_payload(&r));
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A snapshot of `L(A, B, C)` holding `L(A) -> L(B)` and a log of
+    /// `records` journaled after it, in a fresh directory; returns the
+    /// directory, both paths and each record's offset.
+    fn journaled(
+        tag: &str,
+        records: &[WalOp],
+    ) -> (std::path::PathBuf, [std::path::PathBuf; 2], Vec<u64>) {
+        let d = std::env::temp_dir().join(format!("nalist_persist_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&d).unwrap();
+        let (snap, log) = (d.join("s.snap"), d.join("ops.wal"));
+        let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
+        write_reasoner_snapshot(&snap, &r, &Budget::unlimited(), &NoopRecorder).unwrap();
+        let mut wal = store::WalWriter::create(&log, false).unwrap();
+        let offsets = records
+            .iter()
+            .map(|op| {
+                wal.append(&op.encode(), &Budget::unlimited(), &NoopRecorder)
+                    .unwrap()
+            })
+            .collect();
+        (d, [snap, log], offsets)
+    }
+
+    fn header() -> WalOp {
+        WalOp::Header {
+            schema: "L(A, B, C)".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_checksum_failure_after_a_record_that_failed_to_replay_wins_and_counts_nothing() {
+        // record 2 removes a dependency Σ does not hold; record 4 is damaged
+        let records = [
+            header(),
+            WalOp::Add("L(B) -> L(C)".to_string()),
+            WalOp::Remove("L(C) -> L(A)".to_string()),
+            WalOp::Query("L(A) -> L(C)".to_string()),
+            WalOp::Add("L(A) ->> L(C)".to_string()),
+        ];
+        let (d, [snap, log], offsets) = journaled("precedence", &records);
+        let clean = std::fs::read(&log).unwrap();
+        let recovered = |bytes: &[u8]| {
+            std::fs::write(&log, bytes).unwrap();
+            let rec = Arc::new(nalist_obs::MetricsRecorder::new());
+            let got = recover(&snap, Some(&log), &Budget::unlimited(), rec.clone());
+            (got, rec.counter(Counter::RecoveryReplayedOps))
+        };
+        // undamaged, replay stops at record 2 and counts the two before it
+        match recovered(&clean) {
+            (Err(PersistError::Replay { index: 2, message }), 2) => {
+                assert_eq!(message, "dependency not in Σ: L(C) -> L(A)");
+            }
+            (other, applied) => panic!("expected record 2 to fail, got {other:?} ({applied})"),
+        }
+        let mut dirty = clean.clone();
+        *dirty.last_mut().unwrap() ^= 0x01;
+        match recovered(&dirty) {
+            (Err(PersistError::Store(StoreError::Corrupt { offset, detail })), 0) => {
+                assert_eq!(
+                    (offset, detail.as_str()),
+                    (offsets[4], "record checksum mismatch")
+                );
+            }
+            (other, applied) => panic!("expected Corrupt at record 4, got {other:?} ({applied})"),
+        }
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_text_that_is_not_held_is_quoted() {
+        // the third record's text is the memo's by then
+        let text = "L(B) -> L(C)";
+        let records = [
+            header(),
+            WalOp::Add(text.to_string()),
+            WalOp::Remove(text.to_string()),
+            WalOp::Remove(text.to_string()),
+        ];
+        let (d, [snap, log], _) = journaled("quoted", &records);
+        match recover(
+            &snap,
+            Some(&log),
+            &Budget::unlimited(),
+            Arc::new(NoopRecorder),
+        ) {
+            Err(PersistError::Replay { index: 3, message }) => {
+                assert_eq!(message, format!("dependency not in Σ: {text}"));
+            }
+            other => panic!("expected record 3 to fail, got {other:?}"),
+        }
         std::fs::remove_dir_all(&d).unwrap();
     }
 

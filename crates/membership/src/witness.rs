@@ -226,7 +226,7 @@ pub fn refute_governed(
     dep: &CompiledDep,
     budget: &Budget,
 ) -> Result<Option<Witness>, WitnessError> {
-    crate::cert::answer(alg, sigma, dep, budget)
+    crate::cert::answer(alg, sigma, dep, budget, nalist_obs::noop())
         .map_err(|e| match e {
             ClosureError::Resource(r) => WitnessError::Resource(r),
             other => WitnessError::VerificationFailed {

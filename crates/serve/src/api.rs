@@ -670,7 +670,8 @@ fn handle_cert(r: &Reasoner, dep_text: &str, budget: &Budget) -> Result<Response
     let alg = r.algebra();
     let target = nalist_deps::CompiledDep::parse(alg, dep_text, limits)
         .map_err(|e| ApiError::bad_request(format!("bad dependency: {e}")))?;
-    let answer = nalist_membership::cert::answer(alg, r.compiled_sigma(), &target, budget)
+    let noop = nalist_obs::noop();
+    let answer = nalist_membership::cert::answer(alg, r.compiled_sigma(), &target, budget, noop)
         .map_err(|e| match e {
             nalist_membership::ClosureError::Resource(res) => ApiError::resource(res),
             other => ApiError::internal(other.to_string()),

@@ -8,7 +8,8 @@
 //!   fsync + atomic rename, so a crash at any instant leaves either the
 //!   old snapshot or the new one, never a torn hybrid;
 //! * [`wal`] — an **append-only write-ahead log** of length-prefixed,
-//!   CRC32-checksummed records. Recovery truncates a *torn tail* (a
+//!   CRC32-checksummed records, read back in one streaming pass through
+//!   a fixed buffer ([`scan_wal`]). Recovery truncates a *torn tail* (a
 //!   final record the crash cut short) but hard-errors with
 //!   [`StoreError::Corrupt`] on mid-log corruption — a bad checksum is
 //!   never silently absorbed;
@@ -51,7 +52,8 @@ pub use snapshot::{
     SNAPSHOT_VERSION,
 };
 pub use wal::{
-    parse_wal_segment, read_wal, read_wal_range, WalReplay, WalSegment, WalWriter, WAL_MAGIC,
+    parse_wal_segment, read_wal, read_wal_range, scan_wal, WalReplay, WalScan, WalSegment,
+    WalWriter, WAL_MAGIC,
 };
 
 /// The named [`FailPoint`](nalist_guard::FailPoint) sites this crate

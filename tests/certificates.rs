@@ -55,7 +55,7 @@ fn problem(rng: &mut StdRng) -> Problem {
 /// Asks the engine about `query` and emits the matching certificate.
 fn certificate_for(p: &Problem, query: &CompiledDep) -> Certificate {
     let unlimited = Budget::unlimited();
-    answer(&p.alg, &p.sigma, query, &unlimited)
+    answer(&p.alg, &p.sigma, query, &unlimited, nalist::obs::noop())
         .expect("compiled queries are downward closed")
         .certificate(&unlimited)
         .expect("every answer carries its evidence")
@@ -132,7 +132,8 @@ fn assert_one_run_same_bytes(
         nalist::membership::worklist::run(alg, sigma, &target.lhs, &unlimited, nalist::obs::noop());
     let steps = run.expect("targets are downward closed").steps;
     let budget = Budget::unlimited();
-    let answered = answer(alg, sigma, target, &budget).expect("targets are downward closed");
+    let answered = answer(alg, sigma, target, &budget, nalist::obs::noop())
+        .expect("targets are downward closed");
     let implied = answered.implied();
     let json = answered
         .certificate(&budget)
