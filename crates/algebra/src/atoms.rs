@@ -129,10 +129,12 @@ pub struct Algebra {
 impl Algebra {
     /// Builds the algebra for the ambient attribute `n`.
     pub fn new(n: &NestedAttr) -> Self {
-        Algebra::try_new(n, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+        Algebra::try_new(n, &Budget::unlimited(), nalist_obs::noop())
+            .expect("unlimited budget cannot be exhausted")
     }
 
-    /// Builds the algebra for `n` under a resource [`Budget`].
+    /// Builds the algebra for `n` under a resource [`Budget`], reporting
+    /// to `rec`.
     ///
     /// Construction is the memory hot spot of the whole stack: the
     /// per-atom `below`/`above` masks occupy `O(atoms²)` bits, so an
@@ -140,16 +142,11 @@ impl Algebra {
     /// long before any reasoning starts. The budget's `max_atoms` cap is
     /// checked before the masks are allocated, three fuel units are
     /// charged per atom, and the deadline is sampled along the way.
-    pub fn try_new(n: &NestedAttr, budget: &Budget) -> Result<Self, ResourceExhausted> {
-        Algebra::try_new_observed(n, budget, nalist_obs::noop())
-    }
-
-    /// [`Algebra::try_new`] with an observability recorder: wraps
-    /// construction in an `algebra::atoms` span (enter payload: basis
-    /// size estimate, exit payload: atoms allocated) and bumps the
-    /// `atoms_allocated` counter. With a disabled recorder this is
-    /// exactly [`Algebra::try_new`].
-    pub fn try_new_observed(
+    ///
+    /// An enabled recorder sees construction as an `algebra::atoms` span
+    /// (enter payload: basis size estimate, exit payload: atoms
+    /// allocated) and an `atoms_allocated` counter bump.
+    pub fn try_new(
         n: &NestedAttr,
         budget: &Budget,
         rec: &dyn nalist_obs::Recorder,
@@ -506,9 +503,9 @@ mod tests {
     fn try_new_enforces_atom_cap() {
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap(); // 5 atoms
         let ok = Budget::unlimited().with_max_atoms(5);
-        assert!(Algebra::try_new(&n, &ok).is_ok());
+        assert!(Algebra::try_new(&n, &ok, nalist_obs::noop()).is_ok());
         let too_small = Budget::unlimited().with_max_atoms(4);
-        let err = Algebra::try_new(&n, &too_small).unwrap_err();
+        let err = Algebra::try_new(&n, &too_small, nalist_obs::noop()).unwrap_err();
         assert_eq!(err.kind, nalist_guard::ResourceKind::Atoms);
         assert_eq!(err.spent, 5);
         assert_eq!(err.limit, 4);
@@ -518,11 +515,11 @@ mod tests {
     fn try_new_charges_fuel() {
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let starved = Budget::unlimited().with_fuel(3);
-        let err = Algebra::try_new(&n, &starved).unwrap_err();
+        let err = Algebra::try_new(&n, &starved, nalist_obs::noop()).unwrap_err();
         assert_eq!(err.kind, nalist_guard::ResourceKind::Fuel);
-        // Result agrees with the ungoverned build when the budget suffices.
+        // Result agrees with the unlimited build when the budget suffices.
         let roomy = Budget::unlimited().with_fuel(10_000);
-        let alg = Algebra::try_new(&n, &roomy).unwrap();
+        let alg = Algebra::try_new(&n, &roomy, nalist_obs::noop()).unwrap();
         assert_eq!(alg.atom_count(), Algebra::new(&n).atom_count());
     }
 
@@ -533,15 +530,16 @@ mod tests {
             "algebra::atoms",
             nalist_guard::FailAction::ExhaustFuel,
         ));
-        assert!(Algebra::try_new(&n, &b).is_err());
+        assert!(Algebra::try_new(&n, &b, nalist_obs::noop()).is_err());
     }
 
     #[test]
     fn observed_build_counts_atoms_and_matches_unobserved() {
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let rec = nalist_obs::MetricsRecorder::new();
-        let alg = Algebra::try_new_observed(&n, &Budget::unlimited(), &rec).unwrap();
-        assert_eq!(alg.atom_count(), Algebra::new(&n).atom_count());
+        let alg = Algebra::try_new(&n, &Budget::unlimited(), &rec).unwrap();
+        let unobserved = Algebra::try_new(&n, &Budget::unlimited(), nalist_obs::noop()).unwrap();
+        assert_eq!(alg.atom_count(), unobserved.atom_count());
         assert_eq!(rec.counter(nalist_obs::Counter::AtomsAllocated), 5);
         let snap = rec.snapshot();
         assert_eq!(snap.spans.len(), 1);

@@ -6,7 +6,6 @@
 //! `Sub(L(P1,…,Pk))` is the direct product of the component algebras, and
 //! `Sub(L[P])` is `Sub(P)` with a new minimum adjoined.
 
-use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 
 use crate::atoms::Algebra;
@@ -28,39 +27,18 @@ pub fn sub_count(n: &NestedAttr) -> u128 {
 
 /// Enumerates every element of `Sub(N)` as a canonical subattribute tree,
 /// in a deterministic order. Exponential in general — intended for small
-/// `N` (tests, figures, cross-validation).
+/// `N` (tests, figures, cross-validation); callers bound `N` with
+/// [`sub_count`] first.
 pub fn enumerate_trees(n: &NestedAttr) -> Vec<NestedAttr> {
-    enumerate_trees_governed(n, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
-}
-
-/// [`enumerate_trees`] under a resource [`Budget`]: one fuel unit is
-/// charged per enumerated element, so `|Sub(N)| = 2^Ω(atoms)` blowups
-/// stop at the budget instead of exhausting memory.
-pub fn enumerate_trees_governed(
-    n: &NestedAttr,
-    budget: &Budget,
-) -> Result<Vec<NestedAttr>, ResourceExhausted> {
-    budget.failpoint("algebra::lattice")?;
     match n {
-        NestedAttr::Null => {
-            budget.charge(1)?;
-            Ok(vec![NestedAttr::Null])
-        }
-        NestedAttr::Flat(a) => {
-            budget.charge(2)?;
-            Ok(vec![NestedAttr::Null, NestedAttr::Flat(a.clone())])
-        }
+        NestedAttr::Null => vec![NestedAttr::Null],
+        NestedAttr::Flat(a) => vec![NestedAttr::Null, NestedAttr::Flat(a.clone())],
         NestedAttr::Record(l, children) => {
-            let component_subs: Vec<Vec<NestedAttr>> = children
-                .iter()
-                .map(|c| enumerate_trees_governed(c, budget))
-                .collect::<Result<_, _>>()?;
             let mut out = vec![Vec::new()];
-            for subs in &component_subs {
+            for subs in children.iter().map(enumerate_trees) {
                 let mut next = Vec::with_capacity(out.len() * subs.len());
                 for prefix in &out {
-                    for s in subs {
-                        budget.charge(1)?;
+                    for s in &subs {
                         let mut p = prefix.clone();
                         p.push(s.clone());
                         next.push(p);
@@ -68,44 +46,31 @@ pub fn enumerate_trees_governed(
                 }
                 out = next;
             }
-            Ok(out
-                .into_iter()
+            out.into_iter()
                 .map(|components| NestedAttr::Record(l.clone(), components))
-                .collect())
+                .collect()
         }
         NestedAttr::List(l, inner) => {
             let mut out = vec![NestedAttr::Null];
             out.extend(
-                enumerate_trees_governed(inner, budget)?
+                enumerate_trees(inner)
                     .into_iter()
                     .map(|i| NestedAttr::List(l.clone(), Box::new(i))),
             );
-            Ok(out)
+            out
         }
     }
 }
 
 /// Enumerates every element of `Sub(N)` as a downward-closed atom set.
 pub fn enumerate_sets(alg: &Algebra) -> Vec<AtomSet> {
-    enumerate_sets_governed(alg, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
-/// [`enumerate_sets`] under a resource [`Budget`].
-pub fn enumerate_sets_governed(
-    alg: &Algebra,
-    budget: &Budget,
-) -> Result<Vec<AtomSet>, ResourceExhausted> {
-    let trees = enumerate_trees_governed(alg.attr(), budget)?;
-    let mut out = Vec::with_capacity(trees.len());
-    for t in trees {
-        budget.charge(1)?;
-        out.push(
-            alg.from_attr(&t)
-                .expect("enumerated trees are subattributes"),
-        );
-    }
-    Ok(out)
+    enumerate_trees(alg.attr())
+        .iter()
+        .map(|t| {
+            alg.from_attr(t)
+                .expect("enumerated trees are subattributes")
+        })
+        .collect()
 }
 
 /// The cover relation of the lattice: `(i, j)` means element `i` is
@@ -185,27 +150,6 @@ mod tests {
         for s in &sets {
             assert!(alg.is_downward_closed(s));
         }
-    }
-
-    #[test]
-    fn governed_enumeration_stops_at_fuel() {
-        use nalist_guard::{Budget, ResourceKind};
-        // 2^10 = 1024 elements; 64 units of fuel cannot cover them.
-        let wide = format!(
-            "L({})",
-            (0..10)
-                .map(|i| format!("A{i}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let n = parse_attr(&wide).unwrap();
-        let err = enumerate_trees_governed(&n, &Budget::unlimited().with_fuel(64)).unwrap_err();
-        assert_eq!(err.kind, ResourceKind::Fuel);
-        // With enough fuel the governed and ungoverned enumerations agree.
-        let small = parse_attr("J[K(A, L[M(B, C)])]").unwrap();
-        let governed =
-            enumerate_trees_governed(&small, &Budget::unlimited().with_fuel(10_000)).unwrap();
-        assert_eq!(governed, enumerate_trees(&small));
     }
 
     #[test]

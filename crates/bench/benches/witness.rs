@@ -30,7 +30,12 @@ fn witness_generation(c: &mut Criterion) {
         let basis = closure_and_basis(&alg, &sigma, &x);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
-                std::hint::black_box(combination_instance(&alg, &basis).unwrap().instance.len())
+                std::hint::black_box(
+                    combination_instance(&alg, &basis, &nalist::guard::Budget::unlimited())
+                        .unwrap()
+                        .instance
+                        .len(),
+                )
             });
         });
     }

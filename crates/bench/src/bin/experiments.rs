@@ -10,6 +10,7 @@ use nalist::algebra::render::{basis_listing, full_lattice_dot};
 use nalist::membership::trace::{render_result, render_trace};
 use nalist::membership::witness::combination_instance;
 use nalist::membership::{read_reasoner_snapshot, recover, write_reasoner_snapshot, WalOp};
+use nalist::obs::noop;
 use nalist::prelude::*;
 use nalist::store::WalWriter;
 use nalist_bench::{
@@ -324,6 +325,7 @@ fn certificates() {
         "E-CERT",
         "Lemma 6.1, constructively: machine-checked certificates from Algorithm 5.1",
     );
+    let budget = Budget::unlimited();
     let mut rng = StdRng::seed_from_u64(2024);
     let mut implied = 0usize;
     let mut refuted = 0usize;
@@ -342,7 +344,7 @@ fn certificates() {
         );
         for _ in 0..10 {
             let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-            match nalist::membership::certify(&alg, &sigma, &target)
+            match certify_governed(&alg, &sigma, &target, &budget)
                 .expect("random targets never produce invalid rule instances")
             {
                 Some(dag) => {
@@ -369,17 +371,13 @@ fn certificates() {
     // fires about a dozen dependencies and the replay has work to do
     let cw = nalist_bench::cold_query_workload(7, 32, 64, 32);
     let (alg, sigma) = (cw.reasoner.algebra(), cw.reasoner.compiled_sigma());
-    let lhss: Vec<AtomSet> = cw
-        .queries
-        .iter()
-        .map(|q| q.compile(alg).expect("workload queries compile").lhs)
-        .collect();
+    let lhss: Vec<AtomSet> = cw.queries.iter().map(|q| q.lhs.clone()).collect();
     let rec = nalist::obs::MetricsRecorder::new();
     let mut nodes = 0usize;
     for x in &lhss {
-        nalist::membership::worklist::run(alg, sigma, x, &Budget::unlimited(), &rec)
+        nalist::membership::worklist::run(alg, sigma, x, &budget, &rec)
             .expect("workload left-hand sides are downward closed");
-        nodes += nalist::membership::certified_closure_and_basis(alg, sigma, x)
+        nodes += certified_closure_and_basis(alg, sigma, x, &budget, noop())
             .expect("benchmark workloads certify cleanly")
             .dag
             .len();
@@ -387,7 +385,7 @@ fn certificates() {
     let t = median_nanos(5, || {
         for x in &lhss {
             std::hint::black_box(
-                nalist::membership::certified_closure_and_basis(alg, sigma, x)
+                certified_closure_and_basis(alg, sigma, x, &budget, noop())
                     .expect("benchmark workloads certify cleanly")
                     .dag
                     .len(),
@@ -433,14 +431,12 @@ fn certificates() {
     );
     let schema_src = n.to_string();
     let deps_src = nalist::gen::render_sigma(&alg, &sigma);
-    let budget = Budget::unlimited();
     let mut implied_targets = Vec::new();
     let mut docs = Vec::new();
     let (mut pos_bytes, mut neg_bytes, mut pos, mut neg) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..50 {
         let target = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
-        let answered =
-            answer(&alg, &sigma, &target, &budget, nalist::obs::noop()).expect("compiled targets");
+        let answered = answer(&alg, &sigma, &target, &budget, noop()).expect("compiled targets");
         let implied = answered.implied();
         let cert = answered
             .certificate(&budget)
@@ -471,9 +467,7 @@ fn certificates() {
     }) / docs.len() as u128;
     let t_prove = median_nanos(5, || {
         for target in &implied_targets {
-            std::hint::black_box(
-                nalist::membership::certify(&alg, &sigma, target).expect("certify"),
-            );
+            std::hint::black_box(certify_governed(&alg, &sigma, target, &budget).expect("certify"));
         }
     }) / implied_targets.len().max(1) as u128;
     let t_parse = median_nanos(5, || {
@@ -594,6 +588,7 @@ fn engine_speedup() {
         "E-ENGINE",
         "Change-driven worklist engine vs paper-order pass engine",
     );
+    let unlimited = Budget::unlimited();
     let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let mut json_rows: Vec<String> = Vec::new();
     println!(
@@ -682,7 +677,9 @@ fn engine_speedup() {
         let runs = if atoms >= 256 { 3 } else { 5 };
         let t_uncached = median_nanos(runs, || {
             for c in &compiled {
-                std::hint::black_box(nalist::membership::implies(&w.alg, &w.sigma, c));
+                std::hint::black_box(
+                    implies(&w.alg, &w.sigma, c, &unlimited).expect("unlimited budget"),
+                );
             }
         });
         println!(
@@ -698,7 +695,7 @@ fn engine_speedup() {
                 let verdicts = fresh
                     .implies_batch_governed_with(
                         &queries,
-                        &Budget::unlimited(),
+                        &unlimited,
                         NonZeroUsize::new(threads).unwrap(),
                     )
                     .expect("queries compile");
@@ -1045,6 +1042,7 @@ fn witness_table() {
         "E-WIT",
         "Section 4.2: counterexample (combination-instance) construction",
     );
+    let unlimited = Budget::unlimited();
     println!(
         "{:>12} {:>10} {:>14}",
         "free blocks", "tuples", "median time"
@@ -1069,9 +1067,17 @@ fn witness_table() {
         let basis = closure_and_basis(&alg, &sigma, &x);
         let free = basis.free_blocks().len();
         let t = median_nanos(5, || {
-            std::hint::black_box(combination_instance(&alg, &basis).unwrap().instance.len());
+            std::hint::black_box(
+                combination_instance(&alg, &basis, &unlimited)
+                    .unwrap()
+                    .instance
+                    .len(),
+            );
         });
-        let tuples = combination_instance(&alg, &basis).unwrap().instance.len();
+        let tuples = combination_instance(&alg, &basis, &unlimited)
+            .unwrap()
+            .instance
+            .len();
         println!("{:>12} {:>10} {:>14}", free, tuples, fmt_nanos(t));
     }
     println!("tuple count is 2^k by construction — witnesses stay practical for small bases");
@@ -1084,6 +1090,7 @@ fn chase_table() {
         "E-CHASE",
         "MVD chase over nested instances: repair rates and the mixed-meet failure mode",
     );
+    let unlimited = Budget::unlimited();
     use nalist::deps::chase::{chase, ChaseError};
     let mut rng = StdRng::seed_from_u64(31);
     let mut repaired = 0usize;
@@ -1109,7 +1116,7 @@ fn chase_table() {
                 max_list_len: 2,
             },
         );
-        match chase(&alg, &sigma, &r, 4096) {
+        match chase(&alg, &sigma, &r, 4096, &unlimited, noop()) {
             Ok(out) if out.added == 0 => already += 1,
             Ok(out) => {
                 repaired += 1;
@@ -1206,6 +1213,7 @@ fn min_rules() {
 
 fn apps() {
     header("E-APP", "Section 1.3 applications on the named scenarios");
+    let unlimited = Budget::unlimited();
     println!(
         "{:<12} {:>6} {:>6} {:>8} {:>8} {:>6} {:>10}",
         "scenario", "|N|", "|Σ|", "cover", "keys", "4NF", "components"
@@ -1213,10 +1221,10 @@ fn apps() {
     for s in nalist::gen::scenarios::all() {
         let alg = Algebra::new(&s.attr);
         let sigma: Vec<CompiledDep> = s.sigma.iter().map(|d| d.compile(&alg).unwrap()).collect();
-        let cover = minimal_cover(&alg, &sigma);
-        let keys = candidate_keys(&alg, &sigma, 8);
-        let nf = is_fourth_nf(&alg, &sigma);
-        let comps = decompose_4nf(&alg, &sigma, 8);
+        let cover = minimal_cover(&alg, &sigma, &unlimited).unwrap();
+        let keys = candidate_keys(&alg, &sigma, 8, &unlimited).unwrap();
+        let nf = is_fourth_nf(&alg, &sigma, &unlimited).unwrap();
+        let comps = decompose_4nf(&alg, &sigma, 8, &unlimited).unwrap();
         let atom_sets: Vec<AtomSet> = comps.iter().map(|c| c.atoms.clone()).collect();
         let lossless = verify_lossless(&alg, &s.instance, &atom_sets).unwrap();
         println!(
@@ -1412,7 +1420,7 @@ fn durability() {
                         std::hint::black_box(fresh.dependency_basis(x));
                     }
                     fresh.add_str(&edit).expect("edit re-adds");
-                    fresh.implies_str(&edit).expect("edit queries");
+                    fresh.implies_str(&edit, &budget).expect("edit queries");
                     assert!(fresh.remove_str(&edit).expect("edit removes"));
                     t.elapsed().as_nanos()
                 })
@@ -1478,7 +1486,7 @@ fn durability() {
                         r.remove_str(&text).expect("remove replays");
                     }
                     WalOp::Query(text) => {
-                        r.implies_str(&text).expect("query replays");
+                        r.implies_str(&text, &budget).expect("query replays");
                     }
                 }
             }

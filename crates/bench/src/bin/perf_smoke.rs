@@ -60,7 +60,6 @@
 
 use std::sync::Arc;
 
-use nalist::deps::CompiledDep;
 use nalist::guard::Budget;
 use nalist::membership::{certify_governed, recover, MAX_CACHE_BYTES};
 use nalist::obs::{noop, Counter, MetricsRecorder, NoopRecorder};
@@ -216,7 +215,7 @@ fn main() {
     let cold_rec = Arc::new(MetricsRecorder::new());
     let cold = cw.reasoner.clone().with_recorder(cold_rec.clone());
     for q in &cw.queries {
-        std::hint::black_box(cold.implies(q).expect("the cache row's queries compile"));
+        std::hint::black_box(cold.implies(q, &unlimited).expect("the cache row decides"));
     }
     let cold_stats = cold.cache_stats();
     println!(
@@ -232,17 +231,10 @@ fn main() {
     let certw = cold_query_workload(7, 32, 64, 200);
     let cert_alg = certw.reasoner.algebra();
     let cert_sigma = certw.reasoner.compiled_sigma();
-    let cert_targets: Vec<CompiledDep> = certw
-        .queries
-        .iter()
-        .map(|q| {
-            q.compile(cert_alg)
-                .expect("the certification row's queries compile")
-        })
-        .collect();
+    let cert_targets = &certw.queries;
     let certify_all = || {
         let (mut implied, mut nodes) = (0u64, 0u64);
-        for t in &cert_targets {
+        for t in cert_targets {
             let proof = certify_governed(cert_alg, cert_sigma, t, &unlimited)
                 .expect("the certification row certifies");
             if let Some(dag) = proof {
@@ -264,7 +256,7 @@ fn main() {
     );
     // the rendering row: the same Σ and targets, printed
     let render_all = || {
-        let sides = cert_sigma.iter().chain(&cert_targets);
+        let sides = cert_sigma.iter().chain(cert_targets);
         sides.map(|d| d.render(cert_alg).len()).sum::<usize>()
     };
     let render_ns = median_nanos(7, || {

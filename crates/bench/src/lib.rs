@@ -154,8 +154,9 @@ pub fn incremental_edit_workload(
 pub struct ColdQueryWorkload {
     /// Reasoner over the generated schema with `Σ` loaded, cache cold.
     pub reasoner: Reasoner,
-    /// Queries with pairwise distinct left-hand sides.
-    pub queries: Vec<Dependency>,
+    /// Queries with pairwise distinct left-hand sides, compiled over the
+    /// reasoner's algebra.
+    pub queries: Vec<CompiledDep>,
 }
 
 /// Draws in a row that find no new left-hand side before
@@ -194,7 +195,7 @@ pub fn cold_query_workload(
     while queries.len() < count {
         let d = nalist::gen::random_nontrivial_dep(&mut rng, &alg, 0.3, 0.3, 0.5);
         if seen.insert(d.lhs.clone()) {
-            queries.push(d.decompile(&alg));
+            queries.push(d);
             stale = 0;
             continue;
         }

@@ -451,20 +451,21 @@ impl Files for OsFiles {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
     }
 
-    /// All CLI file outputs (metrics JSON, certificates) go through the
-    /// store layer's atomic write: temp file, fsync, rename. A crash
-    /// mid-write leaves the previous file intact, never a torn one.
     fn write(&self, path: &str, content: &str) -> Result<(), String> {
-        nalist::store::atomic_write(std::path::Path::new(path), content.as_bytes())
-            .map_err(|e| format!("cannot write {path}: {e}"))
+        write_atomically(path, content)
     }
 
     fn writer(&self) -> Option<FileWriter> {
-        Some(Box::new(|path, content| {
-            nalist::store::atomic_write(std::path::Path::new(path), content.as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))
-        }))
+        Some(Box::new(write_atomically))
     }
+}
+
+/// All CLI file outputs (metrics JSON, certificates) go through the
+/// store layer's atomic write: temp file, fsync, rename. A crash
+/// mid-write leaves the previous file intact, never a torn one.
+fn write_atomically(path: &str, content: &str) -> Result<(), String> {
+    nalist::store::atomic_write(Path::new(path), content.as_bytes(), &Budget::unlimited())
+        .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// A text that does not parse is a domain error (exit 1) reported as
@@ -490,8 +491,7 @@ fn load_reasoner(
 ) -> Result<Reasoner, CliError> {
     let limits = ParseLimits::from_budget(budget);
     let n = parse_attr_with(schema, limits).map_err(|e| schema_error(&e))?;
-    let mut r =
-        Reasoner::try_new_observed(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
+    let mut r = Reasoner::try_new(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
     let text = files.read(deps_path).map_err(CliError::file)?;
     let (linenos, adds): (Vec<usize>, Vec<WalOp>) = content_lines(&text)
         .map(|(lineno, line)| (lineno, WalOp::Add(line.to_string())))
@@ -964,8 +964,8 @@ fn dispatch(
             let wal_path = trailing_flag("replay", "--wal", "<log>", flags)?;
             let limits = ParseLimits::from_budget(budget);
             let n = parse_attr_with(schema, limits).map_err(|e| schema_error(&e))?;
-            let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(rec))
-                .map_err(CliError::resource)?;
+            let mut r =
+                Reasoner::try_new(&n, budget, Arc::clone(rec)).map_err(CliError::resource)?;
             // Write-ahead journal: the header names the (canonical)
             // schema, then every op is journaled *before* it is applied
             // — after a crash, `nalist recover --wal` replays exactly
@@ -1047,7 +1047,7 @@ fn dispatch(
                 let mut warmed = 0u64;
                 for (lineno, line) in content_lines(&text) {
                     checkpoint(budget)?;
-                    r.implies_str_governed(line, budget)
+                    r.implies_str(line, budget)
                         .map_err(|e| at_line(queries_path, lineno, e))?;
                     warmed += 1;
                 }
@@ -1172,7 +1172,7 @@ fn dispatch(
                     // the certified run's basis is the listing: Algorithm
                     // 5.1 runs once, as for `decide` and `prove`
                     let sigma = r.compiled_sigma();
-                    let cb = nalist::membership::certified_closure_and_basis_governed(
+                    let cb = nalist::membership::certified_closure_and_basis(
                         alg,
                         sigma,
                         &xs,
@@ -1195,7 +1195,7 @@ fn dispatch(
             let r = load_reasoner(files, schema, deps, budget, rec)?;
             let alg = r.algebra();
             let instance = read_instance(files, &r, data, budget)?;
-            match nalist::deps::chase::chase_observed(
+            match nalist::deps::chase::chase(
                 alg,
                 r.compiled_sigma(),
                 &instance,
@@ -1255,7 +1255,7 @@ fn dispatch(
             let alg = r.algebra();
             let sigma = r.compiled_sigma();
             checkpoint(budget)?;
-            let redundant = redundant_indices(alg, sigma);
+            let redundant = redundant_indices(alg, sigma, budget).map_err(CliError::resource)?;
             writeln!(
                 out,
                 "Σ: {} dependencies, {} redundant",
@@ -1263,18 +1263,19 @@ fn dispatch(
                 redundant.len()
             )
             .unwrap();
-            let cover = minimal_cover(alg, sigma);
+            let cover = minimal_cover(alg, sigma, budget).map_err(CliError::resource)?;
             writeln!(out, "minimal cover ({} dependencies):", cover.len()).unwrap();
             for d in &cover {
                 writeln!(out, "  {}", d.render(alg)).unwrap();
             }
             checkpoint(budget)?;
-            let keys = candidate_keys(alg, sigma, 8);
+            let keys = candidate_keys(alg, sigma, 8, budget).map_err(CliError::resource)?;
             writeln!(out, "candidate keys ({}):", keys.len()).unwrap();
             for k in &keys {
                 writeln!(out, "  {}", alg.render(k)).unwrap();
             }
-            let violations = fourth_nf_violations(alg, sigma);
+            let violations =
+                fourth_nf_violations(alg, sigma, budget).map_err(CliError::resource)?;
             if violations.is_empty() {
                 writeln!(out, "schema is in 4NF-with-lists").unwrap();
             } else {
@@ -1282,7 +1283,7 @@ fn dispatch(
                 for v in &violations {
                     writeln!(out, "  {}", v.reason).unwrap();
                 }
-                let comps = decompose_4nf(alg, sigma, 8);
+                let comps = decompose_4nf(alg, sigma, 8, budget).map_err(CliError::resource)?;
                 writeln!(
                     out,
                     "suggested lossless decomposition ({} components):",
@@ -1297,7 +1298,7 @@ fn dispatch(
         ("lattice", [schema, flags @ ..]) => {
             let n = parse_attr_with(schema, ParseLimits::from_budget(budget))
                 .map_err(|e| schema_error(&e))?;
-            let alg = nalist::algebra::Algebra::try_new_observed(&n, budget, rec.as_ref())
+            let alg = nalist::algebra::Algebra::try_new(&n, budget, rec.as_ref())
                 .map_err(CliError::resource)?;
             let count = nalist::algebra::lattice::sub_count(&n);
             writeln!(out, "N = {n}").unwrap();
@@ -1328,12 +1329,11 @@ fn dispatch(
         ("lint", [schema, deps, flags @ ..]) => {
             let (deny_warnings, format) = parse_lint_flags(flags)?;
             let deps_src = files.read(deps).map_err(CliError::file)?;
-            let report = nalist::lint::lint_spec_governed(schema, &deps_src, budget).map_err(
-                |e| match e {
+            let report =
+                nalist::lint::lint_spec(schema, &deps_src, budget).map_err(|e| match e {
                     nalist::lint::SpecError::Parse(p) => schema_error(&p),
                     nalist::lint::SpecError::Resource(r) => CliError::resource(r),
-                },
-            )?;
+                })?;
             let rendered = match format {
                 LintFormat::Human => nalist::lint::render_human(&report, deps, &deps_src),
                 LintFormat::Json => nalist::lint::render_json(&report, deps, &deps_src),

@@ -220,6 +220,70 @@ fn injected_fuel_exhaustion_in_trace_is_exit_code_3() {
     assert_eq!(e.code, 3, "{}", e.message);
 }
 
+/// A spec whose rule pass costs far more than loading it: 24 FDs over
+/// `R(A0, …, A7)`, each with two attributes on the left.
+fn rule_pass_heavy_spec() -> (String, String) {
+    let schema = format!(
+        "R({})",
+        (0..8)
+            .map(|i| format!("A{i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let deps = (0..24)
+        .map(|k| {
+            let (a, b, c) = (k % 8, (k + 1 + k / 8) % 8, (3 * k + 5) % 8);
+            format!("R(A{}, A{}) -> R(A{c})\n", a.min(b), a.max(b))
+        })
+        .collect();
+    (schema, deps)
+}
+
+/// `nalist lint` and `nalist normalize` charge their rule pass and
+/// schema procedures to the command's budget: under a fuel cap that
+/// loading the spec fits within, both exit 3 instead of reporting.
+#[test]
+fn lint_and_normalize_stop_when_the_rule_pass_runs_out_of_fuel() {
+    let (schema, deps) = rule_pass_heavy_spec();
+    // the cap is exactly what the lint loader charges for this spec
+    let meter = Budget::unlimited();
+    nalist::lint::load_spec(&schema, &deps, &meter).expect("the spec loads");
+    let cap = meter.spent();
+    let capped = || Budget::unlimited().with_fuel(cap);
+    assert!(nalist::lint::load_spec(&schema, &deps, &capped()).is_ok());
+    // the reasoner commands load the same file through `decide` and
+    // `commit`, which fits the cap as well
+    let n = nalist::types::parser::parse_attr(&schema).unwrap();
+    let budget = capped();
+    let mut r = nalist::membership::Reasoner::try_new(
+        &n,
+        &budget,
+        std::sync::Arc::new(nalist::obs::NoopRecorder),
+    )
+    .expect("the algebra fits the cap");
+    let adds: Vec<nalist::membership::WalOp> = deps
+        .lines()
+        .map(|l| nalist::membership::WalOp::Add(l.to_string()))
+        .collect();
+    let decided = r.decide(&adds, &budget).expect("the deps load");
+    r.commit(decided, None, &budget).expect("the deps apply");
+
+    let mut files = BTreeMap::new();
+    files.insert("deps.txt".to_string(), deps);
+    let files = MemFiles(files);
+    for command in ["lint", "normalize"] {
+        let argv: Vec<String> = [command, &schema, "deps.txt"]
+            .iter()
+            .map(|s| (*s).to_string())
+            .collect();
+        let out = run_with_budget(&argv, &files, &Budget::unlimited());
+        assert!(out.is_ok(), "{command} under no cap: {out:?}");
+        let e = run_with_budget(&argv, &files, &capped()).unwrap_err();
+        assert_eq!(e.code, 3, "{command}: {}", e.message);
+        assert!(e.message.contains("fuel"), "{command}: {}", e.message);
+    }
+}
+
 /// `--metrics` must leave behind a parseable JSON document carrying the
 /// right exit code for *every* failure class: domain error (1), usage
 /// error (2) and resource exhaustion (3).

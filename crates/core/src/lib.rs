@@ -21,7 +21,8 @@
 //!
 //! // the mixed meet rule derives a non-trivial FD from the MVD: the
 //! // person determines the number of bars visited
-//! assert!(reasoner.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
+//! let unlimited = Budget::unlimited();
+//! assert!(reasoner.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &unlimited).unwrap());
 //!
 //! // the pub list itself is *not* functionally determined — and the
 //! // library can hand you a concrete counterexample database:
@@ -30,7 +31,9 @@
 //!     .unwrap()
 //!     .compile(alg)
 //!     .unwrap();
-//! let witness = refute(alg, reasoner.compiled_sigma(), &target).unwrap().unwrap();
+//! let witness = refute_governed(alg, reasoner.compiled_sigma(), &target, &unlimited)
+//!     .unwrap()
+//!     .unwrap();
 //! assert!(!witness.instance.satisfies(alg, &target));
 //! ```
 //!
@@ -83,10 +86,10 @@ pub mod prelude {
     };
     pub use nalist_guard::{Budget, ResourceExhausted, ResourceKind};
     pub use nalist_membership::{
-        certified_closure_and_basis, certify, closure_and_basis, closure_and_basis_governed,
-        closure_and_basis_traced, default_batch_threads, implies, refute, snapshot_payload,
-        CertifiedBasis, CertifyError, ClosureError, DependencyBasis, PersistError, QueryError,
-        Reasoner, ReasonerError, Witness, WitnessError,
+        certified_closure_and_basis, certify_governed, closure_and_basis,
+        closure_and_basis_governed, closure_and_basis_traced, default_batch_threads, implies,
+        refute_governed, snapshot_payload, CertifiedBasis, CertifyError, ClosureError,
+        DependencyBasis, PersistError, QueryError, Reasoner, ReasonerError, Witness, WitnessError,
     };
     pub use nalist_schema::{
         binary_split, candidate_keys, decompose_4nf, equivalent, is_fourth_nf, is_superkey,
@@ -108,13 +111,16 @@ mod tests {
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
+        let unlimited = Budget::unlimited();
+        assert!(r.implies_str("L(A) ->> L(B)", &unlimited).unwrap());
         let alg = r.algebra();
         assert!(is_superkey(
             alg,
             r.compiled_sigma(),
             &alg.from_attr(&parse_subattr_of(&n, "L(A, C)").unwrap())
-                .unwrap()
-        ));
+                .unwrap(),
+            &unlimited
+        )
+        .unwrap());
     }
 }

@@ -99,7 +99,8 @@
 //! let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
 //! let mut r = Reasoner::new(&n);
 //! r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
-//! assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
+//! let unlimited = Budget::unlimited();
+//! assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &unlimited).unwrap());
 //! ```
 //!
 //! The same phenomenon makes the list-MVD **chase** fallible (no
@@ -115,7 +116,7 @@
 //! // two lists of different lengths: the demanded recombination does not
 //! // exist as a value — the chase reports it instead of looping
 //! assert!(matches!(
-//!     chase(&alg, &sigma, &r, 100),
+//!     chase(&alg, &sigma, &r, 100, &Budget::unlimited(), nalist::obs::noop()),
 //!     Err(ChaseError::Unrepairable { .. })
 //! ));
 //! ```
@@ -138,11 +139,12 @@
 //! ];
 //! // yes, with a checkable derivation:
 //! let yes = Dependency::parse(&n, "L(A) -> L(C)").unwrap().compile(&alg).unwrap();
-//! let dag = certify(&alg, &sigma, &yes).unwrap().unwrap();
+//! let unlimited = Budget::unlimited();
+//! let dag = certify_governed(&alg, &sigma, &yes, &unlimited).unwrap().unwrap();
 //! assert_eq!(dag.check(&alg, &sigma).unwrap(), &yes);
 //! // no, with a concrete two-tuple counterexample:
 //! let no = Dependency::parse(&n, "L(C) -> L(A)").unwrap().compile(&alg).unwrap();
-//! let witness = refute(&alg, &sigma, &no).unwrap().unwrap();
+//! let witness = refute_governed(&alg, &sigma, &no, &unlimited).unwrap().unwrap();
 //! assert!(witness.instance.satisfies_all(&alg, &sigma));
 //! assert!(!witness.instance.satisfies(&alg, &no));
 //! ```
@@ -161,10 +163,11 @@
 //! let sigma: Vec<CompiledDep> =
 //!     s.sigma.iter().map(|d| d.compile(&alg).unwrap()).collect();
 //! // the shape FD is redundant — it is the mixed-meet consequence
-//! assert_eq!(minimal_cover(&alg, &sigma).len(), 1);
+//! let unlimited = Budget::unlimited();
+//! assert_eq!(minimal_cover(&alg, &sigma, &unlimited).unwrap().len(), 1);
 //! // the schema is not in 4NF; the decomposition along the MVD is lossless
-//! assert!(!is_fourth_nf(&alg, &sigma));
-//! let comps = decompose_4nf(&alg, &sigma, 8);
+//! assert!(!is_fourth_nf(&alg, &sigma, &unlimited).unwrap());
+//! let comps = decompose_4nf(&alg, &sigma, 8, &unlimited).unwrap();
 //! let atoms: Vec<AtomSet> = comps.iter().map(|c| c.atoms.clone()).collect();
 //! assert!(verify_lossless(&alg, &s.instance, &atoms).unwrap());
 //! ```

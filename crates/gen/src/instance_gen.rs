@@ -69,7 +69,9 @@ pub fn satisfying_instance(
 ) -> Option<Instance> {
     let x = crate::sigma_gen::random_subattr(rng, alg, density);
     let basis = closure_and_basis(alg, sigma, &x);
-    combination_instance(alg, &basis).ok().map(|w| w.instance)
+    combination_instance(alg, &basis, &nalist_guard::Budget::unlimited())
+        .ok()
+        .map(|w| w.instance)
 }
 
 #[cfg(test)]

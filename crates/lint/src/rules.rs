@@ -1,6 +1,6 @@
 //! The lint rules L001–L009 and the registry that runs them.
 //!
-//! Each rule is a pure function of a [`LintCtx`], which precomputes the
+//! Each rule is a function of a [`LintCtx`], which precomputes the
 //! shared analysis facts (triviality, duplication, subsumption, MVD
 //! implication) once so that the *suppression* policy is explicit: a
 //! dependency flagged as trivial (L001), duplicate/subsumed (L003) or
@@ -13,9 +13,14 @@
 //! come from [`nalist_schema::cover`], the mixed meet rule
 //! `X ↠ Y ⊢ X → Y⊓Y^C` is Theorem 4.6, possession is Definition 4.11,
 //! and 4NF-with-lists is [`nalist_schema::normalform`].
+//!
+//! The context's pairwise scans and every rule charge the caller's
+//! [`Budget`], so a spec too large for it stops with
+//! [`ResourceExhausted`] instead of a partial report.
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::{CompiledDep, DepKind};
+use nalist_guard::{Budget, ResourceExhausted};
 use nalist_membership::implies;
 use nalist_schema::cover::{is_redundant, minimal_cover, reduce_lhs};
 use nalist_schema::normalform::fourth_nf_violations;
@@ -32,7 +37,7 @@ pub struct Rule {
     pub name: &'static str,
     /// One-line description shown in documentation and `help`.
     pub summary: &'static str,
-    run: fn(&LintCtx) -> Vec<Diagnostic>,
+    run: fn(&LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted>,
 }
 
 /// The rule registry, in code order. L000 and L007 fire during spec
@@ -44,7 +49,7 @@ pub fn rules() -> &'static [Rule] {
             code: SYNTAX,
             name: "syntax-error",
             summary: "dependency line does not parse",
-            run: |_| Vec::new(),
+            run: |_| Ok(Vec::new()),
         },
         Rule {
             code: "L001",
@@ -86,7 +91,7 @@ pub fn rules() -> &'static [Rule] {
             code: UNRESOLVED,
             name: "unresolved-path",
             summary: "attribute path does not resolve against the schema",
-            run: |_| Vec::new(),
+            run: |_| Ok(Vec::new()),
         },
         Rule {
             code: "L008",
@@ -122,33 +127,41 @@ pub struct LintCtx<'a> {
     subsumed_by: Vec<Option<usize>>,
     /// For FDs: index of a single MVD that alone implies this FD.
     mvd_source: Vec<Option<usize>>,
+    /// What the rules charge their runs of Algorithm 5.1 to.
+    budget: &'a Budget,
 }
 
 impl<'a> LintCtx<'a> {
-    /// Precomputes the shared facts for `spec`.
-    pub fn new(spec: &'a Spec) -> Self {
+    /// Precomputes the shared facts for `spec`, charging `budget` one
+    /// unit per pair the quadratic scans compare and the worklist steps
+    /// of every implication they decide.
+    pub fn new(spec: &'a Spec, budget: &'a Budget) -> Result<Self, ResourceExhausted> {
         let alg = &spec.alg;
         let entries = &spec.entries;
         let compiled: Vec<CompiledDep> = entries.iter().map(|e| e.compiled.clone()).collect();
+        let n = compiled.len();
         let trivial: Vec<bool> = compiled.iter().map(|c| c.is_trivial(alg)).collect();
-        let duplicate_of: Vec<Option<usize>> = (0..compiled.len())
-            .map(|i| (0..i).find(|&j| compiled[j] == compiled[i]))
-            .collect();
-        let subsumed_by: Vec<Option<usize>> = (0..compiled.len())
-            .map(|i| (0..compiled.len()).find(|&j| subsumes(alg, &compiled, j, i)))
-            .collect();
-        let mvd_source: Vec<Option<usize>> = (0..compiled.len())
-            .map(|i| {
-                if compiled[i].kind != DepKind::Fd || trivial[i] {
-                    return None;
+        let mut duplicate_of = Vec::with_capacity(n);
+        let mut subsumed_by = Vec::with_capacity(n);
+        let mut mvd_source = Vec::with_capacity(n);
+        for i in 0..n {
+            budget.charge(2 * n as u64)?;
+            duplicate_of.push((0..i).find(|&j| compiled[j] == compiled[i]));
+            subsumed_by.push((0..n).find(|&j| subsumes(alg, &compiled, j, i)));
+            let mut source = None;
+            if compiled[i].kind == DepKind::Fd && !trivial[i] {
+                for (j, mvd) in compiled.iter().enumerate() {
+                    if mvd.kind == DepKind::Mvd
+                        && implies(alg, std::slice::from_ref(mvd), &compiled[i], budget)?
+                    {
+                        source = Some(j);
+                        break;
+                    }
                 }
-                (0..compiled.len()).find(|&j| {
-                    compiled[j].kind == DepKind::Mvd
-                        && implies(alg, std::slice::from_ref(&compiled[j]), &compiled[i])
-                })
-            })
-            .collect();
-        LintCtx {
+            }
+            mvd_source.push(source);
+        }
+        Ok(LintCtx {
             n: &spec.n,
             alg,
             entries,
@@ -157,7 +170,8 @@ impl<'a> LintCtx<'a> {
             duplicate_of,
             subsumed_by,
             mvd_source,
-        }
+            budget,
+        })
     }
 
     fn diag(
@@ -202,7 +216,7 @@ fn arrow(kind: DepKind) -> &'static str {
     }
 }
 
-fn l001_trivial(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l001_trivial(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for (i, c) in ctx.compiled.iter().enumerate() {
         if !ctx.trivial[i] {
@@ -220,10 +234,10 @@ fn l001_trivial(ctx: &LintCtx) -> Vec<Diagnostic> {
             Some("remove this dependency".to_owned()),
         ));
     }
-    out
+    Ok(out)
 }
 
-fn l002_redundant(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l002_redundant(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for i in 0..ctx.compiled.len() {
         // Suppressed when a more specific rule already explains the
@@ -237,7 +251,7 @@ fn l002_redundant(ctx: &LintCtx) -> Vec<Diagnostic> {
         {
             continue;
         }
-        if is_redundant(ctx.alg, &ctx.compiled, i) {
+        if is_redundant(ctx.alg, &ctx.compiled, i, ctx.budget)? {
             out.push(ctx.diag(
                 i,
                 "L002",
@@ -246,10 +260,10 @@ fn l002_redundant(ctx: &LintCtx) -> Vec<Diagnostic> {
             ));
         }
     }
-    out
+    Ok(out)
 }
 
-fn l003_duplicate(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l003_duplicate(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for i in 0..ctx.compiled.len() {
         if let Some(j) = ctx.duplicate_of[i] {
@@ -275,16 +289,16 @@ fn l003_duplicate(ctx: &LintCtx) -> Vec<Diagnostic> {
             ));
         }
     }
-    out
+    Ok(out)
 }
 
-fn l004_extraneous_lhs(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l004_extraneous_lhs(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for (i, c) in ctx.compiled.iter().enumerate() {
         if ctx.trivial[i] || ctx.duplicate_of[i].is_some() {
             continue;
         }
-        let reduced = reduce_lhs(ctx.alg, &ctx.compiled, c);
+        let reduced = reduce_lhs(ctx.alg, &ctx.compiled, c, ctx.budget)?;
         if reduced != c.lhs {
             let rewritten = format!(
                 "{} {} {}",
@@ -304,10 +318,10 @@ fn l004_extraneous_lhs(ctx: &LintCtx) -> Vec<Diagnostic> {
             });
         }
     }
-    out
+    Ok(out)
 }
 
-fn l005_fd_from_mvd(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l005_fd_from_mvd(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for i in 0..ctx.compiled.len() {
         // An FD that merely duplicates / is subsumed by another FD is
@@ -327,7 +341,7 @@ fn l005_fd_from_mvd(ctx: &LintCtx) -> Vec<Diagnostic> {
             ));
         }
     }
-    out
+    Ok(out)
 }
 
 /// For an MVD `X ↠ Y`, the atoms of `Y` that `Y` does not possess are
@@ -339,7 +353,7 @@ fn hidden_fd_rhs(alg: &Algebra, rhs: &AtomSet) -> AtomSet {
     alg.meet(rhs, &alg.compl(rhs))
 }
 
-fn l006_non_possessed_rhs(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l006_non_possessed_rhs(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     let mut out = Vec::new();
     for (i, c) in ctx.compiled.iter().enumerate() {
         if c.kind != DepKind::Mvd || ctx.trivial[i] || ctx.duplicate_of[i].is_some() {
@@ -363,21 +377,21 @@ fn l006_non_possessed_rhs(ctx: &LintCtx) -> Vec<Diagnostic> {
             )),
         });
     }
-    out
+    Ok(out)
 }
 
-fn l008_minimal_cover(ctx: &LintCtx) -> Vec<Diagnostic> {
+fn l008_minimal_cover(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
     if ctx.entries.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let cover = minimal_cover(ctx.alg, &ctx.compiled);
+    let cover = minimal_cover(ctx.alg, &ctx.compiled, ctx.budget)?;
     let mut have = ctx.compiled.clone();
     let mut want = cover.clone();
     have.sort();
     have.dedup();
     want.sort();
     if have == want {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let lines: Vec<String> = cover.iter().map(|d| d.render(ctx.alg)).collect();
     let shape = if cover.len() < ctx.compiled.len() {
@@ -394,17 +408,17 @@ fn l008_minimal_cover(ctx: &LintCtx) -> Vec<Diagnostic> {
     } else {
         format!("rewrite Σ as:\n{}", lines.join("\n"))
     };
-    vec![Diagnostic {
+    Ok(vec![Diagnostic {
         code: "L008",
         severity: Severity::Warning,
         span: ctx.entries[0].span(),
         message: format!("spec is not a minimal cover: {shape}"),
         suggestion: Some(suggestion),
-    }]
+    }])
 }
 
-fn l009_normal_form(ctx: &LintCtx) -> Vec<Diagnostic> {
-    fourth_nf_violations(ctx.alg, &ctx.compiled)
+fn l009_normal_form(ctx: &LintCtx) -> Result<Vec<Diagnostic>, ResourceExhausted> {
+    Ok(fourth_nf_violations(ctx.alg, &ctx.compiled, ctx.budget)?
         .into_iter()
         .map(|v| {
             ctx.diag(
@@ -417,14 +431,19 @@ fn l009_normal_form(ctx: &LintCtx) -> Vec<Diagnostic> {
                 ),
             )
         })
-        .collect()
+        .collect())
 }
 
-/// Runs every registered rule over the loaded spec and returns the
-/// findings (unsorted; [`crate::lint_spec`] merges and orders them).
-pub fn run_rules(spec: &Spec) -> Vec<Diagnostic> {
-    let ctx = LintCtx::new(spec);
-    rules().iter().flat_map(|r| (r.run)(&ctx)).collect()
+/// Runs every registered rule over the loaded spec under `budget` and
+/// returns the findings (unsorted; [`crate::lint_spec`] merges and
+/// orders them).
+pub fn run_rules(spec: &Spec, budget: &Budget) -> Result<Vec<Diagnostic>, ResourceExhausted> {
+    let ctx = LintCtx::new(spec, budget)?;
+    let mut out = Vec::new();
+    for rule in rules() {
+        out.extend((rule.run)(&ctx)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -433,11 +452,12 @@ mod tests {
     use crate::spec::load_spec;
 
     fn codes(schema: &str, deps: &str) -> Vec<(String, String)> {
-        let spec = load_spec(schema, deps).unwrap();
+        let unlimited = Budget::unlimited();
+        let spec = load_spec(schema, deps, &unlimited).unwrap();
         let mut out: Vec<(String, String)> = spec
             .load_diagnostics
             .iter()
-            .chain(run_rules(&spec).iter())
+            .chain(run_rules(&spec, &unlimited).unwrap().iter())
             .map(|d| (d.code.to_owned(), d.span.text(deps).to_owned()))
             .collect();
         out.sort();
@@ -465,8 +485,8 @@ mod tests {
         // entirely, so L008 rides along — but no 4NF or redundancy noise.
         assert_eq!(rule_codes("L(A, B)", "L(A, B) -> L(A)\n"), ["L001", "L008"]);
         // the X ⊔ Y = N form of MVD triviality
-        let spec = load_spec("L(A, B)", "L(A) ->> L(B)\n").unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec("L(A, B)", "L(A) ->> L(B)\n", &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l001: Vec<_> = diags.iter().filter(|d| d.code == "L001").collect();
         assert_eq!(l001.len(), 1);
         assert!(l001[0].message.contains("whole of N"));
@@ -488,8 +508,8 @@ mod tests {
     #[test]
     fn l003_duplicate_blames_later_line() {
         let deps = "L(A) -> L(B)\nL(A) -> L(B)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec("L(A, B, C)", deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l003: Vec<_> = diags.iter().filter(|d| d.code == "L003").collect();
         assert_eq!(l003.len(), 1);
         assert_eq!(spec.entries[1].span(), l003[0].span);
@@ -502,8 +522,8 @@ mod tests {
     fn l003_subsumption_by_stronger_fd() {
         // L(A) -> L(B, C) subsumes L(A, B) -> L(C).
         let deps = "L(A) -> L(B, C)\nL(A, B) -> L(C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec("L(A, B, C)", deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l003: Vec<_> = diags.iter().filter(|d| d.code == "L003").collect();
         assert_eq!(l003.len(), 1);
         assert_eq!(l003[0].span, spec.entries[1].span());
@@ -513,8 +533,8 @@ mod tests {
     #[test]
     fn l004_extraneous_lhs_points_at_lhs() {
         let deps = "L(A) -> L(C)\nL(A, B) -> L(C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec("L(A, B, C)", deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l004: Vec<_> = diags.iter().filter(|d| d.code == "L004").collect();
         assert_eq!(l004.len(), 1);
         assert_eq!(l004[0].span.text(deps), "L(A, B)");
@@ -533,8 +553,8 @@ mod tests {
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(schema, deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec(schema, deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l005: Vec<_> = diags.iter().filter(|d| d.code == "L005").collect();
         assert_eq!(l005.len(), 1);
         assert_eq!(l005[0].span, spec.entries[1].span());
@@ -547,22 +567,30 @@ mod tests {
     fn l006_non_possessed_rhs() {
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n";
-        let spec = load_spec(schema, deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec(schema, deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l006: Vec<_> = diags.iter().filter(|d| d.code == "L006").collect();
         assert_eq!(l006.len(), 1);
         assert_eq!(l006[0].span.text(deps), "Pubcrawl(Visit[Drink(Pub)])");
         assert!(l006[0].message.contains("Visit[λ]"), "{}", l006[0].message);
         // near-miss: an RHS that possesses all its atoms is quiet
-        let spec2 = load_spec("L(A, B, M[C], D)", "L(A) ->> L(B, M[C])\n").unwrap();
-        assert!(run_rules(&spec2).iter().all(|d| d.code != "L006"));
+        let spec2 = load_spec(
+            "L(A, B, M[C], D)",
+            "L(A) ->> L(B, M[C])\n",
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        assert!(run_rules(&spec2, &Budget::unlimited())
+            .unwrap()
+            .iter()
+            .all(|d| d.code != "L006"));
     }
 
     #[test]
     fn l008_minimal_cover_fixit() {
         let deps = "L(A) -> L(B)\nL(A) -> L(C)\nL(A) -> L(B, C)\n";
-        let spec = load_spec("L(A, B, C)", deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec("L(A, B, C)", deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l008: Vec<_> = diags.iter().filter(|d| d.code == "L008").collect();
         assert_eq!(l008.len(), 1);
         let sugg = l008[0].suggestion.as_deref().unwrap();
@@ -575,8 +603,8 @@ mod tests {
     fn l009_4nf_violation() {
         let schema = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n";
-        let spec = load_spec(schema, deps).unwrap();
-        let diags = run_rules(&spec);
+        let spec = load_spec(schema, deps, &Budget::unlimited()).unwrap();
+        let diags = run_rules(&spec, &Budget::unlimited()).unwrap();
         let l009: Vec<_> = diags.iter().filter(|d| d.code == "L009").collect();
         assert_eq!(l009.len(), 1);
         assert!(l009[0].message.contains("not a superkey"));
@@ -584,8 +612,8 @@ mod tests {
 
     #[test]
     fn clean_key_based_spec_has_no_findings() {
-        let spec = load_spec("L(A, B, C)", "L(A) -> L(B, C)\n").unwrap();
-        assert!(run_rules(&spec).is_empty());
+        let spec = load_spec("L(A, B, C)", "L(A) -> L(B, C)\n", &Budget::unlimited()).unwrap();
+        assert!(run_rules(&spec, &Budget::unlimited()).unwrap().is_empty());
         assert!(spec.load_diagnostics.is_empty());
     }
 }

@@ -21,17 +21,17 @@ use nalist_types::Span;
 
 use crate::diagnostic::{Diagnostic, Severity};
 
-/// Hard failures from governed spec loading. Dependency-*line* problems
-/// never land here — they become diagnostics in the returned [`Spec`];
-/// this type covers only the schema itself being unusable or the budget
-/// running dry mid-load.
+/// Hard failures from spec loading and linting. Dependency-*line*
+/// problems never land here — they become diagnostics in the returned
+/// [`Spec`]; this type covers only the schema itself being unusable or
+/// the budget running dry while loading or in the rule pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The schema attribute failed to parse (including exceeding the
     /// nesting limit derived from the budget).
     Parse(ParseError),
-    /// The budget was exhausted while building the algebra or walking
-    /// the dependency file.
+    /// The budget was exhausted while building the algebra, walking
+    /// the dependency file or running the rules.
     Resource(ResourceExhausted),
 }
 
@@ -99,33 +99,20 @@ pub struct Spec {
     pub load_diagnostics: Vec<Diagnostic>,
 }
 
-/// Parses the schema and loads the dependency source. Fails only when the
-/// *schema* itself is unparseable — dependency-file problems become
-/// diagnostics in the returned [`Spec`].
-pub fn load_spec(schema_src: &str, deps_src: &str) -> Result<Spec, ParseError> {
-    match load_spec_governed(schema_src, deps_src, &Budget::unlimited()) {
-        Ok(spec) => Ok(spec),
-        Err(SpecError::Parse(e)) => Err(e),
-        Err(SpecError::Resource(e)) => {
-            unreachable!("unlimited budget cannot be exhausted: {e}")
-        }
-    }
-}
-
-/// [`load_spec`] under a resource budget: the schema (and every
-/// dependency line) parses under the budget's nesting limit, the algebra
-/// construction respects its atom cap and fuel, and each processed line
-/// charges one unit of fuel. A dependency line that is nested too deeply
-/// is *not* a hard error — it degrades to an L000 diagnostic like any
-/// other malformed line.
-pub fn load_spec_governed(
-    schema_src: &str,
-    deps_src: &str,
-    budget: &Budget,
-) -> Result<Spec, SpecError> {
+/// Parses the schema and loads the dependency source under a resource
+/// budget. Fails only when the *schema* itself is unparseable or the
+/// budget runs out — dependency-file problems become diagnostics in the
+/// returned [`Spec`].
+///
+/// The schema (and every dependency line) parses under the budget's
+/// nesting limit, the algebra construction respects its atom cap and
+/// fuel, and each processed line charges one unit of fuel. A dependency
+/// line that is nested too deeply is *not* a hard error — it degrades to
+/// an L000 diagnostic like any other malformed line.
+pub fn load_spec(schema_src: &str, deps_src: &str, budget: &Budget) -> Result<Spec, SpecError> {
     let limits = ParseLimits::from_budget(budget);
     let n = parse_attr_with(schema_src.trim(), limits)?;
-    let alg = Algebra::try_new(&n, budget)?;
+    let alg = Algebra::try_new(&n, budget, nalist_obs::noop())?;
     let mut entries = Vec::new();
     let mut load_diagnostics = Vec::new();
     let mut offset = 0usize;
@@ -328,7 +315,7 @@ mod tests {
                     Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     \n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &Budget::unlimited()).unwrap();
         assert_eq!(spec.entries.len(), 2);
         assert!(spec.load_diagnostics.is_empty());
         assert_eq!(spec.entries[0].line, 2);
@@ -345,7 +332,7 @@ mod tests {
     #[test]
     fn syntax_error_becomes_l000() {
         let deps = "Pubcrawl(Person) -> \n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &Budget::unlimited()).unwrap();
         assert!(spec.entries.is_empty());
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
@@ -357,7 +344,7 @@ mod tests {
     #[test]
     fn typo_becomes_l007_with_did_you_mean() {
         let deps = "Pubcrawl(Persn) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &Budget::unlimited()).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -369,7 +356,7 @@ mod tests {
     #[test]
     fn ambiguous_path_becomes_l007() {
         // In L(A, A) the abbreviation L(A) resolves two ways.
-        let spec = load_spec("L(A, A)", "L(A) -> L(A, A)\n").unwrap();
+        let spec = load_spec("L(A, A)", "L(A) -> L(A, A)\n", &Budget::unlimited()).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -382,7 +369,7 @@ mod tests {
         // All names exist but `Person[...]` treats a flat attribute as a
         // list label.
         let deps = "Person[Beer] -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &Budget::unlimited()).unwrap();
         assert_eq!(spec.load_diagnostics.len(), 1);
         let d = &spec.load_diagnostics[0];
         assert_eq!(d.code, UNRESOLVED);
@@ -391,14 +378,14 @@ mod tests {
 
     #[test]
     fn bad_schema_is_a_hard_error() {
-        assert!(load_spec("L(", "").is_err());
+        assert!(load_spec("L(", "", &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn later_lines_still_load_after_an_error() {
         let deps = "Pubcrawl(Persn) -> Pubcrawl(Visit[λ])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        let spec = load_spec(SCHEMA, deps).unwrap();
+        let spec = load_spec(SCHEMA, deps, &Budget::unlimited()).unwrap();
         assert_eq!(spec.entries.len(), 1);
         assert_eq!(spec.entries[0].line, 2);
         assert_eq!(spec.load_diagnostics.len(), 1);
@@ -415,7 +402,7 @@ mod tests {
             "]".repeat(200)
         );
         let deps = format!("{bomb}Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n");
-        let spec = load_spec(SCHEMA, &deps).unwrap();
+        let spec = load_spec(SCHEMA, &deps, &Budget::unlimited()).unwrap();
         assert_eq!(spec.entries.len(), 1);
         assert_eq!(spec.entries[0].line, 2);
         assert_eq!(spec.load_diagnostics.len(), 1);
@@ -429,13 +416,13 @@ mod tests {
     fn governed_load_charges_per_line() {
         let deps = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])\n\
                     Pubcrawl(Person) -> Pubcrawl(Visit[λ])\n";
-        // Ample budget: identical to the ungoverned load.
-        let ok = load_spec_governed(SCHEMA, deps, &Budget::unlimited().with_fuel(10_000)).unwrap();
+        // Ample budget: the whole file loads.
+        let ok = load_spec(SCHEMA, deps, &Budget::unlimited().with_fuel(10_000)).unwrap();
         assert_eq!(ok.entries.len(), 2);
         // Starved budget: the algebra construction and the first line eat
         // the fuel and the load reports exhaustion rather than a partial
         // spec.
-        let err = load_spec_governed(SCHEMA, deps, &Budget::unlimited().with_fuel(3)).unwrap_err();
+        let err = load_spec(SCHEMA, deps, &Budget::unlimited().with_fuel(3)).unwrap_err();
         match err {
             SpecError::Resource(e) => assert_eq!(e.kind, ResourceKind::Fuel),
             SpecError::Parse(e) => panic!("expected resource exhaustion, got {e}"),
@@ -445,7 +432,7 @@ mod tests {
     #[test]
     fn governed_load_applies_budget_depth_to_schema() {
         let budget = Budget::unlimited().with_max_depth(2);
-        let err = load_spec_governed(SCHEMA, "", &budget).unwrap_err();
+        let err = load_spec(SCHEMA, "", &budget).unwrap_err();
         assert!(matches!(
             err,
             SpecError::Parse(ParseError::TooDeep { limit: 2, .. })

@@ -17,7 +17,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use nalist_lint::{lint_spec, lint_to_human, lint_to_json};
+use nalist_guard::Budget;
+use nalist_lint::{lint_spec, render_human, render_json};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/lint_fixtures")
@@ -61,7 +62,7 @@ fn check_rule(code: &str) {
     let trigger_file = format!("{stem}_trigger.deps");
     let trigger = read(&trigger_file);
 
-    let report = lint_spec(&schema, &trigger).unwrap();
+    let report = lint_spec(&schema, &trigger, &Budget::unlimited()).unwrap();
     assert!(
         report.diagnostics.iter().any(|d| d.code == code),
         "{trigger_file} must raise {code}, got {:?}",
@@ -81,14 +82,14 @@ fn check_rule(code: &str) {
         );
     }
 
-    let human = lint_to_human(&schema, &trigger, &trigger_file).unwrap();
+    let human = render_human(&report, &trigger_file, &trigger);
     assert_golden(&format!("{stem}_trigger.human"), &human);
     assert!(human.contains(&format!("[{code}]")), "{human}");
     // caret-position check: the rendered block for this code underlines
     // exactly the diagnosed span (column and width counted in chars)
     assert!(human.lines().any(|l| caret_run(l).is_some()), "{human}");
 
-    let json = lint_to_json(&schema, &trigger, &trigger_file).unwrap();
+    let json = render_json(&report, &trigger_file, &trigger);
     assert_golden(&format!("{stem}_trigger.json"), &json);
     round_trip(&json, &report, &trigger_file);
 
@@ -99,7 +100,7 @@ fn check_rule(code: &str) {
         schema
     };
     let near = read(&format!("{stem}_near.deps"));
-    let near_report = lint_spec(&near_schema, &near).unwrap();
+    let near_report = lint_spec(&near_schema, &near, &Budget::unlimited()).unwrap();
     assert!(
         near_report.diagnostics.iter().all(|d| d.code != code),
         "{stem}_near.deps must not raise {code}, got {:?}",
@@ -197,7 +198,7 @@ fn l007_ambiguous_abbreviation() {
     let schema = read("l007_ambiguous.schema");
     let deps_file = "l007_ambiguous.deps";
     let deps = read(deps_file);
-    let report = lint_spec(&schema, &deps).unwrap();
+    let report = lint_spec(&schema, &deps, &Budget::unlimited()).unwrap();
     let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
     assert_eq!(codes, ["L007"]);
     let d = &report.diagnostics[0];
@@ -209,9 +210,9 @@ fn l007_ambiguous_abbreviation() {
         d.suggestion.as_deref(),
         Some("disambiguate by writing the subattribute in full, e.g. `L(A, λ)`")
     );
-    let human = lint_to_human(&schema, &deps, deps_file).unwrap();
+    let human = render_human(&report, deps_file, &deps);
     assert_golden("l007_ambiguous.human", &human);
-    let json = lint_to_json(&schema, &deps, deps_file).unwrap();
+    let json = render_json(&report, deps_file, &deps);
     assert_golden("l007_ambiguous.json", &json);
     round_trip(&json, &report, deps_file);
 }
@@ -225,8 +226,8 @@ fn caret_runs_match_span_widths() {
         let stem = code.to_ascii_lowercase();
         let schema = read(&format!("{stem}.schema"));
         let deps = read(&format!("{stem}_trigger.deps"));
-        let report = lint_spec(&schema, &deps).unwrap();
-        let human = lint_to_human(&schema, &deps, "f.deps").unwrap();
+        let report = lint_spec(&schema, &deps, &Budget::unlimited()).unwrap();
+        let human = render_human(&report, "f.deps", &deps);
         let widths: Vec<usize> = report
             .diagnostics
             .iter()

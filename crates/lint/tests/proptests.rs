@@ -18,7 +18,8 @@ use nalist_gen::defects::{
     render_sigma, seed_duplicate, seed_inflated_lhs, seed_trivial, seed_weakened,
 };
 use nalist_gen::{attr_with_atoms, random_sigma, SigmaConfig};
-use nalist_lint::{lint_spec, lint_to_json, LintReport};
+use nalist_guard::Budget;
+use nalist_lint::{lint_spec, render_json, LintReport};
 use nalist_schema::minimal_cover;
 use nalist_types::NestedAttr;
 use proptest::prelude::*;
@@ -42,7 +43,8 @@ fn setup(seed: u64) -> (StdRng, NestedAttr, Algebra, Vec<CompiledDep>) {
 
 fn lint(n: &NestedAttr, alg: &Algebra, sigma: &[CompiledDep]) -> (String, LintReport) {
     let deps = render_sigma(alg, sigma);
-    let report = lint_spec(&n.to_string(), &deps).expect("schema text must round-trip");
+    let report = lint_spec(&n.to_string(), &deps, &Budget::unlimited())
+        .expect("schema text must round-trip");
     (deps, report)
 }
 
@@ -70,7 +72,7 @@ proptest! {
     fn minimal_cover_output_is_lint_clean(seed in any::<u64>()) {
         let (_, n, alg, sigma) = setup(seed);
         let (_, before) = lint(&n, &alg, &sigma);
-        let cover = minimal_cover(&alg, &sigma);
+        let cover = minimal_cover(&alg, &sigma, &Budget::unlimited()).unwrap();
         let (_, after) = lint(&n, &alg, &cover);
         for d in &after.diagnostics {
             prop_assert!(
@@ -151,8 +153,8 @@ proptest! {
         sigma.push(seed_trivial(&mut rng, &alg, 0.4));
         let deps = render_sigma(&alg, &sigma);
         let schema = n.to_string();
-        let report = lint_spec(&schema, &deps).unwrap();
-        let json = lint_to_json(&schema, &deps, "prop.deps").unwrap();
+        let report = lint_spec(&schema, &deps, &Budget::unlimited()).unwrap();
+        let json = render_json(&report, "prop.deps", &deps);
         let v = nalist_lint::json::parse(&json).unwrap();
         prop_assert_eq!(v.get("errors").unwrap().as_usize(), Some(report.errors()));
         prop_assert_eq!(v.get("warnings").unwrap().as_usize(), Some(report.warnings()));

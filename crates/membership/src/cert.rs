@@ -178,7 +178,7 @@ fn render_derivation(alg: &Algebra, dag: &ProofDag) -> Vec<CertNode> {
 
 /// Builds a certificate for a positive answer `Σ ⊨ σ`: the derivation
 /// is `dag` (whose final node must conclude exactly `dep`, as
-/// [`crate::certify::certify`] guarantees).
+/// [`crate::certify::certify_governed`] guarantees).
 pub fn implied_certificate(
     alg: &Algebra,
     sigma: &[CompiledDep],
@@ -266,8 +266,8 @@ pub fn basis_certificate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify::{certified_closure_and_basis, certify};
-    use crate::witness::refute;
+    use crate::certify::{certified_closure_and_basis, certify_governed};
+    use crate::witness::refute_governed;
     use nalist_deps::Dependency;
     use nalist_guard::ResourceKind;
     use nalist_types::parser::parse_attr;
@@ -298,7 +298,9 @@ mod tests {
     fn emitted_positive_certificate_is_accepted() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(B) -> L(C)"]);
         let dep = compile(&alg, "L(A) -> L(C)");
-        let dag = certify(&alg, &sigma, &dep).unwrap().unwrap();
+        let dag = certify_governed(&alg, &sigma, &dep, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         let cert = implied_certificate(&alg, &sigma, &dep, &dag);
         let report = nalist_check::verify(
             "L(A, B, C)",
@@ -317,7 +319,9 @@ mod tests {
     fn emitted_negative_certificate_is_accepted() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)"]);
         let dep = compile(&alg, "L(A) -> L(C)");
-        let witness = refute(&alg, &sigma, &dep).unwrap().unwrap();
+        let witness = refute_governed(&alg, &sigma, &dep, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         let cert = refuted_certificate(&alg, &sigma, &dep, &witness);
         let report =
             nalist_check::verify("L(A, B, C)", "L(A) -> L(B)\n", &cert, &Budget::unlimited())
@@ -356,7 +360,9 @@ mod tests {
     fn emitted_basis_certificate_is_accepted() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
         let x = compile(&alg, "L(A) -> L(A)").lhs;
-        let cb = certified_closure_and_basis(&alg, &sigma, &x).unwrap();
+        let cb =
+            certified_closure_and_basis(&alg, &sigma, &x, &Budget::unlimited(), nalist_obs::noop())
+                .unwrap();
         let cert = basis_certificate(&alg, &sigma, &x, &cb);
         let report =
             nalist_check::verify("L(A, B, C)", "L(A) ->> L(B)\n", &cert, &Budget::unlimited())

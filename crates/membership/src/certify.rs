@@ -407,19 +407,11 @@ fn replay(
 /// does not retrace the engine's run is [`CertifyError::Internal`]
 /// instead of a panic, so certificate emission can never take the
 /// process down.
-pub fn certified_closure_and_basis(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    x: &AtomSet,
-) -> Result<CertifiedBasis, CertifyError> {
-    certified_closure_and_basis_governed(alg, sigma, x, &Budget::unlimited(), nalist_obs::noop())
-}
-
-/// Budget-governed twin of [`certified_closure_and_basis`]: the worklist
-/// run charges one fuel unit per step, as everywhere, and the replay one
-/// more per fired step. The run reports to `rec`, as
+///
+/// The worklist run charges one fuel unit per step, as everywhere, and
+/// the replay one more per fired step. The run reports to `rec`, as
 /// [`crate::cert::answer`]'s does.
-pub fn certified_closure_and_basis_governed(
+pub fn certified_closure_and_basis(
     alg: &Algebra,
     sigma: &[CompiledDep],
     x: &AtomSet,
@@ -437,7 +429,7 @@ pub fn certified_closure_and_basis_governed(
 }
 
 /// Appends a step to a bare DAG, mapping checker rejection to
-/// [`CertifyError`] (used by [`certify`] after the [`Builder`] is gone).
+/// [`CertifyError`] (used by [`derive`] after the [`Builder`] is gone).
 fn raw_step(
     dag: &mut ProofDag,
     alg: &Algebra,
@@ -451,21 +443,15 @@ fn raw_step(
 
 /// Decides `Σ ⊨ σ` and, when implied, returns a checkable [`ProofDag`]
 /// whose final node concludes exactly `σ`. Returns `Ok(None)` when not
-/// implied (use [`crate::witness::refute`] for the counterexample);
-/// [`CertifyError`] when a recorded rule application is rejected (only
-/// reachable with hand-built, ill-formed [`CompiledDep`] inputs).
-pub fn certify(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    dep: &CompiledDep,
-) -> Result<Option<ProofDag>, CertifyError> {
-    certify_governed(alg, sigma, dep, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`certify`]: [`crate::cert::answer`] then
-/// [`crate::cert::Answer::derivation`], so the verdict comes from the
-/// worklist run's `X⁺` and blocks (Proposition 4.10) before any proof
-/// node is built, and a target that is not implied costs one closure run.
+/// implied (use [`crate::witness::refute_governed`] for the
+/// counterexample); [`CertifyError`] when a recorded rule application is
+/// rejected (only reachable with hand-built, ill-formed [`CompiledDep`]
+/// inputs).
+///
+/// [`crate::cert::answer`] then [`crate::cert::Answer::derivation`], so
+/// the verdict comes from the worklist run's `X⁺` and blocks
+/// (Proposition 4.10) before any proof node is built, and a target that
+/// is not implied costs one closure run.
 pub fn certify_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
@@ -530,7 +516,9 @@ mod tests {
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
+        let dag = certify_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         let root = dag.check(&alg, &sigma).unwrap();
         assert_eq!(root, &target);
     }
@@ -566,7 +554,9 @@ mod tests {
         let n = parse_attr("A'(B, C[D(E, F[G])])").unwrap();
         let alg = Algebra::new(&n);
         let bad = AtomSet::from_indices(5, [2]);
-        let err = certified_closure_and_basis(&alg, &[], &bad).unwrap_err();
+        let err =
+            certified_closure_and_basis(&alg, &[], &bad, &Budget::unlimited(), nalist_obs::noop())
+                .unwrap_err();
         assert_eq!(
             err,
             CertifyError::Closure(ClosureError::NotDownwardClosed { atom: 2 })
@@ -586,7 +576,7 @@ mod tests {
             ("L(A) ->> L(B, C)", false),
         ] {
             let t = dep(&n, &alg, target);
-            match certify(&alg, &sigma, &t).unwrap() {
+            match certify_governed(&alg, &sigma, &t, &Budget::unlimited()).unwrap() {
                 Some(dag) => {
                     assert!(implied, "{target} certified but should not be implied");
                     assert_eq!(dag.check(&alg, &sigma).unwrap(), &t);
@@ -607,7 +597,9 @@ mod tests {
             "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])",
         )];
         let target = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])");
-        let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
+        let dag = certify_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert_eq!(dag.check(&alg, &sigma).unwrap(), &target);
         // the certificate actually uses the mixed meet rule
         let uses_mixed_meet = dag.nodes.iter().any(|nd| {
@@ -638,7 +630,9 @@ mod tests {
         let x = alg
             .from_attr(&parse_subattr_of(&n, "L1(L7(F, L8[L9(L10[H])]))").unwrap())
             .unwrap();
-        let cert = certified_closure_and_basis(&alg, &sigma, &x).unwrap();
+        let cert =
+            certified_closure_and_basis(&alg, &sigma, &x, &Budget::unlimited(), nalist_obs::noop())
+                .unwrap();
         // the whole DAG re-verifies
         cert.dag.check(&alg, &sigma).unwrap();
         // the closure node concludes X → X⁺
@@ -669,8 +663,9 @@ mod tests {
             let sigma: Vec<CompiledDep> = (0..3).map(|_| random_dep(&mut rng, &alg)).collect();
             for _ in 0..6 {
                 let target = random_dep(&mut rng, &alg);
-                let implied = crate::decide::implies(&alg, &sigma, &target);
-                match certify(&alg, &sigma, &target).unwrap() {
+                let implied =
+                    crate::decide::implies(&alg, &sigma, &target, &Budget::unlimited()).unwrap();
+                match certify_governed(&alg, &sigma, &target, &Budget::unlimited()).unwrap() {
                     Some(dag) => {
                         assert!(implied, "round {round}: certified a non-implication");
                         let root = match dag.check(&alg, &sigma) {

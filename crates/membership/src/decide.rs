@@ -244,27 +244,35 @@ impl BasisCache {
     }
 }
 
-/// Decides `Σ ⊨ σ` on compiled inputs ([`crate::cert::answer`] under an
-/// unlimited budget).
-pub fn implies(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> bool {
-    crate::cert::answer(alg, sigma, dep, &Budget::unlimited(), nalist_obs::noop())
-        .expect("unlimited budget cannot be exhausted and compiled LHSs are downward closed")
-        .implied()
+/// Decides `Σ ⊨ σ` on compiled inputs under a resource [`Budget`]
+/// ([`crate::cert::answer`]): a starved run is [`ResourceExhausted`],
+/// never a wrong verdict.
+pub fn implies(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    dep: &CompiledDep,
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    crate::cert::answer(alg, sigma, dep, budget, nalist_obs::noop())
+        .map(|answer| answer.implied())
+        .map_err(exhausted)
 }
 
 /// A convenience engine bundling an ambient attribute, its algebra and a
 /// compiled `Σ`, with string-level entry points.
 ///
 /// ```
+/// use nalist_guard::Budget;
 /// use nalist_membership::Reasoner;
 /// use nalist_types::parser::parse_attr;
 ///
 /// let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
 /// let mut r = Reasoner::new(&n);
 /// r.add_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])").unwrap();
+/// let unlimited = Budget::unlimited();
 /// // the mixed meet rule yields: Person determines the visit list shape
-/// assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap());
-/// assert!(!r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])").unwrap());
+/// assert!(r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])", &unlimited).unwrap());
+/// assert!(!r.implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])", &unlimited).unwrap());
 /// ```
 #[derive(Debug)]
 pub struct Reasoner {
@@ -338,11 +346,11 @@ impl From<ResourceExhausted> for ReasonerError {
     }
 }
 
-/// The one [`ClosureError`] the reasoner's own inputs can meet: every
-/// left-hand side it runs Algorithm 5.1 on is compiled, comes from
-/// [`Algebra::from_attr`] or passed [`Reasoner::implies_batch`]'s check,
-/// so it is downward closed and as wide as the reasoner's algebra, and
-/// only the budget can stop the run.
+/// The one [`ClosureError`] compiled inputs can meet: every left-hand
+/// side the reasoner and [`implies`] run Algorithm 5.1 on is compiled,
+/// comes from [`Algebra::from_attr`] or passed [`Reasoner::implies`]'s
+/// check, so it is downward closed and as wide as its algebra, and only
+/// the budget can stop the run.
 fn exhausted(e: ClosureError) -> ResourceExhausted {
     match e {
         ClosureError::Resource(r) => r,
@@ -405,28 +413,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl Reasoner {
     /// Creates a reasoner over the ambient attribute `n` with empty `Σ`.
     pub fn new(n: &NestedAttr) -> Self {
-        Reasoner::try_new(n, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+        Reasoner::try_new(n, &Budget::unlimited(), Arc::new(nalist_obs::NoopRecorder))
+            .expect("unlimited budget cannot be exhausted")
     }
 
-    /// [`Reasoner::new`] under a resource [`Budget`]: algebra
-    /// construction (the memory hot spot — see [`Algebra::try_new`])
-    /// honours the budget's `max_atoms`, fuel and deadline.
-    pub fn try_new(n: &NestedAttr, budget: &Budget) -> Result<Self, ResourceExhausted> {
-        Reasoner::try_new_observed(n, budget, Arc::new(nalist_obs::NoopRecorder))
-    }
-
-    /// [`Reasoner::try_new`] with an observability recorder: algebra
-    /// construction runs under an `algebra::atoms` span, and every
+    /// [`Reasoner::new`] under a resource [`Budget`], reporting to `rec`:
+    /// algebra construction (the memory hot spot — see
+    /// [`Algebra::try_new`]) honours the budget's `max_atoms`, fuel and
+    /// deadline and runs under an `algebra::atoms` span, and every
     /// subsequent query on this reasoner reports spans, counters and
     /// histograms to `rec` (see the `nalist-obs` crate). Threading
     /// mirrors [`Budget`]: the recorder rides along on the reasoner
     /// instead of appearing in every method signature.
-    pub fn try_new_observed(
+    pub fn try_new(
         n: &NestedAttr,
         budget: &Budget,
         rec: Arc<dyn Recorder>,
     ) -> Result<Self, ResourceExhausted> {
-        let alg = Algebra::try_new_observed(n, budget, rec.as_ref())?;
+        let alg = Algebra::try_new(n, budget, rec.as_ref())?;
         Ok(Reasoner::over(alg, rec))
     }
 
@@ -708,32 +712,26 @@ impl Reasoner {
         Ok(r)
     }
 
-    /// Decides `Σ ⊨ σ` (using the per-LHS basis cache).
-    pub fn implies(&self, dep: &Dependency) -> Result<bool, ReasonerError> {
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        Ok(self.implies_compiled(&c))
-    }
-
-    /// [`Reasoner::implies`] under a resource [`Budget`]. The answer, when
-    /// one is returned, is exactly the unbudgeted answer — a starved run
-    /// yields [`ReasonerError::Resource`], never a wrong verdict.
-    pub fn implies_governed(
-        &self,
-        dep: &Dependency,
-        budget: &Budget,
-    ) -> Result<bool, ReasonerError> {
-        let c = dep.compile(&self.alg).map_err(ReasonerError::Type)?;
-        Ok(self.implies_compiled_governed(&c, budget)?)
-    }
-
-    fn implies_compiled(&self, c: &CompiledDep) -> bool {
-        self.implies_compiled_governed(c, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted")
+    /// Decides `Σ ⊨ σ` for a compiled pair, using the per-LHS basis
+    /// cache, under a resource [`Budget`]. The answer, when one is
+    /// returned, is exactly the unbudgeted answer — a starved run yields
+    /// [`ClosureError::Resource`], never a wrong verdict, and caches
+    /// nothing.
+    ///
+    /// Like [`Reasoner::implies_batch`], both sides are first checked
+    /// against the reasoner's algebra: a set of another width is
+    /// [`ClosureError::Algebra`], one that is not downward closed
+    /// [`ClosureError::NotDownwardClosed`], and nothing is computed.
+    pub fn implies(&self, c: &CompiledDep, budget: &Budget) -> Result<bool, ClosureError> {
+        check_downward_closed(&self.alg, &c.lhs)?;
+        check_downward_closed(&self.alg, &c.rhs)?;
+        Ok(self.implies_unchecked(c, budget)?)
     }
 
     /// Proposition 4.10 on the cached basis of `c`'s left-hand side, read
-    /// in place: a hit allocates nothing and copies nothing.
-    pub(crate) fn implies_compiled_governed(
+    /// in place: a hit allocates nothing and copies nothing. `c` must be
+    /// compiled over this reasoner's algebra; its sides are not checked.
+    pub(crate) fn implies_unchecked(
         &self,
         c: &CompiledDep,
         budget: &Budget,
@@ -926,17 +924,12 @@ impl Reasoner {
             .map_err(QueryError::Resource)
     }
 
-    /// Decides `Σ ⊨ σ` for a dependency written as text.
-    pub fn implies_str(&self, src: &str) -> Result<bool, ReasonerError> {
-        let c = self.parse_compiled(src, ParseLimits::default())?;
-        Ok(self.implies_compiled(&c))
-    }
-
-    /// [`Reasoner::implies_str`] under a resource [`Budget`]: the budget's
-    /// `max_depth` also caps the query text's nesting.
-    pub fn implies_str_governed(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
+    /// Decides `Σ ⊨ σ` for a dependency written as text, under a
+    /// resource [`Budget`]: the budget's `max_depth` also caps the text's
+    /// nesting.
+    pub fn implies_str(&self, src: &str, budget: &Budget) -> Result<bool, ReasonerError> {
         let c = self.parse_compiled(src, ParseLimits::from_budget(budget))?;
-        Ok(self.implies_compiled_governed(&c, budget)?)
+        Ok(self.implies_unchecked(&c, budget)?)
     }
 
     /// Attribute-set closure `X⁺` of a subattribute given as text.
@@ -1050,9 +1043,11 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         r.add_str("L(B) ->> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
-        assert!(!r.implies_str("L(B) -> L(A)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        assert!(r
+            .implies_str("L(A) ->> L(B)", &Budget::unlimited())
+            .unwrap());
+        assert!(!r.implies_str("L(B) -> L(A)", &Budget::unlimited()).unwrap());
         assert_eq!(r.closure_str("L(A)").unwrap().to_string(), "L(A, B, λ)");
         assert_eq!(r.compiled_sigma().len(), 2);
     }
@@ -1064,8 +1059,12 @@ mod tests {
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B, C)").unwrap();
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
-        assert!(r.implies_str("L(A) ->> L(C)").unwrap());
+        assert!(r
+            .implies_str("L(A) ->> L(B)", &Budget::unlimited())
+            .unwrap());
+        assert!(r
+            .implies_str("L(A) ->> L(C)", &Budget::unlimited())
+            .unwrap());
     }
 
     #[test]
@@ -1077,7 +1076,7 @@ mod tests {
             Err(ReasonerError::Parse(_))
         ));
         assert!(matches!(
-            r.implies_str("garbage"),
+            r.implies_str("garbage", &Budget::unlimited()),
             Err(ReasonerError::Parse(_))
         ));
     }
@@ -1088,16 +1087,18 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         // query once (fills the cache), then change Σ and re-query
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         r.add_str("L(B) -> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         // repeated queries hit the cache and stay consistent
         for _ in 0..3 {
-            assert!(r.implies_str("L(A) -> L(C)").unwrap());
+            assert!(r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         }
         // clones carry a deep copy of the cache and remain independent
         let r2 = r.clone();
-        assert!(r2.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r2
+            .implies_str("L(A) -> L(C)", &Budget::unlimited())
+            .unwrap());
     }
 
     #[test]
@@ -1112,18 +1113,27 @@ mod tests {
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
         // warm the original's cache for LHS = L(A)
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         let mut r2 = r.clone();
         // diverge the clone's Σ — this must invalidate only ITS cache...
         r2.add_str("L(B) -> L(C)").unwrap();
-        assert!(r2.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r2
+            .implies_str("L(A) -> L(C)", &Budget::unlimited())
+            .unwrap());
         // ...and the original must not observe the clone's entries
-        assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         // the mirror-image direction: mutate the original instead
         r.add_str("L(A) -> L(C)").unwrap();
-        assert!(r.implies_str("L(A) -> L(C)").unwrap());
+        assert!(r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
         assert_eq!(r2.compiled_sigma().len(), 2);
-        assert!(!r2.implies_str("L(B) -> L(A)").unwrap());
+        assert!(!r2
+            .implies_str("L(B) -> L(A)", &Budget::unlimited())
+            .unwrap());
+    }
+
+    /// [`Reasoner::implies`] on a tree-level dependency over `r`'s schema.
+    fn implies(r: &Reasoner, d: &Dependency, budget: &Budget) -> Result<bool, ClosureError> {
+        r.implies(&d.compile(r.algebra()).unwrap(), budget)
     }
 
     /// The verdicts of an unlimited batch, every item answered.
@@ -1157,7 +1167,10 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
-        let sequential: Vec<bool> = deps.iter().map(|d| r.implies(d).unwrap()).collect();
+        let sequential: Vec<bool> = deps
+            .iter()
+            .map(|d| implies(&r, d, &Budget::unlimited()).unwrap())
+            .collect();
         for threads in [1, 2, 4] {
             assert_eq!(batch(&r, &deps, threads), sequential, "threads = {threads}");
         }
@@ -1227,6 +1240,38 @@ mod tests {
         assert_eq!(r.cache_stats().misses, 1);
     }
 
+    /// The single compiled query checks both sides as the batch does: a
+    /// pair from a wider algebra and one whose left side is not downward
+    /// closed are typed errors before any closure runs.
+    #[test]
+    fn compiled_query_rejects_pairs_outside_the_algebra_before_any_work() {
+        let n = parse_attr("L(A, B[C])").unwrap();
+        let mut r = Reasoner::new(&n);
+        r.add_str("L(A) -> L(B[λ])").unwrap();
+        let good =
+            CompiledDep::parse(r.algebra(), "L(A) -> L(B[λ])", ParseLimits::default()).unwrap();
+        let wide = Reasoner::new(&parse_attr("L(A, B[C], D)").unwrap());
+        let foreign =
+            CompiledDep::parse(wide.algebra(), "L(A) -> L(D)", ParseLimits::default()).unwrap();
+        // atoms of L(A, B[C]): A 0, B 1, C 2; {C} lacks its list B
+        let not_closed = CompiledDep::fd(AtomSet::from_indices(3, [2]), good.rhs.clone());
+        let unlimited = Budget::unlimited();
+        assert_eq!(
+            r.implies(&foreign, &unlimited),
+            Err(ClosureError::Algebra(AlgebraError::CapacityMismatch {
+                have: 4,
+                want: 3
+            }))
+        );
+        assert_eq!(
+            r.implies(&not_closed, &unlimited),
+            Err(ClosureError::NotDownwardClosed { atom: 2 })
+        );
+        assert_eq!(r.cache_stats().misses, 0);
+        assert_eq!(r.implies(&good, &unlimited), Ok(true));
+        assert_eq!(r.cache_stats().misses, 1);
+    }
+
     /// One query per left-hand side in `lhss`, each `X -> λ`, over
     /// `L(A, B, C, D)` with `A ->> B` and `B -> C`.
     fn lhs_queries(lhss: &[&str]) -> (Reasoner, Vec<Dependency>) {
@@ -1292,13 +1337,15 @@ mod tests {
         let n = parse_attr("L(A, B, C)").unwrap();
         let mut r = Reasoner::new(&n);
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
         let warmed = r.cache_stats();
         assert_eq!((warmed.misses, warmed.entries), (1, 1));
         let r2 = r.clone();
         // stats restart on the clone, but the entries came along
         assert_eq!(r2.cache_stats().entries, 1);
-        assert!(r2.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r2
+            .implies_str("L(A) -> L(B)", &Budget::unlimited())
+            .unwrap());
         let after = r2.cache_stats();
         assert_eq!(after.misses, 0, "warm query on the clone recomputed");
         assert_eq!(after.hits, 1);
@@ -1311,8 +1358,8 @@ mod tests {
         r.add_str("L(A) -> L(B)").unwrap();
         // warm two entries: LHS = L(A) (closure {A, B, λ}) and LHS = L(C)
         // (closure {C, λ})
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
         assert_eq!(r.cache_stats().entries, 2);
         // C -> D fires at the L(C) entry but is a no-op at the L(A)
         // entry (C is not in {A, B}⁺), so exactly one entry survives
@@ -1322,10 +1369,10 @@ mod tests {
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.retained, 1);
         // the survivor still answers correctly without recomputation...
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
         assert_eq!(r.cache_stats().misses, 2, "surviving entry was a hit");
         // ...and the evicted LHS reflects the new Σ
-        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -1336,19 +1383,21 @@ mod tests {
         assert_eq!(r.cache_stats().bytes, 0);
         // L(A): X⁺ {A, B}, blocks {A} {B} {C, D}, fired [0] — 5 words;
         // L(C): X⁺ {C}, blocks {C} {A, B, D}, nothing fired — 3 words
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
         let sum = |r: &Reasoner| {
             r.with_cache_entries(|es| es.iter().map(|(_, e)| e.bytes()).sum::<u64>())
         };
         assert_eq!(r.cache_stats().bytes, 8 * (5 + 3));
         assert_eq!(sum(&r), 8 * (5 + 3));
         // a hit changes nothing; the add evicts the L(C) entry only
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap());
+        assert!(r
+            .implies_str("L(A) ->> L(B)", &Budget::unlimited())
+            .unwrap());
         r.add_str("L(C) -> L(D)").unwrap();
         assert_eq!(r.cache_stats().bytes, 8 * 5);
         // a remove that fired in the survivor evicts it
-        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
         let warm = r.cache_stats().bytes;
         assert_eq!(
             r.clone().cache_stats().bytes,
@@ -1392,7 +1441,7 @@ mod tests {
             .map(atoms_of)
             .collect();
         let rec = Arc::new(nalist_obs::MetricsRecorder::new());
-        let r = Reasoner::try_new_observed(&n, &Budget::unlimited(), rec.clone()).unwrap();
+        let r = Reasoner::try_new(&n, &Budget::unlimited(), rec.clone()).unwrap();
         assert_eq!(r.algebra().atom_count(), 16);
         let per_entry = 64;
         let fill = (MAX_CACHE_BYTES / per_entry) as usize;
@@ -1550,8 +1599,8 @@ mod tests {
         r.add_str("L(A) -> L(B)").unwrap();
         r.add_str("L(C) -> L(D)").unwrap();
         // L(A): only A -> B fires; L(C): only C -> D fires
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        assert!(r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
         assert_eq!(r.cache_stats().entries, 2);
         // removing C -> D must keep the L(A) entry
         assert!(r.remove_str("L(C) -> L(D)").unwrap());
@@ -1560,13 +1609,13 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evicted, 1);
         // answers track the edited Σ
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        assert!(!r.implies_str("L(C) -> L(D)").unwrap());
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        assert!(!r.implies_str("L(C) -> L(D)", &Budget::unlimited()).unwrap());
         // removing something absent is reported, not an error
         assert!(!r.remove_str("L(C) -> L(D)").unwrap());
         assert!(r.remove_str("L(A) -> L(B)").unwrap());
         assert!(r.compiled_sigma().is_empty());
-        assert!(!r.implies_str("L(A) -> L(B)").unwrap());
+        assert!(!r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -1581,10 +1630,16 @@ mod tests {
             "A'(C[λ]) ->> A'(B, C[D(E)])",
             "A'(C[D(E)]) -> A'(B)",
         ];
-        let before: Vec<bool> = queries.iter().map(|q| r.implies_str(q).unwrap()).collect();
+        let before: Vec<bool> = queries
+            .iter()
+            .map(|q| r.implies_str(q, &Budget::unlimited()).unwrap())
+            .collect();
         r.add_str("A'(B) -> A'(C[D(E, F[G])])").unwrap();
         assert!(r.remove_str("A'(B) -> A'(C[D(E, F[G])])").unwrap());
-        let after: Vec<bool> = queries.iter().map(|q| r.implies_str(q).unwrap()).collect();
+        let after: Vec<bool> = queries
+            .iter()
+            .map(|q| r.implies_str(q, &Budget::unlimited()).unwrap())
+            .collect();
         assert_eq!(before, after);
         // and the bases themselves are bit-identical to a fresh build
         let mut fresh = Reasoner::new(&n);
@@ -1614,16 +1669,16 @@ mod tests {
         r.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
         r.add_str("A'(C[λ]) -> A'(B)").unwrap();
         let dep = Dependency::parse(&n, "A'(B) -> A'(C[λ])").unwrap();
-        let truth = r.implies(&dep).unwrap();
+        let truth = implies(&r, &dep, &Budget::unlimited()).unwrap();
         for fuel in 0..20 {
             // fresh reasoner per fuel level so the cache can't answer
             let mut fresh = Reasoner::new(&n);
             fresh.add_str("A'(B) ->> A'(C[D(E)])").unwrap();
             fresh.add_str("A'(C[λ]) -> A'(B)").unwrap();
             let b = Budget::unlimited().with_fuel(fuel);
-            match fresh.implies_governed(&dep, &b) {
+            match implies(&fresh, &dep, &b) {
                 Ok(answer) => assert_eq!(answer, truth, "fuel = {fuel}"),
-                Err(ReasonerError::Resource(e)) => {
+                Err(ClosureError::Resource(e)) => {
                     assert_eq!(e.kind, nalist_guard::ResourceKind::Fuel, "fuel = {fuel}");
                 }
                 Err(other) => panic!("unexpected error at fuel {fuel}: {other}"),
@@ -1641,11 +1696,11 @@ mod tests {
         // starve a query: it must NOT leave a truncated basis behind
         let starved = Budget::unlimited().with_fuel(1);
         assert!(matches!(
-            r.implies_governed(&dep, &starved),
-            Err(ReasonerError::Resource(_))
+            implies(&r, &dep, &starved),
+            Err(ClosureError::Resource(_))
         ));
         // the same reasoner answers correctly afterwards
-        assert!(r.implies(&dep).unwrap());
+        assert!(implies(&r, &dep, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -1664,7 +1719,10 @@ mod tests {
             .iter()
             .map(|q| Dependency::parse(&n, q).unwrap())
             .collect();
-        let expected: Vec<bool> = deps.iter().map(|d| r.implies(d).unwrap()).collect();
+        let expected: Vec<bool> = deps
+            .iter()
+            .map(|d| implies(&r, d, &Budget::unlimited()).unwrap())
+            .collect();
         // Inject a panic into the closure computation with 0-based hit
         // index 1. The planner folds the LHSs A, B, A, A into two cold
         // groups (A with three members, B with one); the second group to
@@ -1713,7 +1771,7 @@ mod tests {
             }
             // cache survives the worker panic: same reasoner still works
             for (d, want) in deps.iter().zip(&expected) {
-                assert_eq!(fresh.implies(d).unwrap(), *want);
+                assert_eq!(implies(&fresh, d, &Budget::unlimited()).unwrap(), *want);
             }
         }
     }
@@ -1793,10 +1851,12 @@ mod tests {
     fn observed_reasoner_mirrors_cache_traffic() {
         let n = parse_attr("L(A, B, C)").unwrap();
         let rec = Arc::new(nalist_obs::MetricsRecorder::new());
-        let mut r = Reasoner::try_new_observed(&n, &Budget::unlimited(), rec.clone()).unwrap();
+        let mut r = Reasoner::try_new(&n, &Budget::unlimited(), rec.clone()).unwrap();
         r.add_str("L(A) -> L(B)").unwrap();
-        assert!(r.implies_str("L(A) -> L(B)").unwrap()); // miss
-        assert!(r.implies_str("L(A) ->> L(B)").unwrap()); // hit
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap()); // miss
+        assert!(r
+            .implies_str("L(A) ->> L(B)", &Budget::unlimited())
+            .unwrap()); // hit
         assert_eq!(rec.counter(Counter::CacheMisses), 1);
         assert_eq!(rec.counter(Counter::CacheHits), 1);
         assert!(rec.counter(Counter::DepsFired) >= 1);
@@ -1839,9 +1899,10 @@ mod tests {
     fn try_new_respects_atom_cap() {
         let n = parse_attr("L(A, B, C, D, E)").unwrap();
         let b = Budget::unlimited().with_max_atoms(3);
-        let err = Reasoner::try_new(&n, &b).unwrap_err();
+        let noop = || Arc::new(nalist_obs::NoopRecorder);
+        let err = Reasoner::try_new(&n, &b, noop()).unwrap_err();
         assert_eq!(err.kind, nalist_guard::ResourceKind::Atoms);
-        assert!(Reasoner::try_new(&n, &Budget::unlimited().with_max_atoms(5)).is_ok());
+        assert!(Reasoner::try_new(&n, &Budget::unlimited().with_max_atoms(5), noop()).is_ok());
     }
 
     #[test]
@@ -1853,13 +1914,13 @@ mod tests {
         let roomy = Budget::unlimited().with_fuel(1_000_000);
         let q = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
         assert_eq!(
-            r.implies_str_governed(q, &roomy).unwrap(),
-            r.implies_str(q).unwrap()
+            r.implies_str(q, &roomy).unwrap(),
+            r.implies_str(q, &Budget::unlimited()).unwrap()
         );
         // the budget's max_depth also guards the query text
         let shallow = Budget::unlimited().with_max_depth(1);
         assert!(matches!(
-            r.implies_str_governed(q, &shallow),
+            r.implies_str(q, &shallow),
             Err(ReasonerError::Parse(
                 nalist_types::error::ParseError::TooDeep { .. }
             ))
@@ -1870,13 +1931,20 @@ mod tests {
     fn trivial_dependencies_always_implied() {
         let n = parse_attr("Pubcrawl(Person, Visit[Drink(Beer, Pub)])").unwrap();
         let r = Reasoner::new(&n);
-        assert!(r.implies_str("Pubcrawl(Person) -> λ").unwrap());
         assert!(r
-            .implies_str("Pubcrawl(Person) -> Pubcrawl(Person)")
+            .implies_str("Pubcrawl(Person) -> λ", &Budget::unlimited())
             .unwrap());
         assert!(r
-            .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer, Pub)])")
+            .implies_str("Pubcrawl(Person) -> Pubcrawl(Person)", &Budget::unlimited())
             .unwrap());
-        assert!(!r.implies_str("λ -> Pubcrawl(Person)").unwrap());
+        assert!(r
+            .implies_str(
+                "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer, Pub)])",
+                &Budget::unlimited()
+            )
+            .unwrap());
+        assert!(!r
+            .implies_str("λ -> Pubcrawl(Person)", &Budget::unlimited())
+            .unwrap());
     }
 }

@@ -34,10 +34,7 @@ pub mod trace;
 pub mod witness;
 pub mod worklist;
 
-pub use certify::{
-    certified_closure_and_basis, certified_closure_and_basis_governed, certify, certify_governed,
-    CertifiedBasis, CertifyError,
-};
+pub use certify::{certified_closure_and_basis, certify_governed, CertifiedBasis, CertifyError};
 pub use closure::{
     closure_and_basis, closure_and_basis_governed, ClosureError, DependencyBasis, Trace,
 };
@@ -50,5 +47,5 @@ pub use persist::{
     read_reasoner_snapshot, recover, replay_wal, restore_reasoner, snapshot_payload,
     write_reasoner_snapshot, Decided, PersistError, RecoveryReport, ReplayCounts, WalOp,
 };
-pub use witness::{refute, refute_governed, Witness, WitnessError};
+pub use witness::{refute_governed, Witness, WitnessError};
 pub use worklist::{closure_and_basis_traced, step_would_change, WorklistRun};

@@ -235,7 +235,7 @@ pub fn restore_reasoner(
         cache.push((lhs, entry));
     }
     r.finish()?;
-    let alg = Algebra::try_new_observed(&attr, budget, rec.as_ref())?;
+    let alg = Algebra::try_new(&attr, budget, rec.as_ref())?;
     let sigma = texts
         .into_iter()
         .map(|(id, text)| match CompiledDep::parse(&alg, text, limits) {
@@ -500,7 +500,7 @@ impl Reasoner {
                 let i = at.or_else(|| sigma.iter().position(|held| held == dep));
                 self.remove_at(i.expect("a decided `-` takes a member Σ holds"));
             }
-            Tag::Query => return self.implies_compiled_governed(dep, budget).map(Some),
+            Tag::Query => return self.implies_unchecked(dep, budget).map(Some),
             Tag::Header => unreachable!("a WAL header is never decided"),
         }
         Ok(None)
@@ -709,8 +709,8 @@ mod tests {
         let cold = snapshot_payload(&r);
         assert_eq!(snapshot_payload(&restore(&cold).unwrap()), cold);
         // warm the cache, round trip again
-        assert!(r.implies_str("L(A) -> L(B)").unwrap());
-        r.implies_str("L(C) -> L(A)").unwrap();
+        assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+        r.implies_str("L(C) -> L(A)", &Budget::unlimited()).unwrap();
         let warm = snapshot_payload(&r);
         assert_ne!(warm, cold, "warm cache must be part of the payload");
         let back = restore(&warm).unwrap();
@@ -770,8 +770,8 @@ mod tests {
     /// set) and the byte range of each entry.
     fn two_entry_payload() -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
         let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)", "L(B) ->> L(C)"]);
-        r.implies_str("L(A) -> L(B)").unwrap();
-        r.implies_str("L(C) -> L(A)").unwrap();
+        r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap();
+        r.implies_str("L(C) -> L(A)", &Budget::unlimited()).unwrap();
         let payload = snapshot_payload(&r);
         let mut rd = store::Reader::new(&payload);
         rd.str().unwrap();
@@ -813,7 +813,7 @@ mod tests {
         // L(A, B, C) = one word per set; from X = L(A), A -> B fires:
         // X⁺ = {A, B}, blocks {A} < {B} < {C}, fired ids [0]
         let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
-        r.implies_str("L(A) -> L(B)").unwrap();
+        r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap();
         let payload = snapshot_payload(&r);
         let word = |w: u64| w.to_le_bytes().to_vec();
         let count = |n: u32| n.to_le_bytes().to_vec();
@@ -945,7 +945,7 @@ mod tests {
         std::fs::create_dir_all(&d).unwrap();
         let snap = d.join("s.snap");
         let r = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
-        r.implies_str("L(A) -> L(B)").unwrap();
+        r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap();
         write_reasoner_snapshot(&snap, &r, &Budget::unlimited(), &NoopRecorder).unwrap();
         let rep = recover(&snap, None, &Budget::unlimited(), Arc::new(NoopRecorder)).unwrap();
         assert_eq!(rep.replayed(), 0);
@@ -1053,7 +1053,8 @@ mod tests {
         let snap = d.join("s.snap");
         let log = d.join("ops.wal");
         let mut live = reasoner_with("L(A, B, C)", &["L(A) -> L(B)"]);
-        live.implies_str("L(A) -> L(C)").unwrap();
+        live.implies_str("L(A) -> L(C)", &Budget::unlimited())
+            .unwrap();
         write_reasoner_snapshot(&snap, &live, &Budget::unlimited(), &NoopRecorder).unwrap();
         // journal-then-apply three more operations on the live side
         let mut wal = store::WalWriter::create(&log, false).unwrap();

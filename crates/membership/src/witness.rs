@@ -9,7 +9,7 @@
 //! *length* (1 vs 2), so agreement on any subattribute `Y` is exactly
 //! agreement on the atom assignment restricted to `SubB(Y)`.
 //!
-//! The witness returned by [`refute`] is *verified*: the instance is
+//! The witness returned by [`refute_governed`] is *verified*: the instance is
 //! checked to satisfy every dependency of `Σ` and to violate `σ` using
 //! the independent satisfaction checker of `nalist-deps`, so a bug in the
 //! construction (or in Algorithm 5.1) cannot produce a bogus certificate.
@@ -98,18 +98,10 @@ impl std::error::Error for WitnessError {}
 /// Builds the combination instance for `X` from its dependency basis: two
 /// generators agreeing exactly on `X⁺`, recombined across all free
 /// blocks. The instance satisfies `Σ` (completeness construction) and
-/// violates every `X → Y`/`X ↠ Y` not implied by `Σ`.
-pub fn combination_instance(
-    alg: &Algebra,
-    basis: &DependencyBasis,
-) -> Result<Witness, WitnessError> {
-    combination_instance_governed(alg, basis, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`combination_instance`]: charges one fuel
-/// unit per constructed tuple, so a `2^16`-tuple instance respects the
+/// violates every `X → Y`/`X ↠ Y` not implied by `Σ`. One fuel unit is
+/// charged per constructed tuple, so a `2^16`-tuple instance respects the
 /// caller's admission limits.
-pub fn combination_instance_governed(
+pub fn combination_instance(
     alg: &Algebra,
     basis: &DependencyBasis,
     budget: &Budget,
@@ -205,21 +197,12 @@ fn build_value(n: &NestedAttr, cursor: &mut usize, choice: &dyn Fn(usize) -> u8)
     }
 }
 
-/// Decides `Σ ⊨ σ`; if not implied, returns a *verified* counterexample.
+/// Decides `Σ ⊨ σ`; if not implied, returns a *verified* counterexample,
+/// and `Ok(None)` when the dependency is implied.
 ///
-/// Returns `Ok(None)` when the dependency is implied.
-pub fn refute(
-    alg: &Algebra,
-    sigma: &[CompiledDep],
-    dep: &CompiledDep,
-) -> Result<Option<Witness>, WitnessError> {
-    refute_governed(alg, sigma, dep, &Budget::unlimited())
-}
-
-/// Budget-governed twin of [`refute`]: [`crate::cert::answer`] then
-/// [`crate::cert::Answer::witness`], so the closure run, the `2^k` tuple
-/// construction and the per-dependency instance verification all charge
-/// the same budget.
+/// [`crate::cert::answer`] then [`crate::cert::Answer::witness`], so the
+/// closure run, the `2^k` tuple construction and the per-dependency
+/// instance verification all charge the same budget.
 pub fn refute_governed(
     alg: &Algebra,
     sigma: &[CompiledDep],
@@ -246,7 +229,7 @@ pub(crate) fn verified(
     basis: &DependencyBasis,
     budget: &Budget,
 ) -> Result<Witness, WitnessError> {
-    let witness = combination_instance_governed(alg, basis, budget)?;
+    let witness = combination_instance(alg, basis, budget)?;
     // verify: r ⊨ Σ …
     for (i, d) in sigma.iter().enumerate() {
         budget.charge(witness.instance.len() as u64)?;
@@ -282,7 +265,9 @@ mod tests {
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert!(w.instance.satisfies(&alg, &sigma[0]));
         assert!(!w.instance.satisfies(&alg, &target));
         assert_eq!(w.free_blocks, 1); // only {C} is free
@@ -296,7 +281,9 @@ mod tests {
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)"), dep(&n, &alg, "L(B) -> L(C)")];
         let target = dep(&n, &alg, "L(A) -> L(C)");
-        assert!(refute(&alg, &sigma, &target).unwrap().is_none());
+        assert!(refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -306,7 +293,9 @@ mod tests {
         let sigma = vec![dep(&n, &alg, "L(A) ->> L(B)")];
         // L(A) ↠ L(B, C) is not implied (C and D sit in one block)
         let target = dep(&n, &alg, "L(A) ->> L(B, C)");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert_eq!(w.free_blocks, 2); // {B} and {C, D}
         assert_eq!(w.instance.len(), 4);
         assert!(w.instance.satisfies(&alg, &sigma[0]));
@@ -320,7 +309,9 @@ mod tests {
         let n = parse_attr("L[A]").unwrap();
         let alg = Algebra::new(&n);
         let target = dep(&n, &alg, "λ -> L[λ]");
-        let w = refute(&alg, &[], &target).unwrap().unwrap();
+        let w = refute_governed(&alg, &[], &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert!(!w.instance.satisfies(&alg, &target));
         // two tuples with lengths 1 and 2
         let lens: Vec<usize> = w
@@ -342,7 +333,9 @@ mod tests {
         let alg = Algebra::new(&n);
         let sigma = vec![dep(&n, &alg, "λ ->> L[λ]")];
         let target = dep(&n, &alg, "λ -> L[λ]");
-        assert!(refute(&alg, &sigma, &target).unwrap().is_none());
+        assert!(refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -356,12 +349,18 @@ mod tests {
         )];
         // Person -> Pub list is NOT implied
         let target = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])");
-        let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+        let w = refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert!(w.instance.satisfies(&alg, &sigma[0]));
         assert!(!w.instance.satisfies(&alg, &target));
         // but Person -> Visit[λ] IS implied (mixed meet)
         let implied = dep(&n, &alg, "Pubcrawl(Person) -> Pubcrawl(Visit[λ])");
-        assert!(refute(&alg, &sigma, &implied).unwrap().is_none());
+        assert!(
+            refute_governed(&alg, &sigma, &implied, &Budget::unlimited())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -375,7 +374,7 @@ mod tests {
             blocks: vec![AtomSet::from_indices(alg.atom_count(), [0])],
             basis: Vec::new(),
         };
-        let err = combination_instance(&alg, &basis).unwrap_err();
+        let err = combination_instance(&alg, &basis, &Budget::unlimited()).unwrap_err();
         assert!(matches!(err, WitnessError::UncoveredAtom { atom: 1 }));
         assert!(err.to_string().contains("free block"));
     }
@@ -387,7 +386,7 @@ mod tests {
         let sigma = vec![dep(&n, &alg, "L(A) -> L(B)")];
         let x = dep(&n, &alg, "L(A) -> L(A)").lhs;
         let basis = closure_and_basis(&alg, &sigma, &x);
-        let w = combination_instance(&alg, &basis).unwrap();
+        let w = combination_instance(&alg, &basis, &Budget::unlimited()).unwrap();
         let closure_attr = alg.to_attr(&basis.closure);
         let p1 = nalist_types::projection::project(&n, &closure_attr, &w.t1).unwrap();
         let p2 = nalist_types::projection::project(&n, &closure_attr, &w.t2).unwrap();

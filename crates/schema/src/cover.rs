@@ -9,62 +9,94 @@
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::CompiledDep;
+use nalist_guard::{Budget, ResourceExhausted};
 use nalist_membership::implies;
 
 /// Does `Σ1 ⊨ σ` for every `σ ∈ Σ2`?
-pub fn covers(alg: &Algebra, sigma1: &[CompiledDep], sigma2: &[CompiledDep]) -> bool {
-    sigma2.iter().all(|d| implies(alg, sigma1, d))
+pub fn covers(
+    alg: &Algebra,
+    sigma1: &[CompiledDep],
+    sigma2: &[CompiledDep],
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    for d in sigma2 {
+        if !implies(alg, sigma1, d, budget)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Are `Σ1` and `Σ2` equivalent (`Σ1⁺ = Σ2⁺`)?
-pub fn equivalent(alg: &Algebra, sigma1: &[CompiledDep], sigma2: &[CompiledDep]) -> bool {
-    covers(alg, sigma1, sigma2) && covers(alg, sigma2, sigma1)
+pub fn equivalent(
+    alg: &Algebra,
+    sigma1: &[CompiledDep],
+    sigma2: &[CompiledDep],
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    Ok(covers(alg, sigma1, sigma2, budget)? && covers(alg, sigma2, sigma1, budget)?)
 }
 
 /// Is `sigma[i]` redundant, i.e. implied by the remaining dependencies?
-pub fn is_redundant(alg: &Algebra, sigma: &[CompiledDep], i: usize) -> bool {
+pub fn is_redundant(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    i: usize,
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
     let rest: Vec<CompiledDep> = sigma
         .iter()
         .enumerate()
         .filter(|&(j, _)| j != i)
         .map(|(_, d)| d.clone())
         .collect();
-    implies(alg, &rest, &sigma[i])
+    implies(alg, &rest, &sigma[i], budget)
 }
 
 /// Indices of all redundant members (each tested against the full rest).
-pub fn redundant_indices(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<usize> {
-    (0..sigma.len())
-        .filter(|&i| is_redundant(alg, sigma, i))
-        .collect()
+pub fn redundant_indices(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<Vec<usize>, ResourceExhausted> {
+    let mut out = Vec::new();
+    for i in 0..sigma.len() {
+        if is_redundant(alg, sigma, i, budget)? {
+            out.push(i);
+        }
+    }
+    Ok(out)
 }
 
 /// Computes a non-redundant cover: greedily removes dependencies that are
 /// implied by the rest. The result is equivalent to the input and contains
 /// no redundant member.
-pub fn nonredundant_cover(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<CompiledDep> {
+pub fn nonredundant_cover(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<Vec<CompiledDep>, ResourceExhausted> {
     let mut cover: Vec<CompiledDep> = sigma.to_vec();
     let mut i = 0;
     while i < cover.len() {
-        let candidate: Vec<CompiledDep> = cover
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, d)| d.clone())
-            .collect();
-        if implies(alg, &candidate, &cover[i]) {
+        if is_redundant(alg, &cover, i, budget)? {
             cover.remove(i);
         } else {
             i += 1;
         }
     }
-    cover
+    Ok(cover)
 }
 
 /// Left-reduces a dependency: repeatedly drops maximal-within-`X` atoms
 /// from the LHS while `Σ` still implies the reduced dependency. Returns
 /// the reduced LHS (a minimal one, not necessarily the global minimum).
-pub fn reduce_lhs(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> AtomSet {
+pub fn reduce_lhs(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    dep: &CompiledDep,
+    budget: &Budget,
+) -> Result<AtomSet, ResourceExhausted> {
     let mut lhs = dep.lhs.clone();
     loop {
         let mut shrunk = false;
@@ -82,30 +114,36 @@ pub fn reduce_lhs(alg: &Algebra, sigma: &[CompiledDep], dep: &CompiledDep) -> At
                 lhs: smaller.clone(),
                 rhs: dep.rhs.clone(),
             };
-            if implies(alg, sigma, &reduced) {
+            if implies(alg, sigma, &reduced, budget)? {
                 lhs = smaller;
                 shrunk = true;
                 break;
             }
         }
         if !shrunk {
-            return lhs;
+            return Ok(lhs);
         }
     }
 }
 
 /// A minimal cover: left-reduce every member, then remove redundancy.
 /// The result is equivalent to the input.
-pub fn minimal_cover(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<CompiledDep> {
-    let reduced: Vec<CompiledDep> = sigma
+pub fn minimal_cover(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<Vec<CompiledDep>, ResourceExhausted> {
+    let reduced = sigma
         .iter()
-        .map(|d| CompiledDep {
-            kind: d.kind,
-            lhs: reduce_lhs(alg, sigma, d),
-            rhs: d.rhs.clone(),
+        .map(|d| {
+            Ok(CompiledDep {
+                kind: d.kind,
+                lhs: reduce_lhs(alg, sigma, d, budget)?,
+                rhs: d.rhs.clone(),
+            })
         })
-        .collect();
-    nonredundant_cover(alg, &reduced)
+        .collect::<Result<Vec<_>, ResourceExhausted>>()?;
+    nonredundant_cover(alg, &reduced, budget)
 }
 
 #[cfg(test)]
@@ -130,40 +168,43 @@ mod tests {
             "L(A, B, C)",
             &["L(A) -> L(B)", "L(B) -> L(C)", "L(A) -> L(C)"],
         );
-        assert_eq!(redundant_indices(&alg, &sigma), vec![2]);
-        let cover = nonredundant_cover(&alg, &sigma);
+        assert_eq!(
+            redundant_indices(&alg, &sigma, &Budget::unlimited()).unwrap(),
+            vec![2]
+        );
+        let cover = nonredundant_cover(&alg, &sigma, &Budget::unlimited()).unwrap();
         assert_eq!(cover.len(), 2);
-        assert!(equivalent(&alg, &cover, &sigma));
+        assert!(equivalent(&alg, &cover, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn equivalence_detects_difference() {
         let (alg, s1) = setup("L(A, B, C)", &["L(A) -> L(B, C)"]);
         let (_, s2) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(A) -> L(C)"]);
-        assert!(equivalent(&alg, &s1, &s2));
+        assert!(equivalent(&alg, &s1, &s2, &Budget::unlimited()).unwrap());
         let (_, s3) = setup("L(A, B, C)", &["L(A) -> L(B)"]);
-        assert!(!equivalent(&alg, &s1, &s3));
-        assert!(covers(&alg, &s1, &s3));
-        assert!(!covers(&alg, &s3, &s1));
+        assert!(!equivalent(&alg, &s1, &s3, &Budget::unlimited()).unwrap());
+        assert!(covers(&alg, &s1, &s3, &Budget::unlimited()).unwrap());
+        assert!(!covers(&alg, &s3, &s1, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn mvd_made_redundant_by_fd() {
         // X → Y implies X ↠ Y, so the MVD is redundant.
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(A) ->> L(B)"]);
-        assert!(is_redundant(&alg, &sigma, 1));
-        assert!(!is_redundant(&alg, &sigma, 0));
+        assert!(is_redundant(&alg, &sigma, 1, &Budget::unlimited()).unwrap());
+        assert!(!is_redundant(&alg, &sigma, 0, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn lhs_reduction() {
         // A → C makes the B part of the LHS of (A, B) → C unnecessary.
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(C)", "L(A, B) -> L(C)"]);
-        let reduced = reduce_lhs(&alg, &sigma, &sigma[1]);
+        let reduced = reduce_lhs(&alg, &sigma, &sigma[1], &Budget::unlimited()).unwrap();
         assert_eq!(alg.render(&reduced), "L(A)");
-        let mc = minimal_cover(&alg, &sigma);
+        let mc = minimal_cover(&alg, &sigma, &Budget::unlimited()).unwrap();
         assert_eq!(mc.len(), 1);
-        assert!(equivalent(&alg, &mc, &sigma));
+        assert!(equivalent(&alg, &mc, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -180,7 +221,7 @@ mod tests {
             .unwrap()
             .compile(&alg)
             .unwrap();
-        let reduced = reduce_lhs(&alg, &sigma, &dep);
+        let reduced = reduce_lhs(&alg, &sigma, &dep, &Budget::unlimited()).unwrap();
         // λ already implies the RHS, so the LHS reduces to λ
         assert_eq!(alg.render(&reduced), "λ");
     }
@@ -188,14 +229,16 @@ mod tests {
     #[test]
     fn empty_sigma_cover_is_empty() {
         let (alg, sigma) = setup("L(A, B)", &[]);
-        assert!(nonredundant_cover(&alg, &sigma).is_empty());
-        assert!(equivalent(&alg, &sigma, &sigma));
+        assert!(nonredundant_cover(&alg, &sigma, &Budget::unlimited())
+            .unwrap()
+            .is_empty());
+        assert!(equivalent(&alg, &sigma, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn trivial_members_are_redundant() {
         let (alg, sigma) = setup("L(A, B)", &["L(A, B) -> L(A)", "L(A) -> L(B)"]);
-        let cover = nonredundant_cover(&alg, &sigma);
+        let cover = nonredundant_cover(&alg, &sigma, &Budget::unlimited()).unwrap();
         assert_eq!(cover.len(), 1);
         assert_eq!(cover[0].render(&alg), "L(A) -> L(B)");
     }

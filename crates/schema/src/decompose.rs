@@ -11,9 +11,11 @@
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::join::generalized_join;
 use nalist_deps::{CompiledDep, DepKind, Instance};
-use nalist_membership::closure::closure_and_basis;
+use nalist_guard::{Budget, ResourceExhausted};
 use nalist_types::attr::NestedAttr;
 use nalist_types::error::TypeError;
+
+use crate::closure;
 
 /// One component of a decomposition: the component attribute together
 /// with the dependencies of `Σ` that transfer to it syntactically (both
@@ -83,7 +85,8 @@ pub fn decompose_4nf(
     alg: &Algebra,
     sigma: &[CompiledDep],
     max_components: usize,
-) -> Vec<Component> {
+    budget: &Budget,
+) -> Result<Vec<Component>, ResourceExhausted> {
     let mut work: Vec<(AtomSet, Vec<CompiledDep>)> = vec![(alg.top_set(), sigma.to_vec())];
     let mut done: Vec<Component> = Vec::new();
     while let Some((atoms, deps)) = work.pop() {
@@ -92,13 +95,15 @@ pub fn decompose_4nf(
             continue;
         }
         // find a violating dependency *within this component*
-        let violating = deps.iter().position(|d| {
-            !d.is_trivial_within(alg, &atoms)
-                && closure_and_basis(alg, &deps, &d.lhs)
-                    .closure
-                    .intersect(&atoms)
-                    != atoms
-        });
+        let mut violating = None;
+        for (i, d) in deps.iter().enumerate() {
+            if !d.is_trivial_within(alg, &atoms)
+                && closure(alg, &deps, &d.lhs, budget)?.intersect(&atoms) != atoms
+            {
+                violating = Some(i);
+                break;
+            }
+        }
         match violating {
             None => done.push(component(alg, atoms, deps)),
             Some(i) => {
@@ -119,7 +124,7 @@ pub fn decompose_4nf(
         }
     }
     done.sort_by(|a, b| a.atoms.cmp(&b.atoms));
-    done
+    Ok(done)
 }
 
 fn component(alg: &Algebra, atoms: AtomSet, deps: Vec<CompiledDep>) -> Component {
@@ -141,14 +146,19 @@ pub fn lost_dependencies(
     alg: &Algebra,
     sigma: &[CompiledDep],
     components: &[Component],
-) -> Vec<usize> {
+    budget: &Budget,
+) -> Result<Vec<usize>, ResourceExhausted> {
     let pooled: Vec<CompiledDep> = components
         .iter()
         .flat_map(|c| c.local_deps.iter().cloned())
         .collect();
-    (0..sigma.len())
-        .filter(|&i| !nalist_membership::implies(alg, &pooled, &sigma[i]))
-        .collect()
+    let mut lost = Vec::new();
+    for (i, d) in sigma.iter().enumerate() {
+        if !nalist_membership::implies(alg, &pooled, d, budget)? {
+            lost.push(i);
+        }
+    }
+    Ok(lost)
 }
 
 /// Is the decomposition dependency-preserving?
@@ -156,8 +166,9 @@ pub fn is_dependency_preserving(
     alg: &Algebra,
     sigma: &[CompiledDep],
     components: &[Component],
-) -> bool {
-    lost_dependencies(alg, sigma, components).is_empty()
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    Ok(lost_dependencies(alg, sigma, components, budget)?.is_empty())
 }
 
 trait TrivialWithin {
@@ -246,7 +257,7 @@ mod tests {
             "Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
             &["Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"],
         );
-        let comps = decompose_4nf(&alg, &sigma, 8);
+        let comps = decompose_4nf(&alg, &sigma, 8, &Budget::unlimited()).unwrap();
         assert_eq!(comps.len(), 2);
         let names: Vec<String> = comps.iter().map(|c| alg.render(&c.atoms)).collect();
         assert!(names.contains(&"Pubcrawl(Person, Visit[Drink(Pub)])".to_string()));
@@ -256,7 +267,7 @@ mod tests {
     #[test]
     fn already_4nf_stays_whole() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B, C)"]);
-        let comps = decompose_4nf(&alg, &sigma, 8);
+        let comps = decompose_4nf(&alg, &sigma, 8, &Budget::unlimited()).unwrap();
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].atoms, alg.top_set());
         assert_eq!(comps[0].local_deps.len(), 1);
@@ -266,8 +277,8 @@ mod tests {
     fn dependency_preservation_detected() {
         // preserving case: the split components keep their dependencies
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
-        let comps = decompose_4nf(&alg, &sigma, 8);
-        assert!(is_dependency_preserving(&alg, &sigma, &comps));
+        let comps = decompose_4nf(&alg, &sigma, 8, &Budget::unlimited()).unwrap();
+        assert!(is_dependency_preserving(&alg, &sigma, &comps, &Budget::unlimited()).unwrap());
 
         // lossy case: the classic B → C straddling a split on A ↠ B
         let (alg2, sigma2) = setup("L(A, B, C)", &["L(A) ->> L(B)", "L(B) -> L(C)"]);
@@ -278,16 +289,16 @@ mod tests {
             component(&alg2, r.clone(), local_deps(&alg2, &sigma2, &r)),
         ];
         // B → C has B in one component and C in the other: lost
-        let lost = lost_dependencies(&alg2, &sigma2, &comps2);
+        let lost = lost_dependencies(&alg2, &sigma2, &comps2, &Budget::unlimited()).unwrap();
         assert_eq!(lost, vec![1]);
-        assert!(!is_dependency_preserving(&alg2, &sigma2, &comps2));
+        assert!(!is_dependency_preserving(&alg2, &sigma2, &comps2, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn relational_textbook_example() {
         // R(A, B, C): A ↠ B splits into (A, B) and (A, C).
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) ->> L(B)"]);
-        let comps = decompose_4nf(&alg, &sigma, 8);
+        let comps = decompose_4nf(&alg, &sigma, 8, &Budget::unlimited()).unwrap();
         assert_eq!(comps.len(), 2);
         // verify the split is lossless on a satisfying instance
         let r = Instance::from_strs(

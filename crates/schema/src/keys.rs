@@ -3,22 +3,37 @@
 
 use nalist_algebra::{Algebra, AtomSet};
 use nalist_deps::CompiledDep;
-use nalist_membership::closure::closure_and_basis;
+use nalist_guard::{Budget, ResourceExhausted};
+
+use crate::closure;
 
 /// Is `X` a superkey (`X⁺ = N`)?
-pub fn is_superkey(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> bool {
-    closure_and_basis(alg, sigma, x).closure == alg.top_set()
+pub fn is_superkey(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    Ok(closure(alg, sigma, x, budget)? == alg.top_set())
 }
 
 /// Is `X` a candidate key (a superkey none of whose proper subattributes
 /// is a superkey)?
-pub fn is_candidate_key(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> bool {
-    if !is_superkey(alg, sigma, x) {
-        return false;
+pub fn is_candidate_key(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    if !is_superkey(alg, sigma, x, budget)? {
+        return Ok(false);
     }
-    shrink_steps(alg, x)
-        .into_iter()
-        .all(|smaller| !is_superkey(alg, sigma, &smaller))
+    for smaller in shrink_steps(alg, x) {
+        if is_superkey(alg, sigma, &smaller, budget)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// All downward-closed sets obtained by removing one maximal-within-`x`
@@ -36,9 +51,17 @@ fn shrink_steps(alg: &Algebra, x: &AtomSet) -> Vec<AtomSet> {
 
 /// Greedily minimises a superkey to a candidate key (deterministic:
 /// always drops the highest-numbered droppable atom first).
-pub fn minimize_superkey(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> AtomSet {
+///
+/// # Panics
+/// Panics if `x` is not a superkey.
+pub fn minimize_superkey(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    x: &AtomSet,
+    budget: &Budget,
+) -> Result<AtomSet, ResourceExhausted> {
     assert!(
-        is_superkey(alg, sigma, x),
+        is_superkey(alg, sigma, x, budget)?,
         "minimize_superkey requires a superkey"
     );
     let mut key = x.clone();
@@ -47,14 +70,14 @@ pub fn minimize_superkey(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> A
         let mut steps = shrink_steps(alg, &key);
         steps.reverse();
         for smaller in steps {
-            if is_superkey(alg, sigma, &smaller) {
+            if is_superkey(alg, sigma, &smaller, budget)? {
                 key = smaller;
                 shrunk = true;
                 break;
             }
         }
         if !shrunk {
-            return key;
+            return Ok(key);
         }
     }
 }
@@ -62,7 +85,12 @@ pub fn minimize_superkey(alg: &Algebra, sigma: &[CompiledDep], x: &AtomSet) -> A
 /// Enumerates candidate keys by breadth-first search downward from `N`,
 /// capped at `limit` results (the number of candidate keys can be
 /// exponential). Results are deterministic and duplicate-free.
-pub fn candidate_keys(alg: &Algebra, sigma: &[CompiledDep], limit: usize) -> Vec<AtomSet> {
+pub fn candidate_keys(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    limit: usize,
+    budget: &Budget,
+) -> Result<Vec<AtomSet>, ResourceExhausted> {
     use std::collections::BTreeSet;
     let mut keys: Vec<AtomSet> = Vec::new();
     let mut visited: BTreeSet<AtomSet> = BTreeSet::new();
@@ -72,13 +100,15 @@ pub fn candidate_keys(alg: &Algebra, sigma: &[CompiledDep], limit: usize) -> Vec
         if keys.len() >= limit {
             break;
         }
-        if !is_superkey(alg, sigma, &x) {
+        if !is_superkey(alg, sigma, &x, budget)? {
             continue;
         }
-        let smaller_superkeys: Vec<AtomSet> = shrink_steps(alg, &x)
-            .into_iter()
-            .filter(|s| is_superkey(alg, sigma, s))
-            .collect();
+        let mut smaller_superkeys: Vec<AtomSet> = Vec::new();
+        for s in shrink_steps(alg, &x) {
+            if is_superkey(alg, sigma, &s, budget)? {
+                smaller_superkeys.push(s);
+            }
+        }
         if smaller_superkeys.is_empty() {
             if !keys.contains(&x) {
                 keys.push(x);
@@ -92,7 +122,7 @@ pub fn candidate_keys(alg: &Algebra, sigma: &[CompiledDep], limit: usize) -> Vec
         }
     }
     keys.sort();
-    keys
+    Ok(keys)
 }
 
 #[cfg(test)]
@@ -120,18 +150,18 @@ mod tests {
     fn simple_key() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B, C)"]);
         let a = sub(&alg, "L(A)");
-        assert!(is_superkey(&alg, &sigma, &a));
-        assert!(is_candidate_key(&alg, &sigma, &a));
-        assert!(is_superkey(&alg, &sigma, &alg.top_set()));
-        assert!(!is_candidate_key(&alg, &sigma, &alg.top_set()));
-        let keys = candidate_keys(&alg, &sigma, 10);
+        assert!(is_superkey(&alg, &sigma, &a, &Budget::unlimited()).unwrap());
+        assert!(is_candidate_key(&alg, &sigma, &a, &Budget::unlimited()).unwrap());
+        assert!(is_superkey(&alg, &sigma, &alg.top_set(), &Budget::unlimited()).unwrap());
+        assert!(!is_candidate_key(&alg, &sigma, &alg.top_set(), &Budget::unlimited()).unwrap());
+        let keys = candidate_keys(&alg, &sigma, 10, &Budget::unlimited()).unwrap();
         assert_eq!(keys, vec![a]);
     }
 
     #[test]
     fn two_candidate_keys() {
         let (alg, sigma) = setup("L(A, B)", &["L(A) -> L(B)", "L(B) -> L(A)"]);
-        let keys = candidate_keys(&alg, &sigma, 10);
+        let keys = candidate_keys(&alg, &sigma, 10, &Budget::unlimited()).unwrap();
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&sub(&alg, "L(A)")));
         assert!(keys.contains(&sub(&alg, "L(B)")));
@@ -140,9 +170,9 @@ mod tests {
     #[test]
     fn minimize_superkey_reaches_key() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)", "L(B) -> L(C)"]);
-        let key = minimize_superkey(&alg, &sigma, &alg.top_set());
+        let key = minimize_superkey(&alg, &sigma, &alg.top_set(), &Budget::unlimited()).unwrap();
         assert_eq!(alg.render(&key), "L(A)");
-        assert!(is_candidate_key(&alg, &sigma, &key));
+        assert!(is_candidate_key(&alg, &sigma, &key, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -152,12 +182,12 @@ mod tests {
         let n = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])";
         let (alg, sigma) = setup(n, &["Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"]);
         let person = sub(&alg, "Pubcrawl(Person)");
-        assert!(!is_superkey(&alg, &sigma, &person));
-        assert!(is_superkey(&alg, &sigma, &alg.top_set()));
-        let keys = candidate_keys(&alg, &sigma, 10);
+        assert!(!is_superkey(&alg, &sigma, &person, &Budget::unlimited()).unwrap());
+        assert!(is_superkey(&alg, &sigma, &alg.top_set(), &Budget::unlimited()).unwrap());
+        let keys = candidate_keys(&alg, &sigma, 10, &Budget::unlimited()).unwrap();
         assert!(!keys.is_empty());
         for k in &keys {
-            assert!(is_candidate_key(&alg, &sigma, k));
+            assert!(is_candidate_key(&alg, &sigma, k, &Budget::unlimited()).unwrap());
         }
     }
 
@@ -172,17 +202,17 @@ mod tests {
             ("L(A, B, C)", vec!["L(A) ->> L(B)"]),
         ] {
             let (alg, sigma) = setup(attr, &deps);
-            let found = candidate_keys(&alg, &sigma, 64);
+            let found = candidate_keys(&alg, &sigma, 64, &Budget::unlimited()).unwrap();
             let mut brute: Vec<AtomSet> = Vec::new();
             let elements = nalist_algebra::lattice::enumerate_sets(&alg);
             for x in &elements {
-                if !is_superkey(&alg, &sigma, x) {
+                if !is_superkey(&alg, &sigma, x, &Budget::unlimited()).unwrap() {
                     continue;
                 }
                 let minimal = elements
                     .iter()
                     .filter(|y| alg.le(y, x) && **y != *x)
-                    .all(|y| !is_superkey(&alg, &sigma, y));
+                    .all(|y| !is_superkey(&alg, &sigma, y, &Budget::unlimited()).unwrap());
                 if minimal {
                     brute.push(x.clone());
                 }
@@ -195,7 +225,7 @@ mod tests {
     #[test]
     fn key_with_no_dependencies_is_top() {
         let (alg, sigma) = setup("L(A, B)", &[]);
-        let keys = candidate_keys(&alg, &sigma, 10);
+        let keys = candidate_keys(&alg, &sigma, 10, &Budget::unlimited()).unwrap();
         assert_eq!(keys, vec![alg.top_set()]);
     }
 }

@@ -13,7 +13,9 @@
 
 use nalist_algebra::Algebra;
 use nalist_deps::{CompiledDep, DepKind};
-use nalist_membership::closure::closure_and_basis;
+use nalist_guard::{Budget, ResourceExhausted};
+
+use crate::closure;
 
 /// A normal-form violation: dependency index plus diagnosis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,13 +27,17 @@ pub struct Violation {
 }
 
 /// Checks the 4NF-with-lists criterion; returns all violations.
-pub fn fourth_nf_violations(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<Violation> {
+pub fn fourth_nf_violations(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<Vec<Violation>, ResourceExhausted> {
     let mut out = Vec::new();
     for (i, d) in sigma.iter().enumerate() {
         if d.is_trivial(alg) {
             continue;
         }
-        let closure = closure_and_basis(alg, sigma, &d.lhs).closure;
+        let closure = closure(alg, sigma, &d.lhs, budget)?;
         if closure != alg.top_set() {
             out.push(Violation {
                 index: i,
@@ -43,24 +49,31 @@ pub fn fourth_nf_violations(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<Violati
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Is `(N, Σ)` in 4NF-with-lists?
-pub fn is_fourth_nf(alg: &Algebra, sigma: &[CompiledDep]) -> bool {
-    fourth_nf_violations(alg, sigma).is_empty()
+pub fn is_fourth_nf(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    Ok(fourth_nf_violations(alg, sigma, budget)?.is_empty())
 }
 
 /// BCNF-with-lists: the same criterion restricted to the FDs of `Σ`
 /// (MVDs are ignored when checking, but still participate in closures).
-pub fn bcnf_violations(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<Violation> {
+pub fn bcnf_violations(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<Vec<Violation>, ResourceExhausted> {
     let mut out = Vec::new();
     for (i, d) in sigma.iter().enumerate() {
         if d.kind != DepKind::Fd || d.is_trivial(alg) {
             continue;
         }
-        let closure = closure_and_basis(alg, sigma, &d.lhs).closure;
-        if closure != alg.top_set() {
+        if closure(alg, sigma, &d.lhs, budget)? != alg.top_set() {
             out.push(Violation {
                 index: i,
                 reason: format!(
@@ -70,12 +83,16 @@ pub fn bcnf_violations(alg: &Algebra, sigma: &[CompiledDep]) -> Vec<Violation> {
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Is `(N, Σ)` in BCNF-with-lists?
-pub fn is_bcnf(alg: &Algebra, sigma: &[CompiledDep]) -> bool {
-    bcnf_violations(alg, sigma).is_empty()
+pub fn is_bcnf(
+    alg: &Algebra,
+    sigma: &[CompiledDep],
+    budget: &Budget,
+) -> Result<bool, ResourceExhausted> {
+    Ok(bcnf_violations(alg, sigma, budget)?.is_empty())
 }
 
 #[cfg(test)]
@@ -97,8 +114,8 @@ mod tests {
     #[test]
     fn key_based_schema_is_4nf() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B, C)"]);
-        assert!(is_fourth_nf(&alg, &sigma));
-        assert!(is_bcnf(&alg, &sigma));
+        assert!(is_fourth_nf(&alg, &sigma, &Budget::unlimited()).unwrap());
+        assert!(is_bcnf(&alg, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -107,12 +124,12 @@ mod tests {
             "Pubcrawl(Person, Visit[Drink(Beer, Pub)])",
             &["Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"],
         );
-        let v = fourth_nf_violations(&alg, &sigma);
+        let v = fourth_nf_violations(&alg, &sigma, &Budget::unlimited()).unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].index, 0);
         assert!(v[0].reason.contains("not a superkey"));
         // BCNF ignores the MVD
-        assert!(is_bcnf(&alg, &sigma));
+        assert!(is_bcnf(&alg, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -121,15 +138,20 @@ mod tests {
             "L(A, B)",
             &["L(A, B) -> L(A)", "L(A) ->> L(B)"], // both trivial
         );
-        assert!(is_fourth_nf(&alg, &sigma));
+        assert!(is_fourth_nf(&alg, &sigma, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn fd_violation_detected_by_both() {
         let (alg, sigma) = setup("L(A, B, C)", &["L(A) -> L(B)"]);
-        assert!(!is_fourth_nf(&alg, &sigma));
-        assert!(!is_bcnf(&alg, &sigma));
-        assert_eq!(bcnf_violations(&alg, &sigma).len(), 1);
+        assert!(!is_fourth_nf(&alg, &sigma, &Budget::unlimited()).unwrap());
+        assert!(!is_bcnf(&alg, &sigma, &Budget::unlimited()).unwrap());
+        assert_eq!(
+            bcnf_violations(&alg, &sigma, &Budget::unlimited())
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -145,6 +167,6 @@ mod tests {
         // not functionally determined — A is not a superkey, so the FD
         // violates BCNF.
         assert!(a_plus != alg.top_set());
-        assert!(!is_bcnf(&alg, &sigma));
+        assert!(!is_bcnf(&alg, &sigma, &Budget::unlimited()).unwrap());
     }
 }

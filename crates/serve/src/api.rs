@@ -463,7 +463,8 @@ fn handle_wal(state: &ServiceState, t: &Tenant, req: &Request) -> Result<Respons
 /// same WAL-first path as `/edit`). The lint and the adds need only the
 /// schema, which never changes, so the write lock is taken after them.
 /// A file with any error changes nothing and answers `400` carrying the
-/// lint report's span diagnostics.
+/// lint report's span diagnostics; a request budget that runs out during
+/// the lint changes nothing and answers `429`.
 fn handle_reload(
     tenant: &str,
     t: &Tenant,
@@ -472,7 +473,7 @@ fn handle_reload(
 ) -> Result<Response, ApiError> {
     let read = || t.reasoner.read().unwrap_or_else(PoisonError::into_inner);
     let schema_src = read().attr().to_string();
-    let report = nalist_lint::lint_spec_governed(&schema_src, deps_src, budget).map_err(|e| {
+    let report = nalist_lint::lint_spec(&schema_src, deps_src, budget).map_err(|e| {
         match e {
             nalist_lint::SpecError::Resource(res) => ApiError::resource(res),
             // The schema came from our own reasoner; failing to parse it
@@ -544,7 +545,7 @@ fn handle_query(
             .as_str()
             .ok_or_else(|| ApiError::bad_request("\"query\" must be a string"))?;
         let verdict = r
-            .implies_str_governed(text, budget)
+            .implies_str(text, budget)
             .map_err(|e| ApiError::reasoner(&e))?;
         return Ok(Response::json(200, format!("{{\"implied\": {verdict}}}\n")));
     }

@@ -331,8 +331,8 @@ impl Registry {
         let limits = ParseLimits::from_budget(budget);
         let n = parse_attr_with(schema, limits)
             .map_err(|e| ApiError::bad_request(format!("bad schema: {e}")))?;
-        let mut r = Reasoner::try_new_observed(&n, budget, Arc::clone(&self.rec))
-            .map_err(ApiError::resource)?;
+        let mut r =
+            Reasoner::try_new(&n, budget, Arc::clone(&self.rec)).map_err(ApiError::resource)?;
         let adds: Vec<WalOp> = deps.iter().cloned().map(WalOp::Add).collect();
         let decided = r
             .decide(&adds, budget)
@@ -455,21 +455,23 @@ mod tests {
         use nalist_obs::{Counter, MetricsRecorder};
         let dir = wal_dir("spans");
         let budget = Budget::unlimited();
-        Registry::open(Some(dir.clone()), Arc::new(NoopRecorder))
-            .unwrap()
-            .create("t", "L(A, B)", &[], &budget)
-            .unwrap();
-        let (mut wal, _) = WalWriter::open(&dir.join("t.wal"), false).unwrap();
-        for i in 0..=SPAN_CAP {
-            let dep = "L(A) -> L(B)".to_string();
-            let op = if i % 2 == 0 {
-                WalOp::Add(dep)
-            } else {
-                WalOp::Remove(dep)
-            };
-            wal.append(&op.encode(), &budget, &NoopRecorder).unwrap();
+        let created = Registry::open(Some(dir.clone()), Arc::new(NoopRecorder)).unwrap();
+        created.create("t", "L(A, B)", &[], &budget).unwrap();
+        {
+            let tenant = created.get("t").unwrap();
+            let mut wal = tenant.wal.lock().unwrap();
+            let wal = wal.as_mut().expect("a wal-dir tenant journals");
+            for i in 0..=SPAN_CAP {
+                let dep = "L(A) -> L(B)".to_string();
+                let op = if i % 2 == 0 {
+                    WalOp::Add(dep)
+                } else {
+                    WalOp::Remove(dep)
+                };
+                wal.append(&op.encode(), &budget, &NoopRecorder).unwrap();
+            }
         }
-        drop(wal);
+        drop(created);
         let rec = Arc::new(MetricsRecorder::with_span_cap(SPAN_CAP));
         let reg = Registry::open(Some(dir.clone()), rec.clone()).unwrap();
         let tenant = reg.get("t").unwrap();

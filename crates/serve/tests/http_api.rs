@@ -351,10 +351,64 @@ fn failed_edit_batch_changes_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `/reload` lints under the request's budget, its rule pass included:
+/// on a server whose per-request fuel cap covers loading the posted
+/// file but not linting it, the reload answers 429 and changes nothing
+/// — not Σ, not `/sigma`, not the log.
+#[test]
+fn reload_that_exhausts_fuel_in_the_rule_pass_changes_nothing() {
+    let dir = std::env::temp_dir().join(format!("nalist-serve-reload-fuel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create wal dir");
+    let schema = format!(
+        "R({})",
+        (0..8)
+            .map(|i| format!("A{i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let deps: String = (0..24)
+        .map(|k| {
+            let (a, b, c) = (k % 8, (k + 1 + k / 8) % 8, (3 * k + 5) % 8);
+            format!("R(A{}, A{}) -> R(A{c})\n", a.min(b), a.max(b))
+        })
+        .collect();
+    // the cap is exactly what the lint loader charges for the file
+    let meter = nalist_guard::Budget::unlimited();
+    nalist_lint::load_spec(&schema, &deps, &meter).expect("the spec loads");
+    let cfg = ServerConfig {
+        workers: 2,
+        fuel: Some(meter.spent()),
+        wal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let srv = nalist_serve::server::start(&cfg, Arc::new(MetricsRecorder::new())).expect("start");
+    let addr = srv.local_addr();
+    let create = format!(r#"{{"schema": "{schema}", "deps": ["R(A0) -> R(A1)"]}}"#);
+    let (status, body) = request(addr, "POST", "/v1/t/create", Some(&create));
+    assert_eq!(status, 201, "{body}");
+    let (status, sigma_before) = request(addr, "GET", "/v1/t/sigma", None);
+    assert_eq!(status, 200, "{sigma_before}");
+    let log = dir.join("t.wal");
+    let log_before = std::fs::read(&log).expect("the tenant journals");
+
+    let reload = format!(r#"{{"deps": "{}"}}"#, deps.replace('\n', "\\n"));
+    let (status, body) = request(addr, "POST", "/v1/t/reload", Some(&reload));
+    assert_eq!(status, 429, "{body}");
+    assert!(body.contains("fuel"), "{body}");
+    let (status, sigma_after) = request(addr, "GET", "/v1/t/sigma", None);
+    assert_eq!(status, 200, "{sigma_after}");
+    assert_eq!(sigma_after, sigma_before);
+    assert_eq!(std::fs::read(&log).expect("the log stays"), log_before);
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `/reload` lints and reads the posted file before it takes the
 /// tenant's write lock, so a query to the same tenant answers while a
 /// large file lints. The file is grown until linting it takes at least
-/// 1.5 s in this build (the lint's rule pass runs ungoverned).
+/// 1.5 s in this build, well inside the default 10 s request deadline
+/// the lint now runs under.
 #[test]
 fn queries_answer_while_a_reload_lints() {
     use std::time::{Duration, Instant};
@@ -375,7 +429,8 @@ fn queries_answer_while_a_reload_lints() {
     let (deps, linted) = loop {
         let deps: String = (0..lines).map(line).collect();
         let started = Instant::now();
-        nalist_lint::lint_spec(&schema, &deps).expect("the schema parses");
+        nalist_lint::lint_spec(&schema, &deps, &nalist_guard::Budget::unlimited())
+            .expect("the schema parses");
         let linted = started.elapsed();
         if linted >= Duration::from_millis(1_500) || lines >= 1 << 14 {
             break (deps, linted);

@@ -15,6 +15,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use common::request;
+use nalist_guard::Budget;
 use nalist_membership::Reasoner;
 use nalist_obs::MetricsRecorder;
 use nalist_serve::ServerConfig;
@@ -157,7 +158,7 @@ proptest! {
 
         // Warm tenant B and snapshot everything observable about it.
         for d in &pool_b {
-            let direct = mirror_b.implies_str(d).expect("direct b");
+            let direct = mirror_b.implies_str(d, &Budget::unlimited()).expect("direct b");
             prop_assert_eq!(serve_query(addr, "b", d), direct, "b parity on {}", d);
         }
         let b_before = sigma_body(addr, "b");
@@ -173,7 +174,7 @@ proptest! {
         }
         let direct_a: Vec<bool> = pool_a
             .iter()
-            .map(|d| mirror_a.implies_str(d).expect("direct a"))
+            .map(|d| mirror_a.implies_str(d, &Budget::unlimited()).expect("direct a"))
             .collect();
         for (d, want) in pool_a.iter().zip(&direct_a) {
             prop_assert_eq!(serve_query(addr, "a", d), *want, "a parity on {}", d);
@@ -185,7 +186,7 @@ proptest! {
         }
         let direct_a_after: Vec<bool> = pool_a
             .iter()
-            .map(|d| mirror_a.implies_str(d).expect("direct a"))
+            .map(|d| mirror_a.implies_str(d, &Budget::unlimited()).expect("direct a"))
             .collect();
         prop_assert_eq!(serve_batch(addr, "a", &pool_a), direct_a_after);
 

@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -144,19 +144,10 @@ impl From<ResourceExhausted> for StoreError {
 /// (a POSIX rename within one directory is atomic), and the parent
 /// directory is fsynced best-effort so the rename itself survives a
 /// power cut. A crash at any instant leaves either the old file or the
-/// complete new one — never a truncated hybrid.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
-    atomic_write_governed(path, contents, &Budget::unlimited())
-}
-
-/// [`atomic_write`] under a [`Budget`]: the fsync passes through the
-/// [`site::FSYNC`] failpoint so chaos tests can crash between the data
-/// write and the rename.
-pub fn atomic_write_governed(
-    path: &Path,
-    contents: &[u8],
-    budget: &Budget,
-) -> Result<(), StoreError> {
+/// complete new one — never a truncated hybrid. The fsync passes through
+/// `budget`'s [`site::FSYNC`] failpoint so chaos tests can crash between
+/// the data write and the rename.
+pub fn atomic_write(path: &Path, contents: &[u8], budget: &Budget) -> Result<(), StoreError> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -202,15 +193,6 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
-/// Opens `path` for appending, creating it if absent.
-fn open_append(path: &Path) -> Result<File, StoreError> {
-    OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| StoreError::io(path, &e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,9 +207,9 @@ mod tests {
     fn atomic_write_replaces_content() {
         let d = tmp_dir("aw");
         let p = d.join("out.txt");
-        atomic_write(&p, b"first").unwrap();
+        atomic_write(&p, b"first", &Budget::unlimited()).unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"first");
-        atomic_write(&p, b"second, longer content").unwrap();
+        atomic_write(&p, b"second, longer content", &Budget::unlimited()).unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"second, longer content");
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -237,10 +219,10 @@ mod tests {
         use nalist_guard::{FailAction, FailPoint};
         let d = tmp_dir("aw_fault");
         let p = d.join("out.txt");
-        atomic_write(&p, b"old").unwrap();
+        atomic_write(&p, b"old", &Budget::unlimited()).unwrap();
         let budget = Budget::unlimited()
             .with_failpoint(FailPoint::every(site::FSYNC, FailAction::ExhaustFuel));
-        let err = atomic_write_governed(&p, b"new", &budget).expect_err("fault must surface");
+        let err = atomic_write(&p, b"new", &budget).expect_err("fault must surface");
         assert!(matches!(err, StoreError::Resource(_)));
         assert_eq!(std::fs::read(&p).unwrap(), b"old", "old file untouched");
         // no temp litter
@@ -251,7 +233,7 @@ mod tests {
     #[test]
     fn atomic_write_rejects_pathless_target() {
         assert!(matches!(
-            atomic_write(Path::new("/"), b"x"),
+            atomic_write(Path::new("/"), b"x", &Budget::unlimited()),
             Err(StoreError::Io { .. })
         ));
     }

@@ -19,7 +19,7 @@
 //! `Corrupt { offset: 0 }`. A CRC-valid file with an unknown version is
 //! [`StoreError::Format`] — intact, just not ours to read.
 //!
-//! Snapshots are written through [`crate::atomic_write_governed`]
+//! Snapshots are written through [`crate::atomic_write`]
 //! (temp file + fsync + atomic rename), with the [`site::SNAPSHOT`]
 //! failpoint before any byte is produced and [`site::FSYNC`] before the
 //! sync — a crash at either point leaves the previous snapshot intact.
@@ -65,7 +65,7 @@ pub fn write_snapshot_governed(
 ) -> Result<u64, StoreError> {
     budget.failpoint(site::SNAPSHOT)?;
     let file = encode_snapshot(payload)?;
-    crate::atomic_write_governed(path, &file, budget)?;
+    crate::atomic_write(path, &file, budget)?;
     rec.add(Counter::SnapshotWrites, 1);
     Ok(file.len() as u64)
 }

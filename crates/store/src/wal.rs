@@ -112,30 +112,6 @@ impl WalWriter {
         })
     }
 
-    /// Opens an existing log for appending. The log is verified first
-    /// ([`read_wal`]) so appends never extend a corrupt or torn file:
-    /// recovery semantics stay "replay then continue", not "continue
-    /// past damage". Returns the writer and the verified replay.
-    pub fn open(path: &Path, fsync: bool) -> Result<(Self, WalReplay), StoreError> {
-        let replay = read_wal(path)?;
-        if let Some(at) = replay.truncated_at {
-            return Err(StoreError::Corrupt {
-                offset: at,
-                detail: "refusing to append to a torn log; recover it first".to_string(),
-            });
-        }
-        let file = crate::open_append(path)?;
-        Ok((
-            WalWriter {
-                file,
-                path: path.to_path_buf(),
-                fsync,
-                end: replay.len,
-            },
-            replay,
-        ))
-    }
-
     /// Appends one record. Returns the file offset the record starts
     /// at. The record bytes are emitted with a single `write_all`, so a
     /// crash leaves at worst a torn tail (see the module docs).
@@ -678,25 +654,6 @@ mod tests {
         assert!(matches!(
             read_wal(&p),
             Err(StoreError::Corrupt { offset: 0, .. })
-        ));
-        std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn open_resumes_at_the_end_and_refuses_torn_logs() {
-        let p = tmp("open");
-        write_log(&p, &[b"one"]);
-        let (mut w, replay) = WalWriter::open(&p, false).unwrap();
-        assert_eq!(replay.records().len(), 1);
-        w.append(b"two", &Budget::unlimited(), &noop()).unwrap();
-        drop(w);
-        assert_eq!(read_wal(&p).unwrap().records().len(), 2);
-        // tear the tail; open must refuse
-        let clean = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &clean[..clean.len() - 1]).unwrap();
-        assert!(matches!(
-            WalWriter::open(&p, false),
-            Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(p.parent().unwrap()).unwrap();
     }

@@ -18,6 +18,7 @@ fn main() {
         parse_attr("Doc(Id, Revisions[Rev(Author, Chunks[Hash])], Owner)").expect("schema parses");
     println!("N = {n}\n");
 
+    let unlimited = Budget::unlimited();
     let mut reasoner = Reasoner::new(&n);
     for dep in [
         // the id determines the owner
@@ -42,7 +43,7 @@ fn main() {
         .compile(alg)
         .expect("compiles");
     println!("query: Σ ⊨ {implied} ?");
-    match nalist::membership::certify(alg, reasoner.compiled_sigma(), &target)
+    match certify_governed(alg, reasoner.compiled_sigma(), &target, &unlimited)
         .expect("well-formed query certifies cleanly")
     {
         Some(dag) => {
@@ -66,7 +67,7 @@ fn main() {
         .compile(alg)
         .expect("compiles");
     println!("query: Σ ⊨ {refutable} ?");
-    match refute(alg, reasoner.compiled_sigma(), &target).expect("machinery") {
+    match refute_governed(alg, reasoner.compiled_sigma(), &target, &unlimited).expect("machinery") {
         None => println!("yes"),
         Some(w) => {
             println!(

@@ -18,6 +18,7 @@ fn main() {
     }
     println!();
 
+    let unlimited = Budget::unlimited();
     let mut reasoner = Reasoner::new(n);
     println!("Σ:");
     for d in &scenario.sigma {
@@ -45,14 +46,15 @@ fn main() {
         // and residues are exchangeable independently of exon structure
         "Gene(Locus) ->> Gene(Exons[Exon(Start, End)])",
     ] {
-        let implied = reasoner.implies_str(query).expect("parses");
+        let implied = reasoner.implies_str(query, &unlimited).expect("parses");
         println!("Σ ⊨ {query:<55} {}", if implied { "yes" } else { "no" });
     }
     println!();
 
     // keys: what identifies a gene record?
     let alg = reasoner.algebra();
-    let keys = candidate_keys(alg, reasoner.compiled_sigma(), 8);
+    let keys =
+        candidate_keys(alg, reasoner.compiled_sigma(), 8, &unlimited).expect("unlimited budget");
     println!("candidate keys ({}):", keys.len());
     for k in &keys {
         println!("  {}", alg.render(k));
@@ -62,9 +64,10 @@ fn main() {
     // normal forms & decomposition
     println!(
         "schema in 4NF-with-lists: {}",
-        is_fourth_nf(alg, reasoner.compiled_sigma())
+        is_fourth_nf(alg, reasoner.compiled_sigma(), &unlimited).expect("unlimited budget")
     );
-    let components = decompose_4nf(alg, reasoner.compiled_sigma(), 8);
+    let components =
+        decompose_4nf(alg, reasoner.compiled_sigma(), 8, &unlimited).expect("unlimited budget");
     println!("4NF decomposition into {} components:", components.len());
     for c in &components {
         println!(

@@ -68,7 +68,9 @@ fn main() {
     let shape_fd = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])";
     println!(
         "Σ = {{Person ↠ Visit[Drink(Pub)]}} ⊨ {shape_fd}: {}",
-        reasoner.implies_str(shape_fd).expect("decides")
+        reasoner
+            .implies_str(shape_fd, &Budget::unlimited())
+            .expect("decides")
     );
     println!(
         "Person+ = {}",

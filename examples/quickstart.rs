@@ -13,6 +13,7 @@ fn main() {
     println!("schema N = {n}");
     println!("|SubB(N)| = {} basis attributes\n", n.basis_size());
 
+    let unlimited = Budget::unlimited();
     let mut reasoner = Reasoner::new(&n);
     for dep in [
         // the user determines their subscription profile
@@ -35,7 +36,9 @@ fn main() {
         "Session(User) -> Session(Queue[λ])",
         "Session(User) -> Session(Queue[Track(Song)])",
     ] {
-        let implied = reasoner.implies_str(query).expect("query parses");
+        let implied = reasoner
+            .implies_str(query, &unlimited)
+            .expect("query parses");
         println!("Σ ⊨ {query:<62} {}", if implied { "yes" } else { "no" });
     }
     println!();
@@ -61,7 +64,9 @@ fn main() {
         .expect("parses")
         .compile(alg)
         .expect("compiles");
-    match refute(alg, reasoner.compiled_sigma(), &target).expect("refutation machinery") {
+    match refute_governed(alg, reasoner.compiled_sigma(), &target, &unlimited)
+        .expect("refutation machinery")
+    {
         None => println!("(unexpected) the dependency is implied"),
         Some(w) => {
             println!(

@@ -14,6 +14,7 @@ fn main() {
     let scenario = xml_orders();
     let n = &scenario.attr;
     let alg = Algebra::new(n);
+    let unlimited = Budget::unlimited();
     println!("N = {n}\n");
 
     // a designer's first draft, with some redundancy baked in
@@ -39,28 +40,28 @@ fn main() {
     for d in &draft {
         println!("  {}", d.render(&alg));
     }
-    let redundant = redundant_indices(&alg, &draft);
+    let redundant = redundant_indices(&alg, &draft, &unlimited).expect("unlimited budget");
     println!("redundant members: {redundant:?}");
 
-    let cover = minimal_cover(&alg, &draft);
+    let cover = minimal_cover(&alg, &draft, &unlimited).expect("unlimited budget");
     println!("\nminimal cover ({} dependencies):", cover.len());
     for d in &cover {
         println!("  {}", d.render(&alg));
     }
     println!(
         "cover equivalent to the draft: {}",
-        equivalent(&alg, &cover, &draft)
+        equivalent(&alg, &cover, &draft, &unlimited).expect("unlimited budget")
     );
     println!();
 
     // 4NF analysis
-    let violations = fourth_nf_violations(&alg, &cover);
+    let violations = fourth_nf_violations(&alg, &cover, &unlimited).expect("unlimited budget");
     println!("4NF-with-lists violations: {}", violations.len());
     for v in &violations {
         println!("  [{}] {}", v.index, v.reason);
     }
 
-    let components = decompose_4nf(&alg, &cover, 8);
+    let components = decompose_4nf(&alg, &cover, 8, &unlimited).expect("unlimited budget");
     println!("\n4NF decomposition into {} components:", components.len());
     for c in &components {
         println!("  {}", alg.render(&c.atoms));
@@ -92,6 +93,6 @@ fn main() {
     .collect();
     println!(
         "\nalternative Σ' equivalent to the draft: {}",
-        equivalent(&alg, &alternative, &draft)
+        equivalent(&alg, &alternative, &draft, &unlimited).expect("unlimited budget")
     );
 }

@@ -92,7 +92,12 @@ fn duplicate_attribute_names_resolve_ambiguously() {
 
 #[test]
 fn crlf_dependency_files_load_cleanly() {
-    let spec = load_spec("L(A, B)", "L(A) -> L(B)\r\nL(B) ->> L(A)\r\n").unwrap();
+    let spec = load_spec(
+        "L(A, B)",
+        "L(A) -> L(B)\r\nL(B) ->> L(A)\r\n",
+        &Budget::unlimited(),
+    )
+    .unwrap();
     assert_eq!(spec.entries.len(), 2);
     assert!(spec.load_diagnostics.is_empty());
 }
@@ -104,7 +109,7 @@ fn whole_chaos_corpus_terminates_with_structured_outcomes() {
         // spec loading must return, not panic. A modest budget keeps the
         // resource-hostile cases (atom/identifier bombs) cheap.
         let budget = Budget::unlimited().with_fuel(1 << 20).with_max_atoms(4096);
-        let loaded = nalist::lint::load_spec_governed(&case.schema, &case.deps, &budget);
+        let loaded = nalist::lint::load_spec(&case.schema, &case.deps, &budget);
         if case.expect == Expectation::Accept {
             let spec = loaded.unwrap_or_else(|e| panic!("{} must load: {e}", case.name));
             assert!(
@@ -134,7 +139,7 @@ proptest! {
         let queries = ["L(A) -> L(D)", "L(D) -> L(A)", "L(A) ->> L(C)"];
         let truths: Vec<bool> = queries
             .iter()
-            .map(|q| r.implies_str(q).unwrap())
+            .map(|q| r.implies_str(q, &Budget::unlimited()).unwrap())
             .collect();
         let fuel = seed % 24;
         for (q, truth) in queries.iter().zip(&truths) {
@@ -145,7 +150,7 @@ proptest! {
             fresh.add_str("L(B) ->> L(C)").unwrap();
             fresh.add_str("L(C) -> L(D)").unwrap();
             let budget = Budget::unlimited().with_fuel(fuel);
-            match fresh.implies_str_governed(q, &budget) {
+            match fresh.implies_str(q, &budget) {
                 Ok(b) => prop_assert_eq!(b, *truth, "fuel {} changed the verdict of {}", fuel, q),
                 Err(ReasonerError::Resource(e)) => {
                     prop_assert_eq!(e.kind, ResourceKind::Fuel);
@@ -186,5 +191,5 @@ fn injected_panic_degrades_one_batch_item_only() {
     }
     assert!(verdicts[2].as_ref().copied().unwrap());
     // the reasoner (and its cache) survive for subsequent queries
-    assert!(r.implies_str("L(B) -> L(A)").is_ok());
+    assert!(r.implies_str("L(B) -> L(A)", &Budget::unlimited()).is_ok());
 }

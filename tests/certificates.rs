@@ -214,7 +214,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = problem(&mut rng);
         let query = nalist::gen::random_dep(&mut rng, &p.alg, 0.4, 0.5);
-        let engine_says = implies(&p.alg, &p.sigma, &query);
+        let engine_says = implies(&p.alg, &p.sigma, &query, &Budget::unlimited()).expect("unlimited budget");
 
         let cert = certificate_for(&p, &query);
         prop_assert_eq!(
@@ -240,7 +240,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = problem(&mut rng);
         let x = nalist::gen::random_subattr(&mut rng, &p.alg, 0.4);
-        let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x).expect("basis");
+        let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x, &Budget::unlimited(), nalist::obs::noop()).expect("basis");
         let cert = basis_certificate(&p.alg, &p.sigma, &x, &cb);
 
         let reparsed = Certificate::from_json(&cert.to_json()).expect("reparse");
@@ -314,13 +314,13 @@ proptest! {
             fired += run.trail.len();
 
             let proof = certify_governed(&alg, &sigma, &target, &unlimited).expect("certify");
-            prop_assert_eq!(proof.is_some(), implies(&alg, &sigma, &target));
+            prop_assert_eq!(proof.is_some(), implies(&alg, &sigma, &target, &Budget::unlimited()).expect("unlimited budget"));
             if let Some(dag) = proof {
                 let root = dag.check(&alg, &sigma).expect("derivation checks");
                 prop_assert_eq!(root, &target);
             }
 
-            let cb = certified_closure_and_basis(&alg, &sigma, x).expect("basis certifies");
+            let cb = certified_closure_and_basis(&alg, &sigma, x, &Budget::unlimited(), nalist::obs::noop()).expect("basis certifies");
             prop_assert_eq!(&cb.basis, &closure_and_basis_paper(&alg, &sigma, x));
             cb.dag.check(&alg, &sigma).expect("basis derivation checks");
             prop_assert_eq!(cb.dag.conclusion(cb.closure_node), &CompiledDep::fd(x.clone(), cb.basis.closure.clone()));
@@ -352,7 +352,7 @@ proptest! {
         for _ in 0..4 {
             let target = firing_target(&mut rng, &alg);
             let basis = nalist::membership::closure_and_basis(&alg, &sigma, &target.lhs);
-            let refuted = !implies(&alg, &sigma, &target);
+            let refuted = !implies(&alg, &sigma, &target, &Budget::unlimited()).expect("unlimited budget");
             if refuted && basis.free_blocks().len() > 6 {
                 continue;
             }
@@ -394,7 +394,14 @@ fn certificate_json_matches_golden() {
         .alg
         .from_attr(&parse_subattr_of(&n, "Pubcrawl(Person)").unwrap())
         .unwrap();
-    let cb = certified_closure_and_basis(&p.alg, &p.sigma, &x).unwrap();
+    let cb = certified_closure_and_basis(
+        &p.alg,
+        &p.sigma,
+        &x,
+        &Budget::unlimited(),
+        nalist::obs::noop(),
+    )
+    .unwrap();
     let basis = basis_certificate(&p.alg, &p.sigma, &x, &cb);
 
     // determinism self-check: emission must not depend on iteration order

@@ -229,7 +229,7 @@ fn witnesses_match_naive_verdicts() {
         for _ in 0..10 {
             let dep = nalist::gen::random_dep(&mut rng, &alg, 0.4, 0.5);
             let expected = naive.derives(&dep);
-            match refute(&alg, &sigma, &dep)
+            match refute_governed(&alg, &sigma, &dep, &Budget::unlimited())
                 .unwrap_or_else(|e| panic!("round {round}: witness machinery failed: {e}"))
             {
                 None => {
@@ -313,15 +313,21 @@ fn exhaustive_semantic_completeness_tiny() {
         let elements = nalist::algebra::lattice::enumerate_sets(&alg);
         for x in &elements {
             let basis = closure_and_basis(&alg, &sigma, x);
-            let witness = nalist::membership::witness::combination_instance(&alg, &basis)
-                .expect("tiny bases");
+            let witness = nalist::membership::witness::combination_instance(
+                &alg,
+                &basis,
+                &Budget::unlimited(),
+            )
+            .expect("tiny bases");
             assert!(witness.instance.satisfies_all(&alg, &sigma), "{attr}");
             for y in &elements {
                 for dep in [
                     CompiledDep::fd(x.clone(), y.clone()),
                     CompiledDep::mvd(x.clone(), y.clone()),
                 ] {
-                    let implied = nalist::membership::implies(&alg, &sigma, &dep);
+                    let implied =
+                        nalist::membership::implies(&alg, &sigma, &dep, &Budget::unlimited())
+                            .unwrap();
                     if implied {
                         // the combination instance models Σ, so it must
                         // satisfy everything implied (soundness)
@@ -332,7 +338,7 @@ fn exhaustive_semantic_completeness_tiny() {
                         );
                     } else {
                         // completeness: a verified counterexample exists
-                        let w = refute(&alg, &sigma, &dep)
+                        let w = refute_governed(&alg, &sigma, &dep, &Budget::unlimited())
                             .unwrap_or_else(|e| panic!("{attr}: {e}"))
                             .expect("not implied must be refutable");
                         assert!(!w.instance.satisfies(&alg, &dep));
@@ -469,7 +475,10 @@ proptest! {
             .collect();
         let sequential: Vec<bool> = deps
             .iter()
-            .map(|d| reasoner.implies(d).expect("round-tripped deps compile"))
+            .map(|d| {
+                let c = d.compile(reasoner.algebra()).expect("round-tripped deps compile");
+                reasoner.implies(&c, &Budget::unlimited()).expect("compiled over N")
+            })
             .collect();
         for threads in [1usize, 2, 4] {
             let fresh = reasoner.clone();

@@ -54,7 +54,7 @@ fn apply(r: &mut Reasoner, alg: &Algebra, op: &EditOp) {
             assert!(r.remove(&d.decompile(alg)).expect("compiles"));
         }
         EditOp::Query(d) => {
-            r.implies(&d.decompile(alg)).expect("compiles");
+            r.implies(d, &Budget::unlimited()).expect("compiled over N");
         }
     }
 }
@@ -313,7 +313,10 @@ fn snapshot_format_is_byte_stable() {
     r.add_str("Pubcrawl(Visit[Drink(Beer)]) -> Pubcrawl(Visit[Drink(Pub)])")
         .unwrap();
     assert!(r
-        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])")
+        .implies_str(
+            "Pubcrawl(Person) -> Pubcrawl(Visit[λ])",
+            &Budget::unlimited()
+        )
         .unwrap());
     r.remove_at(1);
     r.add_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])").unwrap();
@@ -433,7 +436,7 @@ fn bad_record(rng: &mut StdRng, absent: Option<String>) -> Vec<u8> {
 type Outcome = Result<(Vec<u8>, (u64, u64, u64), Option<u64>), String>;
 
 /// The replay oracle: the record-by-record `add_str` / `remove_str` /
-/// `implies_str_governed` path on a reasoner restored from the same
+/// `implies_str` path on a reasoner restored from the same
 /// snapshot. Also returns how many records it applied — what
 /// `recovery_replayed_ops` must count.
 fn oracle_recover(snap: &Path, wal: &Path, budget: &Budget) -> (Outcome, u64) {
@@ -473,7 +476,7 @@ fn oracle_recover(snap: &Path, wal: &Path, budget: &Budget) -> (Outcome, u64) {
                     counts.1 += 1;
                 }
                 WalOp::Query(text) => {
-                    r.implies_str_governed(&text, budget).map_err(fail)?;
+                    r.implies_str(&text, budget).map_err(fail)?;
                     counts.2 += 1;
                 }
             }
@@ -501,7 +504,7 @@ fn replay_matches_oracle(seed: u64) -> Result<&'static str, TestCaseError> {
             .expect("pool texts parse");
     }
     for _ in 0..rng.gen_range(0..=3) {
-        live.implies_str(&pick(&mut rng, &pool))
+        live.implies_str(&pick(&mut rng, &pool), &Budget::unlimited())
             .expect("pool texts parse");
     }
     let mut records = vec![WalOp::Header {

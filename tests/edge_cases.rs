@@ -12,8 +12,8 @@ fn lambda_attribute_has_trivial_theory() {
     // N = λ: Sub(N) = {λ}, everything is trivially implied.
     let n = NestedAttr::Null;
     let r = Reasoner::new(&n);
-    assert!(r.implies_str("λ -> λ").unwrap());
-    assert!(r.implies_str("λ ->> λ").unwrap());
+    assert!(r.implies_str("λ -> λ", &Budget::unlimited()).unwrap());
+    assert!(r.implies_str("λ ->> λ", &Budget::unlimited()).unwrap());
     let alg = r.algebra();
     assert_eq!(alg.atom_count(), 0);
     let basis = closure_and_basis(alg, &[], &alg.bottom_set());
@@ -25,9 +25,9 @@ fn lambda_attribute_has_trivial_theory() {
 fn single_flat_attribute() {
     let n = parse_attr("A").unwrap();
     let r = Reasoner::new(&n);
-    assert!(!r.implies_str("λ -> A").unwrap());
-    assert!(r.implies_str("A -> A").unwrap());
-    assert!(r.implies_str("λ ->> A").unwrap()); // X ⊔ Y = N
+    assert!(!r.implies_str("λ -> A", &Budget::unlimited()).unwrap());
+    assert!(r.implies_str("A -> A", &Budget::unlimited()).unwrap());
+    assert!(r.implies_str("λ ->> A", &Budget::unlimited()).unwrap()); // X ⊔ Y = N
 }
 
 #[test]
@@ -42,7 +42,9 @@ fn single_information_less_list() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let w = refute(&alg, &[], &d).unwrap().unwrap();
+    let w = refute_governed(&alg, &[], &d, &Budget::unlimited())
+        .unwrap()
+        .unwrap();
     assert_eq!(w.instance.len(), 2);
 }
 
@@ -136,7 +138,7 @@ fn witness_block_limit_enforced() {
     x.insert(0);
     let basis = closure_and_basis(&alg, &sigma, &x);
     assert!(basis.free_blocks().len() > MAX_FREE_BLOCKS);
-    match combination_instance(&alg, &basis) {
+    match combination_instance(&alg, &basis, &Budget::unlimited()) {
         Err(WitnessError::TooManyBlocks { blocks }) => assert!(blocks > MAX_FREE_BLOCKS),
         other => panic!("expected TooManyBlocks, got {other:?}"),
     }
@@ -153,10 +155,10 @@ fn duplicate_and_trivial_sigma_members() {
     }
     r.add_str("L(A, B) -> L(A)").unwrap(); // trivial
     r.add_str("L(A) ->> L(B, C)").unwrap(); // trivial (X ⊔ Y = N)
-    assert!(r.implies_str("L(A) -> L(B)").unwrap());
-    assert!(!r.implies_str("L(A) -> L(C)").unwrap());
+    assert!(r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
+    assert!(!r.implies_str("L(A) -> L(C)", &Budget::unlimited()).unwrap());
     // minimal cover collapses all of it to one dependency
-    let cover = minimal_cover(r.algebra(), r.compiled_sigma());
+    let cover = minimal_cover(r.algebra(), r.compiled_sigma(), &Budget::unlimited()).unwrap();
     assert_eq!(cover.len(), 1);
 }
 
@@ -166,7 +168,7 @@ fn self_referential_dependency() {
     let mut r = Reasoner::new(&n);
     r.add_str("L(A) -> L(A)").unwrap();
     r.add_str("L(A) ->> L(A)").unwrap();
-    assert!(!r.implies_str("L(A) -> L(B)").unwrap());
+    assert!(!r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
 }
 
 #[test]
@@ -214,7 +216,9 @@ fn corrupted_certificates_rejected() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let dag = certify(&alg, &sigma, &target).unwrap().unwrap();
+    let dag = certify_governed(&alg, &sigma, &target, &Budget::unlimited())
+        .unwrap()
+        .unwrap();
     assert!(dag.check(&alg, &sigma).is_ok());
 
     // mutate each node's conclusion in turn: the checker must catch every
@@ -259,7 +263,7 @@ fn corrupted_certificates_rejected() {
 
 #[test]
 fn witness_verification_catches_tampering() {
-    // refute() verifies internally; simulate tampering by checking that a
+    // refute_governed() verifies internally; simulate tampering by checking that a
     // doctored instance would indeed fail the checks refute performs
     let n = parse_attr("L(A, B, C)").unwrap();
     let alg = Algebra::new(&n);
@@ -271,7 +275,9 @@ fn witness_verification_catches_tampering() {
         .unwrap()
         .compile(&alg)
         .unwrap();
-    let w = refute(&alg, &sigma, &target).unwrap().unwrap();
+    let w = refute_governed(&alg, &sigma, &target, &Budget::unlimited())
+        .unwrap()
+        .unwrap();
     let mut tampered = Instance::new(n.clone());
     for t in w.instance.iter() {
         tampered.insert(t.clone()).unwrap();
@@ -310,7 +316,7 @@ fn unicode_names_throughout() {
     let mut r = Reasoner::new(&n);
     r.add_str("Bücher(Autor) -> Bücher(Kapitel[λ])").unwrap();
     assert!(r
-        .implies_str("Bücher(Autor) ->> Bücher(Kapitel[λ])")
+        .implies_str("Bücher(Autor) ->> Bücher(Kapitel[λ])", &Budget::unlimited())
         .unwrap());
     let mut inst = Instance::new(n.clone());
     inst.insert_str("(Gœthe, [Götterfunken])").unwrap();
@@ -321,7 +327,7 @@ fn unicode_names_throughout() {
 fn empty_sigma_files_work_end_to_end() {
     let n = parse_attr("L(A, B)").unwrap();
     let r = Reasoner::new(&n);
-    assert!(!r.implies_str("L(A) -> L(B)").unwrap());
+    assert!(!r.implies_str("L(A) -> L(B)", &Budget::unlimited()).unwrap());
     assert_eq!(r.closure_str("L(A)").unwrap().to_string(), "L(A, λ)");
     let cert = certified_closure_and_basis(
         r.algebra(),
@@ -329,6 +335,8 @@ fn empty_sigma_files_work_end_to_end() {
         &r.algebra()
             .from_attr(&parse_subattr_of(&n, "L(A)").unwrap())
             .unwrap(),
+        &Budget::unlimited(),
+        nalist::obs::noop(),
     )
     .unwrap();
     cert.dag.check(r.algebra(), r.compiled_sigma()).unwrap();

@@ -20,10 +20,16 @@ fn pubcrawl_workflow() {
     let r = reasoner_for(&s);
     // implied facts
     assert!(r
-        .implies_str("Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer)])")
+        .implies_str(
+            "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer)])",
+            &Budget::unlimited()
+        )
         .unwrap());
     assert!(r
-        .implies_str("Pubcrawl(Person) -> Pubcrawl(Visit[λ])")
+        .implies_str(
+            "Pubcrawl(Person) -> Pubcrawl(Visit[λ])",
+            &Budget::unlimited()
+        )
         .unwrap());
     // non-implied fact gets a verified witness
     let alg = r.algebra();
@@ -31,7 +37,9 @@ fn pubcrawl_workflow() {
         .unwrap()
         .compile(alg)
         .unwrap();
-    let w = refute(alg, r.compiled_sigma(), &target).unwrap().unwrap();
+    let w = refute_governed(alg, r.compiled_sigma(), &target, &Budget::unlimited())
+        .unwrap()
+        .unwrap();
     assert!(w.instance.satisfies_all(alg, r.compiled_sigma()));
     assert!(!w.instance.satisfies(alg, &target));
     // the sample instance models Σ, so it must satisfy everything implied
@@ -51,11 +59,11 @@ fn pubcrawl_second_sigma_member_is_redundant() {
     let s = nalist::gen::scenarios::pubcrawl();
     let r = reasoner_for(&s);
     let alg = r.algebra();
-    assert!(is_redundant(alg, r.compiled_sigma(), 1));
-    assert!(!is_redundant(alg, r.compiled_sigma(), 0));
-    let cover = minimal_cover(alg, r.compiled_sigma());
+    assert!(is_redundant(alg, r.compiled_sigma(), 1, &Budget::unlimited()).unwrap());
+    assert!(!is_redundant(alg, r.compiled_sigma(), 0, &Budget::unlimited()).unwrap());
+    let cover = minimal_cover(alg, r.compiled_sigma(), &Budget::unlimited()).unwrap();
     assert_eq!(cover.len(), 1);
-    assert!(equivalent(alg, &cover, r.compiled_sigma()));
+    assert!(equivalent(alg, &cover, r.compiled_sigma(), &Budget::unlimited()).unwrap());
 }
 
 #[test]
@@ -65,23 +73,34 @@ fn genomic_workflow() {
     let alg = r.algebra();
     // locus determines exon shape through the FD, and residues only via
     // the protein name
-    assert!(r.implies_str("Gene(Locus) -> Gene(Exons[λ])").unwrap());
+    assert!(r
+        .implies_str("Gene(Locus) -> Gene(Exons[λ])", &Budget::unlimited())
+        .unwrap());
     assert!(!r
-        .implies_str("Gene(Locus) -> Gene(Product(Residues[Acid]))")
+        .implies_str(
+            "Gene(Locus) -> Gene(Product(Residues[Acid]))",
+            &Budget::unlimited()
+        )
         .unwrap());
     assert!(r
-        .implies_str("Gene(Locus, Product(Protein)) -> Gene(Product(Residues[Acid]))")
+        .implies_str(
+            "Gene(Locus, Product(Protein)) -> Gene(Product(Residues[Acid]))",
+            &Budget::unlimited()
+        )
         .unwrap());
     // candidate keys exist and verify
-    let keys = candidate_keys(alg, r.compiled_sigma(), 8);
+    let keys = candidate_keys(alg, r.compiled_sigma(), 8, &Budget::unlimited()).unwrap();
     assert!(!keys.is_empty());
     for k in &keys {
-        assert!(nalist::schema::is_candidate_key(alg, r.compiled_sigma(), k));
+        assert!(
+            nalist::schema::is_candidate_key(alg, r.compiled_sigma(), k, &Budget::unlimited())
+                .unwrap()
+        );
     }
     // 4NF analysis finds the non-key MVD and decomposition is lossless
-    let violations = fourth_nf_violations(alg, r.compiled_sigma());
+    let violations = fourth_nf_violations(alg, r.compiled_sigma(), &Budget::unlimited()).unwrap();
     assert!(!violations.is_empty());
-    let comps = decompose_4nf(alg, r.compiled_sigma(), 8);
+    let comps = decompose_4nf(alg, r.compiled_sigma(), 8, &Budget::unlimited()).unwrap();
     assert!(comps.len() >= 2);
     let atom_sets: Vec<AtomSet> = comps.iter().map(|c| c.atoms.clone()).collect();
     assert!(verify_lossless(alg, &s.instance, &atom_sets).unwrap());
@@ -93,14 +112,22 @@ fn xml_orders_workflow() {
     let r = reasoner_for(&s);
     let alg = r.algebra();
     // route shape follows from the customer
-    assert!(r.implies_str("Order(Customer) -> Order(Route[λ])").unwrap());
+    assert!(r
+        .implies_str("Order(Customer) -> Order(Route[λ])", &Budget::unlimited())
+        .unwrap());
     // item list is not functionally determined
     assert!(!r
-        .implies_str("Order(Customer) -> Order(Items[Item(Sku)])")
+        .implies_str(
+            "Order(Customer) -> Order(Items[Item(Sku)])",
+            &Budget::unlimited()
+        )
         .unwrap());
     // but the MVD plus the priority FD gives: customer ↠ route side
     assert!(r
-        .implies_str("Order(Customer) ->> Order(Route[Hop])")
+        .implies_str(
+            "Order(Customer) ->> Order(Route[Hop])",
+            &Budget::unlimited()
+        )
         .unwrap());
     // a reformulated Σ' with the MVD moved to the route side is STRICTLY
     // stronger: Customer ↠ Route⊔Priority plus the shape FD force
@@ -119,17 +146,21 @@ fn xml_orders_workflow() {
             .unwrap()
     })
     .collect();
-    assert!(covers(alg, &alternative, r.compiled_sigma()));
-    assert!(!covers(alg, r.compiled_sigma(), &alternative));
+    assert!(covers(alg, &alternative, r.compiled_sigma(), &Budget::unlimited()).unwrap());
+    assert!(!covers(alg, r.compiled_sigma(), &alternative, &Budget::unlimited()).unwrap());
     assert!(nalist::membership::implies(
         alg,
         &alternative,
         &Dependency::parse(&s.attr, "Order(Customer) -> Order(Priority)")
             .unwrap()
             .compile(alg)
-            .unwrap()
-    ));
-    assert!(!r.implies_str("Order(Customer) -> Order(Priority)").unwrap());
+            .unwrap(),
+        &Budget::unlimited()
+    )
+    .unwrap());
+    assert!(!r
+        .implies_str("Order(Customer) -> Order(Priority)", &Budget::unlimited())
+        .unwrap());
 }
 
 #[test]
@@ -159,10 +190,16 @@ fn reasoners_are_cloneable_and_reusable() {
         .unwrap();
     // r2 gained implications r1 does not have
     assert!(r2
-        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)")
+        .implies_str(
+            "Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)",
+            &Budget::unlimited()
+        )
         .unwrap());
     assert!(!r1
-        .implies_str("Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)")
+        .implies_str(
+            "Pubcrawl(Visit[Drink(Beer, Pub)]) -> Pubcrawl(Person)",
+            &Budget::unlimited()
+        )
         .unwrap());
 }
 
@@ -176,7 +213,9 @@ fn witness_instances_are_realistic_databases() {
         .unwrap()
         .compile(alg)
         .unwrap();
-    let w = refute(alg, r.compiled_sigma(), &target).unwrap().unwrap();
+    let w = refute_governed(alg, r.compiled_sigma(), &target, &Budget::unlimited())
+        .unwrap()
+        .unwrap();
     for t in w.instance.iter() {
         let printed = t.to_string();
         let reparsed = parse_value(&printed).unwrap();

@@ -59,9 +59,9 @@ proptest! {
                 }
                 EditOp::Query(d) => {
                     let scratch = from_scratch(&n, &alg, &live);
-                    let dep = d.decompile(&alg);
-                    let want = scratch.implies(&dep).expect("compiles");
-                    let got = incremental.implies(&dep).expect("compiles");
+                    let unlimited = Budget::unlimited();
+                    let want = scratch.implies(d, &unlimited).expect("compiled over N");
+                    let got = incremental.implies(d, &unlimited).expect("compiled over N");
                     prop_assert_eq!(got, want, "step {}: verdict diverged", step);
                     // the cached basis itself must be bit-identical, not
                     // merely verdict-equivalent
@@ -138,7 +138,7 @@ proptest! {
                 assert!(r.remove(&d.decompile(&alg)).expect("compiles"));
             }
             EditOp::Query(d) => {
-                r.implies(&d.decompile(&alg)).expect("compiles");
+                r.implies(d, &Budget::unlimited()).expect("compiled over N");
             }
         };
         let mut live = Reasoner::new(&n);
@@ -202,23 +202,22 @@ proptest! {
                     live.remove(i);
                 }
                 EditOp::Query(d) => {
-                    let dep = d.decompile(&alg);
                     let want = from_scratch(&n, &alg, &live)
-                        .implies(&dep)
-                        .expect("compiles");
+                        .implies(d, &Budget::unlimited())
+                        .expect("compiled over N");
                     prop_assert_eq!(
-                        incremental.implies_governed(&dep, &roomy).expect("roomy budget"),
+                        incremental.implies(d, &roomy).expect("roomy budget"),
                         want,
                         "step {}: governed verdict diverged",
                         step
                     );
-                    match incremental.implies_governed(&dep, &starved) {
+                    match incremental.implies(d, &starved) {
                         Ok(got) => prop_assert_eq!(
                             got, want,
                             "step {}: starved budget returned a WRONG verdict",
                             step
                         ),
-                        Err(ReasonerError::Resource(_)) => {}
+                        Err(ClosureError::Resource(_)) => {}
                         Err(e) => prop_assert!(false, "step {step}: unexpected error {e}"),
                     }
                 }
@@ -257,7 +256,7 @@ fn check_against_paper(
         let mut depb: std::collections::BTreeSet<AtomSet> = want.blocks.iter().cloned().collect();
         depb.extend(want.closure.iter().map(|a| alg.atom(a).below.clone()));
         prop_assert!(want.basis.iter().eq(&depb), "{}: DepB(X)", stage);
-        let verdict = r.implies(&q.decompile(alg)).expect("compiles");
+        let verdict = r.implies(q, &Budget::unlimited()).expect("compiled over N");
         prop_assert_eq!(verdict, paper_verdict(&want, q), "{}: verdict", stage);
         prop_assert_eq!(r.dependency_basis(&q.lhs), want, "{}: basis", stage);
     }
@@ -375,11 +374,12 @@ proptest! {
                         break q;
                     }
                 };
-                let want = nalist::membership::implies(&alg, live.compiled_sigma(), &q);
-                let dep = q.decompile(&alg);
-                prop_assert_eq!(live.implies(&dep).expect("compiles"), want, "step {}", step);
+                let unlimited = Budget::unlimited();
+                let want = nalist::membership::implies(&alg, live.compiled_sigma(), &q, &unlimited)
+                    .expect("unlimited budget");
+                prop_assert_eq!(live.implies(&q, &unlimited).expect("compiled over N"), want, "step {}", step);
                 if let Some(r) = &restored {
-                    prop_assert_eq!(r.implies(&dep).expect("compiles"), want, "step {}", step);
+                    prop_assert_eq!(r.implies(&q, &unlimited).expect("compiled over N"), want, "step {}", step);
                 }
             }
             let stats = live.cache_stats();
